@@ -14,9 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .density import DensityField, DiscreteMeasure, _edge_halfplanes, polygon_quadrature
+from .density import (DensityField, DiscreteMeasure, cell_moments, polygon_quadrature,
+                      spd_cholesky, write_csv)
 from .errors import InfeasibleShape, SiteOutsideWorkspace, SupportViolation
-from .geometry import ConvexPolygon, clip
+# clip is not called here, but coverbench/tracing.py patches it in this module
+from .geometry import ConvexPolygon, clip, intersect  # noqa: F401
 from .transport import wasserstein_exact
 
 FOOTPRINT_SIDES = 32
@@ -79,10 +81,7 @@ class GaussianService:
 
     def __init__(self, covariance, orientations=DEFAULT_ORIENTATIONS):
         cov = np.asarray(covariance, dtype=float).reshape(2, 2)
-        try:
-            self._chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise ValueError("service covariance must be symmetric positive definite")
+        self._chol = spd_cholesky(cov)
         self.covariance = cov
         self.orientations = _check_orientations(orientations)
 
@@ -100,15 +99,6 @@ class GaussianService:
         return rng.standard_normal((n, 2)) @ self._chol.T
 
 
-def _clip_to_workspace(poly: ConvexPolygon, workspace: ConvexPolygon):
-    clipped = poly
-    for edge in _edge_halfplanes(workspace):
-        clipped = clip(clipped, edge)
-        if clipped is None:
-            return None
-    return clipped
-
-
 def footprint_cost(phi: DensityField, model, poi, levels: int = 2):
     """Cheapest orientation of the model's footprint over a point of interest.
 
@@ -120,23 +110,12 @@ def footprint_cost(phi: DensityField, model, poi, levels: int = 2):
     center = np.asarray(poi, dtype=float).reshape(2)
     if not phi.workspace.contains(center):
         raise SiteOutsideWorkspace("point of interest lies outside the workspace")
-    falloff = getattr(model, "falloff", None) or (lambda r: r * r)
-
-    def price(theta: float) -> float:
-        poly = _clip_to_workspace(model.footprint(center, theta), phi.workspace)
-        if poly is None:
-            return 0.0
-        nodes, w = polygon_quadrature(poly, levels)
-        dist = np.linalg.norm(nodes - center, axis=1)
-        return float(w @ (falloff(dist) * phi.eval(nodes)))
-
     thetas = model.orientations[:1] if model.symmetric else model.orientations
-    best_cost, best_theta = np.inf, model.orientations[0]
-    for theta in thetas:
-        cost = price(theta)
-        if cost < best_cost:
-            best_cost, best_theta = cost, theta
-    return best_cost, best_theta
+    polys = [intersect(model.footprint(center, theta), phi.workspace) for theta in thetas]
+    costs = cell_moments(phi, polys, np.broadcast_to(center, (len(polys), 2)), levels,
+                         getattr(model, "falloff", None))[2]
+    best = int(np.argmin(costs))
+    return float(costs[best]), thetas[best]
 
 
 def kl_divergence(psi: DensityField, phi: DensityField, region: ConvexPolygon,
@@ -164,22 +143,14 @@ def kl_divergence(psi: DensityField, phi: DensityField, region: ConvexPolygon,
     return float(np.sum(w[live] * pv[live] * np.log(ratio)))
 
 
-def _spd_chol(cov, name: str) -> np.ndarray:
-    cov = np.asarray(cov, dtype=float).reshape(2, 2)
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"{name} covariance must be symmetric positive definite")
-
-
 def gaussian_kl(mean0, cov0, mean1, cov1) -> float:
     """Closed-form divergence between two planar Gaussians."""
     mean0 = np.asarray(mean0, dtype=float).reshape(2)
     mean1 = np.asarray(mean1, dtype=float).reshape(2)
-    chol0 = _spd_chol(cov0, "first")
-    chol1 = _spd_chol(cov1, "second")
     cov0 = np.asarray(cov0, dtype=float).reshape(2, 2)
     cov1 = np.asarray(cov1, dtype=float).reshape(2, 2)
+    chol0 = spd_cholesky(cov0)
+    chol1 = spd_cholesky(cov1)
     inv1 = np.linalg.inv(cov1)
     diff = mean1 - mean0
     trace = float(np.trace(inv1 @ cov0))
@@ -255,13 +226,10 @@ class CostMatrix:
                 f"{rows} agents need at least {rows} points of interest, got {cols}")
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("agent,poi,cost,theta\n")
-            rows, cols = self.values.shape
-            for i in range(rows):
-                for j in range(cols):
-                    fh.write(f"{i},{j},{float(self.values[i, j])!r},"
-                             f"{float(self.theta_star[i, j])!r}\n")
+        rows, cols = self.values.shape
+        write_csv(path, "agent,poi,cost,theta",
+                  ((i, j, self.values[i, j], self.theta_star[i, j])
+                   for i in range(rows) for j in range(cols)))
 
 
 def build_cost_matrix(models, pois, entry) -> CostMatrix:
@@ -287,10 +255,7 @@ class AssignmentResult:
         return [(int(i), int(j)) for i, j in np.argwhere(self.matrix == 1)]
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("agent,poi\n")
-            for i, j in self.pairs:
-                fh.write(f"{i},{j}\n")
+        write_csv(path, "agent,poi", self.pairs)
 
 
 def solve_assignment(cost) -> AssignmentResult:

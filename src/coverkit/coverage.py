@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import MASS_EPS, DensityField, cell_mass_centroid, polygon_quadrature
+# polygon_quadrature is not called here, but coverbench/tracing.py patches it
+# in this module
+from .density import MASS_EPS, DensityField, cell_moments, polygon_quadrature  # noqa: F401
 from .errors import KernelMismatch, NoConvergence, NonMonotoneDescent
 from .geometry import ConvexPolygon, power_cells, power_cells_from_weights
 
@@ -82,24 +84,8 @@ def _survey(phi: DensityField, agents, kind: str, levels: int):
     pos = positions_of(agents)
     rho = radii_of(agents) if kind == KIND_POWER else np.zeros(len(agents))
     cells = power_cells(phi.workspace, pos, rho)
-    masses = np.zeros(len(agents))
-    centroids = pos.copy()
-    cost = 0.0
-    for i, cell in enumerate(cells):
-        if cell is None:
-            continue
-        pts, w = polygon_quadrature(cell, levels)
-        wv = w * np.asarray(phi.eval(pts), dtype=float)
-        m = float(wv.sum())
-        r2 = ((pts - pos[i]) ** 2).sum(axis=1)
-        cost += float(wv @ r2)
-        if kind == KIND_POWER:
-            cost -= rho[i] ** 2 * m
-        if m >= MASS_EPS:
-            masses[i] = m
-            centroids[i] = wv @ pts / m
-        else:
-            masses[i] = max(m, 0.0)
+    masses, centroids, costs = cell_moments(phi, cells, pos, levels)
+    cost = float((costs - rho ** 2 * masses).sum())
     return Partition(kind, list(cells), masses, centroids), cost
 
 
@@ -124,18 +110,10 @@ def coverage_cost(phi: DensityField, agents, partition: Partition,
     if kernel == KERNEL_POWER and partition.kind == KIND_VORONOI and np.ptp(rho) > 0:
         raise KernelMismatch(
             "power kernel on a Voronoi partition of agents with unequal radii")
-    pos = positions_of(agents)
-    cost = 0.0
-    for i, cell in enumerate(partition.cells):
-        if cell is None:
-            continue
-        pts, w = polygon_quadrature(cell, levels)
-        wv = w * np.asarray(phi.eval(pts), dtype=float)
-        r2 = ((pts - pos[i]) ** 2).sum(axis=1)
-        cost += float(wv @ r2)
-        if kernel == KERNEL_POWER:
-            cost -= rho[i] ** 2 * float(wv.sum())
-    return cost
+    masses, _, costs = cell_moments(phi, partition.cells, positions_of(agents), levels)
+    if kernel == KERNEL_POWER:
+        costs = costs - rho ** 2 * masses
+    return float(costs.sum())
 
 
 def _pull_inside(workspace: ConvexPolygon, p: np.ndarray) -> np.ndarray:
@@ -266,10 +244,7 @@ def equitable_weights(phi: DensityField, positions, tol_mass: float = 1e-3,
     stall = 0
     for _ in range(max_iters):
         cells = power_cells_from_weights(phi.workspace, pos, w)
-        masses = np.array([
-            0.0 if c is None else cell_mass_centroid(phi, c, levels)[0]
-            for c in cells
-        ])
+        masses = cell_moments(phi, cells, pos, levels)[0]
         residual = np.abs(masses - target).max()
         if residual <= tol_mass:
             return np.sqrt(w - w.min())

@@ -6,6 +6,12 @@ toolkit quadrature, rasters exactly through pixel overlap areas.
 Integration uses a fixed symmetric degree-6 triangle rule with two uniform
 refinement levels by default: deterministic, cheap, and accurate enough for
 the cell sizes produced by the descent loops (tests carry dense-grid oracles).
+
+``cell_moments`` is the one place where polygon quadrature nodes meet
+``DensityField.eval``: every per-cell mass, centroid and locational cost in
+the toolkit (Lloyd cells, equitable weights, footprint prices) comes from it.
+``spd_cholesky`` is the one covariance check, and ``write_csv`` the one
+artifact CSV writer, next to the CSV loaders.
 """
 from __future__ import annotations
 
@@ -14,22 +20,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EvalOutsideSupport
-from .geometry import EPS_GEO, ConvexPolygon, HalfPlane, clip
+from .errors import EvalOutsideSupport, NoConvergence
+# clip is not called here, but coverbench/tracing.py patches it in this module
+from .geometry import EPS_GEO, ConvexPolygon, clip, intersect  # noqa: F401
 
 MASS_EPS = 1e-12
 _FLOOR_REL = 1e-12
-
-
-def _edge_halfplanes(poly: ConvexPolygon) -> list[HalfPlane]:
-    """Bounding half-planes of a convex polygon (outward normals)."""
-    v = poly.vertices
-    out = []
-    for a, b in zip(v, np.roll(v, -1, axis=0)):
-        e = b - a
-        n = np.array([e[1], -e[0]])
-        out.append(HalfPlane.from_direction(n, n @ a))
-    return out
+_ACCEPT_FLOOR = 1e-3  # see DensityField._sample_rejection
+_PROBE_PROPOSALS = 10_000
+_SYMMETRY_REL = 1e-12  # see spd_cholesky
 
 # Symmetric degree-6 rule on the triangle: 12 points as barycentric triples,
 # weights normalized to sum to 1 (multiply by the triangle area to integrate).
@@ -163,10 +162,21 @@ class DensityField:
         return self._floor
 
     def _sample_rejection(self, n, rng, propose):
-        """Draw n workspace points given a batch proposal function."""
-        chunks, got = [], 0
+        """Draw n workspace points given a batch proposal function.
+
+        Raises NoConvergence when the acceptance rate is below _ACCEPT_FLOOR
+        after at least _PROBE_PROPOSALS proposals, so it never proposes more
+        than max(_PROBE_PROPOSALS, n / _ACCEPT_FLOOR) points plus one batch.
+        The check only counts, so the draws of a run that succeeds do not change.
+        """
+        chunks, got, tried = [], 0, 0
         while got < n:
+            if tried >= _PROBE_PROPOSALS and got < _ACCEPT_FLOOR * tried:
+                raise NoConvergence(
+                    f"rejection sampling kept {got} of {tried} proposals; the "
+                    "density puts almost no mass inside the workspace")
             pts = propose(max(n - got, 16))
+            tried += len(pts)
             keep = self.workspace.contains(pts)
             pts = pts[keep]
             chunks.append(pts)
@@ -214,10 +224,7 @@ class GmmDensity(DensityField):
         if not (len(self.weights) == len(self.means) == len(covs)):
             raise ValueError("weights, means, covariances must have equal length")
         self.covariances = covs
-        try:
-            self._chol = np.stack([np.linalg.cholesky(c) for c in covs])
-        except np.linalg.LinAlgError as err:
-            raise ValueError("covariances must be symmetric positive definite") from err
+        self._chol = np.stack([spd_cholesky(c) for c in covs])
         self._inv = np.stack([np.linalg.inv(c) for c in covs])
         self._logdet = np.array([2.0 * np.log(np.diag(L)).sum() for L in self._chol])
         self._normalize()
@@ -266,6 +273,8 @@ class GridDensity(DensityField):
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 2 or vals.size == 0:
             raise ValueError("grid values must be a 2-d array")
+        if not np.isfinite(vals).all():
+            raise ValueError("grid values must be finite")
         if (vals < 0).any():
             raise ValueError("grid values must be nonnegative")
         self.values = vals
@@ -293,15 +302,11 @@ class GridDensity(DensityField):
         inside = self.workspace.contains(corners).reshape(self.ny + 1, self.nx + 1)
         full = inside[:-1, :-1] & inside[:-1, 1:] & inside[1:, :-1] & inside[1:, 1:]
         areas = np.where(full, self.dx * self.dy, 0.0)
-        edges = _edge_halfplanes(self.workspace)
         for iy, ix in zip(*np.nonzero(~full)):
             x0, x1 = xs[ix], xs[ix + 1]
             y0, y1 = ys[iy + 1], ys[iy]
-            pix = ConvexPolygon([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
-            for h in edges:
-                pix = clip(pix, h)
-                if pix is None:
-                    break
+            pix = intersect(ConvexPolygon([[x0, y0], [x1, y0], [x1, y1], [x0, y1]]),
+                            self.workspace)
             if pix is not None:
                 areas[iy, ix] = pix.area
         total = float((self.values * areas).sum())
@@ -407,17 +412,66 @@ def load_points_csv(path) -> np.ndarray:
     return pts
 
 
+def write_csv(path, header: str, rows) -> None:
+    """Write an artifact CSV: floats as their shortest round-trip repr, the rest by str."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{float(v)!r}" if isinstance(v, (float, np.floating))
+                              else str(v) for v in row) + "\n")
+
+
+def spd_cholesky(cov) -> np.ndarray:
+    """Lower Cholesky factor of a covariance; ValueError unless it is finite,
+    symmetric to _SYMMETRY_REL relative and positive definite.
+
+    np.linalg.cholesky reads only the lower triangle, so it cannot see asymmetry.
+    """
+    c = np.asarray(cov, dtype=float)
+    scale = max(1.0, float(np.abs(c).max()))
+    if not np.isfinite(c).all() or np.abs(c - c.T).max() > _SYMMETRY_REL * scale:
+        raise ValueError("covariance must be symmetric positive definite")
+    try:
+        return np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance must be symmetric positive definite") from None
+
+
+def cell_moments(phi: DensityField, polys, centers, levels: int = 2, falloff=None):
+    """Mass, centroid and falloff cost of each polygon under phi.
+
+    The cost of polygon i integrates falloff(|q - centers[i]|) phi(q) over it;
+    the default falloff is the squared distance, which makes the cost the
+    second moment about the generator. Returns (masses, centroids, costs) as
+    arrays aligned with polys. A None polygon has zero mass and cost. The
+    centroid repeats the center when the mass is below MASS_EPS.
+    """
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    masses = np.zeros(len(polys))
+    centroids = centers.copy()
+    costs = np.zeros(len(polys))
+    for i, poly in enumerate(polys):
+        if poly is None:
+            continue
+        pts, w = polygon_quadrature(poly, levels)
+        wv = w * np.asarray(phi.eval(pts), dtype=float)
+        mass = float(wv.sum())
+        if falloff is None:
+            kernel = ((pts - centers[i]) ** 2).sum(axis=1)
+        else:
+            kernel = falloff(np.linalg.norm(pts - centers[i], axis=1))
+        costs[i] = wv @ kernel
+        masses[i] = max(mass, 0.0)
+        if mass >= MASS_EPS:
+            centroids[i] = wv @ pts / mass
+    return masses, centroids, costs
+
+
 def cell_mass_centroid(phi: DensityField, cell: ConvexPolygon,
                        levels: int = 2) -> tuple[float, np.ndarray | None]:
     """Mass and centroid of a cell under phi; centroid is None below the mass floor."""
-    pts, w = polygon_quadrature(cell, levels)
-    vals = np.asarray(phi.eval(pts), dtype=float)
-    wv = w * vals
-    mass = float(wv.sum())
-    if mass < MASS_EPS:
-        return max(mass, 0.0), None
-    centroid = wv @ pts / mass
-    return mass, centroid
+    masses, centroids, _ = cell_moments(phi, [cell], np.zeros((1, 2)), levels)
+    return float(masses[0]), centroids[0] if masses[0] >= MASS_EPS else None
 
 
 # 3-point Gauss-Legendre on [-1/2, 1/2], tensorized per raster cell

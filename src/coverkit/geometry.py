@@ -3,6 +3,11 @@
 Cells are built by clipping the workspace against bisector (or radical-axis)
 half-planes, one per competing site. O(N) clips per cell is plenty fast for the
 agent counts this toolkit targets and follows the set definitions directly.
+
+This module is the one home of the polygon helpers the other layers share:
+``ConvexPolygon.contains`` for point-in-polygon tests, ``intersect`` for
+clipping a polygon to a region (footprints and raster pixels to the
+workspace), and ``project_into`` for pulling stray points back inside.
 """
 from __future__ import annotations
 
@@ -127,6 +132,43 @@ def clip(poly: ConvexPolygon | None, h: HalfPlane) -> ConvexPolygon | None:
             t = si / (si - sj)
             out.append(v[i] + t * (v[j] - v[i]))
     return _polygon_or_none(out)
+
+
+def intersect(poly: ConvexPolygon, region: ConvexPolygon) -> ConvexPolygon | None:
+    """Part of a convex polygon inside a convex region; None when it has no area.
+
+    Clips by one region edge at a time and stops at the first empty result.
+    """
+    v = region.vertices
+    for a, b in zip(v, np.roll(v, -1, axis=0)):
+        e = b - a
+        n = np.array([e[1], -e[0]])  # outward normal of a counter-clockwise edge
+        poly = clip(poly, HalfPlane.from_direction(n, n @ a))
+        if poly is None:
+            return None
+    return poly
+
+
+def project_into(poly: ConvexPolygon, pts: np.ndarray) -> np.ndarray:
+    """Move any point outside the polygon to its nearest boundary point."""
+    outside = ~poly.contains(pts)
+    if not outside.any():
+        return pts
+    pts = pts.copy()
+    verts = poly.vertices
+    for idx in np.nonzero(outside)[0]:
+        p = pts[idx]
+        best, best_d2 = p, np.inf
+        for e in range(len(verts)):
+            a = verts[e]
+            ab = verts[(e + 1) % len(verts)] - a
+            t = np.clip(np.dot(p - a, ab) / np.dot(ab, ab), 0.0, 1.0)
+            c = a + t * ab
+            d2 = ((p - c) ** 2).sum()
+            if d2 < best_d2:
+                best, best_d2 = c, d2
+        pts[idx] = best
+    return pts
 
 
 def _polygon_or_none(points) -> ConvexPolygon | None:

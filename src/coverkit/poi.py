@@ -15,9 +15,9 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 from scipy.special import logsumexp
 
-from .density import DensityField
+from .density import DensityField, write_csv
 from .errors import DuplicateSites, SiteOutsideWorkspace
-from .geometry import ConvexPolygon
+from .geometry import ConvexPolygon, project_into
 
 log = logging.getLogger(__name__)
 
@@ -80,10 +80,7 @@ class PoiSet:
 
     def to_csv(self, path) -> None:
         tag = self.label
-        with open(path, "w") as fh:
-            fh.write("x,y,provenance\n")
-            for x, y in self.points:
-                fh.write(f"{float(x)!r},{float(y)!r},{tag}\n")
+        write_csv(path, "x,y,provenance", ((x, y, tag) for x, y in self.points))
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -274,28 +271,6 @@ def gmm_em(data, n_components: int, seed: int = 0, max_iters: int = 200,
                   log_likelihoods=np.array(trace), iterations=iterations)
 
 
-def _project_into(poly: ConvexPolygon, pts: np.ndarray) -> np.ndarray:
-    """Move any point outside the polygon to its nearest boundary point."""
-    outside = ~poly.contains(pts)
-    if not outside.any():
-        return pts
-    pts = pts.copy()
-    verts = poly.vertices
-    for idx in np.nonzero(outside)[0]:
-        p = pts[idx]
-        best, best_d2 = p, np.inf
-        for e in range(len(verts)):
-            a = verts[e]
-            ab = verts[(e + 1) % len(verts)] - a
-            t = np.clip(np.dot(p - a, ab) / np.dot(ab, ab), 0.0, 1.0)
-            c = a + t * ab
-            d2 = ((p - c) ** 2).sum()
-            if d2 < best_d2:
-                best, best_d2 = c, d2
-        pts[idx] = best
-    return pts
-
-
 def _separate_coincident(x: np.ndarray, poly: ConvexPolygon) -> np.ndarray:
     """Nudge exactly merged particles apart.
 
@@ -367,7 +342,7 @@ def svgd(phi: DensityField, n_particles: int, bandwidth_policy="median",
         drive = kernel @ grad
         repel = (2.0 / h) * (x * ksum[:, None] - kernel @ x)
         moved = x + (step / n_particles) * (drive + repel)
-        moved = _project_into(phi.workspace, moved)
+        moved = project_into(phi.workspace, moved)
         moved = _separate_coincident(moved, phi.workspace)
         shift = float(np.linalg.norm(moved - x, axis=1).mean())
         x = moved

@@ -23,7 +23,8 @@ from . import assign as assign_mod
 from . import poi as poi_mod
 from . import submod, swarm
 from .coverage import KIND_POWER, KIND_VORONOI, build_partition, make_agents, run_descent
-from .density import DensityField, GmmDensity, UniformDensity, from_pgm, load_grid_csv
+from .density import (DensityField, GmmDensity, UniformDensity, from_pgm, load_grid_csv,
+                      spd_cholesky, write_csv)
 from .errors import CoverkitError, NoConvergence
 from .geometry import ConvexPolygon
 from .render import render_scene
@@ -82,21 +83,16 @@ def _point_rows(value) -> bool:
 
 
 def _covariance_ok(value) -> bool:
-    if not (isinstance(value, list) and len(value) == 2
-            and all(isinstance(r, list) and len(r) == 2 and all(map(_is_num, r))
-                    for r in value)):
-        return False
-    c = np.array(value, dtype=float)
-    if abs(c[0, 1] - c[1, 0]) > 1e-12 * max(1.0, abs(c).max()):
+    if not (_point_rows(value) and len(value) == 2):
         return False
     try:
-        np.linalg.cholesky(c)
-    except np.linalg.LinAlgError:
+        spd_cholesky(value)
+    except ValueError:
         return False
     return True
 
 
-def _validate_density(density, base: Path, err) -> None:
+def _validate_density(density, base: Path, workspace_rows, err) -> None:
     if not isinstance(density, dict):
         err("density", "must be a mapping with a 'kind'")
         return
@@ -131,6 +127,13 @@ def _validate_density(density, base: Path, err) -> None:
                 err("density.path", f"required for kind {kind}")
             elif not (base / path).exists():
                 err("density.path", f"file not found '{path}'")
+            elif workspace_rows is not None:
+                # data run would reject (non-finite, negative or all-zero
+                # values, no mass over the workspace) fails here instead
+                try:
+                    _build_density(density, ConvexPolygon(workspace_rows), base)
+                except (OSError, ValueError) as exc:
+                    err("density.path", f"unusable {kind} data in '{path}': {exc}")
 
 
 def _validate_agents(agents, pipeline, workspace_rows, err) -> int | None:
@@ -246,7 +249,7 @@ def _validate_params(params, pipeline, n, err) -> None:
 
 
 def validate_config(cfg, base: Path) -> ValidationReport:
-    """Structural checks only; nothing heavier than a 2x2 factorization."""
+    """Structural checks, plus loading the data file of an image or grid density."""
     errors: list = []
 
     def err(field, message):
@@ -284,7 +287,7 @@ def validate_config(cfg, base: Path) -> ValidationReport:
     if "density" not in cfg:
         err("density", "required")
     else:
-        _validate_density(cfg["density"], base, err)
+        _validate_density(cfg["density"], base, workspace_rows, err)
 
     if "agents" not in cfg:
         err("agents", "required")
@@ -297,7 +300,7 @@ def validate_config(cfg, base: Path) -> ValidationReport:
 
 
 def validate(config_path) -> ValidationReport:
-    """Parse and structurally check a config file without running anything."""
+    """Parse and check a config file without running its pipeline."""
     path = Path(config_path)
     try:
         text = path.read_text()
@@ -382,14 +385,6 @@ def _write_jsonl(path: Path, records) -> None:
             fh.write(json.dumps(_jsonable(record), sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{float(v)!r}" if isinstance(v, (float, np.floating))
-                              else str(v) for v in row) + "\n")
-
-
 # -------------------------------------------------------------- pipelines
 
 def _run_lloyd(resolved, phi, workspace, out: Path, power: bool) -> None:
@@ -419,8 +414,8 @@ def _run_lloyd(resolved, phi, workspace, out: Path, power: bool) -> None:
 
     final = np.array([a.position for a in result.agents])
     rho = np.array([a.power_radius for a in result.agents])
-    _write_csv(out / "final.csv", "agent,x,y,power_radius",
-               [(i, p[0], p[1], r) for i, (p, r) in enumerate(zip(final, rho))])
+    write_csv(out / "final.csv", "agent,x,y,power_radius",
+              [(i, p[0], p[1], r) for i, (p, r) in enumerate(zip(final, rho))])
     render_scene(out / "render_final.svg", phi, workspace, agents=final,
                  power_radii=rho if power else None, cells=result.partition.cells,
                  title=f"final, cost {result.trajectory[-1][1]:.6g}")
@@ -481,7 +476,7 @@ def _run_poi_assign(resolved, phi, workspace, out: Path) -> None:
         rows.append((i, positions[i, 0], positions[i, 1], j,
                      points[j, 0], points[j, 1],
                      float(matrix.theta_star[i, j]), float(matrix.values[i, j])))
-    _write_csv(out / "final.csv", "agent,x,y,poi,poi_x,poi_y,theta,cost", rows)
+    write_csv(out / "final.csv", "agent,x,y,poi,poi_x,poi_y,theta,cost", rows)
     render_scene(out / "render_final.svg", phi, workspace, agents=positions,
                  pois=points, assignment=solution.pairs,
                  title=f"assignment cost {solution.total_cost:.6g}")
@@ -512,7 +507,7 @@ def _run_submodular(resolved, phi, workspace, out: Path) -> None:
     matching = assign_mod.solve_assignment(cdist(positions, chosen, "sqeuclidean"))
     rows = [(i, positions[i, 0], positions[i, 1], j, chosen[j, 0], chosen[j, 1])
             for i, j in matching.pairs]
-    _write_csv(out / "final.csv", "agent,x,y,site,site_x,site_y", rows)
+    write_csv(out / "final.csv", "agent,x,y,site,site_x,site_y", rows)
     render_scene(out / "render_final.svg", phi, workspace, agents=positions,
                  pois=chosen, assignment=matching.pairs,
                  title=f"greedy utility {trace.values[-1]:.6g}")
@@ -526,8 +521,8 @@ def _run_swarm(resolved, phi, workspace, out: Path) -> None:
         resolution=params["resolution"], metric_every=params["metric_every"],
         epsilon=params["epsilon"], snapshot_every=params["snapshot_every"])
     _write_jsonl(out / "metrics.jsonl", run.metrics)
-    _write_csv(out / "final.csv", "agent,x,y",
-               [(i, p[0], p[1]) for i, p in enumerate(run.final.positions)])
+    write_csv(out / "final.csv", "agent,x,y",
+              [(i, p[0], p[1]) for i, p in enumerate(run.final.positions)])
     for t, pts in run.snapshots:
         render_scene(out / f"render_{t:04d}.svg", phi, workspace,
                      swarm_points=pts, title=f"step {t}")

@@ -19,23 +19,13 @@ from scipy.spatial.distance import cdist
 
 from .density import DensityField, DiscreteMeasure, UniformDensity, discretize
 from .errors import SiteOutsideWorkspace
-from .geometry import ConvexPolygon, chord_interval, voronoi_cells
-from .poi import _project_into
+from .geometry import ConvexPolygon, chord_interval, project_into, voronoi_cells
 from .transport import wasserstein_sinkhorn
 
 log = logging.getLogger(__name__)
 
 SHARED_EDGE_MIN = 1e-9
 STOP_FRACTION = 1e-4
-
-
-def _all_inside(poly: ConvexPolygon, pts: np.ndarray, tol: float = 1e-9) -> bool:
-    v = poly.vertices
-    e = np.roll(v, -1, axis=0) - v
-    dx = pts[:, None, 0] - v[None, :, 0]
-    dy = pts[:, None, 1] - v[None, :, 1]
-    cross = e[None, :, 0] * dy - e[None, :, 1] * dx
-    return bool((cross >= -tol).all())
 
 
 @dataclass
@@ -51,7 +41,7 @@ class SwarmState:
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
         if self.positions.ndim != 2 or self.positions.shape[1] != 2:
             raise ValueError("positions must be an (n, 2) array")
-        if not _all_inside(self.workspace, self.positions):
+        if not self.workspace.contains(self.positions).all():
             raise SiteOutsideWorkspace("swarm positions must lie in the workspace")
 
     def __len__(self):
@@ -100,7 +90,7 @@ def transport_step(state: SwarmState, target: DiscreteMeasure, tau: float,
     objective = float(cost[rows, cols].sum())
     moved = state.positions.copy()
     moved[moving] = (1.0 - tau) * src + tau * draws[cols]
-    moved = _project_into(state.workspace, moved)
+    moved = project_into(state.workspace, moved)
     return SwarmState(moved, state.workspace, state.iteration + 1,
                       w2_estimate=math.sqrt(objective / batch))
 

@@ -17,7 +17,7 @@ from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
 from .coverage import KERNEL_SQUARED, KIND_VORONOI, build_partition, coverage_cost, make_agents
-from .density import DensityField, DiscreteMeasure, discretize
+from .density import DensityField, DiscreteMeasure, discretize, write_csv
 from .errors import NoConvergence, SizeLimit
 
 SIZE_LIMIT = 4_000_000
@@ -36,10 +36,8 @@ class TransportPlan:
     def to_csv(self, path, threshold: float = 0.0) -> None:
         """Write the plan's support as sparse rows `i,j,mass`."""
         rows, cols = np.nonzero(self.coupling > threshold)
-        with open(path, "w") as fh:
-            fh.write("i,j,mass\n")
-            for i, j in zip(rows, cols):
-                fh.write(f"{i},{j},{float(self.coupling[i, j])!r}\n")
+        write_csv(path, "i,j,mass",
+                  ((i, j, self.coupling[i, j]) for i, j in zip(rows, cols)))
 
 
 def _check_order(p) -> float:

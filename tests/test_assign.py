@@ -308,6 +308,18 @@ def test_ot_registration_aligns_with_elongation():
     assert kld_star == pytest.approx(star)
 
 
+@pytest.mark.parametrize("cov", [[[0.01, 0.009], [0.0, 0.01]], [[np.nan, 0.0], [0.0, 0.01]]],
+                         ids=["asymmetric", "nan"])
+def test_covariance_cholesky_cannot_vet_is_rejected(cov):
+    # cholesky reads only the lower triangle and passes NaN through
+    with pytest.raises(ValueError, match="symmetric"):
+        GaussianService(cov)
+    with pytest.raises(ValueError, match="symmetric"):
+        GmmDensity(UNIT, [1.0], [[0.5, 0.5]], [cov])
+    with pytest.raises(ValueError, match="symmetric"):
+        gaussian_kl([0.5, 0.5], np.eye(2) * 0.01, [0.5, 0.5], cov)
+
+
 def test_ot_registration_validation():
     model = IsotropicService(radius=0.1)
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from coverkit.density import (
+    MASS_EPS,
     RULE_BARY,
     RULE_WEIGHTS,
     DiscreteMeasure,
@@ -16,6 +17,7 @@ from coverkit.density import (
     GridDensity,
     UniformDensity,
     cell_mass_centroid,
+    cell_moments,
     discretize,
     from_pgm,
     integrate,
@@ -24,8 +26,8 @@ from coverkit.density import (
     polygon_quadrature,
     read_pgm,
 )
-from coverkit.errors import EvalOutsideSupport
-from coverkit.geometry import ConvexPolygon
+from coverkit.errors import EvalOutsideSupport, NoConvergence
+from coverkit.geometry import ConvexPolygon, power_cells
 
 
 def unit_square():
@@ -469,6 +471,61 @@ def test_cell_mass_centroid_empty_cell():
     mass, c = cell_mass_centroid(phi, tiny)
     assert mass == 0.0
     assert c is None
+
+
+def moments_oracle(phi, polys, centers, levels, falloff):
+    """One quadrature and one eval per polygon, reduced term by term."""
+    out = []
+    for poly, center in zip(polys, centers):
+        if poly is None:
+            out.append((0.0, center, 0.0))
+            continue
+        pts, w = polygon_quadrature(poly, levels)
+        vals = phi.eval(pts)
+        dist = np.linalg.norm(pts - center, axis=1)
+        weight = dist**2 if falloff is None else falloff(dist)
+        mass = float(np.sum(w * vals))
+        cost = float(np.sum(w * vals * weight))
+        centroid = (w * vals) @ pts / mass if mass >= MASS_EPS else center
+        out.append((mass, centroid, cost))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["uniform", "gmm", "grid"])
+@pytest.mark.parametrize("falloff", [None, lambda r: np.exp(-r)], ids=["squared", "exp"])
+def test_cell_moments_matches_per_polygon_oracle(kind, falloff):
+    ws = unit_square()
+    if kind == "uniform":
+        phi = UniformDensity(ws)
+    elif kind == "gmm":
+        # modes far from the origin leave the corner cell starved of mass
+        phi = GmmDensity(ws, [0.7, 0.3], [[0.6, 0.55], [0.8, 0.3]],
+                         [np.eye(2) * 0.01, [[0.012, 0.003], [0.003, 0.008]]])
+    else:
+        phi = GridDensity(ws, np.random.default_rng(3).uniform(0.0, 2.0, (5, 7)))
+    sites = np.array([[0.1, 0.1], [0.5, 0.2], [0.8, 0.6], [0.3, 0.8],
+                      [0.55, 0.55], [0.12, 0.14]])
+    polys = power_cells(ws, sites, [0.0, 0.05, 0.1, 0.0, 0.02, 0.3])
+    polys += [None, ConvexPolygon([[0.0, 0.0], [0.01, 0.0], [0.01, 0.01], [0.0, 0.01]])]
+    centers = np.vstack([sites, [[0.2, 0.2], [0.005, 0.005]]])
+    assert any(poly is None for poly in polys)
+
+    masses, centroids, costs = cell_moments(phi, polys, centers, 2, falloff)
+    for i, (mass, centroid, cost) in enumerate(
+            moments_oracle(phi, polys, centers, 2, falloff)):
+        assert masses[i] == pytest.approx(mass, rel=1e-12, abs=1e-300)
+        np.testing.assert_allclose(centroids[i], centroid, rtol=1e-12, atol=0)
+        assert costs[i] == pytest.approx(cost, rel=1e-12, abs=1e-300)
+    if kind == "gmm":
+        assert masses[-1] < MASS_EPS
+        np.testing.assert_array_equal(centroids[-1], centers[-1])
+
+
+def test_rejection_sampling_gives_up_on_mass_out_of_reach():
+    # nine standard deviations outside the square: no proposal ever lands
+    phi = GmmDensity(unit_square(), [1.0], [[1.9, 1.9]], [np.eye(2) * 0.01])
+    with pytest.raises(NoConvergence, match="rejection sampling"):
+        phi.sample(4, seed=0)
 
 
 def test_floor_value_scaling():

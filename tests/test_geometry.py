@@ -7,6 +7,7 @@ from coverkit.geometry import (
     HalfPlane,
     chord_interval,
     clip,
+    intersect,
     polygon_moments,
     power_cells,
     voronoi_cells,
@@ -64,6 +65,44 @@ def test_clip_idempotent_on_random_cuts():
             assert twice is None
         else:
             assert np.allclose(once.vertices, twice.vertices, atol=1e-12)
+
+
+def clip_to_edges(poly, region):
+    """Clip edge by edge against the region's outward half-planes."""
+    v = region.vertices
+    for a, b in zip(v, np.roll(v, -1, axis=0)):
+        e = b - a
+        n = np.array([e[1], -e[0]])
+        poly = clip(poly, HalfPlane.from_direction(n, n @ a))
+    return poly
+
+
+def test_intersect_matches_edge_by_edge_clip():
+    rng = np.random.default_rng(11)
+    region = ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [1.3, 0.7], [0.4, 1.1], [-0.2, 0.6]])
+    for _ in range(40):
+        center = rng.uniform(-0.5, 1.5, 2)
+        ang = np.linspace(0.0, 2.0 * np.pi, 9)[:-1] + rng.uniform(0.0, 1.0)
+        poly = ConvexPolygon(center + rng.uniform(0.1, 0.6)
+                             * np.stack([np.cos(ang), np.sin(ang)], axis=1))
+        got, want = intersect(poly, region), clip_to_edges(poly, region)
+        if want is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got.vertices, want.vertices)
+
+
+def test_intersect_disjoint_and_contained():
+    square = unit_square()
+    far = ConvexPolygon([[2.0, 2.0], [3.0, 2.0], [3.0, 3.0]])
+    assert intersect(far, square) is None
+    assert clip_to_edges(far, square) is None
+    inner = ConvexPolygon([[0.2, 0.2], [0.6, 0.3], [0.4, 0.7]])
+    assert intersect(inner, square) is inner
+    np.testing.assert_array_equal(intersect(square, inner).vertices,
+                                  clip_to_edges(square, inner).vertices)
+    np.testing.assert_allclose(intersect(square, inner).vertices, inner.vertices,
+                               atol=1e-15)
 
 
 def test_halfplane_normalizes():

@@ -76,6 +76,19 @@ def test_missing_density_file_fails_before_any_output(tmp_path):
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("values", [np.zeros((3, 4)), [[1.0, np.nan], [2.0, 3.0]]],
+                         ids=["all_zero", "nan"])
+def test_unusable_grid_data_fails_before_any_output(tmp_path, values):
+    np.savetxt(tmp_path / "grid.csv", values, delimiter=",")
+    cfg = lloyd_cfg()
+    cfg["density"] = {"kind": "grid", "path": "grid.csv"}
+    cfg["out"] = str(tmp_path / "results")
+    path = write_cfg(tmp_path, cfg)
+    assert [e["field"] for e in validate(path).errors] == ["density.path"]
+    assert run(path) == EXIT_CONFIG
+    assert not (tmp_path / "results").exists()
+
+
 def test_structural_complaints_carry_field_names(tmp_path):
     cfg = {
         "pipeline": "poi_assign",
@@ -180,6 +193,15 @@ def test_unconverged_descent_exits_3_but_keeps_logs(tmp_path):
     assert (out / "metrics.jsonl").exists()
     assert (out / "manifest.json").exists()
     assert len(read_metrics(out)) == 2
+
+
+def test_density_out_of_reach_exits_3(tmp_path):
+    cfg = lloyd_cfg()
+    cfg["density"] = {"kind": "gmm", "weights": [1.0], "means": [[1.9, 1.9]],
+                      "covariances": [[[0.01, 0.0], [0.0, 0.01]]]}
+    out = tmp_path / "unreachable"
+    assert run(write_cfg(tmp_path, cfg), out=out) == EXIT_NUMERIC
+    assert (out / "manifest.json").exists()
 
 
 # ------------------------------------------------------- other pipelines
