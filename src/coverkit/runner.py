@@ -114,12 +114,22 @@ def _validate_density(density, base: Path, workspace_rows, err) -> None:
                 and all(_is_num(w) and w > 0 for w in weights)):
             err("density.weights", "need a nonempty list of positive numbers")
             return
-        if not (_point_rows(means) and len(means) == len(weights)):
+        means_ok = _point_rows(means) and len(means) == len(weights)
+        if not means_ok:
             err("density.means", f"need {len(weights)} [x, y] rows")
+        covs_ok = False
         if not (isinstance(covs, list) and len(covs) == len(weights)):
             err("density.covariances", f"need {len(weights)} 2x2 matrices")
         elif not all(_covariance_ok(c) for c in covs):
             err("density.covariances", "each must be a symmetric positive-definite 2x2")
+        else:
+            covs_ok = True
+        if means_ok and covs_ok and workspace_rows is not None:
+            # a mixture with no mass over the workspace fails here, not in run
+            try:
+                _build_density(density, ConvexPolygon(workspace_rows), base)
+            except ValueError as exc:
+                err("density", f"unusable gmm: {exc}")
     else:
         path = density.get("path")
         if kind in ("image", "grid"):

@@ -117,7 +117,9 @@ def run_reconfiguration(phi_target: DensityField, n_agents: int, iters: int,
     resolution is given. Stops early once the swarm-wide mean displacement
     drops below 1e-4 of the workspace diameter. metric_every controls how
     often the entropic distance to the target is measured: every k steps
-    for k > 0, endpoints only for 0, never for None.
+    for k > 0, endpoints only for 0, never for None. Each record's
+    sinkhorn_iters is the iteration count of that measurement's cross-coupling
+    solve, None where no measurement was taken.
     """
     if n_agents < 1:
         raise ValueError("need at least one agent")
@@ -132,10 +134,13 @@ def run_reconfiguration(phi_target: DensityField, n_agents: int, iters: int,
     state = SwarmState(x0, workspace)
     stop_displacement = STOP_FRACTION * workspace.diameter
 
-    def sinkhorn_to_target(positions):
+    def sinkhorn_to_target(positions, wanted):
+        """The w2_sinkhorn and sinkhorn_iters fields of one metric record."""
+        if not wanted:
+            return {"w2_sinkhorn": None, "sinkhorn_iters": None}
         mu = DiscreteMeasure(positions, np.full(len(positions), 1.0 / len(positions)))
-        value, _ = wasserstein_sinkhorn(mu, target, p=2, epsilon=epsilon)
-        return float(value)
+        value, plan = wasserstein_sinkhorn(mu, target, p=2, epsilon=epsilon)
+        return {"w2_sinkhorn": float(value), "sinkhorn_iters": plan.iterations}
 
     def want_metric(t, last):
         if metric_every is None:
@@ -148,7 +153,7 @@ def run_reconfiguration(phi_target: DensityField, n_agents: int, iters: int,
         "iteration": 0,
         "mean_displacement": 0.0,
         "w2_batch": None,
-        "w2_sinkhorn": sinkhorn_to_target(state.positions) if want_metric(0, False) else None,
+        **sinkhorn_to_target(state.positions, want_metric(0, False)),
     }]
     snapshots = [(0, state.positions.copy())]
 
@@ -161,7 +166,7 @@ def run_reconfiguration(phi_target: DensityField, n_agents: int, iters: int,
             "iteration": t,
             "mean_displacement": displacement,
             "w2_batch": state.w2_estimate,
-            "w2_sinkhorn": sinkhorn_to_target(state.positions) if want_metric(t, stopping) else None,
+            **sinkhorn_to_target(state.positions, want_metric(t, stopping)),
         })
         if snapshot_every > 0 and t % snapshot_every == 0:
             snapshots.append((t, state.positions.copy()))

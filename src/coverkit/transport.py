@@ -2,9 +2,19 @@
 
 Two solvers share one plan format: an exact one (Hungarian matching for
 equal-count uniform measures, a transportation LP otherwise) and an entropic
-Sinkhorn approximation in the log domain for swarm-scale instances. Plans are
-always rounded onto the transport polytope, so marginal feasibility holds to
-float precision regardless of solver tolerances.
+Sinkhorn approximation for swarm-scale instances. Plans are always rounded
+onto the transport polytope, so marginal feasibility holds to float precision
+regardless of solver tolerances.
+
+Sinkhorn runs in the stabilized scaling form (Schmitzer 2019, "Stabilized
+sparse scaling algorithms for entropy regularized transport problems"): the
+dual potentials f, g are absorbed into a Gibbs kernel K = exp((f + g - C)/eps)
+and each iteration updates the scalings u, v with two matrix-vector products.
+Once a scaling leaves exp(+-ABSORB_LOG) its logarithm is folded back into the
+potentials and K is rebuilt. An iteration whose products leave [1e-300, 1e300]
+(at tiny eps whole rows of K underflow to zero) runs in the log domain
+instead. Either way each iteration is the same update as the plain log-domain
+solver's, so iteration counts and results match it to rounding.
 """
 from __future__ import annotations
 
@@ -14,13 +24,15 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import csr_matrix
 from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
 
 from .coverage import KERNEL_SQUARED, KIND_VORONOI, build_partition, coverage_cost, make_agents
 from .density import DensityField, DiscreteMeasure, discretize, write_csv
 from .errors import NoConvergence, SizeLimit
 
 SIZE_LIMIT = 4_000_000
+# |log u| or |log v| beyond which the Sinkhorn scalings are folded into the
+# potentials: keeps K @ (b * v) far from overflow and underflow
+ABSORB_LOG = 50.0
 
 
 @dataclass
@@ -32,6 +44,11 @@ class TransportPlan:
     target: DiscreteMeasure
     value: float
     p: float
+    # entropic solves only: the final temperature, and the iteration count and
+    # final row-marginal residual of the solve that produced this coupling
+    epsilon: float | None = None
+    iterations: int | None = None
+    residual: float | None = None
 
     def to_csv(self, path, threshold: float = 0.0) -> None:
         """Write the plan's support as sparse rows `i,j,mass`."""
@@ -128,24 +145,71 @@ def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2):
     return value, TransportPlan(full, mu, nu, value, p)
 
 
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """Max-shifted log-sum-exp of a finite array along one axis."""
+    m = x.max(axis=axis, keepdims=True)
+    return np.log(np.exp(x - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
+
+
+def _gibbs_kernel(cost, f, g, eps):
+    return np.exp((f[:, None] + g[None, :] - cost) / eps)
+
+
+def _usable(product: np.ndarray) -> bool:
+    """True when a kernel product can be inverted into a scaling at full precision.
+
+    Entries outside [1e-300, 1e300] are zero, infinite, or close enough to the
+    subnormal range that their reciprocals (or the sums that form them) lose
+    digits.
+    """
+    return bool(((product >= 1e-300) & (product <= 1e300)).all())
+
+
 def _sinkhorn_stage(cost, loga, logb, f, g, eps, budget, tol):
-    """Alternating log-domain updates at one temperature.
+    """Alternating Sinkhorn updates at one temperature, stabilized scaling form.
+
+    The potentials are f + eps*log(u) and g + eps*log(v). Each iteration sets
+    u = 1 / (K @ (b*v)), then v = 1 / (K.T @ (a*u)), with K built once from
+    f and g. When |log u| or |log v| passes ABSORB_LOG the scalings are folded
+    into f and g and K is rebuilt. When a product has an entry that cannot
+    be inverted at full precision (zero, infinite or near-subnormal: K
+    underflows at small eps), the scalings are folded in and that one
+    iteration runs in the log domain with a max-shifted log-sum-exp; K is
+    then rebuilt from the new potentials.
 
     The reported residual is the L1 row-marginal error of the plan held
     before each f-update (column marginals are exact by construction).
     """
-    a = np.exp(loga)
+    a, b = np.exp(loga), np.exp(logb)
     resid = np.inf
     it = 0
-    while it < budget:
-        fn = -eps * logsumexp((g[None, :] - cost) / eps + logb[None, :], axis=1)
-        resid = float(np.abs(a * (np.exp((f - fn) / eps) - 1.0)).sum())
-        f = fn
-        g = -eps * logsumexp((f[:, None] - cost) / eps + loga[:, None], axis=0)
-        it += 1
-        if it > 1 and resid <= tol:
-            break
-    return f, g, it, resid
+    # every product is range-checked before use, so overflow and underflow
+    # in K and its products are expected, not warnings
+    with np.errstate(over="ignore", under="ignore"):
+        K = _gibbs_kernel(cost, f, g, eps)
+        u, v = np.ones(len(a)), np.ones(len(b))
+        while it < budget:
+            kv = K @ (b * v)
+            ktu = K.T @ (a / kv) if _usable(kv) else None
+            if ktu is not None and _usable(ktu):
+                resid = float(np.abs(a * (u * kv - 1.0)).sum())
+                u, v = 1.0 / kv, 1.0 / ktu
+                if max(np.abs(np.log(u)).max(), np.abs(np.log(v)).max()) > ABSORB_LOG:
+                    f, g = f + eps * np.log(u), g + eps * np.log(v)
+                    K = _gibbs_kernel(cost, f, g, eps)
+                    u, v = np.ones(len(a)), np.ones(len(b))
+            else:
+                f, g = f + eps * np.log(u), g + eps * np.log(v)
+                fn = -eps * _logsumexp((g[None, :] - cost) / eps + logb[None, :], axis=1)
+                resid = float(np.abs(a * (np.exp((f - fn) / eps) - 1.0)).sum())
+                f = fn
+                g = -eps * _logsumexp((f[:, None] - cost) / eps + loga[:, None], axis=0)
+                K = _gibbs_kernel(cost, f, g, eps)
+                u, v = np.ones(len(a)), np.ones(len(b))
+            it += 1
+            if it > 1 and resid <= tol:
+                break
+    return f + eps * np.log(u), g + eps * np.log(v), it, resid
 
 
 def _plan_from_potentials(cost, loga, logb, f, g, eps):
@@ -165,7 +229,9 @@ def _anneal_schedule(cost, epsilon, anneal):
 
 
 def _solve_coupling_cost(cost, a, b, epsilon, max_iters, tol, anneal):
-    """Rounded entropic plan and its sharp cost; shared by main and self solves."""
+    """Rounded entropic plan, its sharp cost, the iterations spent over all
+    temperatures and the final row-marginal residual; shared by main and self
+    solves."""
     loga, logb = np.log(a), np.log(b)
     f, g = np.zeros(len(a)), np.zeros(len(b))
     budget = max_iters
@@ -183,7 +249,7 @@ def _solve_coupling_cost(cost, a, b, epsilon, max_iters, tol, anneal):
             f"after {max_iters} iterations")
     plan = _plan_from_potentials(cost, loga, logb, f, g, epsilon)
     plan = _round_to_polytope(plan, a, b)
-    return plan, float((plan * cost).sum())
+    return plan, float((plan * cost).sum()), max_iters - budget, resid
 
 
 def self_transport_cost(points: np.ndarray, weights: np.ndarray, p=2,
@@ -201,7 +267,7 @@ def self_transport_cost(points: np.ndarray, weights: np.ndarray, p=2,
     if abs(total - 1.0) > 1e-12:
         w = w / total
     cost = _cost_power(pts, pts, p)
-    _, sharp = _solve_coupling_cost(cost, w, w, epsilon, max_iters, tol, anneal)
+    _, sharp, _, _ = _solve_coupling_cost(cost, w, w, epsilon, max_iters, tol, anneal)
     return sharp
 
 
@@ -216,7 +282,9 @@ def wasserstein_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2,
     exact marginals no matter where the iteration stopped. The value is
     debiased with the two self-coupling terms, so identical measures score
     exactly zero. Raises NoConvergence when the iteration budget runs out
-    before the residual reaches tol.
+    before the residual reaches tol. The plan records the final epsilon and
+    the iteration count and residual of the cross-coupling solve; the
+    debiasing self-solves are not counted.
     """
     p = _check_order(p)
     pa, wa, ia = _compact(mu)
@@ -226,13 +294,14 @@ def wasserstein_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2,
         epsilon = 0.05 * float(np.median(cost))
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    plan, raw = _solve_coupling_cost(cost, wa, wb, epsilon, max_iters, tol, anneal)
+    plan, raw, iters, resid = _solve_coupling_cost(cost, wa, wb, epsilon,
+                                                   max_iters, tol, anneal)
     if debias:
         raw = raw - 0.5 * self_transport_cost(pa, wa, p, epsilon, max_iters, tol, anneal) \
                   - 0.5 * self_transport_cost(pb, wb, p, epsilon, max_iters, tol, anneal)
     value = max(raw, 0.0) ** (1.0 / p)
     full = _embed(plan, ia, ib, len(mu), len(nu))
-    return value, TransportPlan(full, mu, nu, value, p)
+    return value, TransportPlan(full, mu, nu, value, p, epsilon, iters, resid)
 
 
 def voronoi_measure(phi: DensityField, positions, levels: int = 2) -> DiscreteMeasure:

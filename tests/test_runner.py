@@ -89,6 +89,17 @@ def test_unusable_grid_data_fails_before_any_output(tmp_path, values):
     assert not (tmp_path / "results").exists()
 
 
+def test_gmm_without_mass_over_the_workspace_fails_before_any_output(tmp_path):
+    cfg = lloyd_cfg()
+    cfg["density"] = {"kind": "gmm", "weights": [1.0], "means": [[6.0, 6.0]],
+                      "covariances": [[[0.01, 0.0], [0.0, 0.01]]]}
+    cfg["out"] = str(tmp_path / "results")
+    path = write_cfg(tmp_path, cfg)
+    assert [e["field"] for e in validate(path).errors] == ["density"]
+    assert run(path) == EXIT_CONFIG
+    assert not (tmp_path / "results").exists()
+
+
 def test_structural_complaints_carry_field_names(tmp_path):
     cfg = {
         "pipeline": "poi_assign",

@@ -249,6 +249,16 @@ def test_metric_cadence():
     assert set(tagged) == {0, 2, 4, periodic.final.iteration}
 
 
+def test_metric_records_carry_sinkhorn_iterations():
+    phi = UniformDensity(square())
+    run = run_reconfiguration(phi, 36, iters=5, tau=0.5, seed=5, metric_every=2)
+    for rec in run.metrics:
+        if rec["w2_sinkhorn"] is None:
+            assert rec["sinkhorn_iters"] is None
+        else:
+            assert isinstance(rec["sinkhorn_iters"], int) and rec["sinkhorn_iters"] > 1
+
+
 def test_run_is_deterministic_and_snapshots_cover_endpoints():
     phi = UniformDensity(square())
     a = run_reconfiguration(phi, 50, iters=6, tau=0.5, seed=9,

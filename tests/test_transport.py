@@ -3,12 +3,17 @@
 Independent oracles: exhaustive permutation search for equal-count uniform
 measures, and the sorted-difference greedy (provably optimal for two source
 atoms) for general weights. Neither touches the LP or matching machinery.
+The stabilized Sinkhorn stage is checked against the plain log-domain stage
+it replaced.
 """
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+from coverkit import transport
 from coverkit.density import DiscreteMeasure, GmmDensity, UniformDensity, discretize
 from coverkit.errors import NoConvergence, SizeLimit
 from coverkit.geometry import ConvexPolygon
@@ -55,6 +60,26 @@ def two_source_oracle(mu, nu, p):
         room -= t
     cost = float(take @ c[0] + (b - take) @ c[1])
     return cost ** (1.0 / p)
+
+
+def log_domain_stage(cost, loga, logb, f, g, eps, budget, tol):
+    """Alternating log-domain Sinkhorn updates at one temperature.
+
+    The reported residual is the L1 row-marginal error of the plan held
+    before each f-update (column marginals are exact by construction).
+    """
+    a = np.exp(loga)
+    resid = np.inf
+    it = 0
+    while it < budget:
+        fn = -eps * logsumexp((g[None, :] - cost) / eps + logb[None, :], axis=1)
+        resid = float(np.abs(a * (np.exp((f - fn) / eps) - 1.0)).sum())
+        f = fn
+        g = -eps * logsumexp((f[:, None] - cost) / eps + loga[:, None], axis=0)
+        it += 1
+        if it > 1 and resid <= tol:
+            break
+    return f, g, it, resid
 
 
 # ------------------------------------------------------------ exact solver
@@ -216,6 +241,110 @@ def test_sinkhorn_no_convergence():
     with pytest.raises(NoConvergence):
         wasserstein_sinkhorn(mu, nu, p=2, epsilon=1e-5 * float(np.median(d)),
                              max_iters=3, anneal=False)
+
+
+def _recording(stage, log):
+    def recorded(*args):
+        out = stage(*args)
+        log.append(out[2])
+        return out
+    return recorded
+
+
+def _counting(fn, counter):
+    def counted(*args, **kwargs):
+        counter.append(1)
+        return fn(*args, **kwargs)
+    return counted
+
+
+def _oracle_instance(name):
+    """(cost, a, b, mu, nu, solver keywords) for one oracle comparison."""
+    if name == "uniform_50x50":
+        rng = np.random.default_rng(11)
+        mu, nu = rand_measure(rng, 50, uniform=True), rand_measure(rng, 50, uniform=True)
+        frac, kw = 1e-2, {}
+    elif name == "weighted_25x30":
+        rng = np.random.default_rng(12)
+        mu, nu = rand_measure(rng, 25), rand_measure(rng, 30)
+        frac, kw = 0.05, {}
+    else:  # small enough in epsilon that the scalings pass ABSORB_LOG
+        rng = np.random.default_rng(13)
+        mu, nu = rand_measure(rng, 20), rand_measure(rng, 25)
+        frac, kw = 3e-3, {"tol": 1e-3, "anneal": False}
+    a, b = mu.weights / mu.weights.sum(), nu.weights / nu.weights.sum()
+    cost = transport._cost_power(mu.points, nu.points, 2)
+    kw = {"epsilon": frac * float(np.median(cost)), "max_iters": 5000, "tol": 1e-4,
+          "anneal": True, **kw}
+    return cost, a, b, mu, nu, kw
+
+
+@pytest.mark.parametrize("name", ["uniform_50x50", "weighted_25x30", "absorbing"])
+def test_stabilized_sinkhorn_matches_log_domain_oracle(monkeypatch, name):
+    cost, a, b, mu, nu, kw = _oracle_instance(name)
+    args = (cost, a, b, kw["epsilon"], kw["max_iters"], kw["tol"], kw["anneal"])
+    kernels, fallbacks, stages, oracle_stages = [], [], [], []
+    monkeypatch.setattr(transport, "_gibbs_kernel",
+                        _counting(transport._gibbs_kernel, kernels))
+    monkeypatch.setattr(transport, "_logsumexp", _counting(transport._logsumexp, fallbacks))
+    monkeypatch.setattr(transport, "_sinkhorn_stage",
+                        _recording(transport._sinkhorn_stage, stages))
+    plan, sharp, iters, resid = transport._solve_coupling_cost(*args)
+    value, tplan = wasserstein_sinkhorn(mu, nu, p=2, **kw)
+    monkeypatch.setattr(transport, "_sinkhorn_stage",
+                        _recording(log_domain_stage, oracle_stages))
+    oracle_plan, oracle_sharp, oracle_iters, _ = transport._solve_coupling_cost(*args)
+    oracle_value, _ = wasserstein_sinkhorn(mu, nu, p=2, **kw)
+
+    n_stages = len(transport._anneal_schedule(cost, kw["epsilon"], kw["anneal"]))
+    assert stages == oracle_stages  # per-stage iteration counts, all four solves
+    assert iters == oracle_iters == sum(stages[:n_stages])
+    assert resid <= kw["tol"]
+    assert not fallbacks
+    if name == "absorbing":  # kernels rebuilt by absorption alone
+        assert len(kernels) > len(stages)
+    assert np.abs(plan - oracle_plan).sum() <= 1e-9  # plans carry unit mass
+    assert abs(sharp - oracle_sharp) <= 1e-9 * oracle_sharp
+    assert abs(value - oracle_value) <= 1e-9 * oracle_value
+    assert np.abs(tplan.coupling - oracle_plan).sum() <= 1e-9
+
+
+def test_stabilized_sinkhorn_log_domain_fallback_matches_oracle(monkeypatch):
+    # the no-convergence instance: K = exp(-C/eps) underflows to zero rows
+    rng = np.random.default_rng(13)
+    mu, nu = rand_measure(rng, 20), rand_measure(rng, 20)
+    cost = transport._cost_power(mu.points, nu.points, 2)
+    eps = 1e-5 * float(np.median(cost))
+    loga = np.log(mu.weights / mu.weights.sum())
+    logb = np.log(nu.weights / nu.weights.sum())
+    zeros = np.zeros(20)
+    fallbacks = []
+    monkeypatch.setattr(transport, "_logsumexp", _counting(transport._logsumexp, fallbacks))
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        f, g, it, resid = transport._sinkhorn_stage(cost, loga, logb, zeros, zeros,
+                                                    eps, 3, 1e-4)
+        with pytest.raises(NoConvergence):
+            wasserstein_sinkhorn(mu, nu, p=2, epsilon=eps, max_iters=3, anneal=False)
+    assert fallbacks
+    assert np.isfinite(f).all() and np.isfinite(g).all()
+    of, og, oit, oresid = log_domain_stage(cost, loga, logb, zeros, zeros, eps, 3, 1e-4)
+    assert it == oit == 3
+    assert abs(resid - oresid) <= 1e-9 * oresid
+    scale = np.abs(cost).max()
+    np.testing.assert_allclose(f, of, rtol=0, atol=1e-9 * scale)
+    np.testing.assert_allclose(g, og, rtol=0, atol=1e-9 * scale)
+
+
+def test_sinkhorn_plan_diagnostics():
+    rng = np.random.default_rng(12)
+    mu, nu = rand_measure(rng, 25), rand_measure(rng, 30)
+    _, plan = wasserstein_sinkhorn(mu, nu, p=2, epsilon=0.01, tol=1e-5)
+    assert plan.epsilon == 0.01
+    assert isinstance(plan.iterations, int) and 1 < plan.iterations <= 5000
+    assert 0.0 <= plan.residual <= 1e-5
+    _, exact = wasserstein_exact(mu, nu, p=2)
+    assert exact.epsilon is None and exact.iterations is None and exact.residual is None
 
 
 def test_sinkhorn_epsilon_validation():
