@@ -8,7 +8,7 @@ same arithmetic, so the two descents produce identical trajectories.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,13 +68,19 @@ class Partition:
     """Cells aligned with the agent list; None marks a dominated power cell.
 
     Centroid rows for dominated or mass-starved cells repeat the agent
-    position, which makes them fixed points of the Lloyd update.
+    position, which makes them fixed points of the Lloyd update. starved
+    lists those agents.
     """
 
     kind: str
     cells: list
     masses: np.ndarray
     centroids: np.ndarray
+    starved: list = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.starved = [i for i, c in enumerate(self.cells)
+                        if c is None or self.masses[i] < MASS_EPS]
 
 
 def _survey(phi: DensityField, agents, kind: str, levels: int):
@@ -156,10 +162,9 @@ def lloyd_step(phi: DensityField, agents, kind: str = KIND_VORONOI,
     position.
     """
     partition, cost = _survey(phi, agents, kind, levels)
-    starved = [i for i, c in enumerate(partition.cells)
-               if c is None or partition.masses[i] < MASS_EPS]
-    if starved:
-        log.warning("agents %s hold position (empty or mass-starved cell)", starved)
+    if partition.starved:
+        log.warning("agents %s hold position (empty or mass-starved cell)",
+                    partition.starved)
     pos = positions_of(agents)
     new_pos = pos + relax * (partition.centroids - pos)
     for i in range(len(new_pos)):
@@ -171,12 +176,17 @@ def lloyd_step(phi: DensityField, agents, kind: str = KIND_VORONOI,
 
 @dataclass
 class DescentResult:
-    """Final agents and partition plus the per-iteration (positions, cost) path."""
+    """Final agents and partition plus the per-iteration (positions, cost) path.
+
+    starved[k] lists the agents whose cell was dominated or massless at
+    trajectory entry k.
+    """
 
     agents: list
     partition: Partition
     trajectory: list
     converged: bool
+    starved: list
 
     @property
     def iterations(self) -> int:
@@ -208,13 +218,15 @@ def run_descent(phi: DensityField, agents, kind: str = KIND_VORONOI,
         raise ValueError("tol must be positive")
     current = list(agents)
     trajectory = []
+    starved = []
     converged = False
     prev = None
     for _ in range(max_iters):
-        moved, _, cost = lloyd_step(phi, current, kind, relax, levels)
+        moved, partition, cost = lloyd_step(phi, current, kind, relax, levels)
         _check_monotone(prev, cost)
         prev = cost
         trajectory.append((positions_of(current), cost))
+        starved.append(partition.starved)
         disp = float(np.linalg.norm(positions_of(moved) - positions_of(current),
                                     axis=1).max())
         current = moved
@@ -224,7 +236,8 @@ def run_descent(phi: DensityField, agents, kind: str = KIND_VORONOI,
     partition, final_cost = _survey(phi, current, kind, levels)
     _check_monotone(prev, final_cost)
     trajectory.append((positions_of(current), final_cost))
-    return DescentResult(current, partition, trajectory, converged)
+    starved.append(partition.starved)
+    return DescentResult(current, partition, trajectory, converged, starved)
 
 
 def equitable_weights(phi: DensityField, positions, tol_mass: float = 1e-3,

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EvalOutsideSupport, NoConvergence
+from .errors import EvalOutsideSupport, InvalidDensity, NoConvergence
 # clip is not called here, but coverbench/tracing.py patches it in this module
 from .geometry import EPS_GEO, ConvexPolygon, clip, intersect  # noqa: F401
 
@@ -137,7 +137,7 @@ class DensityField:
         pts, w = polygon_quadrature(self.workspace, levels)
         total = float(w @ self._raw(pts))
         if total <= 0:
-            raise ValueError("density integrates to zero over the workspace")
+            raise InvalidDensity("density integrates to zero over the workspace")
         self._norm = 1.0 / total
 
     def eval(self, q) -> np.ndarray | float:
@@ -217,12 +217,12 @@ class GmmDensity(DensityField):
         super().__init__(workspace)
         w = np.asarray(weights, dtype=float)
         if (w <= 0).any():
-            raise ValueError("mixture weights must be positive")
+            raise InvalidDensity("mixture weights must be positive")
         self.weights = w / w.sum()
         self.means = np.atleast_2d(np.asarray(means, dtype=float))
         covs = np.asarray(covariances, dtype=float).reshape(-1, 2, 2)
         if not (len(self.weights) == len(self.means) == len(covs)):
-            raise ValueError("weights, means, covariances must have equal length")
+            raise InvalidDensity("weights, means, covariances must have equal length")
         self.covariances = covs
         self._chol = np.stack([spd_cholesky(c) for c in covs])
         self._inv = np.stack([np.linalg.inv(c) for c in covs])
@@ -272,18 +272,18 @@ class GridDensity(DensityField):
         super().__init__(workspace)
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 2 or vals.size == 0:
-            raise ValueError("grid values must be a 2-d array")
+            raise InvalidDensity("grid values must be a 2-d array")
         if not np.isfinite(vals).all():
-            raise ValueError("grid values must be finite")
+            raise InvalidDensity("grid values must be finite")
         if (vals < 0).any():
-            raise ValueError("grid values must be nonnegative")
+            raise InvalidDensity("grid values must be nonnegative")
         self.values = vals
         self.bbox = tuple(bbox) if bbox is not None else workspace.bbox
         self.ny, self.nx = vals.shape
         xmin, xmax, ymin, ymax = self.bbox
         wx0, wx1, wy0, wy1 = workspace.bbox
         if wx0 < xmin - EPS_GEO or wx1 > xmax + EPS_GEO or wy0 < ymin - EPS_GEO or wy1 > ymax + EPS_GEO:
-            raise ValueError("grid bbox must cover the workspace")
+            raise InvalidDensity("grid bbox must cover the workspace")
         self.dx = (xmax - xmin) / self.nx
         self.dy = (ymax - ymin) / self.ny
         self._normalize_raster()
@@ -311,7 +311,7 @@ class GridDensity(DensityField):
                 areas[iy, ix] = pix.area
         total = float((self.values * areas).sum())
         if total <= 0:
-            raise ValueError("density integrates to zero over the workspace")
+            raise InvalidDensity("density integrates to zero over the workspace")
         self._norm = 1.0 / total
 
     def _indices(self, pts):
@@ -368,7 +368,7 @@ def read_pgm(path) -> np.ndarray:
     data = Path(path).read_bytes()
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
-        raise ValueError(f"not a PGM file: {path}")
+        raise InvalidDensity(f"not a PGM file: {path}")
 
     # header tokens (width, height, maxval), skipping '#' comments
     tokens, pos = [], 2
@@ -408,7 +408,7 @@ def load_points_csv(path) -> np.ndarray:
     """Point cloud from a CSV with one x,y pair per line."""
     pts = np.loadtxt(path, delimiter=",", ndmin=2)
     if pts.shape[1] != 2:
-        raise ValueError("point cloud CSV must have two columns")
+        raise InvalidDensity("point cloud CSV must have two columns")
     return pts
 
 
@@ -422,7 +422,7 @@ def write_csv(path, header: str, rows) -> None:
 
 
 def spd_cholesky(cov) -> np.ndarray:
-    """Lower Cholesky factor of a covariance; ValueError unless it is finite,
+    """Lower Cholesky factor of a covariance; InvalidDensity unless it is finite,
     symmetric to _SYMMETRY_REL relative and positive definite.
 
     np.linalg.cholesky reads only the lower triangle, so it cannot see asymmetry.
@@ -430,11 +430,11 @@ def spd_cholesky(cov) -> np.ndarray:
     c = np.asarray(cov, dtype=float)
     scale = max(1.0, float(np.abs(c).max()))
     if not np.isfinite(c).all() or np.abs(c - c.T).max() > _SYMMETRY_REL * scale:
-        raise ValueError("covariance must be symmetric positive definite")
+        raise InvalidDensity("covariance must be symmetric positive definite")
     try:
         return np.linalg.cholesky(c)
     except np.linalg.LinAlgError:
-        raise ValueError("covariance must be symmetric positive definite") from None
+        raise InvalidDensity("covariance must be symmetric positive definite") from None
 
 
 def cell_moments(phi: DensityField, polys, centers, levels: int = 2, falloff=None):

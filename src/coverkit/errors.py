@@ -13,6 +13,10 @@ class SiteOutsideWorkspace(CoverkitError):
     """A generator site lies outside the workspace polygon."""
 
 
+class InvalidDensity(CoverkitError, ValueError):
+    """Density data or parameters that cannot define a density over the workspace."""
+
+
 class EvalOutsideSupport(CoverkitError):
     """Density log-gradient requested where the density underflows to zero."""
 

@@ -1,8 +1,20 @@
 """Convex polygon primitives: half-plane clipping, Voronoi and power cells, moments.
 
-Cells are built by clipping the workspace against bisector (or radical-axis)
-half-planes, one per competing site. O(N) clips per cell is plenty fast for the
-agent counts this toolkit targets and follows the set definitions directly.
+Cells are built by clipping the workspace against radical-axis half-planes
+(bisectors when the weights are equal). Only a site's power neighbours can
+bound its cell, and they are read off the lifted convex hull (Aurenhammer
+1987): site i lifts to (x_i, y_i, |p_i|^2 - w_i), and two sites are
+neighbours when they share an edge of a hull facet whose outward normal has
+z <= 1e-12, i.e. of a lower or vertical facet. Extra pairs are harmless, as
+their half-plane clips nothing. A site on no such edge lies above the lower
+hull, so its cell is empty (None), unless qhull lists it as coplanar with a
+facet; such a site is clipped against every other site. With fewer than four
+sites, a weight that is not finite, or when qhull cannot build the hull
+(collinear sites, or cocircular sites with equal weights), every site takes
+that all-sites path, which is the plain O(N^2) construction. Either way a
+site is clipped in increasing index order of its competitors, so both paths
+share one loop. ``power_diagram`` also returns the neighbour lists, which
+``swarm.voronoi_graph`` uses to test only adjacent pairs.
 
 This module is the one home of the polygon helpers the other layers share:
 ``ConvexPolygon.contains`` for point-in-polygon tests, ``intersect`` for
@@ -14,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DuplicateSites, SiteOutsideWorkspace
 
@@ -207,11 +220,57 @@ def _check_sites(workspace: ConvexPolygon, points: np.ndarray) -> None:
         raise SiteOutsideWorkspace(f"site {bad} at {points[bad].tolist()} is outside the workspace")
 
 
-def power_cells_from_weights(workspace: ConvexPolygon, points, weights) -> list[ConvexPolygon | None]:
-    """Power cells for signed squared-radius weights w_i (radical-axis clipping).
+def _power_neighbours(P: np.ndarray, w: np.ndarray) -> list[np.ndarray | None]:
+    """Per site, the sorted indices of the other sites that may bound its power cell.
 
-    The diagram only depends on weight differences, so negative weights are fine;
-    this is the primitive behind both power_cells and the equitable-weight solver.
+    None marks a site lying above the lower lifted hull (an empty cell). A
+    coplanar site, and every site when the hull is degenerate or a weight is
+    not finite, gets all other indices.
+    """
+    n = len(P)
+    everyone = np.arange(n)
+    hull = None
+    if n >= 4 and np.isfinite(w).all():
+        try:
+            hull = ConvexHull(np.column_stack([P, (P * P).sum(axis=1) - w]),
+                              qhull_options="Qc")
+        except QhullError:
+            pass
+    if hull is None:
+        return [np.delete(everyone, i) for i in range(n)]
+    tri = hull.simplices[hull.equations[:, 2] <= 1e-12]
+    edges = tri[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    pairs = np.unique(np.concatenate([edges, edges[:, ::-1]]), axis=0)
+    starts = np.searchsorted(pairs[:, 0], everyone)
+    ends = np.searchsorted(pairs[:, 0], everyone, side="right")
+    found: list[np.ndarray | None] = [
+        pairs[s:e, 1] if e > s else None for s, e in zip(starts, ends)]
+    for i in hull.coplanar[:, 0]:
+        found[i] = np.delete(everyone, i)
+    return found
+
+
+def _clip_cell(workspace: ConvexPolygon, P: np.ndarray, sq: np.ndarray, w: np.ndarray,
+               i: int, rivals) -> ConvexPolygon | None:
+    """Workspace clipped by the radical-axis half-plane of each rival of site i."""
+    cell: ConvexPolygon | None = workspace
+    for j in rivals:
+        # {q : |q-p_i|^2 - w_i <= |q-p_j|^2 - w_j}
+        direction = 2.0 * (P[j] - P[i])
+        offset = (sq[j] - sq[i]) - (w[j] - w[i])
+        cell = clip(cell, HalfPlane.from_direction(direction, offset))
+        if cell is None:
+            break
+    return cell
+
+
+def power_diagram(workspace: ConvexPolygon, points, weights
+                  ) -> tuple[list[ConvexPolygon | None], list[np.ndarray | None]]:
+    """Power cells plus each site's power neighbours, from one lifted hull.
+
+    neighbours[i] holds the sorted indices of the sites whose radical axis
+    may bound cell i (a superset of the sites whose cells touch it), or None
+    when cell i is empty.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     w = np.asarray(weights, dtype=float)
@@ -219,18 +278,19 @@ def power_cells_from_weights(workspace: ConvexPolygon, points, weights) -> list[
         raise ValueError("one weight per site required")
     _check_sites(workspace, P)
     sq = (P * P).sum(axis=1)
-    cells: list[ConvexPolygon | None] = []
-    for i in range(len(P)):
-        cell: ConvexPolygon | None = workspace
-        for j in range(len(P)):
-            if j == i or cell is None:
-                continue
-            # {q : |q-p_i|^2 - w_i <= |q-p_j|^2 - w_j}
-            direction = 2.0 * (P[j] - P[i])
-            offset = (sq[j] - sq[i]) - (w[j] - w[i])
-            cell = clip(cell, HalfPlane.from_direction(direction, offset))
-        cells.append(cell)
-    return cells
+    neighbours = _power_neighbours(P, w)
+    cells = [None if rivals is None else _clip_cell(workspace, P, sq, w, i, rivals)
+             for i, rivals in enumerate(neighbours)]
+    return cells, neighbours
+
+
+def power_cells_from_weights(workspace: ConvexPolygon, points, weights) -> list[ConvexPolygon | None]:
+    """Power cells for signed squared-radius weights w_i (radical-axis clipping).
+
+    The diagram only depends on weight differences, so negative weights are fine;
+    this is the primitive behind both power_cells and the equitable-weight solver.
+    """
+    return power_diagram(workspace, points, weights)[0]
 
 
 def power_cells(workspace: ConvexPolygon, points, radii) -> list[ConvexPolygon | None]:

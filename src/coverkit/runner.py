@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,6 +71,13 @@ class ValidationReport:
 
 def _is_num(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    try:
+        return _is_num(v) and math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _is_int(v) -> bool:
@@ -171,8 +179,8 @@ def _validate_agents(agents, pipeline, workspace_rows, err) -> int | None:
                     err("agents.positions", f"row {i} lies outside the workspace")
     radii = agents.get("radii")
     if radii is not None:
-        if not (isinstance(radii, list) and all(_is_num(r) and r >= 0 for r in radii)):
-            err("agents.radii", "must be a list of nonnegative numbers")
+        if not (isinstance(radii, list) and all(_is_finite(r) and r >= 0 for r in radii)):
+            err("agents.radii", "must be a list of finite nonnegative numbers")
         elif len(radii) != n:
             err("agents.radii", f"expected {n} entries, got {len(radii)}")
     services = agents.get("services")
@@ -415,10 +423,11 @@ def _run_lloyd(resolved, phi, workspace, out: Path, power: bool) -> None:
                          levels=params["levels"])
     records = []
     previous = None
-    for i, (pos, cost) in enumerate(result.trajectory):
+    for i, ((pos, cost), starved) in enumerate(zip(result.trajectory, result.starved)):
         shift = 0.0 if previous is None else float(
             np.linalg.norm(pos - previous, axis=1).max())
-        records.append({"iteration": i, "cost": float(cost), "max_shift": shift})
+        records.append({"iteration": i, "cost": float(cost), "max_shift": shift,
+                        "starved": len(starved)})
         previous = pos
     _write_jsonl(out / "metrics.jsonl", records)
 
@@ -588,8 +597,12 @@ def main(argv=None) -> int:
                             help="override the output directory")
     val_parser = sub.add_parser("validate", help="check a scenario without running")
     val_parser.add_argument("config", help="path to a scenario YAML file")
+    for sub_parser in (run_parser, val_parser):
+        sub_parser.add_argument("--log-level", default="INFO",
+                                choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                                help="lowest level of log line printed (default INFO)")
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO,
+    logging.basicConfig(level=args.log_level,
                         format="%(levelname)s %(name)s: %(message)s")
     if args.command == "validate":
         report = validate(args.config)

@@ -19,7 +19,7 @@ from scipy.spatial.distance import cdist
 
 from .density import DensityField, DiscreteMeasure, UniformDensity, discretize
 from .errors import SiteOutsideWorkspace
-from .geometry import ConvexPolygon, chord_interval, project_into, voronoi_cells
+from .geometry import ConvexPolygon, chord_interval, power_diagram, project_into
 from .transport import wasserstein_sinkhorn
 
 log = logging.getLogger(__name__)
@@ -186,13 +186,17 @@ def voronoi_graph(workspace: ConvexPolygon, positions) -> list[tuple[int, int]]:
     """Pairs of sites whose Voronoi cells share a boundary segment.
 
     Point contacts do not count: the shared piece of the bisector must be
-    longer than SHARED_EDGE_MIN.
+    longer than SHARED_EDGE_MIN. Cells that share a segment inside the
+    workspace are neighbours in the unrestricted diagram, so only those
+    pairs are tested (every pair when the lifted hull is degenerate).
     """
     P = np.atleast_2d(np.asarray(positions, dtype=float))
-    cells = voronoi_cells(workspace, P)
+    cells, neighbours = power_diagram(workspace, P, np.zeros(len(P)))
     pairs = []
-    for i in range(len(P)):
-        for j in range(i + 1, len(P)):
+    for i, rivals in enumerate(neighbours):
+        if rivals is None:  # cannot happen for distinct in-workspace sites
+            raise RuntimeError(f"degenerate Voronoi cell for site {i}")
+        for j in rivals[rivals > i]:
             gap = P[j] - P[i]
             mid = 0.5 * (P[i] + P[j])
             direction = np.array([-gap[1], gap[0]])
@@ -203,5 +207,5 @@ def voronoi_graph(workspace: ConvexPolygon, positions) -> list[tuple[int, int]]:
                 continue
             shared = min(span_i[1], span_j[1]) - max(span_i[0], span_j[0])
             if shared > SHARED_EDGE_MIN:
-                pairs.append((i, j))
+                pairs.append((i, int(j)))
     return pairs

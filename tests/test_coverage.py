@@ -378,3 +378,12 @@ def test_equitable_reports_no_convergence():
     phi = UniformDensity(unit_square())
     with pytest.raises(NoConvergence):
         equitable_weights(phi, [[0.2, 0.5], [0.6, 0.5]], tol_mass=1e-15, max_iters=4)
+
+
+def test_descent_records_starved_agents_per_trajectory_entry():
+    # agent 1 sits inside agent 0's power disk, so its cell is dominated
+    agents = make_agents([[0.4, 0.5], [0.45, 0.5], [0.8, 0.5]], [0.5, 0.0, 0.1])
+    res = run_descent(UniformDensity(unit_square()), agents, KIND_POWER, max_iters=3)
+    assert len(res.starved) == len(res.trajectory)
+    assert all(s == [1] for s in res.starved)
+    assert res.partition.cells[1] is None

@@ -26,7 +26,7 @@ from coverkit.density import (
     polygon_quadrature,
     read_pgm,
 )
-from coverkit.errors import EvalOutsideSupport, NoConvergence
+from coverkit.errors import CoverkitError, EvalOutsideSupport, InvalidDensity, NoConvergence
 from coverkit.geometry import ConvexPolygon, power_cells
 
 
@@ -533,3 +533,18 @@ def test_floor_value_scaling():
     assert abs(phi.floor_value() - 1e-12) < 1e-24
     peaked = GmmDensity(unit_square(), [1.0], [[0.5, 0.5]], [np.eye(2) * 0.01])
     assert 0.0 < peaked.floor_value() < 1e-10 * peaked.eval(np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda W: GridDensity(W, np.full((3, 3), np.nan)),
+    lambda W: GridDensity(W, np.zeros((3, 3))),
+    lambda W: GmmDensity(W, [-1.0], [[0.5, 0.5]], [np.eye(2) * 0.01]),
+    lambda W: GmmDensity(W, [1.0], [[0.5, 0.5]], [[[0.01, 0.009], [0.0, 0.01]]]),
+    lambda W: GmmDensity(W, [1.0], [[6.0, 6.0]], [np.eye(2) * 0.01]),
+], ids=["nan-grid", "zero-grid", "negative-weight", "asymmetric-covariance",
+        "no-mass-over-workspace"])
+def test_density_errors_are_typed_coverkit_errors(build):
+    with pytest.raises(CoverkitError) as caught:
+        build(unit_square())
+    assert isinstance(caught.value, InvalidDensity)
+    assert isinstance(caught.value, ValueError)

@@ -10,6 +10,8 @@ from coverkit.geometry import (
     intersect,
     polygon_moments,
     power_cells,
+    power_cells_from_weights,
+    power_diagram,
     voronoi_cells,
 )
 
@@ -32,6 +34,35 @@ def grid_power_labels(points, radii, n=400):
     r2 = np.asarray(radii, float) ** 2
     d = ((q[:, None, :] - P[None, :, :]) ** 2).sum(-1) - r2[None, :]
     return q, d.argmin(axis=1)
+
+
+def all_pairs_power_cells(workspace, points, weights):
+    """Oracle: clip each cell against the radical axis of every other site."""
+    P = np.atleast_2d(np.asarray(points, dtype=float))
+    w = np.asarray(weights, dtype=float)
+    sq = (P * P).sum(axis=1)
+    cells = []
+    for i in range(len(P)):
+        cell = workspace
+        for j in range(len(P)):
+            if j == i or cell is None:
+                continue
+            direction = 2.0 * (P[j] - P[i])
+            offset = (sq[j] - sq[i]) - (w[j] - w[i])
+            cell = clip(cell, HalfPlane.from_direction(direction, offset))
+        cells.append(cell)
+    return cells
+
+
+def assert_same_cells(got, want, tol=1e-12):
+    """Same None pattern and vertex counts; vertex sets within Hausdorff tol."""
+    assert [c is None for c in got] == [c is None for c in want]
+    for i, (a, b) in enumerate(zip(got, want)):
+        if a is None:
+            continue
+        assert len(a.vertices) == len(b.vertices), i
+        d = np.linalg.norm(a.vertices[:, None, :] - b.vertices[None, :, :], axis=-1)
+        assert max(d.min(axis=0).max(), d.min(axis=1).max()) <= tol, i
 
 
 # ---------------------------------------------------------------- clip
@@ -304,3 +335,63 @@ def test_chord_interval_missing_line():
 def test_chord_interval_diagonal():
     t = chord_interval(unit_square(), [0.0, 0.0], [1.0, 1.0])
     assert t == pytest.approx((0.0, 1.0))
+
+
+# ------------------------------------------------- lifted-hull power cells
+
+def hexagon():
+    ang = 2.0 * np.pi * np.arange(6) / 6
+    return ConvexPolygon(np.column_stack([2.0 + 1.5 * np.cos(ang), 1.0 + np.sin(ang)]))
+
+
+def oracle_cases():
+    """(name, workspace, sites, weights) covering the degenerate inputs too."""
+    rng = np.random.default_rng(20)
+    W = unit_square()
+    for n in (5, 30, 120):
+        sites = rng.uniform(0.02, 0.98, size=(n, 2))
+        yield f"random-{n}", W, sites, rng.uniform(0.0, 0.01, n)
+        # radii well above the site spacing: most sites are dominated
+        yield f"dominated-{n}", W, sites, rng.uniform(0.0, 0.6, n) ** 2
+        yield f"negative-{n}", W, sites, rng.uniform(-0.05, 0.05, n)
+    g = (np.arange(6) + 0.5) / 6
+    grid = np.array([[x, y] for y in g for x in g])
+    yield "grid-equal", W, grid, np.zeros(len(grid))
+    yield "grid-weighted", W, grid, np.tile([0.0, 0.003], len(grid) // 2)
+    # the centre's lifted point lies on the plane of the four square corners
+    coplanar = np.array([[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75], [0.5, 0.5],
+                         [0.5, 0.04], [0.04, 0.5], [0.96, 0.5], [0.5, 0.96]])
+    yield "coplanar", W, coplanar, np.eye(9)[4] * -0.125
+    # shuffled, so that neighbours along the line are not neighbours in index
+    line = rng.permutation(np.column_stack([np.linspace(0.1, 0.9, 7), np.full(7, 0.4)]))
+    yield "collinear", W, line, rng.uniform(0.0, 0.01, 7)
+    yield "collinear-diagonal", W, np.linspace(0.05, 0.95, 9)[:, None] * [1.0, 1.0], np.zeros(9)
+    for n in (1, 2, 3):
+        yield f"n{n}", W, rng.uniform(0.1, 0.9, size=(n, 2)), rng.uniform(-0.02, 0.02, n)
+    hexa = hexagon()
+    v = hexa.vertices
+    mix = rng.uniform(0.05, 1.0, size=(40, len(v)))
+    hex_sites = (mix / mix.sum(axis=1, keepdims=True)) @ v
+    yield "hexagon", hexa, hex_sites, rng.uniform(-0.1, 0.1, 40)
+    # qhull rejects a NaN lifted point; non-finite weights take the all-sites path
+    for name, bad in (("infinite", np.inf), ("nan", np.nan)):
+        weights = np.where(np.arange(6) == 2, bad, 0.0)
+        yield name, W, rng.uniform(0.1, 0.9, size=(6, 2)), weights
+
+
+@pytest.mark.parametrize("case", list(oracle_cases()), ids=lambda c: c[0])
+def test_power_cells_match_all_pairs_oracle(case):
+    _, workspace, sites, weights = case
+    assert_same_cells(power_cells_from_weights(workspace, sites, weights),
+                      all_pairs_power_cells(workspace, sites, weights))
+
+
+def test_oracle_cases_reach_every_path():
+    cells = {name: power_cells_from_weights(W, s, w) for name, W, s, w in oracle_cases()}
+    assert sum(c is None for c in cells["dominated-120"]) > 60
+    assert all(c is not None for c in cells["grid-equal"])
+    assert all(c is not None for c in cells["collinear"])
+    assert [c is None for c in cells["infinite"]] == [True, True, False, True, True, True]
+    assert all(c is None for c in cells["nan"])
+    _, W, sites, weights = next(c for c in oracle_cases() if c[0] == "coplanar")
+    assert power_diagram(W, sites, weights)[1][4].tolist() == [0, 1, 2, 3, 5, 6, 7, 8]

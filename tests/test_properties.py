@@ -10,6 +10,7 @@ from scipy.spatial import ConvexHull, QhullError  # noqa: E402
 
 from coverkit.density import UniformDensity, cell_moments  # noqa: E402
 from coverkit.geometry import ConvexPolygon, power_cells_from_weights  # noqa: E402
+from tests.test_geometry import all_pairs_power_cells, assert_same_cells  # noqa: E402
 
 coords = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 corner_sets = st.lists(st.tuples(coords, coords), min_size=3, max_size=10)
@@ -52,6 +53,16 @@ def test_power_cell_areas_sum_to_workspace_area(corners, mix, spread):
     cells = power_cells_from_weights(workspace, sites, weights)
     total = sum(cell.area for cell in cells if cell is not None)
     assert total == pytest.approx(workspace.area, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corners=corner_sets, mix=mixes,
+       raw=st.lists(st.floats(-0.5, 0.5), min_size=8, max_size=8))
+def test_power_cells_match_all_pairs_oracle(corners, mix, raw):
+    workspace, sites = draw_case(corners, mix)
+    weights = np.asarray(raw[:len(sites)])
+    assert_same_cells(power_cells_from_weights(workspace, sites, weights),
+                      all_pairs_power_cells(workspace, sites, weights))
 
 
 @settings(max_examples=60, deadline=None)

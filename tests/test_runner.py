@@ -1,11 +1,16 @@
 """Config validation, CLI exit codes, and end-to-end scenario artifacts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import coverkit
 from coverkit.runner import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main, run, validate
 
 
@@ -85,6 +90,18 @@ def test_unusable_grid_data_fails_before_any_output(tmp_path, values):
     cfg["out"] = str(tmp_path / "results")
     path = write_cfg(tmp_path, cfg)
     assert [e["field"] for e in validate(path).errors] == ["density.path"]
+    assert run(path) == EXIT_CONFIG
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("radius", [float("inf"), 10 ** 400], ids=["inf", "huge_int"])
+def test_non_finite_power_radius_fails_before_any_output(tmp_path, radius):
+    cfg = lloyd_cfg(n=4)
+    cfg["pipeline"] = "power_lloyd"
+    cfg["agents"]["radii"] = [radius, 0.0, 0.0, 0.0]
+    cfg["out"] = str(tmp_path / "results")
+    path = write_cfg(tmp_path, cfg)
+    assert [e["field"] for e in validate(path).errors] == ["agents.radii"]
     assert run(path) == EXIT_CONFIG
     assert not (tmp_path / "results").exists()
 
@@ -192,6 +209,19 @@ def test_power_lloyd_draws_dashed_power_disks(tmp_path):
     assert "stroke-dasharray" in svg
     rows = (out / "final.csv").read_text().splitlines()
     assert len(rows) == 5
+
+
+def test_metrics_count_starved_agents(tmp_path):
+    cfg = lloyd_cfg(iters=3)
+    cfg["pipeline"] = "power_lloyd"
+    # agent 1 sits inside agent 0's power disk: its cell is dominated throughout
+    cfg["agents"] = {"n": 3, "positions": [[0.4, 0.5], [0.45, 0.5], [0.8, 0.5]],
+                     "radii": [0.5, 0.0, 0.1]}
+    out = tmp_path / "starved"
+    assert run(write_cfg(tmp_path, cfg), out=out) == EXIT_OK
+    records = read_metrics(out)
+    assert len(records) == 4
+    assert [r["starved"] for r in records] == [1, 1, 1, 1]
 
 
 def test_unconverged_descent_exits_3_but_keeps_logs(tmp_path):
@@ -315,6 +345,21 @@ def test_cli_validate_and_run(tmp_path, capsys):
                  "--seed", "12"]) == EXIT_OK
     manifest = json.loads((tmp_path / "cli_out" / "manifest.json").read_text())
     assert manifest["seed"] == 12
+
+
+@pytest.mark.parametrize("level, shown", [("INFO", True), ("WARNING", False)])
+def test_cli_log_level_filters_info_lines(tmp_path, level, shown):
+    cfg_path = write_cfg(tmp_path, lloyd_cfg(iters=2))
+    src = str(Path(coverkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "coverkit", "run", str(cfg_path),
+         "--out", str(tmp_path / "out"), "--log-level", level],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert ("wrote artifacts to" in proc.stderr) == shown
+    assert main(["validate", str(cfg_path), "--log-level", level]) == EXIT_OK
 
 
 def test_cli_validate_rejects_bad_config(tmp_path, capsys):

@@ -6,8 +6,9 @@ from scipy.spatial.distance import cdist
 
 from coverkit.density import DiscreteMeasure, GmmDensity, UniformDensity, from_pgm
 from coverkit.errors import SiteOutsideWorkspace
-from coverkit.geometry import ConvexPolygon
+from coverkit.geometry import ConvexPolygon, chord_interval, voronoi_cells
 from coverkit.swarm import (
+    SHARED_EDGE_MIN,
     SwarmRun,
     SwarmState,
     run_reconfiguration,
@@ -311,3 +312,33 @@ def test_random_graph_matches_pixel_oracle_and_is_connected():
     # anything the exact test finds should at least graze the pixel map
     missing = [key for key in pairs if key not in counts]
     assert len(missing) <= 2
+
+
+def all_pairs_voronoi_graph(workspace, positions):
+    """Oracle: the shared-segment test run on every pair of sites."""
+    P = np.asarray(positions, dtype=float)
+    cells = voronoi_cells(workspace, P)
+    pairs = []
+    for i in range(len(P)):
+        for j in range(i + 1, len(P)):
+            gap, mid = P[j] - P[i], 0.5 * (P[i] + P[j])
+            direction = np.array([-gap[1], gap[0]]) / np.linalg.norm(gap)
+            span_i = chord_interval(cells[i], mid, direction)
+            span_j = chord_interval(cells[j], mid, direction)
+            if span_i is None or span_j is None:
+                continue
+            if min(span_i[1], span_j[1]) - max(span_i[0], span_j[0]) > SHARED_EDGE_MIN:
+                pairs.append((i, j))
+    return pairs
+
+
+@pytest.mark.parametrize("kind", ["random", "grid", "collinear"])
+def test_graph_matches_all_pairs_oracle(kind):
+    if kind == "random":
+        sites = np.random.default_rng(15).uniform(0.02, 0.98, size=(80, 2))
+    elif kind == "grid":
+        ticks = (np.arange(7) + 0.5) / 7
+        sites = np.array([[x, y] for y in ticks for x in ticks])
+    else:
+        sites = np.column_stack([np.linspace(0.1, 0.9, 6), np.full(6, 0.3)])
+    assert voronoi_graph(square(), sites) == all_pairs_voronoi_graph(square(), sites)
