@@ -16,7 +16,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .density import (DensityField, DiscreteMeasure, cell_moments, polygon_quadrature,
                       spd_cholesky, write_csv)
-from .errors import InfeasibleShape, SiteOutsideWorkspace, SupportViolation
+from .errors import InfeasibleShape, NonFiniteCost, SiteOutsideWorkspace, SupportViolation
 # clip is not called here, but coverbench/tracing.py patches it in this module
 from .geometry import ConvexPolygon, clip, intersect  # noqa: F401
 from .transport import wasserstein_exact
@@ -51,8 +51,8 @@ class IsotropicService:
 
     def __init__(self, radius: float, falloff=None,
                  orientations=DEFAULT_ORIENTATIONS):
-        if radius <= 0.0:
-            raise ValueError("footprint radius must be positive")
+        if not 0.0 < radius < np.inf:
+            raise ValueError("footprint radius must be positive and finite")
         self.radius = float(radius)
         self.falloff = falloff if falloff is not None else lambda r: r * r
         self.orientations = _check_orientations(orientations)
@@ -219,7 +219,7 @@ class CostMatrix:
         if self.theta_star.shape != self.values.shape:
             raise ValueError("orientation table must match the cost matrix shape")
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("cost matrix entries must be finite")
+            raise NonFiniteCost("cost matrix entries must be finite")
         rows, cols = self.values.shape
         if rows > cols:
             raise InfeasibleShape(
@@ -268,7 +268,7 @@ def solve_assignment(cost) -> AssignmentResult:
         raise InfeasibleShape(
             f"{rows} agents need at least {rows} points of interest, got {cols}")
     if not np.all(np.isfinite(values)):
-        raise ValueError("cost matrix entries must be finite")
+        raise NonFiniteCost("cost matrix entries must be finite")
     row_idx, col_idx = linear_sum_assignment(values)
     matrix = np.zeros(values.shape, dtype=int)
     matrix[row_idx, col_idx] = 1

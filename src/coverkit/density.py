@@ -216,10 +216,12 @@ class GmmDensity(DensityField):
     def __init__(self, workspace: ConvexPolygon, weights, means, covariances):
         super().__init__(workspace)
         w = np.asarray(weights, dtype=float)
-        if (w <= 0).any():
-            raise InvalidDensity("mixture weights must be positive")
+        if not (np.isfinite(w).all() and (w > 0).all()):
+            raise InvalidDensity("mixture weights must be positive and finite")
         self.weights = w / w.sum()
         self.means = np.atleast_2d(np.asarray(means, dtype=float))
+        if not np.isfinite(self.means).all():
+            raise InvalidDensity("mixture means must be finite")
         covs = np.asarray(covariances, dtype=float).reshape(-1, 2, 2)
         if not (len(self.weights) == len(self.means) == len(covs)):
             raise InvalidDensity("weights, means, covariances must have equal length")

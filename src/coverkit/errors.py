@@ -37,6 +37,10 @@ class SupportViolation(CoverkitError):
     """KL divergence requested against a density that vanishes on significant mass."""
 
 
+class NonFiniteCost(CoverkitError, ValueError):
+    """A cost matrix entry is NaN or infinite, so no assignment is defined."""
+
+
 class InfeasibleShape(CoverkitError):
     """Assignment needs at least as many candidate sites as agents."""
 

@@ -42,6 +42,8 @@ class ConvexPolygon:
         v = np.atleast_2d(np.asarray(vertices, dtype=float))
         if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2:
             raise ValueError("need at least 3 two-dimensional vertices")
+        if not np.isfinite(v).all():
+            raise ValueError("vertices must be finite")
         edges = np.roll(v, -1, axis=0) - v
         if (np.hypot(edges[:, 0], edges[:, 1]) <= EPS_GEO).any():
             raise ValueError("duplicate consecutive vertices")
@@ -211,7 +213,7 @@ def _check_sites(workspace: ConvexPolygon, points: np.ndarray) -> None:
     if len(points) > 1:
         d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(-1)
         np.fill_diagonal(d2, np.inf)
-        if d2.min() <= (1e-9) ** 2:
+        if d2.min() <= EPS_GEO ** 2:
             i, j = np.unravel_index(int(d2.argmin()), d2.shape)
             raise DuplicateSites(f"sites {i} and {j} coincide")
     inside = workspace.contains(points)

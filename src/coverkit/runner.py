@@ -1,6 +1,9 @@
 """Scenario CLI: validate a YAML config, run its pipeline, write artifacts.
 
-One config file describes one run. Every run leaves behind manifest.json
+One config file describes one run. ``validate`` parses it once, checks it
+field by field and builds the workspace and density; ``run`` executes the
+pipeline on exactly what ``validate`` built, so a config that passes
+``validate`` is the config that runs. Every run leaves behind manifest.json
 (the resolved config), metrics.jsonl (per-iteration records), final.csv,
 and at least one render_*.svg. Exit codes: 0 success, 2 invalid config,
 3 numerical failure with whatever logs were already written left intact.
@@ -13,7 +16,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,38 +30,35 @@ from .coverage import KIND_POWER, KIND_VORONOI, build_partition, make_agents, ru
 from .density import (DensityField, GmmDensity, UniformDensity, from_pgm, load_grid_csv,
                       spd_cholesky, write_csv)
 from .errors import CoverkitError, NoConvergence
-from .geometry import ConvexPolygon
+from .geometry import EPS_GEO, ConvexPolygon
 from .render import render_scene
 
 log = logging.getLogger(__name__)
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC = 0, 2, 3
-PIPELINES = ("lloyd", "power_lloyd", "poi_assign", "submodular_assign", "swarm")
 UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
-
-PARAM_DEFAULTS = {
-    "lloyd": {"iters": 200, "tol": 1e-6, "levels": 2, "require_convergence": False},
-    "power_lloyd": {"iters": 200, "tol": 1e-6, "levels": 2, "require_convergence": False},
-    "poi_assign": {"method": "kmeans", "samples": 2000, "cost": "footprint",
-                   "orientations": 8, "levels": 2, "bandwidth": "median",
-                   "svgd_iters": 500},
-    "submodular_assign": {"samples": 2000, "matroid": "uniform", "d_max": None},
-    "swarm": {"tau": 0.5, "batch": None, "resolution": None, "metric_every": 1,
-              "snapshot_every": 0, "epsilon": None},
-}
-PARAM_REQUIRED = {
-    "lloyd": (), "power_lloyd": (),
-    "poi_assign": ("k",), "submodular_assign": ("k",), "swarm": ("iters",),
-}
+REQUIRED = object()  # a parameter default meaning: the config must set it
+# Quadrature cuts each of a polygon's fan triangles into 4**levels with 12
+# nodes each: at 6, one 32-sided footprint has 1.6M nodes, and pricing it on a
+# two-component mixture peaks 240 MB above baseline (1.3 s on a 2-CPU host).
+# Every further level takes four times the memory and time.
+MAX_LEVELS = 6
 
 
 # ------------------------------------------------------------- validation
 
 @dataclass
 class ValidationReport:
-    """Machine-readable findings; an empty list means the config is runnable."""
+    """Machine-readable findings; an empty list means the config is runnable.
+
+    A runnable config's report also carries what ``run`` runs on: the config
+    with defaults filled in, the workspace polygon and the density over it.
+    """
 
     errors: list
+    config: dict | None = field(default=None, repr=False)
+    workspace: ConvexPolygon | None = field(default=None, repr=False)
+    density: DensityField | None = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -70,13 +70,10 @@ class ValidationReport:
 
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_finite(v) -> bool:
+    """A finite real number: no bool, inf, NaN, or int too large for a float."""
     try:
-        return _is_num(v) and math.isfinite(v)
-    except OverflowError:  # an int too large for a float
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
         return False
 
 
@@ -100,63 +97,91 @@ def _covariance_ok(value) -> bool:
     return True
 
 
-def _validate_density(density, base: Path, workspace_rows, err) -> None:
+_POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "must be a positive integer")
+_NONNEGATIVE_INT = (lambda v: _is_int(v) and v >= 0, "must be a nonnegative integer")
+# one check per parameter name, whichever pipelines take it
+PARAM_CHECKS = {
+    "iters": _POSITIVE_INT, "k": _POSITIVE_INT, "samples": _POSITIVE_INT,
+    "orientations": _POSITIVE_INT, "svgd_iters": _NONNEGATIVE_INT,
+    "snapshot_every": _NONNEGATIVE_INT,
+    "tol": (lambda v: _is_num(v) and v > 0, "must be a positive number"),
+    "levels": (lambda v: _is_int(v) and 1 <= v <= MAX_LEVELS,
+               f"must be an integer from 1 to {MAX_LEVELS}"),
+    "require_convergence": (lambda v: isinstance(v, bool), "must be a boolean"),
+    "method": (lambda v: v in ("kmeans", "gmm", "svgd"), "must be kmeans, gmm, or svgd"),
+    "cost": (lambda v: v in ("footprint", "kld"), "must be footprint or kld"),
+    "bandwidth": (lambda v: v == "median" or (_is_num(v) and v > 0),
+                  "must be 'median' or a positive footprint radius"),
+    "matroid": (lambda v: v in ("uniform", "partition"), "must be uniform or partition"),
+    "d_max": (lambda v: v is None or (_is_num(v) and v > 0),
+              "must be null or a positive number"),
+    "tau": (lambda v: _is_num(v) and 0 < v <= 1, "must lie in (0, 1]"),
+    "batch": (lambda v: v is None or (_is_int(v) and v >= 1),
+              "must be null or a positive integer"),
+    "resolution": (lambda v: v is None or (_is_int(v) and v >= 2),
+                   "must be null or an integer of at least 2"),
+    "metric_every": (lambda v: v is None or (_is_int(v) and v >= 0),
+                     "must be null or a nonnegative integer"),
+    "epsilon": (lambda v: v is None or (_is_num(v) and v > 0),
+                "must be null or a positive number"),
+}
+
+
+def _check_density(density, base: Path, workspace, err) -> DensityField | None:
+    """Check the density spec; when it and the workspace are sound, build it."""
     if not isinstance(density, dict):
-        err("density", "must be a mapping with a 'kind'")
-        return
+        err("density", "required: a mapping with a 'kind'")
+        return None
     kind = density.get("kind")
     if kind not in ("uniform", "gmm", "image", "grid"):
         err("density.kind", "must be one of uniform, gmm, image, grid")
-        return
+        return None
     known = {"uniform": {"kind"},
              "gmm": {"kind", "weights", "means", "covariances"},
              "image": {"kind", "path"}, "grid": {"kind", "path"}}[kind]
     for key in density:
         if key not in known:
             err(f"density.{key}", f"unknown field for kind {kind}")
+    sound = True
     if kind == "gmm":
-        weights = density.get("weights")
-        means = density.get("means")
-        covs = density.get("covariances")
+        weights, means, covs = (density.get(key) for key in ("weights", "means", "covariances"))
         if not (isinstance(weights, list) and weights
                 and all(_is_num(w) and w > 0 for w in weights)):
-            err("density.weights", "need a nonempty list of positive numbers")
-            return
-        means_ok = _point_rows(means) and len(means) == len(weights)
-        if not means_ok:
-            err("density.means", f"need {len(weights)} [x, y] rows")
-        covs_ok = False
+            err("density.weights", "need a nonempty list of positive finite numbers")
+            return None
+        if not (_point_rows(means) and len(means) == len(weights)):
+            err("density.means", f"need {len(weights)} finite [x, y] rows")
+            sound = False
         if not (isinstance(covs, list) and len(covs) == len(weights)):
             err("density.covariances", f"need {len(weights)} 2x2 matrices")
+            sound = False
         elif not all(_covariance_ok(c) for c in covs):
             err("density.covariances", "each must be a symmetric positive-definite 2x2")
-        else:
-            covs_ok = True
-        if means_ok and covs_ok and workspace_rows is not None:
-            # a mixture with no mass over the workspace fails here, not in run
-            try:
-                _build_density(density, ConvexPolygon(workspace_rows), base)
-            except ValueError as exc:
-                err("density", f"unusable gmm: {exc}")
-    else:
+            sound = False
+    elif kind != "uniform":
         path = density.get("path")
-        if kind in ("image", "grid"):
-            if not isinstance(path, str):
-                err("density.path", f"required for kind {kind}")
-            elif not (base / path).exists():
-                err("density.path", f"file not found '{path}'")
-            elif workspace_rows is not None:
-                # data run would reject (non-finite, negative or all-zero
-                # values, no mass over the workspace) fails here instead
-                try:
-                    _build_density(density, ConvexPolygon(workspace_rows), base)
-                except (OSError, ValueError) as exc:
-                    err("density.path", f"unusable {kind} data in '{path}': {exc}")
+        if not isinstance(path, str):
+            err("density.path", f"required for kind {kind}")
+            sound = False
+        elif not (base / path).exists():
+            err("density.path", f"file not found '{path}'")
+            sound = False
+    if not sound or workspace is None:
+        return None
+    # data run would reject (non-finite, negative or all-zero values, no
+    # mass over the workspace) fails here instead
+    try:
+        return _build_density(density, workspace, base)
+    except (OSError, ValueError) as exc:
+        err("density.path" if "path" in known else "density",
+            f"unusable {kind} density: {exc}")
+        return None
 
 
-def _validate_agents(agents, pipeline, workspace_rows, err) -> int | None:
+def _check_agents(agents, pipeline, workspace, err) -> dict | None:
+    """Check the agents spec; returns it with defaults filled in, or None."""
     if not isinstance(agents, dict):
-        err("agents", "must be a mapping with at least 'n'")
+        err("agents", "required: a mapping with at least 'n'")
         return None
     for key in agents:
         if key not in {"n", "positions", "radii", "services"}:
@@ -171,15 +196,19 @@ def _validate_agents(agents, pipeline, workspace_rows, err) -> int | None:
             err("agents.positions",
                 "swarm runs initialize uniformly; remove explicit positions")
         elif not (_point_rows(positions) and len(positions) == n):
-            err("agents.positions", f"expected 'sample' or {n} [x, y] rows")
-        elif workspace_rows is not None:
-            poly = ConvexPolygon(workspace_rows)
-            for i, row in enumerate(positions):
-                if not poly.contains(row):
-                    err("agents.positions", f"row {i} lies outside the workspace")
+            err("agents.positions", f"expected 'sample' or {n} finite [x, y] rows")
+        elif workspace is not None:
+            pts = np.array(positions, dtype=float)
+            for i in np.flatnonzero(~workspace.contains(pts)):
+                err("agents.positions", f"row {i} lies outside the workspace")
+            if pipeline in ("lloyd", "power_lloyd"):
+                # the gap at which geometry rejects two sites as one
+                close = np.argwhere(np.triu(cdist(pts, pts, "sqeuclidean") <= EPS_GEO ** 2, 1))
+                if len(close):
+                    err("agents.positions", f"rows {close[0][0]} and {close[0][1]} coincide")
     radii = agents.get("radii")
     if radii is not None:
-        if not (isinstance(radii, list) and all(_is_finite(r) and r >= 0 for r in radii)):
+        if not (isinstance(radii, list) and all(_is_num(r) and r >= 0 for r in radii)):
             err("agents.radii", "must be a list of finite nonnegative numbers")
         elif len(radii) != n:
             err("agents.radii", f"expected {n} entries, got {len(radii)}")
@@ -194,7 +223,8 @@ def _validate_agents(agents, pipeline, workspace_rows, err) -> int | None:
                 kind = spec.get("kind") if isinstance(spec, dict) else None
                 if kind == "disk":
                     if not (_is_num(spec.get("radius")) and spec["radius"] > 0):
-                        err(f"agents.services[{i}].radius", "must be a positive number")
+                        err(f"agents.services[{i}].radius",
+                            "must be a positive finite number")
                 elif kind == "gaussian":
                     if not _covariance_ok(spec.get("covariance")):
                         err(f"agents.services[{i}].covariance",
@@ -203,75 +233,58 @@ def _validate_agents(agents, pipeline, workspace_rows, err) -> int | None:
                     err(f"agents.services[{i}].kind", "must be disk or gaussian")
     elif services is not None:
         err("agents.services", "only used by poi_assign")
-    return n
+    return {"positions": "sample", "radii": None, "services": None, **agents}
 
 
-def _validate_params(params, pipeline, n, err) -> None:
-    if params is None:
-        params = {}
+def _check_params(params, pipeline, n, err) -> dict | None:
+    """Check the params; returns them over the pipeline's defaults, or None."""
+    params = {} if params is None else params
     if not isinstance(params, dict):
         err("params", "must be a mapping")
-        return
-    allowed = set(PARAM_DEFAULTS[pipeline]) | set(PARAM_REQUIRED[pipeline])
-    for key in params:
-        if key not in allowed:
+        return None
+    defaults = PIPELINES[pipeline][1]
+    params = {**defaults, **params}
+    for key, value in params.items():
+        if key not in defaults:
             err(f"params.{key}", f"unknown parameter for pipeline {pipeline}")
-    for key in PARAM_REQUIRED[pipeline]:
-        if key not in params:
+        elif value is REQUIRED:
             err(f"params.{key}", f"required for {pipeline}")
+        elif not PARAM_CHECKS[key][0](value):
+            err(f"params.{key}", PARAM_CHECKS[key][1])
 
-    def check(name, ok, message):
-        if name in params and not ok(params[name]):
-            err(f"params.{name}", message)
-
-    check("iters", lambda v: _is_int(v) and v >= 1, "must be a positive integer")
-    check("tol", lambda v: _is_num(v) and v > 0, "must be a positive number")
-    check("levels", lambda v: _is_int(v) and v >= 1, "must be a positive integer")
-    check("require_convergence", lambda v: isinstance(v, bool), "must be a boolean")
-    check("k", lambda v: _is_int(v) and v >= 1, "must be a positive integer")
-    check("samples", lambda v: _is_int(v) and v >= 1, "must be a positive integer")
-    check("method", lambda v: v in ("kmeans", "gmm", "svgd"),
-          "must be kmeans, gmm, or svgd")
-    check("cost", lambda v: v in ("footprint", "kld"), "must be footprint or kld")
-    check("orientations", lambda v: _is_int(v) and v >= 1, "must be a positive integer")
-    check("bandwidth", lambda v: v == "median" or (_is_num(v) and v > 0),
-          "must be 'median' or a positive footprint radius")
-    check("svgd_iters", lambda v: _is_int(v) and v >= 0, "must be a nonnegative integer")
-    check("matroid", lambda v: v in ("uniform", "partition"),
-          "must be uniform or partition")
-    check("d_max", lambda v: v is None or (_is_num(v) and v > 0),
-          "must be a positive number")
-    check("tau", lambda v: _is_num(v) and 0 < v <= 1, "must lie in (0, 1]")
-    check("batch", lambda v: v is None or (_is_int(v) and v >= 1),
-          "must be null or a positive integer")
-    check("resolution", lambda v: v is None or (_is_int(v) and v >= 2),
-          "must be null or an integer of at least 2")
-    check("metric_every", lambda v: v is None or (_is_int(v) and v >= 0),
-          "must be null or a nonnegative integer")
-    check("snapshot_every", lambda v: _is_int(v) and v >= 0,
-          "must be a nonnegative integer")
-    check("epsilon", lambda v: v is None or (_is_num(v) and v > 0),
-          "must be null or a positive number")
-
-    if pipeline == "poi_assign" and params.get("cost") == "kld" \
-            and params.get("method", "kmeans") != "gmm":
+    k, samples = params.get("k"), params.get("samples")
+    if pipeline == "poi_assign" and params["cost"] == "kld" and params["method"] != "gmm":
         err("params.cost", "kld costs need method: gmm")
-    if pipeline in ("poi_assign", "submodular_assign") and n is not None \
-            and _is_int(params.get("k")) and n > params["k"]:
+    if _is_int(k) and n is not None and n > k:
         err("agents.n",
-            f"infeasible assignment shape: {n} agents but only {params['k']} "
-            "points of interest")
-    if pipeline == "swarm" and n is not None and _is_int(params.get("batch")) \
+            f"infeasible assignment shape: {n} agents but only {k} points of interest")
+    # k-means and EM draw their k clusters from the samples; SVGD draws none
+    if _is_int(k) and _is_int(samples) and k > samples and params.get("method") != "svgd":
+        err("params.k", f"cannot exceed params.samples = {samples}")
+    if pipeline == "swarm" and n is not None and _is_int(params["batch"]) \
             and params["batch"] > n:
         err("params.batch", f"cannot exceed agents.n = {n}")
+    return params
 
 
-def validate_config(cfg, base: Path) -> ValidationReport:
-    """Structural checks, plus loading the data file of an image or grid density."""
+def validate(config_path) -> ValidationReport:
+    """Parse and check a config file; for a runnable one, build its workspace and density.
+
+    Data files of an image or grid density are loaded, and every density is
+    built, so whatever ``run`` would reject in them is reported here.
+    """
+    path = Path(config_path)
+    try:
+        cfg = yaml.safe_load(path.read_text())
+    except OSError as exc:
+        return ValidationReport([{"field": "config", "message": str(exc)}])
+    except yaml.YAMLError as exc:
+        return ValidationReport([{"field": "config",
+                                  "message": f"not valid YAML: {exc}"}])
     errors: list = []
 
-    def err(field, message):
-        errors.append({"field": field, "message": message})
+    def err(name, message):
+        errors.append({"field": name, "message": message})
 
     if not isinstance(cfg, dict):
         err("config", "top level must be a mapping")
@@ -282,7 +295,7 @@ def validate_config(cfg, base: Path) -> ValidationReport:
             err(key, "unknown field")
 
     pipeline = cfg.get("pipeline")
-    if pipeline not in PIPELINES:
+    if not (isinstance(pipeline, str) and pipeline in PIPELINES):
         err("pipeline", f"must be one of {', '.join(PIPELINES)}")
         return ValidationReport(errors)
 
@@ -291,64 +304,26 @@ def validate_config(cfg, base: Path) -> ValidationReport:
     if "out" in cfg and not isinstance(cfg["out"], str):
         err("out", "must be a path string")
 
-    workspace_rows = cfg.get("workspace", UNIT_SQUARE)
-    if not (_point_rows(workspace_rows) and len(workspace_rows) >= 3):
-        err("workspace", "need at least 3 [x, y] vertices")
-        workspace_rows = None
+    rows = cfg.get("workspace", UNIT_SQUARE)
+    workspace = None
+    if not (_point_rows(rows) and len(rows) >= 3):
+        err("workspace", "need at least 3 finite [x, y] vertices")
     else:
         try:
-            ConvexPolygon(workspace_rows)
+            workspace = ConvexPolygon(rows)
         except ValueError as exc:
             err("workspace", str(exc))
-            workspace_rows = None
 
-    if "density" not in cfg:
-        err("density", "required")
-    else:
-        _validate_density(cfg["density"], base, workspace_rows, err)
-
-    if "agents" not in cfg:
-        err("agents", "required")
-        n = None
-    else:
-        n = _validate_agents(cfg["agents"], pipeline, workspace_rows, err)
-
-    _validate_params(cfg.get("params"), pipeline, n, err)
-    return ValidationReport(errors)
+    phi = _check_density(cfg.get("density"), path.parent, workspace, err)
+    agents = _check_agents(cfg.get("agents"), pipeline, workspace, err)
+    params = _check_params(cfg.get("params"), pipeline, agents and agents["n"], err)
+    if errors:
+        return ValidationReport(errors)
+    config = {**cfg, "workspace": rows, "agents": agents, "params": params}
+    return ValidationReport(errors, config, workspace, phi)
 
 
-def validate(config_path) -> ValidationReport:
-    """Parse and check a config file without running its pipeline."""
-    path = Path(config_path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        return ValidationReport([{"field": "config", "message": str(exc)}])
-    try:
-        cfg = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        return ValidationReport([{"field": "config",
-                                  "message": f"not valid YAML: {exc}"}])
-    return validate_config(cfg, path.parent)
-
-
-# -------------------------------------------------------------- resolution
-
-def _resolve(cfg: dict, seed, out, base: Path, config_path: Path) -> dict:
-    resolved = {
-        "config": str(config_path),
-        "pipeline": cfg["pipeline"],
-        "seed": int(seed if seed is not None else cfg.get("seed", 0)),
-        "out": str(out if out is not None
-                   else cfg.get("out", str(base / f"{config_path.stem}_out"))),
-        "workspace": cfg.get("workspace", UNIT_SQUARE),
-        "density": cfg["density"],
-        "agents": {"positions": "sample", "radii": None, "services": None,
-                   **cfg["agents"]},
-        "params": {**PARAM_DEFAULTS[cfg["pipeline"]], **(cfg.get("params") or {})},
-    }
-    return resolved
-
+# ------------------------------------------------------------ construction
 
 def _build_density(spec: dict, workspace: ConvexPolygon, base: Path) -> DensityField:
     kind = spec["kind"]
@@ -363,15 +338,10 @@ def _build_density(spec: dict, workspace: ConvexPolygon, base: Path) -> DensityF
 
 
 def _build_services(specs, orientations):
-    models = []
-    for spec in specs:
-        if spec["kind"] == "disk":
-            models.append(assign_mod.IsotropicService(spec["radius"],
-                                                      orientations=orientations))
-        else:
-            models.append(assign_mod.GaussianService(
-                np.array(spec["covariance"], dtype=float), orientations=orientations))
-    return models
+    return [assign_mod.IsotropicService(spec["radius"], orientations=orientations)
+            if spec["kind"] == "disk" else assign_mod.GaussianService(
+                np.array(spec["covariance"], dtype=float), orientations=orientations)
+            for spec in specs]
 
 
 def _initial_positions(resolved, phi: DensityField) -> np.ndarray:
@@ -388,9 +358,7 @@ def _jsonable(value):
         return float(value)
     if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (np.ndarray, list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
@@ -405,21 +373,18 @@ def _write_jsonl(path: Path, records) -> None:
 
 # -------------------------------------------------------------- pipelines
 
-def _run_lloyd(resolved, phi, workspace, out: Path, power: bool) -> None:
+def _run_lloyd(resolved, phi, workspace, out: Path) -> None:
     params = resolved["params"]
+    power = resolved["pipeline"] == "power_lloyd"
+    kind = KIND_POWER if power else KIND_VORONOI
     positions = _initial_positions(resolved, phi)
-    radii = resolved["agents"]["radii"]
-    if not power:
-        radii = None
+    radii = resolved["agents"]["radii"] if power else None
     agents = make_agents(positions, radii)
     render_scene(out / "render_initial.svg", phi, workspace,
                  agents=positions, power_radii=radii,
-                 cells=build_partition(phi, agents,
-                                       KIND_POWER if power else KIND_VORONOI,
-                                       params["levels"]).cells,
+                 cells=build_partition(phi, agents, kind, params["levels"]).cells,
                  title="initial")
-    result = run_descent(phi, agents, KIND_POWER if power else KIND_VORONOI,
-                         max_iters=params["iters"], tol=params["tol"],
+    result = run_descent(phi, agents, kind, max_iters=params["iters"], tol=params["tol"],
                          levels=params["levels"])
     records = []
     previous = None
@@ -490,11 +455,9 @@ def _run_poi_assign(resolved, phi, workspace, out: Path) -> None:
     solution.to_csv(out / "assignment.csv")
 
     positions = _initial_positions(resolved, phi)
-    rows = []
-    for i, j in solution.pairs:
-        rows.append((i, positions[i, 0], positions[i, 1], j,
-                     points[j, 0], points[j, 1],
-                     float(matrix.theta_star[i, j]), float(matrix.values[i, j])))
+    rows = [(i, positions[i, 0], positions[i, 1], j, points[j, 0], points[j, 1],
+             float(matrix.theta_star[i, j]), float(matrix.values[i, j]))
+            for i, j in solution.pairs]
     write_csv(out / "final.csv", "agent,x,y,poi,poi_x,poi_y,theta,cost", rows)
     render_scene(out / "render_final.svg", phi, workspace, agents=positions,
                  pois=points, assignment=solution.pairs,
@@ -547,35 +510,49 @@ def _run_swarm(resolved, phi, workspace, out: Path) -> None:
                      swarm_points=pts, title=f"step {t}")
 
 
+_DESCENT = {"iters": 200, "tol": 1e-6, "levels": 2, "require_convergence": False}
+# name -> (runner, parameter defaults); a REQUIRED default has to be set
+PIPELINES = {
+    "lloyd": (_run_lloyd, _DESCENT),
+    "power_lloyd": (_run_lloyd, _DESCENT),
+    "poi_assign": (_run_poi_assign,
+                   {"k": REQUIRED, "method": "kmeans", "samples": 2000,
+                    "cost": "footprint", "orientations": 8, "levels": 2,
+                    "bandwidth": "median", "svgd_iters": 500}),
+    "submodular_assign": (_run_submodular,
+                          {"k": REQUIRED, "samples": 2000, "matroid": "uniform",
+                           "d_max": None}),
+    "swarm": (_run_swarm,
+              {"iters": REQUIRED, "tau": 0.5, "batch": None, "resolution": None,
+               "metric_every": 1, "snapshot_every": 0, "epsilon": None}),
+}
+
+
 # --------------------------------------------------------------------- cli
 
 def run(config_path, seed=None, out=None) -> int:
-    """Validate, then execute one scenario; returns the process exit code."""
+    """Validate, then execute one scenario on what validation built; returns the exit code."""
     report = validate(config_path)
     if not report.ok:
         print(report.to_json(), file=sys.stderr)
         return EXIT_CONFIG
     config_path = Path(config_path)
-    cfg = yaml.safe_load(config_path.read_text())
-    resolved = _resolve(cfg, seed, out, config_path.parent, config_path)
-
+    cfg = report.config
+    resolved = {
+        **cfg,
+        "config": str(config_path),
+        "seed": int(seed if seed is not None else cfg.get("seed", 0)),
+        "out": str(out if out is not None else cfg.get(
+            "out", str(config_path.parent / f"{config_path.stem}_out"))),
+    }
     out_dir = Path(resolved["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "manifest.json", "w") as fh:
         fh.write(json.dumps(_jsonable(resolved), indent=2, sort_keys=True) + "\n")
 
-    workspace = ConvexPolygon(resolved["workspace"])
     try:
-        phi = _build_density(resolved["density"], workspace, config_path.parent)
-        pipeline = resolved["pipeline"]
-        if pipeline in ("lloyd", "power_lloyd"):
-            _run_lloyd(resolved, phi, workspace, out_dir, pipeline == "power_lloyd")
-        elif pipeline == "poi_assign":
-            _run_poi_assign(resolved, phi, workspace, out_dir)
-        elif pipeline == "submodular_assign":
-            _run_submodular(resolved, phi, workspace, out_dir)
-        else:
-            _run_swarm(resolved, phi, workspace, out_dir)
+        PIPELINES[resolved["pipeline"]][0](resolved, report.density, report.workspace,
+                                           out_dir)
     except CoverkitError as exc:
         log.error("%s failed: %s", resolved["pipeline"], exc)
         print(f"numerical failure: {exc}", file=sys.stderr)

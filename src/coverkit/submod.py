@@ -121,6 +121,12 @@ def _as_cloud(points) -> np.ndarray:
     return pts
 
 
+def _check_d_max(d_max) -> None:
+    # an infinite phantom makes every gain inf - inf = nan, and greedy picks nothing
+    if not 0.0 < d_max < math.inf:
+        raise ValueError("d_max must be a positive finite distance")
+
+
 def exemplar_utility(chosen, data, d_max: float, dist=None) -> float:
     """Drop in summed data-to-nearest-exemplar distance versus a phantom.
 
@@ -129,6 +135,7 @@ def exemplar_utility(chosen, data, d_max: float, dist=None) -> float:
     utility is monotone and submodular. ``dist`` defaults to Euclidean;
     a callable ``dist(exemplar, data_point)`` overrides it.
     """
+    _check_d_max(d_max)
     data = _as_cloud(data)
     if len(data) == 0:
         return 0.0
@@ -145,6 +152,7 @@ def exemplar_utility(chosen, data, d_max: float, dist=None) -> float:
 
 def exemplar_utility_fn(candidates, data, d_max: float, dist=None):
     """Index-subset evaluator over candidate exemplars, for the greedy drivers."""
+    _check_d_max(d_max)
     candidates = _as_cloud(candidates)
 
     def f(index_subset) -> float:

@@ -10,7 +10,8 @@ from coverkit.assign import (AssignmentResult, CostMatrix, GaussianService,
                              gaussian_kl, kl_divergence, kld_cost,
                              ot_registration_cost, rotation, solve_assignment)
 from coverkit.density import GmmDensity, GridDensity, UniformDensity
-from coverkit.errors import InfeasibleShape, SiteOutsideWorkspace, SupportViolation
+from coverkit.errors import (CoverkitError, InfeasibleShape, NonFiniteCost,
+                             SiteOutsideWorkspace, SupportViolation)
 from coverkit.geometry import ConvexPolygon
 
 UNIT = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -404,3 +405,18 @@ def test_orientation_set_validation():
         GaussianService(np.diag([1.0, -1.0]))
     with pytest.raises(ValueError):
         IsotropicService(-0.5)
+
+
+@pytest.mark.parametrize("radius", [np.inf, np.nan])
+def test_isotropic_service_rejects_non_finite_radius(radius):
+    with pytest.raises(ValueError, match="finite"):
+        IsotropicService(radius)
+
+
+def test_non_finite_costs_raise_a_typed_error():
+    for build in (lambda: CostMatrix(np.array([[np.nan, 1.0]]), np.zeros((1, 2))),
+                  lambda: solve_assignment(np.array([[np.inf, 1.0], [0.0, 2.0]]))):
+        with pytest.raises(NonFiniteCost) as caught:
+            build()
+        assert isinstance(caught.value, CoverkitError)
+        assert isinstance(caught.value, ValueError)

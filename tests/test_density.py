@@ -548,3 +548,16 @@ def test_density_errors_are_typed_coverkit_errors(build):
         build(unit_square())
     assert isinstance(caught.value, InvalidDensity)
     assert isinstance(caught.value, ValueError)
+
+
+@pytest.mark.parametrize("weights, means", [
+    ([1.0, 1.0], [[np.nan, 0.5], [0.5, 0.5]]),
+    ([1.0, 1.0], [[0.5, np.inf], [0.5, 0.5]]),
+    ([np.inf, 1.0], [[0.3, 0.3], [0.7, 0.7]]),
+    ([np.nan, 1.0], [[0.3, 0.3], [0.7, 0.7]]),
+], ids=["nan-mean", "inf-mean", "inf-weight", "nan-weight"])
+def test_gmm_rejects_non_finite_parameters(weights, means):
+    # unchecked, a NaN mean made eval return NaN and an infinite weight
+    # normalized the weights to [nan, 0]
+    with pytest.raises(InvalidDensity, match="finite"):
+        GmmDensity(unit_square(), weights, means, [np.eye(2) * 0.01] * 2)

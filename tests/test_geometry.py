@@ -179,6 +179,12 @@ def test_polygon_rejects_duplicate_vertices():
         ConvexPolygon([[0, 0], [0, 0], [1, 0], [1, 1]])
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_polygon_rejects_non_finite_vertices(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ConvexPolygon([[0, 0], [bad, 0], [1, 1], [0, 1]])
+
+
 def test_contains_handles_boundary():
     sq = unit_square()
     assert sq.contains([0.5, 0.5])

@@ -1,6 +1,8 @@
 """Config validation, CLI exit codes, and end-to-end scenario artifacts."""
 
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +13,9 @@ import pytest
 import yaml
 
 import coverkit
-from coverkit.runner import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main, run, validate
+from coverkit import runner
+from coverkit.runner import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, MAX_LEVELS, main, run,
+                             validate)
 
 
 def write_cfg(tmp_path, cfg, name="scenario.yaml"):
@@ -379,3 +383,156 @@ def test_shipped_scenarios_validate(tmp_path):
                  "greedy_sites.yaml", "swarm_portrait.yaml"):
         report = validate(REPO_ROOT / "scenarios" / name)
         assert report.ok, (name, report.errors)
+
+
+# ------------------------------------------------- validate matches run
+
+SHIPPED = ("lloyd_uniform.yaml", "four_modes_power.yaml", "poi_disks.yaml",
+           "greedy_sites.yaml", "swarm_portrait.yaml")
+INF, NAN = math.inf, math.nan
+
+
+def gmm_density(weights=(0.5, 0.5), means=((0.3, 0.3), (0.7, 0.7))):
+    return {"kind": "gmm", "weights": list(weights), "means": [list(m) for m in means],
+            "covariances": [[[0.01, 0.0], [0.0, 0.01]]] * 2}
+
+
+def poi_cfg(radius=0.1, **params):
+    return {"pipeline": "poi_assign", "seed": 2, "density": {"kind": "uniform"},
+            "agents": {"n": 2, "services": [{"kind": "disk", "radius": radius},
+                                            {"kind": "disk", "radius": 0.1}]},
+            "params": {"k": 4, "samples": 200, **params}}
+
+
+def submodular_cfg(**params):
+    return {"pipeline": "submodular_assign", "seed": 2, "density": {"kind": "uniform"},
+            "agents": {"n": 2}, "params": {"k": 4, "samples": 200, **params}}
+
+
+NON_FINITE = {
+    "gmm-weight-inf": ("density.weights",
+                       {**lloyd_cfg(), "density": gmm_density(weights=(INF, 0.5))}),
+    "gmm-mean-nan": ("density.means",
+                     {**lloyd_cfg(), "density": gmm_density(means=((NAN, 0.3), (0.7, 0.7)))}),
+    "gmm-mean-inf": ("density.means",
+                     {**lloyd_cfg(), "density": gmm_density(means=((0.3, INF), (0.7, 0.7)))}),
+    "tol-inf": ("params.tol", lloyd_cfg(tol=INF)),
+    "svgd-bandwidth-inf": ("params.bandwidth", poi_cfg(method="svgd", bandwidth=INF)),
+    "disk-radius-inf": ("agents.services[0].radius", poi_cfg(radius=INF)),
+    "d-max-inf": ("params.d_max", submodular_cfg(d_max=INF)),
+    "epsilon-inf": ("params.epsilon",
+                    {"pipeline": "swarm", "density": {"kind": "uniform"}, "agents": {"n": 9},
+                     "params": {"iters": 2, "epsilon": INF}}),
+    "workspace-vertex-inf": ("workspace",
+                             {**lloyd_cfg(), "workspace": [[0, 0], [INF, 0], [1, 1], [0, 1]]}),
+}
+
+
+@pytest.mark.parametrize("name", NON_FINITE)
+def test_non_finite_values_fail_both_commands_before_any_output(tmp_path, capsys, name):
+    field, cfg = NON_FINITE[name]
+    path = write_cfg(tmp_path, {**cfg, "out": str(tmp_path / "results")})
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    report = json.loads(capsys.readouterr().out)
+    assert field in [e["field"] for e in report["errors"]]
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert not (tmp_path / "results").exists()
+
+
+def numeric_leaves(node, keys=()):
+    """Key paths of every int or float below a parsed YAML node."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, value in children:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield keys + (key,)
+        else:
+            yield from numeric_leaves(value, keys + (key,))
+
+
+@pytest.mark.parametrize("scenario", SHIPPED)
+def test_every_non_finite_number_is_named_and_refused(tmp_path, scenario):
+    from tests.conftest import REPO_ROOT
+
+    base = yaml.safe_load((REPO_ROOT / "scenarios" / scenario).read_text())
+    if "path" in base["density"]:
+        base["density"]["path"] = str(REPO_ROOT / "scenarios" / base["density"]["path"])
+    base["out"] = str(tmp_path / "results")
+    leaves = [keys for part in ("density", "agents", "params")
+              for keys in numeric_leaves(base[part], (part,))]
+    assert leaves
+    for keys in leaves:
+        leaf = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:]
+        for bad in (INF, -INF, NAN):
+            cfg = copy.deepcopy(base)
+            node = cfg
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = bad
+            path = write_cfg(tmp_path, cfg)
+            fields = [e["field"] for e in validate(path).errors]
+            assert any(leaf == f or leaf.startswith((f + ".", f + "[")) for f in fields), \
+                (leaf, bad, fields)
+            assert run(path) == EXIT_CONFIG, (leaf, bad)
+            assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("cfg", [poi_cfg(samples=3), poi_cfg(samples=3, method="gmm"),
+                                 submodular_cfg(samples=3)],
+                         ids=["kmeans", "gmm", "submodular"])
+def test_more_sites_than_samples_fails_before_any_output(tmp_path, cfg):
+    path = write_cfg(tmp_path, {**cfg, "out": str(tmp_path / "results")})
+    assert [e["field"] for e in validate(path).errors] == ["params.k"]
+    assert run(path) == EXIT_CONFIG
+    assert not (tmp_path / "results").exists()
+    # SVGD draws no samples, so k may exceed them
+    assert validate(write_cfg(tmp_path, poi_cfg(samples=3, method="svgd"))).ok
+
+
+def test_quadrature_levels_are_bounded(tmp_path):
+    # validate only: 40 levels would ask for 12 * 4**40 nodes per fan triangle
+    assert validate(write_cfg(tmp_path, lloyd_cfg(levels=MAX_LEVELS))).ok
+    for levels in (MAX_LEVELS + 1, 40):
+        report = validate(write_cfg(tmp_path, lloyd_cfg(levels=levels)))
+        assert [e["field"] for e in report.errors] == ["params.levels"]
+
+
+@pytest.mark.parametrize("pipeline", ["lloyd", "power_lloyd"])
+def test_coincident_positions_fail_before_any_output(tmp_path, pipeline):
+    cfg = lloyd_cfg(n=3)
+    cfg["pipeline"] = pipeline
+    cfg["agents"]["positions"] = [[0.2, 0.2], [0.6, 0.6], [0.2, 0.2 + 1e-10]]
+    cfg["out"] = str(tmp_path / "results")
+    path = write_cfg(tmp_path, cfg)
+    report = validate(path)
+    assert [e["field"] for e in report.errors] == ["agents.positions"]
+    assert "rows 0 and 2 coincide" in report.errors[0]["message"]
+    assert run(path) == EXIT_CONFIG
+    assert not (tmp_path / "results").exists()
+
+
+def test_non_finite_cost_exits_3(tmp_path):
+    cfg = poi_cfg()
+    cfg["agents"]["services"][1] = {"kind": "gaussian",
+                                    "covariance": [[1e300, 0.0], [0.0, 1e300]]}
+    path = write_cfg(tmp_path, cfg)
+    assert validate(path).ok
+    out = tmp_path / "huge"
+    assert run(path, out=out) == EXIT_NUMERIC
+    assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["uniform", "gmm", "image", "grid"])
+def test_run_builds_the_density_once(tmp_path, monkeypatch, kind):
+    (tmp_path / "density.pgm").write_text("P2\n3 2\n255\n10 200 30\n40 50 60\n")
+    np.savetxt(tmp_path / "density.csv", [[1.0, 2.0], [3.0, 4.0]], delimiter=",")
+    specs = {"uniform": {"kind": "uniform"}, "gmm": gmm_density(),
+             "image": {"kind": "image", "path": "density.pgm"},
+             "grid": {"kind": "grid", "path": "density.csv"}}
+    calls = []
+    build = runner._build_density
+    monkeypatch.setattr(runner, "_build_density",
+                        lambda *args: calls.append(args) or build(*args))
+    cfg = {**lloyd_cfg(iters=2), "density": specs[kind]}
+    assert run(write_cfg(tmp_path, cfg), out=tmp_path / "out") == EXIT_OK
+    assert len(calls) == 1

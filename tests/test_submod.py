@@ -204,6 +204,15 @@ def test_exemplar_utility_empty_set_is_zero():
     assert exemplar_utility([], [0.0, 1.0], d_max=5.0) == 0.0
 
 
+@pytest.mark.parametrize("d_max", [math.inf, math.nan, 0.0])
+def test_exemplar_utility_rejects_unusable_phantom_distance(d_max):
+    # an infinite phantom made every gain nan, so greedy_uniform picked None
+    with pytest.raises(ValueError, match="d_max"):
+        exemplar_utility([1.0], [0.0, 1.0], d_max)
+    with pytest.raises(ValueError, match="d_max"):
+        exemplar_utility_fn([[0.2, 0.2]], [[0.0, 0.0]], d_max)
+
+
 def test_exemplar_utility_matches_loop_oracle():
     rng = np.random.default_rng(7)
     data = rng.uniform(-3.0, 3.0, size=12)
