@@ -15,9 +15,7 @@ from .assign import (
     build_cost_matrix,
     footprint_cost,
     gaussian_kl,
-    kl_divergence,
     kld_cost,
-    ot_registration_cost,
     solve_assignment,
 )
 from .coverage import (
@@ -39,11 +37,9 @@ from .density import (
     GmmDensity,
     GridDensity,
     UniformDensity,
-    cell_mass_centroid,
     discretize,
     from_pgm,
     load_grid_csv,
-    load_points_csv,
 )
 from .errors import (
     CoverkitError,
@@ -55,19 +51,14 @@ from .errors import (
     NoConvergence,
     NonFiniteCost,
     NonMonotoneDescent,
-    SearchSpaceTooLarge,
     SiteOutsideWorkspace,
     SizeLimit,
-    SupportViolation,
 )
 from .geometry import ConvexPolygon, HalfPlane, power_cells, voronoi_cells
 from .poi import GmmFit, KMeansResult, PoiSet, gmm_em, kmeans, svgd
 from .render import render_scene
 from .submod import (
     GreedyTrace,
-    PartitionMatroid,
-    UniformMatroid,
-    brute_force_opt,
     exemplar_utility,
     exemplar_utility_fn,
     greedy_partition,
@@ -79,7 +70,6 @@ from .swarm import (
     run_reconfiguration,
     systematic_resample,
     transport_step,
-    voronoi_graph,
 )
 from .transport import (
     TransportPlan,
@@ -120,21 +110,15 @@ __all__ = [
     "NonFiniteCost",
     "NonMonotoneDescent",
     "Partition",
-    "PartitionMatroid",
     "PoiSet",
-    "SearchSpaceTooLarge",
     "SiteOutsideWorkspace",
     "SizeLimit",
-    "SupportViolation",
     "SwarmRun",
     "SwarmState",
     "TransportPlan",
     "UniformDensity",
-    "UniformMatroid",
-    "brute_force_opt",
     "build_cost_matrix",
     "build_partition",
-    "cell_mass_centroid",
     "check_w2_identity",
     "coverage_cost",
     "discretize",
@@ -147,14 +131,11 @@ __all__ = [
     "gmm_em",
     "greedy_partition",
     "greedy_uniform",
-    "kl_divergence",
     "kld_cost",
     "kmeans",
     "lloyd_step",
     "load_grid_csv",
-    "load_points_csv",
     "make_agents",
-    "ot_registration_cost",
     "power_cells",
     "render_scene",
     "run_descent",
@@ -165,7 +146,6 @@ __all__ = [
     "systematic_resample",
     "transport_step",
     "voronoi_cells",
-    "voronoi_graph",
     "voronoi_measure",
     "wasserstein_exact",
     "wasserstein_sinkhorn",

@@ -1,10 +1,10 @@
 """Deployment cost models and the bipartite assignment solver.
 
-Three ways to price putting an agent on a point of interest: integrate a
-radial falloff over the agent's service footprint, compare service and
-target Gaussians in closed form, or register sampled service points onto
-the cluster by optimal transport. Whatever the pricing route, the final
-matching is an exact rectangular assignment.
+Two ways to price putting an agent on a point of interest: integrate a
+radial falloff over the agent's service footprint against the density, or
+compare the service and a target mixture component as Gaussians in closed
+form. Either way one routine tabulates the prices over agents and sites, and
+the final matching is an exact rectangular assignment.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .density import (DensityField, DiscreteMeasure, cell_moments, polygon_quadrature,
+# polygon_quadrature and clip are not called here, but coverbench/tracing.py
+# patches them in this module
+from .density import (DensityField, cell_moments, polygon_quadrature,  # noqa: F401
                       spd_cholesky, write_csv)
-from .errors import InfeasibleShape, NonFiniteCost, SiteOutsideWorkspace, SupportViolation
-# clip is not called here, but coverbench/tracing.py patches it in this module
+from .errors import InfeasibleShape, NonFiniteCost, SiteOutsideWorkspace
 from .geometry import ConvexPolygon, clip, intersect  # noqa: F401
-from .transport import wasserstein_exact
 
 FOOTPRINT_SIDES = 32
 DEFAULT_ORIENTATIONS = tuple(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False))
@@ -66,13 +66,6 @@ class IsotropicService:
         del theta
         return (self.radius / 3.0) ** 2 * np.eye(2)
 
-    def samples(self, n: int, seed: int) -> np.ndarray:
-        """Points drawn uniformly from the canonical (origin-centred) disk."""
-        rng = np.random.default_rng(seed)
-        rad = self.radius * np.sqrt(rng.uniform(size=n))
-        ang = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        return np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-
 
 class GaussianService:
     """Anisotropic Gaussian service; the footprint is its 3-sigma ellipse."""
@@ -93,11 +86,6 @@ class GaussianService:
         ring = 3.0 * _unit_ngon() @ (rotation(theta) @ self._chol).T
         return ConvexPolygon(np.asarray(center, float) + ring)
 
-    def samples(self, n: int, seed: int) -> np.ndarray:
-        """Points drawn from the canonical (origin-centred, unrotated) Gaussian."""
-        rng = np.random.default_rng(seed)
-        return rng.standard_normal((n, 2)) @ self._chol.T
-
 
 def footprint_cost(phi: DensityField, model, poi, levels: int = 2):
     """Cheapest orientation of the model's footprint over a point of interest.
@@ -116,31 +104,6 @@ def footprint_cost(phi: DensityField, model, poi, levels: int = 2):
                          getattr(model, "falloff", None))[2]
     best = int(np.argmin(costs))
     return float(costs[best]), thetas[best]
-
-
-def kl_divergence(psi: DensityField, phi: DensityField, region: ConvexPolygon,
-                  levels: int = 3) -> float:
-    """Quadrature divergence of psi from phi over a region.
-
-    ``psi`` is renormalized to unit mass on the region; ``phi`` enters
-    as-is, so the result stays nonnegative whenever ``phi`` is a proper
-    density. Raises when ``phi`` vanishes under significant psi mass.
-    """
-    nodes, w = polygon_quadrature(region, levels)
-    pv = np.asarray(psi.eval(nodes))
-    fv = np.asarray(phi.eval(nodes))
-    mass = float(w @ pv)
-    if mass <= 0.0:
-        raise ValueError("psi carries no mass on the region")
-    pv = pv / mass
-    floor = phi.floor_value()
-    starved = fv < floor
-    if float(np.sum(w[starved] * pv[starved])) > 1e-6:
-        raise SupportViolation(
-            "phi vanishes on a region holding significant psi mass")
-    live = pv > 0.0
-    ratio = pv[live] / np.maximum(fv[live], floor)
-    return float(np.sum(w[live] * pv[live] * np.log(ratio)))
 
 
 def gaussian_kl(mean0, cov0, mean1, cov1) -> float:
@@ -177,33 +140,6 @@ def kld_cost(model, component_mean, component_cov,
     return scale * best_cost, best_theta
 
 
-def ot_registration_cost(model, cluster, n_samples: int = 64, seed: int = 0):
-    """Cheapest orientation by transporting service samples onto a cluster.
-
-    Canonical service samples are centred, rotated per orientation,
-    shifted to the cluster mean, and priced by exact uniform-weight
-    transport against the cluster points.
-    """
-    points = np.atleast_2d(np.asarray(cluster, dtype=float))
-    if points.ndim != 2 or points.shape[1] != 2 or len(points) < 1:
-        raise ValueError("cluster must be a nonempty (n, 2) array")
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    drawn = model.samples(n_samples, seed)
-    centred = drawn - drawn.mean(axis=0)
-    shift = points.mean(axis=0)
-    target = DiscreteMeasure(points, np.full(len(points), 1.0 / len(points)))
-
-    best_cost, best_theta = np.inf, model.orientations[0]
-    for theta in model.orientations:
-        placed = centred @ rotation(theta).T + shift
-        source = DiscreteMeasure(placed, np.full(n_samples, 1.0 / n_samples))
-        cost, _ = wasserstein_exact(source, target, p=2)
-        if cost < best_cost:
-            best_cost, best_theta = cost, theta
-    return best_cost, best_theta
-
-
 @dataclass
 class CostMatrix:
     """Agent-by-poi deployment prices plus the best orientation per entry."""
@@ -232,14 +168,17 @@ class CostMatrix:
                    for i in range(rows) for j in range(cols)))
 
 
-def build_cost_matrix(models, pois, entry) -> CostMatrix:
-    """Tabulate ``entry(model, poi) -> (cost, theta)`` over all pairs."""
-    pois = np.atleast_2d(np.asarray(pois, dtype=float))
-    values = np.empty((len(models), len(pois)))
+def build_cost_matrix(models, sites, entry) -> CostMatrix:
+    """Tabulate ``entry(model, site) -> (cost, theta)`` over all pairs.
+
+    ``sites`` is any sequence: points of interest for footprint prices,
+    mixture components for divergence prices.
+    """
+    values = np.empty((len(models), len(sites)))
     thetas = np.empty_like(values)
     for i, model in enumerate(models):
-        for j, poi in enumerate(pois):
-            values[i, j], thetas[i, j] = entry(model, poi)
+        for j, site in enumerate(sites):
+            values[i, j], thetas[i, j] = entry(model, site)
     return CostMatrix(values, thetas)
 
 

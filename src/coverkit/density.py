@@ -11,7 +11,7 @@ the cell sizes produced by the descent loops (tests carry dense-grid oracles).
 ``DensityField.eval``: every per-cell mass, centroid and locational cost in
 the toolkit (Lloyd cells, equitable weights, footprint prices) comes from it.
 ``spd_cholesky`` is the one covariance check, and ``write_csv`` the one
-artifact CSV writer, next to the CSV loaders.
+artifact CSV writer, next to the grid CSV loader.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .errors import EvalOutsideSupport, InvalidDensity, NoConvergence
 from .geometry import EPS_GEO, ConvexPolygon, clip, intersect  # noqa: F401
 
 MASS_EPS = 1e-12
-_FLOOR_REL = 1e-12
 _ACCEPT_FLOOR = 1e-3  # see DensityField._sample_rejection
 _PROBE_PROPOSALS = 10_000
 _SYMMETRY_REL = 1e-12  # see spd_cholesky
@@ -90,12 +89,6 @@ def polygon_quadrature(poly: ConvexPolygon, levels: int = 2) -> tuple[np.ndarray
     return pts, w
 
 
-def integrate(fn, poly: ConvexPolygon, levels: int = 2) -> float:
-    """Integral of a vectorized scalar function over a polygon."""
-    pts, w = polygon_quadrature(poly, levels)
-    return float(w @ np.asarray(fn(pts), dtype=float))
-
-
 @dataclass
 class DiscreteMeasure:
     """Weighted point set with weights normalized to sum to 1."""
@@ -107,12 +100,12 @@ class DiscreteMeasure:
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         w = np.asarray(self.weights, dtype=float)
         if len(w) != len(self.points):
-            raise ValueError("one weight per point required")
+            raise InvalidDensity("one weight per point required")
         if (w < 0).any():
-            raise ValueError("weights must be nonnegative")
+            raise InvalidDensity("weights must be nonnegative")
         total = w.sum()
         if total <= 0:
-            raise ValueError("total weight must be positive")
+            raise InvalidDensity("total weight must be positive")
         self.weights = w / total
 
     def __len__(self):
@@ -128,7 +121,6 @@ class DensityField:
     def __init__(self, workspace: ConvexPolygon):
         self.workspace = workspace
         self._norm = 1.0
-        self._floor = None
 
     def _raw(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -153,13 +145,6 @@ class DensityField:
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         raise NotImplementedError
-
-    def floor_value(self) -> float:
-        """Density floor used when this field sits in a KL denominator."""
-        if self._floor is None:
-            pts, _ = polygon_quadrature(self.workspace, 3)
-            self._floor = _FLOOR_REL * float(np.max(self._norm * self._raw(pts)))
-        return self._floor
 
     def _sample_rejection(self, n, rng, propose):
         """Draw n workspace points given a batch proposal function.
@@ -326,11 +311,6 @@ class GridDensity(DensityField):
         ix, iy = self._indices(pts)
         return self.values[iy, ix]
 
-    def pixel_center(self, ix, iy):
-        xmin, _, _, ymax = self.bbox
-        return np.stack([xmin + (np.asarray(ix) + 0.5) * self.dx,
-                         ymax - (np.asarray(iy) + 0.5) * self.dy], axis=-1)
-
     def grad_log(self, q):
         """Central difference with step = one grid cell, at the nearest cell center."""
         q = np.asarray(q, dtype=float)
@@ -406,14 +386,6 @@ def load_grid_csv(path, workspace: ConvexPolygon) -> GridDensity:
     return GridDensity(workspace, np.loadtxt(path, delimiter=",", ndmin=2))
 
 
-def load_points_csv(path) -> np.ndarray:
-    """Point cloud from a CSV with one x,y pair per line."""
-    pts = np.loadtxt(path, delimiter=",", ndmin=2)
-    if pts.shape[1] != 2:
-        raise InvalidDensity("point cloud CSV must have two columns")
-    return pts
-
-
 def write_csv(path, header: str, rows) -> None:
     """Write an artifact CSV: floats as their shortest round-trip repr, the rest by str."""
     with open(path, "w") as fh:
@@ -469,22 +441,19 @@ def cell_moments(phi: DensityField, polys, centers, levels: int = 2, falloff=Non
     return masses, centroids, costs
 
 
-def cell_mass_centroid(phi: DensityField, cell: ConvexPolygon,
-                       levels: int = 2) -> tuple[float, np.ndarray | None]:
-    """Mass and centroid of a cell under phi; centroid is None below the mass floor."""
-    masses, centroids, _ = cell_moments(phi, [cell], np.zeros((1, 2)), levels)
-    return float(masses[0]), centroids[0] if masses[0] >= MASS_EPS else None
-
-
 # 3-point Gauss-Legendre on [-1/2, 1/2], tensorized per raster cell
 _GL_X = np.array([-np.sqrt(3.0 / 5.0) / 2.0, 0.0, np.sqrt(3.0 / 5.0) / 2.0])
 _GL_W = np.array([5.0, 8.0, 5.0]) / 18.0
 
 
 def discretize(phi: DensityField, nx: int, ny: int) -> DiscreteMeasure:
-    """Weighted point cloud on an nx-by-ny grid of cell centers over bbox(W)."""
+    """Weighted point cloud on an nx-by-ny grid of cell centers over bbox(W).
+
+    Each cell's mass comes from a 3x3 Gauss-Legendre rule, so a density whose
+    mass all lies between the nodes gives no mass at all: InvalidDensity.
+    """
     if nx < 2 or ny < 2:
-        raise ValueError("resolution must be at least 2x2")
+        raise InvalidDensity("resolution must be at least 2x2")
     xmin, xmax, ymin, ymax = phi.workspace.bbox
     dx, dy = (xmax - xmin) / nx, (ymax - ymin) / ny
     cx = xmin + (np.arange(nx) + 0.5) * dx

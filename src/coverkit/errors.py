@@ -33,20 +33,12 @@ class NoConvergence(CoverkitError):
     """An iterative solver hit its iteration cap before reaching tolerance."""
 
 
-class SupportViolation(CoverkitError):
-    """KL divergence requested against a density that vanishes on significant mass."""
-
-
 class NonFiniteCost(CoverkitError, ValueError):
     """A cost matrix entry is NaN or infinite, so no assignment is defined."""
 
 
 class InfeasibleShape(CoverkitError):
     """Assignment needs at least as many candidate sites as agents."""
-
-
-class SearchSpaceTooLarge(CoverkitError):
-    """Brute-force enumeration would exceed the configured subset budget."""
 
 
 class SizeLimit(CoverkitError):

@@ -13,8 +13,8 @@ sites, a weight that is not finite, or when qhull cannot build the hull
 (collinear sites, or cocircular sites with equal weights), every site takes
 that all-sites path, which is the plain O(N^2) construction. Either way a
 site is clipped in increasing index order of its competitors, so both paths
-share one loop. ``power_diagram`` also returns the neighbour lists, which
-``swarm.voronoi_graph`` uses to test only adjacent pairs.
+share one loop. ``power_cells_from_weights`` is the one entry point; the
+Voronoi and nonnegative-radius forms call it.
 
 This module is the one home of the polygon helpers the other layers share:
 ``ConvexPolygon.contains`` for point-in-polygon tests, ``intersect`` for
@@ -266,13 +266,11 @@ def _clip_cell(workspace: ConvexPolygon, P: np.ndarray, sq: np.ndarray, w: np.nd
     return cell
 
 
-def power_diagram(workspace: ConvexPolygon, points, weights
-                  ) -> tuple[list[ConvexPolygon | None], list[np.ndarray | None]]:
-    """Power cells plus each site's power neighbours, from one lifted hull.
+def power_cells_from_weights(workspace: ConvexPolygon, points, weights) -> list[ConvexPolygon | None]:
+    """Power cells for signed squared-radius weights w_i (radical-axis clipping).
 
-    neighbours[i] holds the sorted indices of the sites whose radical axis
-    may bound cell i (a superset of the sites whose cells touch it), or None
-    when cell i is empty.
+    The diagram only depends on weight differences, so negative weights are fine;
+    this is the primitive behind both power_cells and the equitable-weight solver.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     w = np.asarray(weights, dtype=float)
@@ -280,19 +278,8 @@ def power_diagram(workspace: ConvexPolygon, points, weights
         raise ValueError("one weight per site required")
     _check_sites(workspace, P)
     sq = (P * P).sum(axis=1)
-    neighbours = _power_neighbours(P, w)
-    cells = [None if rivals is None else _clip_cell(workspace, P, sq, w, i, rivals)
-             for i, rivals in enumerate(neighbours)]
-    return cells, neighbours
-
-
-def power_cells_from_weights(workspace: ConvexPolygon, points, weights) -> list[ConvexPolygon | None]:
-    """Power cells for signed squared-radius weights w_i (radical-axis clipping).
-
-    The diagram only depends on weight differences, so negative weights are fine;
-    this is the primitive behind both power_cells and the equitable-weight solver.
-    """
-    return power_diagram(workspace, points, weights)[0]
+    return [None if rivals is None else _clip_cell(workspace, P, sq, w, i, rivals)
+            for i, rivals in enumerate(_power_neighbours(P, w))]
 
 
 def power_cells(workspace: ConvexPolygon, points, radii) -> list[ConvexPolygon | None]:
@@ -311,31 +298,3 @@ def voronoi_cells(workspace: ConvexPolygon, points) -> list[ConvexPolygon]:
         if cell is None:  # cannot happen for distinct in-workspace sites
             raise RuntimeError(f"degenerate Voronoi cell for site {i}")
     return cells  # type: ignore[return-value]
-
-
-def chord_interval(poly: ConvexPolygon, origin, direction) -> tuple[float, float] | None:
-    """Parameter interval [t0, t1] of {origin + t*direction} inside the polygon.
-
-    Returns None when the line misses the polygon. Used for shared-edge tests.
-    """
-    o = np.asarray(origin, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    v = poly.vertices
-    e = np.roll(v, -1, axis=0) - v
-    # inside means cross(e, q - v) >= 0 for every edge
-    num = e[:, 0] * (o[1] - v[:, 1]) - e[:, 1] * (o[0] - v[:, 0])
-    den = e[:, 0] * d[1] - e[:, 1] * d[0]
-    t0, t1 = -np.inf, np.inf
-    for ni, di in zip(num, den):
-        if abs(di) < 1e-15:
-            if ni < -EPS_GEO:
-                return None
-            continue
-        t = -ni / di
-        if di > 0:
-            t0 = max(t0, t)
-        else:
-            t1 = min(t1, t)
-    if t0 > t1:
-        return None
-    return float(t0), float(t1)

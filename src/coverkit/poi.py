@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 from scipy.special import logsumexp
 
-from .density import DensityField, write_csv
+from .density import DensityField
 from .errors import DuplicateSites, SiteOutsideWorkspace
 from .geometry import ConvexPolygon, project_into
 
@@ -65,22 +65,6 @@ class PoiSet:
 
     def __len__(self):
         return len(self.points)
-
-    @property
-    def label(self) -> str:
-        info = self.provenance
-        kind = info.get("method", "unknown")
-        if kind == "kmeans":
-            return f"kmeans(k={info['k']})"
-        if kind == "gmm":
-            return f"gmm(n={info['n_components']})"
-        if kind == "svgd":
-            return f"svgd(n={info['n_particles']})"
-        return kind
-
-    def to_csv(self, path) -> None:
-        tag = self.label
-        write_csv(path, "x,y,provenance", ((x, y, tag) for x, y in self.points))
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -438,14 +438,11 @@ def _run_poi_assign(resolved, phi, workspace, out: Path) -> None:
             lambda model, pt: assign_mod.footprint_cost(phi, model, pt,
                                                         levels=params["levels"]))
     else:
-        values = np.empty((len(models), len(points)))
-        stars = np.empty_like(values)
-        for i, model in enumerate(models):
-            for j in range(len(points)):
-                values[i, j], stars[i, j] = assign_mod.kld_cost(
-                    model, gmm_fit.means[j], gmm_fit.covariances[j],
-                    component_weight=float(gmm_fit.weights[j]))
-        matrix = assign_mod.CostMatrix(values, stars)
+        components = list(zip(gmm_fit.means, gmm_fit.covariances, gmm_fit.weights))
+        matrix = assign_mod.build_cost_matrix(
+            models, components,
+            lambda model, c: assign_mod.kld_cost(model, c[0], c[1],
+                                                 component_weight=float(c[2])))
 
     solution = assign_mod.solve_assignment(matrix)
     records.append({"iteration": len(trace), "objective": float(solution.total_cost),

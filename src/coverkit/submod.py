@@ -1,4 +1,4 @@
-"""Greedy set-function maximization plus exact small-instance search.
+"""Greedy set-function maximization under matroid constraints.
 
 The greedy drivers only ever call the utility through its subset
 evaluator, so any deterministic nonnegative set function works. Matroid
@@ -8,42 +8,11 @@ at most one element from each agent's block.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
-
-from .errors import SearchSpaceTooLarge
-
-SEARCH_CAP = 1_000_000
-
-
-@dataclass(frozen=True)
-class UniformMatroid:
-    """Any subset of the ground set with at most ``limit`` elements."""
-
-    ground: tuple
-    limit: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "ground", tuple(self.ground))
-        if not 0 <= self.limit <= len(self.ground):
-            raise ValueError("limit must lie between 0 and the ground set size")
-
-
-@dataclass(frozen=True)
-class PartitionMatroid:
-    """At most one element from each block."""
-
-    blocks: tuple
-
-    def __post_init__(self):
-        blocks = tuple(tuple(b) for b in self.blocks)
-        if any(len(b) == 0 for b in blocks):
-            raise ValueError("every block needs at least one element")
-        object.__setattr__(self, "blocks", blocks)
 
 
 @dataclass
@@ -162,28 +131,3 @@ def exemplar_utility_fn(candidates, data, d_max: float, dist=None):
         return exemplar_utility(candidates[idx], data, d_max, dist)
 
     return f
-
-
-def brute_force_opt(f, constraint):
-    """Exhaustive maximizer under a matroid constraint; the greedy oracle."""
-    if isinstance(constraint, UniformMatroid):
-        count = math.comb(len(constraint.ground), constraint.limit)
-        if count > SEARCH_CAP:
-            raise SearchSpaceTooLarge(
-                f"{count} subsets exceed the {SEARCH_CAP} enumeration cap")
-        subsets = itertools.combinations(constraint.ground, constraint.limit)
-    elif isinstance(constraint, PartitionMatroid):
-        count = math.prod(len(b) for b in constraint.blocks)
-        if count > SEARCH_CAP:
-            raise SearchSpaceTooLarge(
-                f"{count} combinations exceed the {SEARCH_CAP} enumeration cap")
-        subsets = itertools.product(*constraint.blocks)
-    else:
-        raise TypeError("constraint must be a UniformMatroid or PartitionMatroid")
-
-    best_set, best_value = None, -np.inf
-    for subset in subsets:
-        value = float(f(tuple(subset)))
-        if value > best_value:
-            best_set, best_value = tuple(subset), value
-    return best_set, best_value

@@ -19,12 +19,11 @@ from scipy.spatial.distance import cdist
 
 from .density import DensityField, DiscreteMeasure, UniformDensity, discretize
 from .errors import SiteOutsideWorkspace
-from .geometry import ConvexPolygon, chord_interval, power_diagram, project_into
+from .geometry import ConvexPolygon, project_into
 from .transport import wasserstein_sinkhorn
 
 log = logging.getLogger(__name__)
 
-SHARED_EDGE_MIN = 1e-9
 STOP_FRACTION = 1e-4
 
 
@@ -180,32 +179,3 @@ def run_reconfiguration(phi_target: DensityField, n_agents: int, iters: int,
         snapshots.append((state.iteration, state.positions.copy()))
     return SwarmRun(initial=x0, final=state, target=target,
                     metrics=metrics, snapshots=snapshots)
-
-
-def voronoi_graph(workspace: ConvexPolygon, positions) -> list[tuple[int, int]]:
-    """Pairs of sites whose Voronoi cells share a boundary segment.
-
-    Point contacts do not count: the shared piece of the bisector must be
-    longer than SHARED_EDGE_MIN. Cells that share a segment inside the
-    workspace are neighbours in the unrestricted diagram, so only those
-    pairs are tested (every pair when the lifted hull is degenerate).
-    """
-    P = np.atleast_2d(np.asarray(positions, dtype=float))
-    cells, neighbours = power_diagram(workspace, P, np.zeros(len(P)))
-    pairs = []
-    for i, rivals in enumerate(neighbours):
-        if rivals is None:  # cannot happen for distinct in-workspace sites
-            raise RuntimeError(f"degenerate Voronoi cell for site {i}")
-        for j in rivals[rivals > i]:
-            gap = P[j] - P[i]
-            mid = 0.5 * (P[i] + P[j])
-            direction = np.array([-gap[1], gap[0]])
-            direction = direction / np.linalg.norm(direction)
-            span_i = chord_interval(cells[i], mid, direction)
-            span_j = chord_interval(cells[j], mid, direction)
-            if span_i is None or span_j is None:
-                continue
-            shared = min(span_i[1], span_j[1]) - max(span_i[0], span_j[0])
-            if shared > SHARED_EDGE_MIN:
-                pairs.append((i, int(j)))
-    return pairs

@@ -25,8 +25,8 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import csr_matrix
 from scipy.spatial.distance import cdist
 
-from .coverage import KERNEL_SQUARED, KIND_VORONOI, build_partition, coverage_cost, make_agents
-from .density import DensityField, DiscreteMeasure, discretize, write_csv
+from .coverage import KIND_VORONOI, _survey, build_partition, make_agents
+from .density import DensityField, DiscreteMeasure, discretize
 from .errors import NoConvergence, SizeLimit
 
 SIZE_LIMIT = 4_000_000
@@ -49,12 +49,6 @@ class TransportPlan:
     epsilon: float | None = None
     iterations: int | None = None
     residual: float | None = None
-
-    def to_csv(self, path, threshold: float = 0.0) -> None:
-        """Write the plan's support as sparse rows `i,j,mass`."""
-        rows, cols = np.nonzero(self.coupling > threshold)
-        write_csv(path, "i,j,mass",
-                  ((i, j, self.coupling[i, j]) for i, j in zip(rows, cols)))
 
 
 def _check_order(p) -> float:
@@ -320,12 +314,10 @@ def check_w2_identity(phi: DensityField, positions, grid_resolution: int = 64):
     """
     if grid_resolution < 32:
         raise ValueError("grid resolution below 32 is too coarse for the identity")
-    mu = voronoi_measure(phi, positions)
+    part, rhs = _survey(phi, make_agents(positions), KIND_VORONOI, levels=2)
+    mu = DiscreteMeasure(np.atleast_2d(np.asarray(positions, dtype=float)), part.masses)
     nu = discretize(phi, grid_resolution, grid_resolution)
     value, _ = wasserstein_exact(mu, nu, p=2)
     lhs = value**2
-    agents = make_agents(positions)
-    part = build_partition(phi, agents, KIND_VORONOI)
-    rhs = coverage_cost(phi, agents, part, kernel=KERNEL_SQUARED)
     gap = abs(lhs - rhs) / abs(rhs)
     return lhs, rhs, gap

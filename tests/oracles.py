@@ -1,0 +1,122 @@
+"""Reference routines that only the tests call.
+
+Exhaustive matroid search is the oracle for the greedy approximation floors,
+and the quadrature divergence is the oracle for the closed-form Gaussian
+divergence. Neither runs in a pipeline, so they live here and not in the
+package.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from coverkit.density import DensityField, polygon_quadrature
+from coverkit.errors import CoverkitError
+from coverkit.geometry import ConvexPolygon
+
+_FLOOR_REL = 1e-12
+SEARCH_CAP = 1_000_000
+
+
+class SupportViolation(CoverkitError):
+    """KL divergence requested against a density that vanishes on significant mass."""
+
+
+class SearchSpaceTooLarge(CoverkitError):
+    """Brute-force enumeration would exceed the configured subset budget."""
+
+
+# ------------------------------------------------------------- quadrature
+
+def integrate(fn, poly: ConvexPolygon, levels: int = 2) -> float:
+    """Integral of a vectorized scalar function over a polygon."""
+    pts, w = polygon_quadrature(poly, levels)
+    return float(w @ np.asarray(fn(pts), dtype=float))
+
+
+def floor_value(phi: DensityField) -> float:
+    """Density floor used when phi sits in a KL denominator."""
+    pts, _ = polygon_quadrature(phi.workspace, 3)
+    return _FLOOR_REL * float(np.max(phi.eval(pts)))
+
+
+def kl_divergence(psi: DensityField, phi: DensityField, region: ConvexPolygon,
+                  levels: int = 3) -> float:
+    """Quadrature divergence of psi from phi over a region.
+
+    ``psi`` is renormalized to unit mass on the region; ``phi`` enters
+    as-is, so the result stays nonnegative whenever ``phi`` is a proper
+    density. Raises when ``phi`` vanishes under significant psi mass.
+    """
+    nodes, w = polygon_quadrature(region, levels)
+    pv = np.asarray(psi.eval(nodes))
+    fv = np.asarray(phi.eval(nodes))
+    mass = float(w @ pv)
+    if mass <= 0.0:
+        raise ValueError("psi carries no mass on the region")
+    pv = pv / mass
+    floor = floor_value(phi)
+    starved = fv < floor
+    if float(np.sum(w[starved] * pv[starved])) > 1e-6:
+        raise SupportViolation(
+            "phi vanishes on a region holding significant psi mass")
+    live = pv > 0.0
+    ratio = pv[live] / np.maximum(fv[live], floor)
+    return float(np.sum(w[live] * pv[live] * np.log(ratio)))
+
+
+# -------------------------------------------------------------- enumeration
+
+@dataclass(frozen=True)
+class UniformMatroid:
+    """Any subset of the ground set with at most ``limit`` elements."""
+
+    ground: tuple
+    limit: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "ground", tuple(self.ground))
+        if not 0 <= self.limit <= len(self.ground):
+            raise ValueError("limit must lie between 0 and the ground set size")
+
+
+@dataclass(frozen=True)
+class PartitionMatroid:
+    """At most one element from each block."""
+
+    blocks: tuple
+
+    def __post_init__(self):
+        blocks = tuple(tuple(b) for b in self.blocks)
+        if any(len(b) == 0 for b in blocks):
+            raise ValueError("every block needs at least one element")
+        object.__setattr__(self, "blocks", blocks)
+
+
+def brute_force_opt(f, constraint):
+    """Exhaustive maximizer under a matroid constraint; the greedy oracle."""
+    if isinstance(constraint, UniformMatroid):
+        count = math.comb(len(constraint.ground), constraint.limit)
+        if count > SEARCH_CAP:
+            raise SearchSpaceTooLarge(
+                f"{count} subsets exceed the {SEARCH_CAP} enumeration cap")
+        subsets = itertools.combinations(constraint.ground, constraint.limit)
+    elif isinstance(constraint, PartitionMatroid):
+        count = math.prod(len(b) for b in constraint.blocks)
+        if count > SEARCH_CAP:
+            raise SearchSpaceTooLarge(
+                f"{count} combinations exceed the {SEARCH_CAP} enumeration cap")
+        subsets = itertools.product(*constraint.blocks)
+    else:
+        raise TypeError("constraint must be a UniformMatroid or PartitionMatroid")
+
+    best_set, best_value = None, -np.inf
+    for subset in subsets:
+        value = float(f(tuple(subset)))
+        if value > best_value:
+            best_set, best_value = tuple(subset), value
+    return best_set, best_value

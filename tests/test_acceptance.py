@@ -20,7 +20,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 from scipy.stats import chi2
 
-from coverkit.assign import gaussian_kl, kl_divergence, rotation, solve_assignment
+from coverkit.assign import gaussian_kl, rotation, solve_assignment
 from coverkit.coverage import (
     KIND_POWER,
     KIND_VORONOI,
@@ -40,9 +40,6 @@ from coverkit.density import (
 from coverkit.geometry import ConvexPolygon
 from coverkit.poi import svgd
 from coverkit.submod import (
-    PartitionMatroid,
-    UniformMatroid,
-    brute_force_opt,
     exemplar_utility_fn,
     greedy_partition,
     greedy_uniform,
@@ -55,6 +52,7 @@ from coverkit.transport import (
 )
 
 from tests.conftest import REPO_ROOT
+from tests.oracles import PartitionMatroid, UniformMatroid, brute_force_opt, kl_divergence
 
 WORKSPACE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 

@@ -7,12 +7,13 @@ import pytest
 
 from coverkit.assign import (AssignmentResult, CostMatrix, GaussianService,
                              IsotropicService, build_cost_matrix, footprint_cost,
-                             gaussian_kl, kl_divergence, kld_cost,
-                             ot_registration_cost, rotation, solve_assignment)
+                             gaussian_kl, kld_cost, rotation, solve_assignment)
 from coverkit.density import GmmDensity, GridDensity, UniformDensity
 from coverkit.errors import (CoverkitError, InfeasibleShape, NonFiniteCost,
-                             SiteOutsideWorkspace, SupportViolation)
+                             SiteOutsideWorkspace)
 from coverkit.geometry import ConvexPolygon
+
+from tests.oracles import SupportViolation, kl_divergence
 
 UNIT = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -273,42 +274,6 @@ def test_kld_cost_accepts_disk_services():
     assert worse > 0.1
 
 
-# ------------------------------------------------------------ registration
-
-def test_ot_registration_self_cluster_is_free():
-    model = GaussianService(np.diag([0.04, 0.01]))
-    cluster = model.samples(40, seed=7)
-    cost, star = ot_registration_cost(model, cluster, n_samples=40, seed=7)
-    assert cost < 1e-9
-    assert star == model.orientations[0]
-
-
-def test_ot_registration_isotropic_spread_is_noise():
-    rng = np.random.default_rng(3)
-    cluster = rng.normal([0.5, 0.5], 0.1, size=(240, 2))
-    costs = []
-    for theta in np.linspace(0, 2 * np.pi, 8, endpoint=False):
-        single = IsotropicService(radius=0.2, orientations=(theta,))
-        per_seed = [ot_registration_cost(single, cluster, n_samples=240, seed=s)[0]
-                    for s in (5, 6, 7)]
-        costs.append(np.mean(per_seed))
-    costs = np.array(costs)
-    assert np.ptp(costs) / costs.mean() < 0.05
-
-
-def test_ot_registration_aligns_with_elongation():
-    eigs = np.diag([0.09, 0.0025])
-    model = GaussianService(eigs, orientations=(0.0, np.pi / 2))
-    rng = np.random.default_rng(13)
-    upright = rot(np.pi / 2) @ eigs @ rot(np.pi / 2).T
-    cluster = rng.multivariate_normal([0.5, 0.5], upright, size=80)
-    cost, star = ot_registration_cost(model, cluster, n_samples=80, seed=2)
-    assert star == pytest.approx(np.pi / 2)
-    # agrees with the closed-form route on the generating covariances
-    _, kld_star = kld_cost(model, [0.5, 0.5], upright)
-    assert kld_star == pytest.approx(star)
-
-
 @pytest.mark.parametrize("cov", [[[0.01, 0.009], [0.0, 0.01]], [[np.nan, 0.0], [0.0, 0.01]]],
                          ids=["asymmetric", "nan"])
 def test_covariance_cholesky_cannot_vet_is_rejected(cov):
@@ -319,14 +284,6 @@ def test_covariance_cholesky_cannot_vet_is_rejected(cov):
         GmmDensity(UNIT, [1.0], [[0.5, 0.5]], [cov])
     with pytest.raises(ValueError, match="symmetric"):
         gaussian_kl([0.5, 0.5], np.eye(2) * 0.01, [0.5, 0.5], cov)
-
-
-def test_ot_registration_validation():
-    model = IsotropicService(radius=0.1)
-    with pytest.raises(ValueError):
-        ot_registration_cost(model, np.zeros((0, 2)))
-    with pytest.raises(ValueError):
-        ot_registration_cost(model, [[0.5, 0.5]], n_samples=0)
 
 
 # ------------------------------------------------------------- assignment

@@ -16,18 +16,17 @@ from coverkit.density import (
     GmmDensity,
     GridDensity,
     UniformDensity,
-    cell_mass_centroid,
     cell_moments,
     discretize,
     from_pgm,
-    integrate,
     load_grid_csv,
-    load_points_csv,
     polygon_quadrature,
     read_pgm,
 )
 from coverkit.errors import CoverkitError, EvalOutsideSupport, InvalidDensity, NoConvergence
 from coverkit.geometry import ConvexPolygon, power_cells
+
+from tests.oracles import floor_value, integrate
 
 
 def unit_square():
@@ -44,6 +43,13 @@ def hexagon(cx=0.5, cy=0.5, r=0.45):
 def tri_monomial_exact(a, b):
     """Integral of x^a y^b over the triangle {x >= 0, y >= 0, x + y <= 1}."""
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
+
+
+def pixel_centers(phi, ix, iy):
+    """Centers of raster cells (ix, iy) of a GridDensity; row 0 is the top."""
+    xmin, _, _, ymax = phi.bbox
+    return np.stack([xmin + (np.asarray(ix) + 0.5) * phi.dx,
+                     ymax - (np.asarray(iy) + 0.5) * phi.dy], axis=-1)
 
 
 def riemann(fn, poly, n=400):
@@ -255,7 +261,7 @@ def test_grid_mass_exact_on_rectangle():
     rng = np.random.default_rng(2)
     vals = rng.uniform(0.1, 5.0, size=(5, 8))
     phi = GridDensity(unit_square(), vals)
-    centers = phi.pixel_center(*np.meshgrid(np.arange(8), np.arange(5)))
+    centers = pixel_centers(phi, *np.meshgrid(np.arange(8), np.arange(5)))
     total = float(np.sum(phi.eval(centers.reshape(-1, 2))) * (1 / 8) * (1 / 5))
     assert abs(total - 1.0) < 1e-12
 
@@ -271,11 +277,11 @@ def test_grid_grad_log_on_exponential_raster():
     n = 64
     sq = unit_square()
     iy, ix = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    centers = GridDensity(sq, np.ones((n, n))).pixel_center(ix, iy)
+    centers = pixel_centers(GridDensity(sq, np.ones((n, n))), ix, iy)
     vals = np.exp(3.0 * centers[..., 0] + 2.0 * centers[..., 1])
     phi = GridDensity(sq, vals)
     h = 1.0 / n
-    q = phi.pixel_center(20, 40) + np.array([0.3 * h, -0.2 * h])  # off-center snap
+    q = pixel_centers(phi, 20, 40) + np.array([0.3 * h, -0.2 * h])  # off-center snap
     g = phi.grad_log(q)
     # central difference of an exact exponential: sinh(k h) / h per axis
     assert abs(g[0] - math.sinh(3.0 * h) / h) < 1e-9
@@ -371,17 +377,6 @@ def test_grid_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(phi.values, vals)
 
 
-def test_points_csv_round_trip(tmp_path):
-    path = tmp_path / "p.csv"
-    pts = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
-    np.savetxt(path, pts, delimiter=",")
-    np.testing.assert_allclose(load_points_csv(path), pts)
-    bad = tmp_path / "bad.csv"
-    np.savetxt(bad, np.ones((3, 3)), delimiter=",")
-    with pytest.raises(ValueError):
-        load_points_csv(bad)
-
-
 # --------------------------------------------------- measures, discretize
 
 def test_discrete_measure_normalizes():
@@ -441,7 +436,7 @@ def test_discretize_matches_riemann_masses():
 def test_cell_mass_centroid_uniform_half():
     phi = UniformDensity(unit_square())
     left = ConvexPolygon([[0.0, 0.0], [0.5, 0.0], [0.5, 1.0], [0.0, 1.0]])
-    mass, c = cell_mass_centroid(phi, left)
+    (mass,), (c,), _ = cell_moments(phi, [left], np.zeros((1, 2)))
     assert abs(mass - 0.5) < 1e-12
     np.testing.assert_allclose(c, [0.25, 0.5], atol=1e-12)
 
@@ -450,7 +445,7 @@ def test_cell_mass_centroid_gaussian_half_matches_erf_oracle():
     sigma = 0.15
     phi = GmmDensity(unit_square(), [1.0], [[0.5, 0.5]], [np.eye(2) * sigma**2])
     left = ConvexPolygon([[0.0, 0.0], [0.5, 0.0], [0.5, 1.0], [0.0, 1.0]])
-    mass, c = cell_mass_centroid(phi, left, levels=3)
+    (mass,), (c,), _ = cell_moments(phi, [left], np.zeros((1, 2)), levels=3)
 
     # one-dimensional truncated-Gaussian identities; the y factor cancels
     def pdf(x):
@@ -461,16 +456,18 @@ def test_cell_mass_centroid_gaussian_half_matches_erf_oracle():
     assert abs(c[0] - cx) < 1e-3
     assert abs(c[1] - 0.5) < 1e-3
     # the field is renormalized over the square, so compare mass as a fraction
-    total, _ = cell_mass_centroid(phi, phi.workspace, levels=3)
+    (total,), _, _ = cell_moments(phi, [phi.workspace], np.zeros((1, 2)), levels=3)
     assert abs(mass / total - 0.5) < 1e-6
 
 
 def test_cell_mass_centroid_empty_cell():
     phi = GmmDensity(unit_square(), [1.0], [[0.9, 0.9]], [np.eye(2) * 2.5e-5])
     tiny = ConvexPolygon([[0.0, 0.0], [0.01, 0.0], [0.01, 0.01], [0.0, 0.01]])
-    mass, c = cell_mass_centroid(phi, tiny)
+    center = np.array([0.005, 0.005])
+    (mass,), (c,), _ = cell_moments(phi, [tiny], center[None])
     assert mass == 0.0
-    assert c is None
+    # below MASS_EPS there is no centroid: the center stands in for it
+    np.testing.assert_array_equal(c, center)
 
 
 def moments_oracle(phi, polys, centers, levels, falloff):
@@ -530,9 +527,9 @@ def test_rejection_sampling_gives_up_on_mass_out_of_reach():
 
 def test_floor_value_scaling():
     phi = UniformDensity(unit_square())
-    assert abs(phi.floor_value() - 1e-12) < 1e-24
+    assert abs(floor_value(phi) - 1e-12) < 1e-24
     peaked = GmmDensity(unit_square(), [1.0], [[0.5, 0.5]], [np.eye(2) * 0.01])
-    assert 0.0 < peaked.floor_value() < 1e-10 * peaked.eval(np.array([0.5, 0.5]))
+    assert 0.0 < floor_value(peaked) < 1e-10 * peaked.eval(np.array([0.5, 0.5]))
 
 
 @pytest.mark.parametrize("build", [
@@ -541,8 +538,13 @@ def test_floor_value_scaling():
     lambda W: GmmDensity(W, [-1.0], [[0.5, 0.5]], [np.eye(2) * 0.01]),
     lambda W: GmmDensity(W, [1.0], [[0.5, 0.5]], [[[0.01, 0.009], [0.0, 0.01]]]),
     lambda W: GmmDensity(W, [1.0], [[6.0, 6.0]], [np.eye(2) * 0.01]),
+    lambda W: DiscreteMeasure([[0.5, 0.5]], [0.0]),
+    lambda W: discretize(UniformDensity(W), 1, 1),
+    # one live pixel between the Gauss-Legendre nodes of a 2x2 discretization
+    lambda W: discretize(GridDensity(W, np.pad([[1.0]], ((49, 50), (49, 50)))), 2, 2),
 ], ids=["nan-grid", "zero-grid", "negative-weight", "asymmetric-covariance",
-        "no-mass-over-workspace"])
+        "no-mass-over-workspace", "massless-measure", "coarse-discretization",
+        "discretization-misses-mass"])
 def test_density_errors_are_typed_coverkit_errors(build):
     with pytest.raises(CoverkitError) as caught:
         build(unit_square())

@@ -5,13 +5,12 @@ from coverkit.errors import DuplicateSites, SiteOutsideWorkspace
 from coverkit.geometry import (
     ConvexPolygon,
     HalfPlane,
-    chord_interval,
+    _power_neighbours,
     clip,
     intersect,
     polygon_moments,
     power_cells,
     power_cells_from_weights,
-    power_diagram,
     voronoi_cells,
 )
 
@@ -327,22 +326,6 @@ def test_power_rejects_negative_radius():
         power_cells(unit_square(), [[0.3, 0.5], [0.7, 0.5]], [0.1, -0.2])
 
 
-# ---------------------------------------------------------------- chords
-
-def test_chord_interval_horizontal_line():
-    t = chord_interval(unit_square(), [0.0, 0.5], [1.0, 0.0])
-    assert t == pytest.approx((0.0, 1.0))
-
-
-def test_chord_interval_missing_line():
-    assert chord_interval(unit_square(), [0.0, 2.0], [1.0, 0.0]) is None
-
-
-def test_chord_interval_diagonal():
-    t = chord_interval(unit_square(), [0.0, 0.0], [1.0, 1.0])
-    assert t == pytest.approx((0.0, 1.0))
-
-
 # ------------------------------------------------- lifted-hull power cells
 
 def hexagon():
@@ -399,5 +382,5 @@ def test_oracle_cases_reach_every_path():
     assert all(c is not None for c in cells["collinear"])
     assert [c is None for c in cells["infinite"]] == [True, True, False, True, True, True]
     assert all(c is None for c in cells["nan"])
-    _, W, sites, weights = next(c for c in oracle_cases() if c[0] == "coplanar")
-    assert power_diagram(W, sites, weights)[1][4].tolist() == [0, 1, 2, 3, 5, 6, 7, 8]
+    _, _, sites, weights = next(c for c in oracle_cases() if c[0] == "coplanar")
+    assert _power_neighbours(sites, weights)[4].tolist() == [0, 1, 2, 3, 5, 6, 7, 8]

@@ -277,19 +277,6 @@ def test_poiset_rejects_outside_workspace():
         PoiSet(np.array([[0.5, 0.5], [1.5, 0.5]]), workspace=UNIT)
 
 
-def test_poiset_csv_round_trip(tmp_path):
-    res = kmeans(np.random.default_rng(2).uniform(0, 1, size=(30, 2)), 3, seed=1)
-    path = tmp_path / "pois.csv"
-    res.pois.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,y,provenance"
-    assert len(lines) == 4
-    for line, pt in zip(lines[1:], res.pois.points):
-        x, y, tag = line.split(",")
-        assert float(x) == pt[0] and float(y) == pt[1]
-        assert tag == "kmeans(k=3)"
-
-
 def test_result_types_carry_traces():
     pts = np.random.default_rng(6).uniform(0, 1, size=(40, 2))
     km = kmeans(pts, 2, seed=0)

@@ -249,6 +249,22 @@ def test_density_out_of_reach_exits_3(tmp_path):
     assert (out / "manifest.json").exists()
 
 
+def test_discretization_without_mass_exits_3(tmp_path, capsys):
+    # the one live pixel lies between the Gauss-Legendre nodes of the 2x2
+    # discretization that four agents get
+    np.savetxt(tmp_path / "dot.csv", np.pad([[1.0]], ((49, 50), (49, 50))), delimiter=",")
+    cfg = {"pipeline": "swarm", "seed": 0, "density": {"kind": "grid", "path": "dot.csv"},
+           "agents": {"n": 4}, "params": {"iters": 2}}
+    path = write_cfg(tmp_path, cfg)
+    assert main(["validate", str(path)]) == EXIT_OK
+    out = tmp_path / "dot_out"
+    assert main(["run", str(path), "--out", str(out)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "numerical failure: total weight must be positive" in err
+    assert (out / "manifest.json").exists()
+
+
 # ------------------------------------------------------- other pipelines
 
 def test_poi_assign_end_to_end(tmp_path):

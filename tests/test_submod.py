@@ -6,16 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from coverkit.errors import SearchSpaceTooLarge
 from coverkit.submod import (
     GreedyTrace,
-    PartitionMatroid,
-    UniformMatroid,
-    brute_force_opt,
     exemplar_utility,
     exemplar_utility_fn,
     greedy_partition,
     greedy_uniform,
+)
+
+from tests.oracles import (
+    PartitionMatroid,
+    SearchSpaceTooLarge,
+    UniformMatroid,
+    brute_force_opt,
 )
 
 GAIN_SLACK = 1e-9

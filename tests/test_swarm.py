@@ -1,54 +1,21 @@
-"""Swarm transport steps, reconfiguration runs, and Voronoi adjacency."""
+"""Swarm transport steps and reconfiguration runs."""
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
 
 from coverkit.density import DiscreteMeasure, GmmDensity, UniformDensity, from_pgm
 from coverkit.errors import SiteOutsideWorkspace
-from coverkit.geometry import ConvexPolygon, chord_interval, voronoi_cells
+from coverkit.geometry import ConvexPolygon
 from coverkit.swarm import (
-    SHARED_EDGE_MIN,
     SwarmRun,
     SwarmState,
     run_reconfiguration,
     systematic_resample,
     transport_step,
-    voronoi_graph,
 )
 
 
 # ---------------------------------------------------------------- oracles
-
-def pixel_adjacency(positions, n_pix=240):
-    """Nearest-site ownership on a pixel grid; 4-neighbor transitions."""
-    ticks = (np.arange(n_pix) + 0.5) / n_pix
-    gx, gy = np.meshgrid(ticks, ticks)
-    grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    owner = np.argmin(cdist(grid, positions), axis=1).reshape(n_pix, n_pix)
-    counts = {}
-    for a, b in [(owner[:, :-1], owner[:, 1:]), (owner[:-1, :], owner[1:, :])]:
-        mask = a != b
-        for i, j in zip(a[mask].ravel(), b[mask].ravel()):
-            key = (min(i, j), max(i, j))
-            counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def is_connected(n, pairs):
-    seen, frontier = {0}, [0]
-    adj = {i: set() for i in range(n)}
-    for i, j in pairs:
-        adj[i].add(j)
-        adj[j].add(i)
-    while frontier:
-        node = frontier.pop()
-        for nxt in adj[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return len(seen) == n
-
 
 def grid_measure(k):
     """Uniform measure on a k-by-k grid of cell centers in the unit square."""
@@ -280,65 +247,3 @@ def test_run_validation():
         run_reconfiguration(phi, 0, iters=3)
     with pytest.raises(ValueError):
         run_reconfiguration(phi, 5, iters=-1)
-
-
-# -------------------------------------------------------- voronoi graph
-
-def test_two_sites_are_adjacent():
-    pairs = voronoi_graph(square(), [[0.3, 0.5], [0.7, 0.5]])
-    assert pairs == [(0, 1)]
-
-
-def test_quadrant_grid_excludes_corner_contacts():
-    sites = [[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]]
-    pairs = set(voronoi_graph(square(), sites))
-    assert pairs == {(0, 1), (0, 2), (1, 3), (2, 3)}
-
-
-def test_collinear_sites_chain():
-    sites = [[0.2, 0.5], [0.5, 0.5], [0.8, 0.5]]
-    pairs = set(voronoi_graph(square(), sites))
-    assert pairs == {(0, 1), (1, 2)}
-
-
-def test_random_graph_matches_pixel_oracle_and_is_connected():
-    rng = np.random.default_rng(14)
-    sites = rng.uniform(0.05, 0.95, size=(50, 2))
-    pairs = voronoi_graph(square(), sites)
-    assert is_connected(50, pairs)
-    counts = pixel_adjacency(sites)
-    strong = {key for key, c in counts.items() if c >= 3}
-    assert strong <= set(pairs)
-    # anything the exact test finds should at least graze the pixel map
-    missing = [key for key in pairs if key not in counts]
-    assert len(missing) <= 2
-
-
-def all_pairs_voronoi_graph(workspace, positions):
-    """Oracle: the shared-segment test run on every pair of sites."""
-    P = np.asarray(positions, dtype=float)
-    cells = voronoi_cells(workspace, P)
-    pairs = []
-    for i in range(len(P)):
-        for j in range(i + 1, len(P)):
-            gap, mid = P[j] - P[i], 0.5 * (P[i] + P[j])
-            direction = np.array([-gap[1], gap[0]]) / np.linalg.norm(gap)
-            span_i = chord_interval(cells[i], mid, direction)
-            span_j = chord_interval(cells[j], mid, direction)
-            if span_i is None or span_j is None:
-                continue
-            if min(span_i[1], span_j[1]) - max(span_i[0], span_j[0]) > SHARED_EDGE_MIN:
-                pairs.append((i, j))
-    return pairs
-
-
-@pytest.mark.parametrize("kind", ["random", "grid", "collinear"])
-def test_graph_matches_all_pairs_oracle(kind):
-    if kind == "random":
-        sites = np.random.default_rng(15).uniform(0.02, 0.98, size=(80, 2))
-    elif kind == "grid":
-        ticks = (np.arange(7) + 0.5) / 7
-        sites = np.array([[x, y] for y in ticks for x in ticks])
-    else:
-        sites = np.column_stack([np.linspace(0.1, 0.9, 6), np.full(6, 0.3)])
-    assert voronoi_graph(square(), sites) == all_pairs_voronoi_graph(square(), sites)

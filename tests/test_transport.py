@@ -185,18 +185,6 @@ def test_order_validation():
         wasserstein_exact(mu, mu, p=0.5)
 
 
-def test_plan_csv_export(tmp_path):
-    rng = np.random.default_rng(9)
-    mu, nu = rand_measure(rng, 3), rand_measure(rng, 4)
-    _, plan = wasserstein_exact(mu, nu, p=2)
-    path = tmp_path / "plan.csv"
-    plan.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "i,j,mass"
-    total = sum(float(ln.split(",")[2]) for ln in lines[1:])
-    assert abs(total - 1.0) < 1e-9
-
-
 # --------------------------------------------------------------- sinkhorn
 
 def test_sinkhorn_identical_measures_score_zero():
