@@ -75,7 +75,6 @@ from .transport import (
     TransportPlan,
     check_w2_identity,
     self_transport_cost,
-    voronoi_measure,
     wasserstein_exact,
     wasserstein_sinkhorn,
 )
@@ -146,7 +145,6 @@ __all__ = [
     "systematic_resample",
     "transport_step",
     "voronoi_cells",
-    "voronoi_measure",
     "wasserstein_exact",
     "wasserstein_sinkhorn",
     "__version__",

@@ -5,20 +5,25 @@ radial falloff over the agent's service footprint against the density, or
 compare the service and a target mixture component as Gaussians in closed
 form. Either way one routine tabulates the prices over agents and sites, and
 the final matching is an exact rectangular assignment.
+
+A footprint is a reference polygon under the service's linear map, moved to
+the point of interest. Footprints that cross the workspace boundary are
+clipped and integrated with ``polygon_quadrature`` (through ``cell_moments``);
+the rest reuse one ``polygon_quadrature`` rule on the reference polygon,
+mapped affinely, so pricing them builds no triangulation at all.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-# polygon_quadrature and clip are not called here, but coverbench/tracing.py
-# patches them in this module
-from .density import (DensityField, cell_moments, polygon_quadrature,  # noqa: F401
-                      spd_cholesky, write_csv)
+from .density import DensityField, cell_moments, polygon_quadrature, spd_cholesky, write_csv
 from .errors import InfeasibleShape, NonFiniteCost, SiteOutsideWorkspace
+# clip is not called here, but coverbench/tracing.py patches it in this module
 from .geometry import ConvexPolygon, clip, intersect  # noqa: F401
 
 FOOTPRINT_SIDES = 32
@@ -37,6 +42,17 @@ def _unit_ngon(sides: int = FOOTPRINT_SIDES) -> np.ndarray:
     return scale * np.column_stack([np.cos(ang), np.sin(ang)])
 
 
+_UNIT_NGON = _unit_ngon()
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_rule(scale: float, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature nodes and weights over scale * the unit polygon, built once."""
+    pts, w = polygon_quadrature(ConvexPolygon(scale * _UNIT_NGON), levels)
+    pts.flags.writeable = w.flags.writeable = False
+    return pts, w
+
+
 def _check_orientations(orientations) -> tuple:
     thetas = tuple(float(t) for t in orientations)
     if len(thetas) < 1:
@@ -44,7 +60,39 @@ def _check_orientations(orientations) -> tuple:
     return thetas
 
 
-class IsotropicService:
+class _Service:
+    """A service whose footprint at orientation theta is the reference polygon
+    ``_scale * _UNIT_NGON`` under the linear map ``_footprint_map(theta)``,
+    moved to the centre."""
+
+    _scale = 1.0
+
+    def _footprint_map(self, theta: float) -> np.ndarray:
+        raise NotImplementedError
+
+    def footprint(self, center, theta: float) -> ConvexPolygon:
+        ring = (self._scale * _UNIT_NGON) @ self._footprint_map(theta).T
+        return ConvexPolygon(np.asarray(center, float) + ring)
+
+    def _quadrature(self, workspace: ConvexPolygon, center, theta: float, levels: int):
+        """What ``cell_moments`` integrates for the footprint at one orientation.
+
+        A footprint that no workspace edge clips is the affine image of the
+        reference polygon, so its rule is the cached reference rule under the
+        footprint map M: offsets ref_pts @ M.T from the centre and weights
+        |det M| ref_w. A clipped footprint is returned as a polygon (None
+        when nothing is left).
+        """
+        footprint = self.footprint(center, theta)
+        part = intersect(footprint, workspace)
+        if part is not footprint:
+            return part
+        m = self._footprint_map(theta)
+        ref_pts, ref_w = _reference_rule(self._scale, levels)
+        return ref_pts @ m.T, abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) * ref_w
+
+
+class IsotropicService(_Service):
     """Rotation-invariant service: radial falloff integrated over a disk."""
 
     symmetric = True
@@ -57,9 +105,9 @@ class IsotropicService:
         self.falloff = falloff if falloff is not None else lambda r: r * r
         self.orientations = _check_orientations(orientations)
 
-    def footprint(self, center, theta: float) -> ConvexPolygon:
+    def _footprint_map(self, theta: float) -> np.ndarray:
         del theta
-        return ConvexPolygon(np.asarray(center, float) + self.radius * _unit_ngon())
+        return self.radius * np.eye(2)
 
     def oriented_covariance(self, theta: float) -> np.ndarray:
         """Covariance of the Gaussian whose 3-sigma circle is this disk."""
@@ -67,10 +115,14 @@ class IsotropicService:
         return (self.radius / 3.0) ** 2 * np.eye(2)
 
 
-class GaussianService:
+class GaussianService(_Service):
     """Anisotropic Gaussian service; the footprint is its 3-sigma ellipse."""
 
     symmetric = False
+    # the standard normal's 3-sigma circle, mapped by rotation @ chol. The 3
+    # scales the polygon, not the map: that fixes how the vertices round, and
+    # what intersect makes of a footprint 1e150 times the workspace hangs on it
+    _scale = 3.0
 
     def __init__(self, covariance, orientations=DEFAULT_ORIENTATIONS):
         cov = np.asarray(covariance, dtype=float).reshape(2, 2)
@@ -82,9 +134,8 @@ class GaussianService:
         rot = rotation(theta)
         return rot @ self.covariance @ rot.T
 
-    def footprint(self, center, theta: float) -> ConvexPolygon:
-        ring = 3.0 * _unit_ngon() @ (rotation(theta) @ self._chol).T
-        return ConvexPolygon(np.asarray(center, float) + ring)
+    def _footprint_map(self, theta: float) -> np.ndarray:
+        return rotation(theta) @ self._chol
 
 
 def footprint_cost(phi: DensityField, model, poi, levels: int = 2):
@@ -93,15 +144,19 @@ def footprint_cost(phi: DensityField, model, poi, levels: int = 2):
     For each candidate orientation the falloff-weighted density mass
     inside the footprint (clipped to the workspace) is integrated; the
     smallest value wins, first orientation on ties. Rotation-symmetric
-    models are integrated once.
+    models are integrated once. A price that is not finite (a footprint
+    far larger than the workspace) raises NonFiniteCost.
     """
     center = np.asarray(poi, dtype=float).reshape(2)
     if not phi.workspace.contains(center):
         raise SiteOutsideWorkspace("point of interest lies outside the workspace")
     thetas = model.orientations[:1] if model.symmetric else model.orientations
-    polys = [intersect(model.footprint(center, theta), phi.workspace) for theta in thetas]
-    costs = cell_moments(phi, polys, np.broadcast_to(center, (len(polys), 2)), levels,
-                         getattr(model, "falloff", None))[2]
+    with np.errstate(all="ignore"):
+        rules = [model._quadrature(phi.workspace, center, theta, levels) for theta in thetas]
+        costs = cell_moments(phi, rules, np.broadcast_to(center, (len(rules), 2)), levels,
+                             getattr(model, "falloff", None))[2]
+    if not np.isfinite(costs).all():
+        raise NonFiniteCost("footprint price is not finite")
     best = int(np.argmin(costs))
     return float(costs[best]), thetas[best]
 

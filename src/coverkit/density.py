@@ -10,11 +10,16 @@ the cell sizes produced by the descent loops (tests carry dense-grid oracles).
 ``cell_moments`` is the one place where polygon quadrature nodes meet
 ``DensityField.eval``: every per-cell mass, centroid and locational cost in
 the toolkit (Lloyd cells, equitable weights, footprint prices) comes from it.
+It builds each polygon's rule with ``polygon_quadrature``, or takes a ready
+one: ``assign`` calls ``polygon_quadrature`` once per level for a reference
+footprint and hands over its affine image for every footprint that the
+workspace does not clip.
 ``spd_cholesky`` is the one covariance check, and ``write_csv`` the one
 artifact CSV writer, next to the grid CSV loader.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -127,8 +132,12 @@ class DensityField:
 
     def _normalize(self, levels: int = 2) -> None:
         pts, w = polygon_quadrature(self.workspace, levels)
-        total = float(w @ self._raw(pts))
-        if total <= 0:
+        self._set_mass(float(w @ self._raw(pts)))
+
+    def _set_mass(self, total: float) -> None:
+        """Scale to unit mass; InvalidDensity when the mass is not positive or
+        so small that its reciprocal overflows."""
+        if not (total > 0 and math.isfinite(1.0 / total)):
             raise InvalidDensity("density integrates to zero over the workspace")
         self._norm = 1.0 / total
 
@@ -217,8 +226,12 @@ class GmmDensity(DensityField):
         self._normalize()
 
     def _component_densities(self, pts):
-        d = pts[:, None, :] - self.means[None, :, :]  # (n, J, 2)
-        maha = np.einsum("njd,jde,nje->nj", d, self._inv, d)
+        dx = pts[:, 0, None] - self.means[None, :, 0]  # (n, J)
+        dy = pts[:, 1, None] - self.means[None, :, 1]
+        inv = self._inv
+        # d^T inv d term by term, in the order einsum("njd,jde,nje") sums it
+        maha = (dx * inv[:, 0, 0] * dx + dx * inv[:, 0, 1] * dy
+                + dy * inv[:, 1, 0] * dx + dy * inv[:, 1, 1] * dy)
         log_n = -0.5 * (maha + self._logdet[None, :]) - np.log(2.0 * np.pi)
         return self.weights[None, :] * np.exp(log_n)
 
@@ -296,10 +309,7 @@ class GridDensity(DensityField):
                             self.workspace)
             if pix is not None:
                 areas[iy, ix] = pix.area
-        total = float((self.values * areas).sum())
-        if total <= 0:
-            raise InvalidDensity("density integrates to zero over the workspace")
-        self._norm = 1.0 / total
+        self._set_mass(float((self.values * areas).sum()))
 
     def _indices(self, pts):
         xmin, _, _, ymax = self.bbox
@@ -419,6 +429,10 @@ def cell_moments(phi: DensityField, polys, centers, levels: int = 2, falloff=Non
     second moment about the generator. Returns (masses, centroids, costs) as
     arrays aligned with polys. A None polygon has zero mass and cost. The
     centroid repeats the center when the mass is below MASS_EPS.
+
+    An entry may also be a ready quadrature rule (offsets, weights) about its
+    center, nodes at center + offsets; footprint prices pass their
+    affine-mapped reference rule this way.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
     masses = np.zeros(len(polys))
@@ -427,13 +441,18 @@ def cell_moments(phi: DensityField, polys, centers, levels: int = 2, falloff=Non
     for i, poly in enumerate(polys):
         if poly is None:
             continue
-        pts, w = polygon_quadrature(poly, levels)
+        if isinstance(poly, ConvexPolygon):
+            pts, w = polygon_quadrature(poly, levels)
+            offsets = pts - centers[i]
+        else:
+            offsets, w = poly
+            pts = centers[i] + offsets
         wv = w * np.asarray(phi.eval(pts), dtype=float)
         mass = float(wv.sum())
         if falloff is None:
-            kernel = ((pts - centers[i]) ** 2).sum(axis=1)
+            kernel = (offsets ** 2).sum(axis=1)
         else:
-            kernel = falloff(np.linalg.norm(pts - centers[i], axis=1))
+            kernel = falloff(np.linalg.norm(offsets, axis=1))
         costs[i] = wv @ kernel
         masses[i] = max(mass, 0.0)
         if mass >= MASS_EPS:

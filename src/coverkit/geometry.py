@@ -87,11 +87,11 @@ class ConvexPolygon:
         v = self.vertices
         e = np.roll(v, -1, axis=0) - v
         ln = np.hypot(e[:, 0], e[:, 1])
-        # signed distance of each point to each edge line, positive inside
-        dx = pts[:, None, 0] - v[None, :, 0]
-        dy = pts[:, None, 1] - v[None, :, 1]
-        s = (e[None, :, 0] * dy - e[None, :, 1] * dx) / ln[None, :]
-        ok = (s >= -tol).all(axis=1)
+        x, y = pts[:, 0], pts[:, 1]
+        ok = np.ones(len(pts), dtype=bool)
+        # signed distance of the points to one edge line at a time, positive inside
+        for (vx, vy), (ex, ey), lk in zip(v.tolist(), e.tolist(), ln.tolist()):
+            ok &= (ex * (y - vy) - ey * (x - vx)) / lk >= -tol
         return bool(ok[0]) if single else ok
 
 

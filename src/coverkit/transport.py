@@ -25,7 +25,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import csr_matrix
 from scipy.spatial.distance import cdist
 
-from .coverage import KIND_VORONOI, _survey, build_partition, make_agents
+from .coverage import KIND_VORONOI, _survey, make_agents
 from .density import DensityField, DiscreteMeasure, discretize
 from .errors import NoConvergence, SizeLimit
 
@@ -296,14 +296,6 @@ def wasserstein_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2,
     value = max(raw, 0.0) ** (1.0 / p)
     full = _embed(plan, ia, ib, len(mu), len(nu))
     return value, TransportPlan(full, mu, nu, value, p, epsilon, iters, resid)
-
-
-def voronoi_measure(phi: DensityField, positions, levels: int = 2) -> DiscreteMeasure:
-    """Atoms at the given sites weighted by their Voronoi cell masses."""
-    agents = make_agents(positions)
-    part = build_partition(phi, agents, KIND_VORONOI, levels)
-    return DiscreteMeasure(np.atleast_2d(np.asarray(positions, dtype=float)),
-                           part.masses)
 
 
 def check_w2_identity(phi: DensityField, positions, grid_resolution: int = 64):

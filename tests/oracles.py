@@ -2,8 +2,12 @@
 
 Exhaustive matroid search is the oracle for the greedy approximation floors,
 and the quadrature divergence is the oracle for the closed-form Gaussian
-divergence. Neither runs in a pipeline, so they live here and not in the
-package.
+divergence. Where a fast path replaced a direct routine, the direct routine
+is kept here as its oracle: the einsum form of the mixture density and its
+log-gradient, and footprint prices integrated over each clipped footprint
+polygon. Voronoi cell masses as a discrete measure have no caller in a
+pipeline either. None of these runs in a pipeline, so they live here and not
+in the package.
 """
 
 from __future__ import annotations
@@ -14,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coverkit.density import DensityField, polygon_quadrature
+from coverkit.coverage import KIND_VORONOI, build_partition, make_agents
+from coverkit.density import (DensityField, DiscreteMeasure, GmmDensity, cell_moments,
+                              polygon_quadrature)
 from coverkit.errors import CoverkitError
-from coverkit.geometry import ConvexPolygon
+from coverkit.geometry import ConvexPolygon, intersect
 
 _FLOOR_REL = 1e-12
 SEARCH_CAP = 1_000_000
@@ -67,6 +73,48 @@ def kl_divergence(psi: DensityField, phi: DensityField, region: ConvexPolygon,
     live = pv > 0.0
     ratio = pv[live] / np.maximum(fv[live], floor)
     return float(np.sum(w[live] * pv[live] * np.log(ratio)))
+
+
+# ------------------------------------------------------------- fast paths
+
+def einsum_component_densities(phi: GmmDensity, pts) -> np.ndarray:
+    """Weighted component densities, (n, J), with the quadratic form by einsum."""
+    d = pts[:, None, :] - phi.means[None, :, :]
+    maha = np.einsum("njd,jde,nje->nj", d, phi._inv, d)
+    log_n = -0.5 * (maha + phi._logdet[None, :]) - np.log(2.0 * np.pi)
+    return phi.weights[None, :] * np.exp(log_n)
+
+
+def einsum_eval(phi: GmmDensity, pts) -> np.ndarray:
+    """Normalized mixture density at (n, 2) points, 0 outside the workspace."""
+    vals = phi._norm * einsum_component_densities(phi, pts).sum(axis=1)
+    return np.where(phi.workspace.contains(pts), vals, 0.0)
+
+
+def einsum_grad_log(phi: GmmDensity, pts) -> np.ndarray:
+    """Gradient of the log mixture density at (n, 2) points."""
+    dens = einsum_component_densities(phi, pts)
+    d = phi.means[None, :, :] - pts[:, None, :]
+    pulls = np.einsum("jde,nje->njd", phi._inv, d)
+    return (dens[:, :, None] * pulls).sum(axis=1) / dens.sum(axis=1)[:, None]
+
+
+def polygon_footprint_cost(phi: DensityField, model, poi, levels: int = 2):
+    """Footprint price by quadrature over every footprint clipped to the workspace."""
+    center = np.asarray(poi, dtype=float).reshape(2)
+    thetas = model.orientations[:1] if model.symmetric else model.orientations
+    polys = [intersect(model.footprint(center, theta), phi.workspace) for theta in thetas]
+    costs = cell_moments(phi, polys, np.broadcast_to(center, (len(polys), 2)), levels,
+                         getattr(model, "falloff", None))[2]
+    best = int(np.argmin(costs))
+    return float(costs[best]), thetas[best]
+
+
+def voronoi_measure(phi: DensityField, positions, levels: int = 2) -> DiscreteMeasure:
+    """Atoms at the given sites weighted by their Voronoi cell masses."""
+    part = build_partition(phi, make_agents(positions), KIND_VORONOI, levels)
+    return DiscreteMeasure(np.atleast_2d(np.asarray(positions, dtype=float)),
+                           part.masses)
 
 
 # -------------------------------------------------------------- enumeration

@@ -20,8 +20,8 @@ PUBLIC = [
     "greedy_partition", "greedy_uniform", "kld_cost", "kmeans", "lloyd_step",
     "load_grid_csv", "make_agents", "power_cells", "render_scene", "run_descent",
     "run_reconfiguration", "self_transport_cost", "solve_assignment", "svgd",
-    "systematic_resample", "transport_step", "voronoi_cells", "voronoi_measure",
-    "wasserstein_exact", "wasserstein_sinkhorn",
+    "systematic_resample", "transport_step", "voronoi_cells", "wasserstein_exact",
+    "wasserstein_sinkhorn",
 ]
 
 

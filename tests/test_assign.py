@@ -11,9 +11,9 @@ from coverkit.assign import (AssignmentResult, CostMatrix, GaussianService,
 from coverkit.density import GmmDensity, GridDensity, UniformDensity
 from coverkit.errors import (CoverkitError, InfeasibleShape, NonFiniteCost,
                              SiteOutsideWorkspace)
-from coverkit.geometry import ConvexPolygon
+from coverkit.geometry import EPS_GEO, ConvexPolygon, intersect
 
-from tests.oracles import SupportViolation, kl_divergence
+from tests.oracles import SupportViolation, kl_divergence, polygon_footprint_cost
 
 UNIT = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -149,6 +149,84 @@ def test_custom_falloff_honored():
     cost, _ = footprint_cost(phi, flat, [0.5, 0.5])
     # integrating 1 against the density over the disk: its probability mass
     assert cost == pytest.approx(np.pi * 0.2**2, rel=1e-3)
+
+
+PENTAGON = ConvexPolygon([(0.1, 0.0), (0.9, 0.05), (1.0, 0.6), (0.5, 1.0), (0.0, 0.7)])
+MIXTURE = ([0.5, 0.3, 0.2], [[0.35, 0.4], [0.7, 0.6], [0.5, 0.85]],
+           [[[0.02, 0.005], [0.005, 0.01]], np.eye(2) * 0.015, [[0.008, -0.002], [-0.002, 0.02]]])
+
+
+def random_models(rng, orientations):
+    """Two disks (one with a custom falloff) and two anisotropic Gaussians."""
+    models = [IsotropicService(rng.uniform(0.02, 0.35), orientations=orientations),
+              IsotropicService(rng.uniform(0.02, 0.2), falloff=lambda r: np.exp(-3.0 * r),
+                               orientations=orientations)]
+    for _ in range(2):
+        minor = rng.uniform(2e-4, 2e-3)
+        turn = rot(rng.uniform(0.0, np.pi))
+        cov = turn @ np.diag([minor * rng.uniform(2.0, 6.0), minor]) @ turn.T
+        models.append(GaussianService(cov, orientations=orientations))
+    return models
+
+
+def twinned_orientations(rng):
+    thetas = tuple(rng.uniform(0.0, np.pi, 3))
+    return thetas + tuple(t + np.pi for t in thetas)
+
+
+def assert_matches_polygon_oracle(phi, model, center, levels):
+    cost, theta = footprint_cost(phi, model, center, levels)
+    want, want_theta = polygon_footprint_cost(phi, model, center, levels)
+    assert abs(cost - want) <= 1e-12 * abs(want)
+    # theta + pi turns a centred footprint into the same set, so it prices the same
+    turn = (theta - want_theta) % (2.0 * np.pi)
+    assert min(turn, abs(turn - np.pi), 2.0 * np.pi - turn) < 1e-12
+
+
+def unclipped(phi, model, center):
+    return [intersect(fp, phi.workspace) is fp
+            for fp in (model.footprint(center, t) for t in model.orientations)]
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("workspace", [UNIT, PENTAGON], ids=["square", "pentagon"])
+def test_footprint_cost_matches_polygon_oracle(levels, workspace):
+    rng = np.random.default_rng(60 + levels)
+    phi = GmmDensity(workspace, *MIXTURE)
+    seen = []
+    for _ in range(6):
+        center = rng.uniform(0.0, 1.0, 2)
+        if not workspace.contains(center):
+            continue
+        for model in random_models(rng, twinned_orientations(rng)):
+            assert_matches_polygon_oracle(phi, model, center, levels)
+            seen += unclipped(phi, model, center)
+    # both routes were taken
+    assert any(seen) and not all(seen)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_footprint_touching_a_workspace_edge_matches_polygon_oracle(levels):
+    """Footprints pushed out through an edge by at most EPS_GEO are not clipped."""
+    rng = np.random.default_rng(70 + levels)
+    phi = GmmDensity(PENTAGON, *MIXTURE)
+    v = PENTAGON.vertices
+    seen = []
+    for k in range(len(v)):
+        a, b = v[k], v[(k + 1) % len(v)]
+        normal = np.array([b[1] - a[1], a[0] - b[0]]) / np.hypot(*(b - a))
+        for model in random_models(rng, (rng.uniform(0.0, 2.0 * np.pi),)):
+            ring = model.footprint([0.0, 0.0], model.orientations[0]).vertices
+            start = a + 0.5 * (b - a) - 0.3 * normal
+            reach = (ring @ normal).max() + (start - a) @ normal
+            for overshoot in (-EPS_GEO, -3e-10, 0.0, 3e-10, 0.9 * EPS_GEO, 3.0 * EPS_GEO):
+                center = start + (overshoot - reach) * normal
+                if not PENTAGON.contains(center):
+                    continue
+                assert_matches_polygon_oracle(phi, model, center, levels)
+                seen.append((overshoot, unclipped(phi, model, center)[0]))
+    assert any(hit for over, hit in seen if over <= 0.9 * EPS_GEO)
+    assert not any(hit for over, hit in seen if over > EPS_GEO)
 
 
 # ------------------------------------------------------------- divergences

@@ -26,7 +26,7 @@ from coverkit.density import (
 from coverkit.errors import CoverkitError, EvalOutsideSupport, InvalidDensity, NoConvergence
 from coverkit.geometry import ConvexPolygon, power_cells
 
-from tests.oracles import floor_value, integrate
+from tests.oracles import einsum_eval, einsum_grad_log, floor_value, integrate
 
 
 def unit_square():
@@ -221,6 +221,25 @@ def test_gmm_grad_log_matches_finite_differences():
             assert abs(gq[d] - fd) < 1e-4 * max(1.0, abs(fd))
 
 
+@pytest.mark.parametrize("components", [1, 2, 5])
+def test_gmm_eval_and_grad_log_match_einsum_oracle(components):
+    rng = np.random.default_rng(40 + components)
+    ws = hexagon()
+    covs = []
+    for _ in range(components):
+        a = rng.normal(size=(2, 2))
+        covs.append(0.01 * a @ a.T + 0.002 * np.eye(2))
+    phi = GmmDensity(ws, rng.uniform(0.2, 1.0, components),
+                     rng.uniform(0.2, 0.8, (components, 2)), covs)
+    # points inside the workspace and in the bounding box around it
+    pts = rng.uniform(0.0, 1.0, (4000, 2))
+    assert 0 < phi.workspace.contains(pts).sum() < len(pts)
+    np.testing.assert_allclose(phi.eval(pts), einsum_eval(phi, pts), rtol=1e-13, atol=0)
+    got, want = phi.grad_log(pts), einsum_grad_log(phi, pts)
+    err = np.linalg.norm(got - want, axis=1)
+    assert (err <= 1e-13 * np.linalg.norm(want, axis=1)).all()
+
+
 def test_gmm_grad_log_raises_on_underflow():
     phi = GmmDensity(unit_square(), [1.0], [[0.5, 0.5]], [np.eye(2) * 1e-4])
     with pytest.raises(EvalOutsideSupport):
@@ -321,6 +340,13 @@ def test_grid_sampling_avoids_zero_pixels():
     vals[:, :4] = 0.0
     pts = GridDensity(unit_square(), vals).sample(2000, seed=5)
     assert (pts[:, 0] >= 0.5).all()
+
+
+def test_mass_whose_reciprocal_overflows_is_rejected():
+    # 1 / 5e-309 is above the largest double
+    with pytest.raises(InvalidDensity):
+        GridDensity(unit_square(), [[5e-309]])
+    GridDensity(unit_square(), [[1e-307]])
 
 
 def test_grid_validation():

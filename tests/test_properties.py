@@ -8,7 +8,9 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from scipy.spatial import ConvexHull, QhullError  # noqa: E402
 
-from coverkit.density import UniformDensity, cell_moments  # noqa: E402
+from coverkit.density import (GmmDensity, GridDensity, UniformDensity,  # noqa: E402
+                              cell_moments, discretize)
+from coverkit.errors import InvalidDensity  # noqa: E402
 from coverkit.geometry import ConvexPolygon, power_cells_from_weights  # noqa: E402
 from tests.test_geometry import all_pairs_power_cells, assert_same_cells  # noqa: E402
 
@@ -72,3 +74,41 @@ def test_uniform_cell_masses_sum_to_one(corners, mix):
     cells = power_cells_from_weights(workspace, sites, np.zeros(len(sites)))
     masses, _, _ = cell_moments(UniformDensity(workspace), cells, sites)
     assert masses.sum() == pytest.approx(1.0, rel=1e-9)
+
+
+resolutions = st.integers(2, 40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corners=corner_sets, nx=resolutions, ny=resolutions,
+       means=st.lists(st.tuples(coords, coords), min_size=1, max_size=4),
+       spreads=st.lists(st.tuples(st.floats(1e-3, 0.5), st.floats(1e-3, 0.5),
+                                  st.floats(-0.9, 0.9)), min_size=4, max_size=4),
+       weights=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4))
+def test_discretize_gmm_masses_sum_to_one(corners, nx, ny, means, spreads, weights):
+    workspace = hull_polygon(corners)
+    assume(workspace is not None)
+    k = len(means)
+    covs = [[[a * a, r * a * b], [r * a * b, b * b]] for a, b, r in spreads[:k]]
+    try:
+        measure = discretize(GmmDensity(workspace, weights[:k], means, covs), nx, ny)
+    except InvalidDensity:  # no mass over the workspace or on the grid nodes
+        assume(False)
+    assert abs(measure.weights.sum() - 1.0) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(corners=corner_sets, nx=resolutions, ny=resolutions,
+       values=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=64),
+       cols=st.integers(1, 8))
+def test_discretize_grid_masses_sum_to_one(corners, nx, ny, values, cols):
+    workspace = hull_polygon(corners)
+    assume(workspace is not None)
+    rows = len(values) // cols
+    assume(rows >= 1)
+    try:
+        measure = discretize(
+            GridDensity(workspace, np.reshape(values[:rows * cols], (rows, cols))), nx, ny)
+    except InvalidDensity:  # no mass over the workspace or on the grid nodes
+        assume(False)
+    assert abs(measure.weights.sum() - 1.0) <= 1e-12

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -536,6 +537,17 @@ def test_non_finite_cost_exits_3(tmp_path):
     out = tmp_path / "huge"
     assert run(path, out=out) == EXIT_NUMERIC
     assert (out / "manifest.json").exists()
+
+
+def test_non_finite_cost_exits_3_without_warnings(tmp_path, capfd):
+    cfg = poi_cfg()
+    cfg["agents"]["services"][1] = {"kind": "gaussian",
+                                    "covariance": [[1e300, 0.0], [0.0, 1e300]]}
+    path = write_cfg(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(path, out=tmp_path / "huge") == EXIT_NUMERIC
+    assert "Warning" not in capfd.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["uniform", "gmm", "image", "grid"])

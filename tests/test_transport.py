@@ -20,10 +20,11 @@ from coverkit.geometry import ConvexPolygon
 from coverkit.transport import (
     check_w2_identity,
     self_transport_cost,
-    voronoi_measure,
     wasserstein_exact,
     wasserstein_sinkhorn,
 )
+
+from tests.oracles import voronoi_measure
 
 
 def unit_square():
