@@ -3,7 +3,10 @@
 The descent is the discrete Lloyd map: partition, then move every agent to
 its region's density centroid. Power cells handle heterogeneous agents; with
 equal radii the construction degenerates to the Voronoi one through the very
-same arithmetic, so the two descents produce identical trajectories.
+same arithmetic, so the two descents produce identical trajectories. Moved
+agents go through the ``geometry`` point helpers: ``project_into`` brings
+back any that drifted outside the workspace, and ``separate`` nudges apart
+any that landed on one another.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ import numpy as np
 # in this module
 from .density import MASS_EPS, DensityField, cell_moments, polygon_quadrature  # noqa: F401
 from .errors import KernelMismatch, NoConvergence, NonMonotoneDescent
-from .geometry import ConvexPolygon, power_cells, power_cells_from_weights
+from .geometry import power_cells, power_cells_from_weights, project_into, separate
 
 log = logging.getLogger(__name__)
 
@@ -122,37 +125,6 @@ def coverage_cost(phi: DensityField, agents, partition: Partition,
     return float(costs.sum())
 
 
-def _pull_inside(workspace: ConvexPolygon, p: np.ndarray) -> np.ndarray:
-    """Guard against float drift pushing a centroid through the boundary."""
-    if workspace.contains(p[None])[0]:
-        return p
-    t = 1e-12
-    target = workspace.centroid
-    while t <= 1.0:
-        cand = p + t * (target - p)
-        if workspace.contains(cand[None])[0]:
-            return cand
-        t *= 2.0
-    return target.copy()
-
-
-def _separate(workspace: ConvexPolygon, pos: np.ndarray) -> np.ndarray:
-    """Nudge coincident generators apart deterministically."""
-    n = len(pos)
-    shift = 1e-6 * workspace.diameter
-    for i in range(n):
-        for j in range(i):
-            if ((pos[i] - pos[j]) ** 2).sum() <= 1e-18:
-                ang = 2.0 * np.pi * (i + 0.5) / n
-                step = shift * np.array([np.cos(ang), np.sin(ang)])
-                cand = pos[i] + step
-                if not workspace.contains(cand[None])[0]:
-                    cand = pos[i] - step
-                pos[i] = cand
-                log.warning("generators %d and %d collided; agent %d nudged", i, j, i)
-    return pos
-
-
 def lloyd_step(phi: DensityField, agents, kind: str = KIND_VORONOI,
                relax: float = 1.0, levels: int = 2):
     """One Lloyd update.
@@ -166,11 +138,12 @@ def lloyd_step(phi: DensityField, agents, kind: str = KIND_VORONOI,
         log.warning("agents %s hold position (empty or mass-starved cell)",
                     partition.starved)
     pos = positions_of(agents)
-    new_pos = pos + relax * (partition.centroids - pos)
-    for i in range(len(new_pos)):
-        new_pos[i] = _pull_inside(phi.workspace, new_pos[i])
-    new_pos = _separate(phi.workspace, new_pos)
-    moved = [AgentState(p, a.power_radius, a.id) for p, a in zip(new_pos, agents)]
+    new_pos = project_into(phi.workspace, pos + relax * (partition.centroids - pos))
+    separated = separate(phi.workspace, new_pos)
+    if separated is not new_pos:
+        log.warning("agents %s nudged off coincident generators",
+                    np.flatnonzero((separated != new_pos).any(axis=1)).tolist())
+    moved = [AgentState(p, a.power_radius, a.id) for p, a in zip(separated, agents)]
     return moved, partition, cost
 
 

@@ -16,10 +16,12 @@ site is clipped in increasing index order of its competitors, so both paths
 share one loop. ``power_cells_from_weights`` is the one entry point; the
 Voronoi and nonnegative-radius forms call it.
 
-This module is the one home of the polygon helpers the other layers share:
-``ConvexPolygon.contains`` for point-in-polygon tests, ``intersect`` for
-clipping a polygon to a region (footprints and raster pixels to the
-workspace), and ``project_into`` for pulling stray points back inside.
+This module is the one home of the polygon and point helpers the other layers
+share: ``ConvexPolygon.contains`` for point-in-polygon tests, ``intersect``
+for clipping a polygon to a region (footprints and raster pixels to the
+workspace), ``project_into`` for pulling stray points back inside,
+``coincident_pairs`` and ``check_sites`` for finding and rejecting points
+closer than ``EPS_GEO``, and ``separate`` for nudging such points apart.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial.distance import pdist
 
 from .errors import DuplicateSites, SiteOutsideWorkspace
 
@@ -165,25 +168,79 @@ def intersect(poly: ConvexPolygon, region: ConvexPolygon) -> ConvexPolygon | Non
 
 
 def project_into(poly: ConvexPolygon, pts: np.ndarray) -> np.ndarray:
-    """Move any point outside the polygon to its nearest boundary point."""
+    """Move any point outside the polygon to its nearest boundary point.
+
+    Returns the input array itself when every point is inside.
+    """
     outside = ~poly.contains(pts)
     if not outside.any():
         return pts
     pts = pts.copy()
-    verts = poly.vertices
-    for idx in np.nonzero(outside)[0]:
-        p = pts[idx]
-        best, best_d2 = p, np.inf
-        for e in range(len(verts)):
-            a = verts[e]
-            ab = verts[(e + 1) % len(verts)] - a
-            t = np.clip(np.dot(p - a, ab) / np.dot(ab, ab), 0.0, 1.0)
-            c = a + t * ab
-            d2 = ((p - c) ** 2).sum()
-            if d2 < best_d2:
-                best, best_d2 = c, d2
-        pts[idx] = best
+    a = poly.vertices
+    ab = np.roll(a, -1, axis=0) - a
+    p = pts[outside][:, None, :]
+    # nearest point of every edge to every stray point; the first nearest edge wins
+    t = np.clip(((p - a) * ab).sum(axis=-1) / (ab * ab).sum(axis=-1), 0.0, 1.0)
+    near = a + t[..., None] * ab
+    d2 = ((p - near) ** 2).sum(axis=-1)
+    pts[outside] = near[np.arange(len(near)), d2.argmin(axis=1)]
     return pts
+
+
+def coincident_pairs(points) -> np.ndarray:
+    """(k, 2) index pairs i < j, in row-major order, of points at most EPS_GEO apart."""
+    pts = np.asarray(points, dtype=float)
+    i, j = np.triu_indices(len(pts), 1)
+    close = pdist(pts) <= EPS_GEO
+    return np.column_stack([i[close], j[close]])
+
+
+def check_sites(points, workspace: ConvexPolygon | None = None) -> None:
+    """Raise DuplicateSites for two coincident points, then SiteOutsideWorkspace."""
+    pts = np.asarray(points, dtype=float)
+    pairs = coincident_pairs(pts)
+    if len(pairs):
+        raise DuplicateSites(f"sites {pairs[0, 0]} and {pairs[0, 1]} coincide")
+    if workspace is not None:
+        outside = np.flatnonzero(~workspace.contains(pts))
+        if len(outside):
+            raise SiteOutsideWorkspace(
+                f"site {outside[0]} at {pts[outside[0]].tolist()} is outside the workspace")
+
+
+def separate(workspace: ConvexPolygon, points: np.ndarray) -> np.ndarray:
+    """Nudge coincident points apart; every other point comes back bit-identical.
+
+    Of each coincident pair the later index moves, in increasing index order.
+    It takes the first of the spots p + k * step * u, k = 1, 2, ..., that lies
+    inside the workspace and more than EPS_GEO from every other point, where u
+    points from p to the workspace centroid (+x at the centroid) and step is
+    1e-6 of the diameter but at least 4 EPS_GEO. Such spots are more than
+    2 EPS_GEO apart, so each of the other n - 1 points blocks at most one of
+    them and one of the first n is free; DuplicateSites is raised only when
+    each free one lies outside, as in a workspace too thin to hold them.
+    Returns the input array itself when nothing coincides.
+    """
+    pairs = coincident_pairs(points)
+    if not len(pairs):
+        return points
+    out = np.array(points, dtype=float)
+    center = workspace.centroid
+    step = max(1e-6 * workspace.diameter, 4.0 * EPS_GEO)
+    for i in np.unique(pairs[:, 1]):
+        toward = center - out[i]
+        norm = np.hypot(toward[0], toward[1])
+        u = toward / norm if norm > 0.0 else np.array([1.0, 0.0])
+        for k in range(1, len(out) + 1):
+            spot = out[i] + k * step * u
+            gaps = np.hypot(*(out - spot).T)
+            gaps[i] = np.inf
+            if gaps.min() > EPS_GEO and workspace.contains(spot, tol=0.0):
+                out[i] = spot
+                break
+        else:
+            raise DuplicateSites(f"no free spot near site {i} inside the workspace")
+    return out
 
 
 def _polygon_or_none(points) -> ConvexPolygon | None:
@@ -207,19 +264,6 @@ def _polygon_or_none(points) -> ConvexPolygon | None:
     if area <= EPS_GEO * longest:
         return None
     return ConvexPolygon(pts)
-
-
-def _check_sites(workspace: ConvexPolygon, points: np.ndarray) -> None:
-    if len(points) > 1:
-        d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(-1)
-        np.fill_diagonal(d2, np.inf)
-        if d2.min() <= EPS_GEO ** 2:
-            i, j = np.unravel_index(int(d2.argmin()), d2.shape)
-            raise DuplicateSites(f"sites {i} and {j} coincide")
-    inside = workspace.contains(points)
-    if not np.all(inside):
-        bad = int(np.flatnonzero(~np.atleast_1d(inside))[0])
-        raise SiteOutsideWorkspace(f"site {bad} at {points[bad].tolist()} is outside the workspace")
 
 
 def _power_neighbours(P: np.ndarray, w: np.ndarray) -> list[np.ndarray | None]:
@@ -276,7 +320,7 @@ def power_cells_from_weights(workspace: ConvexPolygon, points, weights) -> list[
     w = np.asarray(weights, dtype=float)
     if len(w) != len(P):
         raise ValueError("one weight per site required")
-    _check_sites(workspace, P)
+    check_sites(P, workspace)
     sq = (P * P).sum(axis=1)
     return [None if rivals is None else _clip_cell(workspace, P, sq, w, i, rivals)
             for i, rivals in enumerate(_power_neighbours(P, w))]

@@ -16,12 +16,9 @@ from scipy.spatial.distance import cdist, pdist
 from scipy.special import logsumexp
 
 from .density import DensityField
-from .errors import DuplicateSites, SiteOutsideWorkspace
-from .geometry import ConvexPolygon, project_into
+from .geometry import ConvexPolygon, check_sites, project_into, separate
 
 log = logging.getLogger(__name__)
-
-MIN_SEPARATION = 1e-9
 
 
 def _as_points(data) -> np.ndarray:
@@ -51,17 +48,7 @@ class PoiSet:
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         if self.points.ndim != 2 or self.points.shape[1] != 2:
             raise ValueError("points must form an (n, 2) array")
-        if len(self.points) > 1:
-            gap = pdist(self.points)
-            if gap.min() <= MIN_SEPARATION:
-                raise DuplicateSites(
-                    f"two points of interest coincide (gap {gap.min():.3g})")
-        if self.workspace is not None:
-            inside = self.workspace.contains(self.points)
-            if not inside.all():
-                bad = int(np.nonzero(~inside)[0][0])
-                raise SiteOutsideWorkspace(
-                    f"point of interest {bad} lies outside the workspace")
+        check_sites(self.points, self.workspace)
 
     def __len__(self):
         return len(self.points)
@@ -255,30 +242,6 @@ def gmm_em(data, n_components: int, seed: int = 0, max_iters: int = 200,
                   log_likelihoods=np.array(trace), iterations=iterations)
 
 
-def _separate_coincident(x: np.ndarray, poly: ConvexPolygon) -> np.ndarray:
-    """Nudge exactly merged particles apart.
-
-    Projection onto the workspace can fuse particles at a corner, after
-    which their mutual repulsion is zero and they would move in lockstep
-    forever. Offenders get distinct small pulls toward the centroid.
-    """
-    d2 = _sq_dists(x, x)
-    np.fill_diagonal(d2, np.inf)
-    merged = np.nonzero(d2.min(axis=1) <= MIN_SEPARATION ** 2)[0]
-    if len(merged) == 0:
-        return x
-    log.debug("separating %d merged particles", len(merged))
-    x = x.copy()
-    center = poly.centroid
-    scale = 1e-6 * poly.diameter
-    for rank, idx in enumerate(merged[1:], start=1):
-        pull = center - x[idx]
-        norm = np.linalg.norm(pull)
-        if norm > 0.0:
-            x[idx] = x[idx] + pull / norm * (scale * rank)
-    return x
-
-
 def _bandwidth(x: np.ndarray, policy, floor: float) -> float:
     if isinstance(policy, str):
         if policy != "median":
@@ -301,8 +264,9 @@ def svgd(phi: DensityField, n_particles: int, bandwidth_policy="median",
     log-gradient plus a kernel repulsion term, with the RBF bandwidth set
     per ``bandwidth_policy``: the string ``"median"`` for the adaptive
     median heuristic, or a positive number r to pin the spread at a
-    service footprint scale (h = r^2). Particles are clamped to the
-    workspace after every sweep.
+    service footprint scale (h = r^2). After every sweep, particles are
+    projected back into the workspace and merged ones nudged apart
+    (``geometry.project_into``, then ``geometry.separate``).
     """
     if n_particles < 1:
         raise ValueError("need at least one particle")
@@ -327,9 +291,12 @@ def svgd(phi: DensityField, n_particles: int, bandwidth_policy="median",
         repel = (2.0 / h) * (x * ksum[:, None] - kernel @ x)
         moved = x + (step / n_particles) * (drive + repel)
         moved = project_into(phi.workspace, moved)
-        moved = _separate_coincident(moved, phi.workspace)
-        shift = float(np.linalg.norm(moved - x, axis=1).mean())
-        x = moved
+        separated = separate(phi.workspace, moved)
+        if separated is not moved:
+            log.debug("separated %d merged particles",
+                      int((separated != moved).any(axis=1).sum()))
+        shift = float(np.linalg.norm(separated - x, axis=1).mean())
+        x = separated
     log.debug("stein descent finished: mean particle shift %.3g on last sweep", shift)
 
     h = _bandwidth(x, bandwidth_policy, floor)

@@ -30,7 +30,7 @@ from .coverage import KIND_POWER, KIND_VORONOI, build_partition, make_agents, ru
 from .density import (DensityField, GmmDensity, UniformDensity, from_pgm, load_grid_csv,
                       spd_cholesky, write_csv)
 from .errors import CoverkitError, NoConvergence
-from .geometry import EPS_GEO, ConvexPolygon
+from .geometry import ConvexPolygon, coincident_pairs
 from .render import render_scene
 
 log = logging.getLogger(__name__)
@@ -127,6 +127,10 @@ PARAM_CHECKS = {
 }
 
 
+# the fields each service kind reads; any other is rejected, not dropped
+SERVICE_FIELDS = {"disk": {"kind", "radius"}, "gaussian": {"kind", "covariance"}}
+
+
 def _check_density(density, base: Path, workspace, err) -> DensityField | None:
     """Check the density spec; when it and the workspace are sound, build it."""
     if not isinstance(density, dict):
@@ -202,12 +206,13 @@ def _check_agents(agents, pipeline, workspace, err) -> dict | None:
             for i in np.flatnonzero(~workspace.contains(pts)):
                 err("agents.positions", f"row {i} lies outside the workspace")
             if pipeline in ("lloyd", "power_lloyd"):
-                # the gap at which geometry rejects two sites as one
-                close = np.argwhere(np.triu(cdist(pts, pts, "sqeuclidean") <= EPS_GEO ** 2, 1))
+                close = coincident_pairs(pts)
                 if len(close):
-                    err("agents.positions", f"rows {close[0][0]} and {close[0][1]} coincide")
+                    err("agents.positions", f"rows {close[0, 0]} and {close[0, 1]} coincide")
     radii = agents.get("radii")
-    if radii is not None:
+    if radii is not None and pipeline != "power_lloyd":
+        err("agents.radii", "only used by power_lloyd")
+    elif radii is not None:
         if not (isinstance(radii, list) and all(_is_num(r) and r >= 0 for r in radii)):
             err("agents.radii", "must be a list of finite nonnegative numbers")
         elif len(radii) != n:
@@ -221,6 +226,10 @@ def _check_agents(agents, pipeline, workspace, err) -> dict | None:
         else:
             for i, spec in enumerate(services):
                 kind = spec.get("kind") if isinstance(spec, dict) else None
+                if kind in SERVICE_FIELDS:
+                    for key in spec:
+                        if key not in SERVICE_FIELDS[kind]:
+                            err(f"agents.services[{i}].{key}", f"unknown field for kind {kind}")
                 if kind == "disk":
                     if not (_is_num(spec.get("radius")) and spec["radius"] > 0):
                         err(f"agents.services[{i}].radius",
@@ -353,22 +362,10 @@ def _initial_positions(resolved, phi: DensityField) -> np.ndarray:
 
 # ----------------------------------------------------------------- output
 
-def _jsonable(value):
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, (np.ndarray, list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
-
-
 def _write_jsonl(path: Path, records) -> None:
     with open(path, "w") as fh:
         for record in records:
-            fh.write(json.dumps(_jsonable(record), sort_keys=True) + "\n")
+            fh.write(json.dumps(record, sort_keys=True, default=lambda o: o.tolist()) + "\n")
 
 
 # -------------------------------------------------------------- pipelines
@@ -545,7 +542,8 @@ def run(config_path, seed=None, out=None) -> int:
     out_dir = Path(resolved["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "manifest.json", "w") as fh:
-        fh.write(json.dumps(_jsonable(resolved), indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(resolved, indent=2, sort_keys=True,
+                           default=lambda o: o.tolist()) + "\n")
 
     try:
         PIPELINES[resolved["pipeline"]][0](resolved, report.density, report.workspace,

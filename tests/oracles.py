@@ -4,7 +4,8 @@ Exhaustive matroid search is the oracle for the greedy approximation floors,
 and the quadrature divergence is the oracle for the closed-form Gaussian
 divergence. Where a fast path replaced a direct routine, the direct routine
 is kept here as its oracle: the einsum form of the mixture density and its
-log-gradient, and footprint prices integrated over each clipped footprint
+log-gradient, footprint prices integrated over each clipped footprint
+polygon, and the edge-by-edge loop that projected stray points onto a
 polygon. Voronoi cell masses as a discrete measure have no caller in a
 pipeline either. None of these runs in a pipeline, so they live here and not
 in the package.
@@ -168,3 +169,27 @@ def brute_force_opt(f, constraint):
         if value > best_value:
             best_set, best_value = tuple(subset), value
     return best_set, best_value
+
+
+# ------------------------------------------------------------- projection
+
+def loop_project_into(poly: ConvexPolygon, pts: np.ndarray) -> np.ndarray:
+    """Nearest boundary point of each outside point, one point and edge at a time."""
+    outside = ~poly.contains(pts)
+    if not outside.any():
+        return pts
+    pts = pts.copy()
+    verts = poly.vertices
+    for idx in np.nonzero(outside)[0]:
+        p = pts[idx]
+        best, best_d2 = p, np.inf
+        for e in range(len(verts)):
+            a = verts[e]
+            ab = verts[(e + 1) % len(verts)] - a
+            t = np.clip(np.dot(p - a, ab) / np.dot(ab, ab), 0.0, 1.0)
+            c = a + t * ab
+            d2 = ((p - c) ** 2).sum()
+            if d2 < best_d2:
+                best, best_d2 = c, d2
+        pts[idx] = best
+    return pts

@@ -3,6 +3,8 @@
 The oracle at the top reproduces the locational cost with no polygon
 machinery at all: label a dense grid by power distance and sum.
 """
+import logging
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from coverkit.coverage import (
     KIND_POWER,
     KIND_VORONOI,
     AgentState,
-    _separate,
     build_partition,
     coverage_cost,
     equitable_weights,
@@ -21,7 +22,7 @@ from coverkit.coverage import (
 )
 from coverkit.density import GmmDensity, UniformDensity
 from coverkit.errors import KernelMismatch, NoConvergence, NonMonotoneDescent
-from coverkit.geometry import ConvexPolygon
+from coverkit.geometry import ConvexPolygon, check_sites, separate
 
 
 def unit_square():
@@ -211,11 +212,27 @@ def test_lloyd_fixed_point_stays_put():
 def test_separate_nudges_coincident_generators():
     sq = unit_square()
     pos = np.array([[0.5, 0.5], [0.5, 0.5], [0.2, 0.2]])
-    out = _separate(sq, pos.copy())
+    out = separate(sq, pos.copy())
     d = np.linalg.norm(out[0] - out[1])
     assert 0 < d < 1e-5
     assert sq.contains(out).all()
     np.testing.assert_array_equal(out[2], [0.2, 0.2])
+
+
+def test_overrelaxed_step_projects_and_separates_agents(caplog):
+    # relax = 100 throws all three agents past the corner (0, 0), onto which
+    # projection merges them; two of them must then be nudged apart
+    sq = unit_square()
+    phi = GmmDensity(sq, [1.0], [[0.0, 0.0]], [[[0.02, 0.0], [0.0, 0.02]]])
+    agents = make_agents([[0.3, 0.32], [0.32, 0.3], [0.8, 0.8]])
+    with caplog.at_level(logging.WARNING, logger="coverkit.coverage"):
+        moved, _, _ = lloyd_step(phi, agents, relax=100.0)
+    pos = positions_of(moved)
+    np.testing.assert_array_equal(pos[0], [0.0, 0.0])
+    assert sq.contains(pos).all()
+    assert np.abs(pos).max() < 1e-5
+    check_sites(pos, sq)
+    assert [r.levelno for r in caplog.records if "nudged" in r.message] == [logging.WARNING]
 
 
 # ---------------------------------------------------------------- descent

@@ -6,13 +6,18 @@ from coverkit.geometry import (
     ConvexPolygon,
     HalfPlane,
     _power_neighbours,
+    check_sites,
     clip,
+    coincident_pairs,
     intersect,
     polygon_moments,
     power_cells,
     power_cells_from_weights,
+    project_into,
+    separate,
     voronoi_cells,
 )
+from tests.oracles import loop_project_into
 
 
 def unit_square():
@@ -191,6 +196,77 @@ def test_contains_handles_boundary():
     assert not sq.contains([1.1, 0.5])
     flags = sq.contains(np.array([[0.2, 0.2], [2.0, 2.0]]))
     assert flags.tolist() == [True, False]
+
+
+# ---------------------------------------------------------- point helpers
+
+def test_project_into_moves_points_to_the_nearest_boundary_point():
+    sq = unit_square()
+    pts = np.array([[1.5, 0.25], [0.4, -2.0], [1.5, 1.75], [-0.5, -0.25], [0.3, 0.6]])
+    out = project_into(sq, pts)
+    # beyond an edge: straight back onto it; beyond a corner: the corner itself
+    np.testing.assert_array_equal(out, [[1.0, 0.25], [0.4, 0.0], [1.0, 1.0],
+                                        [0.0, 0.0], [0.3, 0.6]])
+    np.testing.assert_array_equal(pts[4], [0.3, 0.6])  # the input is not written to
+
+
+def test_project_into_returns_the_same_array_when_nothing_is_outside():
+    pts = np.array([[0.2, 0.3], [1.0, 1.0], [0.0, 0.5]])
+    assert project_into(unit_square(), pts) is pts
+
+
+def test_project_into_matches_the_loop_oracle():
+    rng = np.random.default_rng(8)
+    v = np.array([[0.0, 0.0], [2.0, -0.5], [3.0, 1.0], [1.5, 2.5], [-0.5, 1.5]])
+    pentagon = ConvexPolygon(v)
+    pts = rng.uniform(-2.0, 4.5, size=(400, 2))
+    pts = np.vstack([pts, v + [[-1e-3, -1e-3], [0, -1], [1, 0], [0, 1], [-1, 0]]])
+    got, want = project_into(pentagon, pts), loop_project_into(pentagon, pts)
+    assert (~pentagon.contains(pts)).sum() > 200
+    # np.dot may fuse a multiply-add, so the two differ by a few ulps of coordinates below 5
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+    assert pentagon.contains(got).all()
+
+
+def test_coincident_pairs_in_row_major_order():
+    pts = np.array([[0.5, 0.5], [0.1, 0.1], [0.5, 0.5 + 1e-10], [0.1, 0.1], [0.5, 0.5]])
+    assert coincident_pairs(pts).tolist() == [[0, 2], [0, 4], [1, 3], [2, 4]]
+    assert coincident_pairs(pts[:1]).shape == (0, 2)
+    assert len(coincident_pairs([[0.0, 0.0], [0.0, 2e-9]])) == 0
+
+
+def test_check_sites_names_the_first_pair_then_the_first_stray():
+    with pytest.raises(DuplicateSites, match="sites 1 and 3 coincide"):
+        check_sites([[0.1, 0.1], [0.4, 0.4], [2.0, 2.0], [0.4, 0.4]], unit_square())
+    with pytest.raises(SiteOutsideWorkspace, match="site 2 "):
+        check_sites([[0.1, 0.1], [0.4, 0.4], [2.0, 2.0]], unit_square())
+    check_sites([[0.1, 0.1], [2.0, 2.0]])
+
+
+def test_separate_at_a_workspace_corner_stays_inside():
+    sq = unit_square()
+    pts = np.array([[0.0, 0.0], [0.5, 0.5], [0.0, 0.0]])
+    out = separate(sq, pts)
+    assert sq.contains(out, tol=0.0).all()
+    np.testing.assert_array_equal(out[:2], pts[:2])
+    assert 0 < np.linalg.norm(out[2]) < 1e-5
+    check_sites(out, sq)
+    assert len(power_cells(sq, out, np.zeros(3))) == 3
+
+
+def test_separate_spreads_a_merged_cluster_and_leaves_the_rest():
+    sq = unit_square()
+    pts = np.array([[0.2, 0.7]] * 5 + [[0.6, 0.1], [0.6, 0.1 + 1e-10], [0.9, 0.9]])
+    out = separate(sq, pts)
+    check_sites(out, sq)
+    np.testing.assert_array_equal(out[[0, 5, 7]], pts[[0, 5, 7]])
+    assert np.abs(out - pts).max() < 1e-5
+    np.testing.assert_array_equal(separate(sq, pts), out)  # deterministic
+
+
+def test_separate_returns_the_same_array_when_nothing_coincides():
+    pts = np.array([[0.2, 0.3], [0.7, 0.3]])
+    assert separate(unit_square(), pts) is pts
 
 
 # ---------------------------------------------------------------- voronoi

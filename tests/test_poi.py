@@ -238,6 +238,21 @@ def test_svgd_particles_stay_inside_workspace():
     assert np.all(UNIT.contains(out.points))
 
 
+@pytest.mark.parametrize("where", ["centroid", "corner"])
+def test_svgd_separates_particles_merged_at_one_spot(monkeypatch, caplog, where):
+    # two particles drawn onto one spot of a uniform density feel no drive and
+    # no mutual repulsion, so only the separation step can pull them apart
+    phi = UniformDensity(UNIT)
+    spot = UNIT.centroid if where == "centroid" else np.array([1.0, 0.0])
+    monkeypatch.setattr(phi, "sample", lambda n, seed: np.repeat(spot[None], n, axis=0))
+    with caplog.at_level(logging.DEBUG, logger="coverkit.poi"):
+        pois = svgd(phi, 2, iters=1)
+    np.testing.assert_array_equal(pois.points[0], spot)
+    assert 0 < np.linalg.norm(pois.points[1] - spot) < 1e-5
+    assert UNIT.contains(pois.points).all()
+    assert [r.levelno for r in caplog.records if "merged" in r.message] == [logging.DEBUG]
+
+
 def test_svgd_seed_determinism():
     phi = gauss_phi([0.5, 0.5], 0.02)
     a = svgd(phi, 25, step=0.01, iters=50, seed=17)

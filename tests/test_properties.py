@@ -7,11 +7,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from scipy.spatial import ConvexHull, QhullError  # noqa: E402
+from scipy.spatial.distance import pdist  # noqa: E402
 
 from coverkit.density import (GmmDensity, GridDensity, UniformDensity,  # noqa: E402
                               cell_moments, discretize)
 from coverkit.errors import InvalidDensity  # noqa: E402
-from coverkit.geometry import ConvexPolygon, power_cells_from_weights  # noqa: E402
+from coverkit.geometry import (EPS_GEO, ConvexPolygon, check_sites,  # noqa: E402
+                               coincident_pairs, power_cells_from_weights, separate)
 from tests.test_geometry import all_pairs_power_cells, assert_same_cells  # noqa: E402
 
 coords = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -112,3 +114,25 @@ def test_discretize_grid_masses_sum_to_one(corners, nx, ny, values, cols):
     except InvalidDensity:  # no mass over the workspace or on the grid nodes
         assume(False)
     assert abs(measure.weights.sum() - 1.0) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(corners=corner_sets, mix=mixes, copies=st.lists(st.integers(0, 7), max_size=4),
+       vertices=st.lists(st.integers(0, 9), max_size=4), at_centroid=st.integers(0, 3))
+def test_separate_leaves_distinct_points_inside(corners, mix, copies, vertices, at_centroid):
+    workspace = hull_polygon(corners)
+    assume(workspace is not None)
+    v = workspace.vertices
+    w = np.asarray(mix)[:, :len(v)]
+    sites = (w / w.sum(axis=1, keepdims=True)) @ v
+    # forced duplicates: copies of sites, vertices twice over, the centroid
+    extra = ([sites[i % len(sites)] for i in copies] + [v[i % len(v)] for i in vertices] * 2
+             + [workspace.centroid] * at_centroid)
+    points = np.vstack([sites, *extra]) if extra else sites
+    out = separate(workspace, points)
+    assert workspace.contains(out).all()
+    assert pdist(out).min(initial=np.inf) > EPS_GEO
+    check_sites(out, workspace)
+    lonely = np.setdiff1d(np.arange(len(points)), coincident_pairs(points))
+    np.testing.assert_array_equal(out[lonely], points[lonely])
+    np.testing.assert_array_equal(separate(workspace, points), out)

@@ -528,6 +528,33 @@ def test_coincident_positions_fail_before_any_output(tmp_path, pipeline):
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("pipeline", ["lloyd", "swarm"])
+def test_radii_outside_power_lloyd_fail_before_any_output(tmp_path, pipeline):
+    cfg = {"pipeline": pipeline, "seed": 1, "density": {"kind": "uniform"},
+           "agents": {"n": 3, "radii": [0.1, 0.2, 0.0]}, "params": {"iters": 2},
+           "out": str(tmp_path / "results")}
+    path = write_cfg(tmp_path, cfg)
+    assert [e["field"] for e in validate(path).errors] == ["agents.radii"]
+    assert run(path) == EXIT_CONFIG
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"kind": "disk", "radius": 0.1, "falloff": "exponential"},
+     "agents.services[1].falloff"),
+    ({"kind": "gaussian", "covariance": [[0.01, 0.0], [0.0, 0.01]], "radius": 0.1},
+     "agents.services[1].radius"),
+], ids=["disk-falloff", "gaussian-radius"])
+def test_unknown_service_fields_fail_before_any_output(tmp_path, spec, field):
+    cfg = poi_cfg()
+    cfg["agents"]["services"][1] = spec
+    cfg["out"] = str(tmp_path / "results")
+    path = write_cfg(tmp_path, cfg)
+    assert [e["field"] for e in validate(path).errors] == [field]
+    assert run(path) == EXIT_CONFIG
+    assert not (tmp_path / "results").exists()
+
+
 def test_non_finite_cost_exits_3(tmp_path):
     cfg = poi_cfg()
     cfg["agents"]["services"][1] = {"kind": "gaussian",
