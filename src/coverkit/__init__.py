@@ -54,7 +54,7 @@ from .errors import (
     SiteOutsideWorkspace,
     SizeLimit,
 )
-from .geometry import ConvexPolygon, HalfPlane, power_cells, voronoi_cells
+from .geometry import ConvexPolygon, power_cells, voronoi_cells
 from .poi import GmmFit, KMeansResult, PoiSet, gmm_em, kmeans, svgd
 from .render import render_scene
 from .submod import (
@@ -97,7 +97,6 @@ __all__ = [
     "GmmFit",
     "GreedyTrace",
     "GridDensity",
-    "HalfPlane",
     "InfeasibleShape",
     "InvalidDensity",
     "IsotropicService",

@@ -12,20 +12,22 @@ facet; such a site is clipped against every other site. With fewer than four
 sites, a weight that is not finite, or when qhull cannot build the hull
 (collinear sites, or cocircular sites with equal weights), every site takes
 that all-sites path, which is the plain O(N^2) construction. Either way a
-site is clipped in increasing index order of its competitors, so both paths
-share one loop. ``power_cells_from_weights`` is the one entry point; the
-Voronoi and nonnegative-radius forms call it.
+site's half-planes are stacked in increasing index order of its competitors
+and cut in one ``clip`` call, the one clipper: it cuts a raw (V, 2) vertex
+array by a (K, 2) stack of unit normals and K offsets, so only the finished
+cell becomes a ``ConvexPolygon``. ``power_cells_from_weights`` is the one
+entry point; the Voronoi and nonnegative-radius forms call it.
 
 This module is the one home of the polygon and point helpers the other layers
 share: ``ConvexPolygon.contains`` for point-in-polygon tests, ``intersect``
-for clipping a polygon to a region (footprints and raster pixels to the
-workspace), ``project_into`` for pulling stray points back inside,
+for clipping a polygon to a region's edge half-planes (footprints and raster
+pixels to the workspace), ``project_into`` for pulling stray points back inside,
 ``coincident_pairs`` and ``check_sites`` for finding and rejecting points
 closer than ``EPS_GEO``, and ``separate`` for nudging such points apart.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -37,7 +39,10 @@ EPS_GEO = 1e-9
 
 
 class ConvexPolygon:
-    """Convex polygon with counter-clockwise vertices (used for W and every cell)."""
+    """Convex polygon with counter-clockwise vertices (used for W and every cell).
+
+    It must not be a sliver: see ``_has_area``, which ``clip`` applies too.
+    """
 
     __slots__ = ("vertices",)
 
@@ -54,6 +59,8 @@ class ConvexPolygon:
         cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
         if (cross < -EPS_GEO).any():
             raise ValueError("vertices must be convex in counter-clockwise order")
+        if not _has_area(v):
+            raise ValueError("vertices must enclose an area above EPS_GEO times the longest edge")
         self.vertices = v
 
     def __repr__(self):
@@ -98,22 +105,6 @@ class ConvexPolygon:
         return bool(ok[0]) if single else ok
 
 
-@dataclass(frozen=True)
-class HalfPlane:
-    """The set {q : normal . q <= offset}, with a unit normal."""
-
-    normal: np.ndarray
-    offset: float
-
-    @staticmethod
-    def from_direction(direction, offset: float) -> "HalfPlane":
-        d = np.asarray(direction, dtype=float)
-        ln = float(np.hypot(d[0], d[1]))
-        if ln <= 0.0:
-            raise ValueError("half-plane direction must be nonzero")
-        return HalfPlane(d / ln, float(offset) / ln)
-
-
 def polygon_moments(poly: ConvexPolygon) -> tuple[float, np.ndarray]:
     """Shoelace area and centroid."""
     v = poly.vertices
@@ -126,45 +117,68 @@ def polygon_moments(poly: ConvexPolygon) -> tuple[float, np.ndarray]:
     return float(area), np.array([cx, cy])
 
 
-def clip(poly: ConvexPolygon | None, h: HalfPlane) -> ConvexPolygon | None:
-    """Intersect a convex polygon with a half-plane (Sutherland-Hodgman, one plane).
+def clip(vertices: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray | None:
+    """Cut a convex (V, 2) vertex array by the half-planes {q : n_k . q <= c_k}, in order.
 
-    Returns None when the intersection has no area; zero-width slivers collapse.
+    Sutherland-Hodgman, one plane at a time, for a (K, 2) stack of unit
+    normals n_k and K offsets c_k. A plane binds unless every vertex lies
+    within EPS_GEO of its side. After each binding cut, a vertex within
+    EPS_GEO of the last one kept is dropped, and so is the last vertex when
+    it is that close to the first. Returns the input array itself when no
+    plane binds, None once what is left has fewer than three vertices or is
+    a sliver (see ``_has_area``), and otherwise the remaining vertices.
     """
-    if poly is None:
-        return None
-    v = poly.vertices
-    s = v @ h.normal - h.offset
-    if (s <= EPS_GEO).all():
-        return poly
-    if (s >= -EPS_GEO).all():
-        return None
-    out = []
-    n = len(v)
-    for i in range(n):
-        j = (i + 1) % n
-        si, sj = s[i], s[j]
-        if si <= 0.0:
-            out.append(v[i])
-        if (si < 0.0 < sj) or (sj < 0.0 < si):
-            t = si / (si - sj)
-            out.append(v[i] + t * (v[j] - v[i]))
-    return _polygon_or_none(out)
+    v = vertices
+    for n, c in zip(normals, offsets):
+        s = v @ n - c
+        if s.max() <= EPS_GEO:
+            continue
+        if s.min() >= -EPS_GEO:
+            return None
+        s_next = np.concatenate((s[1:], s[:1]))
+        cross = ((s < 0.0) & (s_next > 0.0)) | ((s_next < 0.0) & (s > 0.0))
+        # t = s_i / (s_i - s_j) on the crossed edges i -> j, 0 on the rest
+        t = np.divide(s, s - s_next, out=np.zeros_like(s), where=cross)
+        hit = v + t[:, None] * (np.concatenate((v[1:], v[:1])) - v)
+        # each kept vertex, then the crossing point of the edge leaving it
+        pts = np.stack((v, hit), axis=1).reshape(-1, 2)[
+            np.column_stack((s <= 0.0, cross)).ravel()]
+        ring = pts[:1].tolist()
+        for q in pts[1:].tolist():
+            if math.dist(q, ring[-1]) > EPS_GEO:
+                ring.append(q)
+        if len(ring) > 1 and math.dist(ring[-1], ring[0]) <= EPS_GEO:
+            ring.pop()
+        if len(ring) < 3:
+            return None
+        v = np.array(ring)
+        if not _has_area(v):
+            return None
+    return v
+
+
+def _has_area(v: np.ndarray) -> bool:
+    """Whether a counter-clockwise vertex ring's shoelace area exceeds
+    EPS_GEO times its longest edge; a ring that does not is a sliver."""
+    nxt = np.concatenate((v[1:], v[:1]))
+    area = 0.5 * (v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]).sum()
+    edges = nxt - v
+    return bool(area > EPS_GEO * np.hypot(edges[:, 0], edges[:, 1]).max())
 
 
 def intersect(poly: ConvexPolygon, region: ConvexPolygon) -> ConvexPolygon | None:
     """Part of a convex polygon inside a convex region; None when it has no area.
 
-    Clips by one region edge at a time and stops at the first empty result.
+    Clips by the region's edges in order. Returns ``poly`` itself when no
+    edge cuts it.
     """
-    v = region.vertices
-    for a, b in zip(v, np.roll(v, -1, axis=0)):
-        e = b - a
-        n = np.array([e[1], -e[0]])  # outward normal of a counter-clockwise edge
-        poly = clip(poly, HalfPlane.from_direction(n, n @ a))
-        if poly is None:
-            return None
-    return poly
+    a = region.vertices
+    e = np.concatenate((a[1:], a[:1])) - a
+    n = np.column_stack((e[:, 1], -e[:, 0]))  # outward normals of counter-clockwise edges
+    ln = np.hypot(n[:, 0], n[:, 1])
+    # n . a through matmul: a row-wise (n * a).sum(1) rounds differently
+    v = clip(poly.vertices, n / ln[:, None], (n[:, None, :] @ a[:, :, None])[:, 0, 0] / ln)
+    return poly if v is poly.vertices else None if v is None else ConvexPolygon(v)
 
 
 def project_into(poly: ConvexPolygon, pts: np.ndarray) -> np.ndarray:
@@ -243,29 +257,6 @@ def separate(workspace: ConvexPolygon, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _polygon_or_none(points) -> ConvexPolygon | None:
-    """Build a polygon from raw clip output, dropping duplicates and slivers."""
-    if len(points) < 3:
-        return None
-    pts = np.asarray(points, dtype=float)
-    keep = [0]
-    for i in range(1, len(pts)):
-        if np.hypot(*(pts[i] - pts[keep[-1]])) > EPS_GEO:
-            keep.append(i)
-    if len(keep) > 1 and np.hypot(*(pts[keep[-1]] - pts[keep[0]])) <= EPS_GEO:
-        keep.pop()
-    if len(keep) < 3:
-        return None
-    pts = pts[keep]
-    x, y = pts[:, 0], pts[:, 1]
-    area = 0.5 * (x * np.roll(y, -1) - np.roll(x, -1) * y).sum()
-    edges = np.roll(pts, -1, axis=0) - pts
-    longest = float(np.hypot(edges[:, 0], edges[:, 1]).max())
-    if area <= EPS_GEO * longest:
-        return None
-    return ConvexPolygon(pts)
-
-
 def _power_neighbours(P: np.ndarray, w: np.ndarray) -> list[np.ndarray | None]:
     """Per site, the sorted indices of the other sites that may bound its power cell.
 
@@ -296,20 +287,6 @@ def _power_neighbours(P: np.ndarray, w: np.ndarray) -> list[np.ndarray | None]:
     return found
 
 
-def _clip_cell(workspace: ConvexPolygon, P: np.ndarray, sq: np.ndarray, w: np.ndarray,
-               i: int, rivals) -> ConvexPolygon | None:
-    """Workspace clipped by the radical-axis half-plane of each rival of site i."""
-    cell: ConvexPolygon | None = workspace
-    for j in rivals:
-        # {q : |q-p_i|^2 - w_i <= |q-p_j|^2 - w_j}
-        direction = 2.0 * (P[j] - P[i])
-        offset = (sq[j] - sq[i]) - (w[j] - w[i])
-        cell = clip(cell, HalfPlane.from_direction(direction, offset))
-        if cell is None:
-            break
-    return cell
-
-
 def power_cells_from_weights(workspace: ConvexPolygon, points, weights) -> list[ConvexPolygon | None]:
     """Power cells for signed squared-radius weights w_i (radical-axis clipping).
 
@@ -322,8 +299,19 @@ def power_cells_from_weights(workspace: ConvexPolygon, points, weights) -> list[
         raise ValueError("one weight per site required")
     check_sites(P, workspace)
     sq = (P * P).sum(axis=1)
-    return [None if rivals is None else _clip_cell(workspace, P, sq, w, i, rivals)
-            for i, rivals in enumerate(_power_neighbours(P, w))]
+    cells: list[ConvexPolygon | None] = []
+    for i, rivals in enumerate(_power_neighbours(P, w)):
+        if rivals is None:
+            cells.append(None)
+            continue
+        # {q : |q-p_i|^2 - w_i <= |q-p_j|^2 - w_j} for each rival j
+        d = 2.0 * (P[rivals] - P[i])
+        ln = np.hypot(d[:, 0], d[:, 1])
+        v = clip(workspace.vertices, d / ln[:, None],
+                 ((sq[rivals] - sq[i]) - (w[rivals] - w[i])) / ln)
+        cells.append(workspace if v is workspace.vertices else None if v is None
+                     else ConvexPolygon(v))
+    return cells
 
 
 def power_cells(workspace: ConvexPolygon, points, radii) -> list[ConvexPolygon | None]:

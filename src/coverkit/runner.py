@@ -4,7 +4,8 @@ One config file describes one run. ``validate`` parses it once, checks it
 field by field and builds the workspace and density; ``run`` executes the
 pipeline on exactly what ``validate`` built, so a config that passes
 ``validate`` is the config that runs. Every run leaves behind manifest.json
-(the resolved config), metrics.jsonl (per-iteration records), final.csv,
+(the resolved config, and under ``versions`` those of coverkit, Python, numpy
+and scipy), metrics.jsonl (per-iteration records), final.csv,
 and at least one render_*.svg. Exit codes: 0 success, 2 invalid config,
 3 numerical failure with whatever logs were already written left intact.
 """
@@ -15,17 +16,19 @@ import argparse
 import json
 import logging
 import math
+import platform
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 import yaml
 from scipy.spatial.distance import cdist
 
+from . import __version__, submod, swarm
 from . import assign as assign_mod
 from . import poi as poi_mod
-from . import submod, swarm
 from .coverage import KIND_POWER, KIND_VORONOI, build_partition, make_agents, run_descent
 from .density import (DensityField, GmmDensity, UniformDensity, from_pgm, load_grid_csv,
                       spd_cholesky, write_csv)
@@ -541,8 +544,10 @@ def run(config_path, seed=None, out=None) -> int:
     }
     out_dir = Path(resolved["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
+    versions = {"coverkit": __version__, "python": platform.python_version(),
+                "numpy": np.__version__, "scipy": scipy.__version__}
     with open(out_dir / "manifest.json", "w") as fh:
-        fh.write(json.dumps(resolved, indent=2, sort_keys=True,
+        fh.write(json.dumps({**resolved, "versions": versions}, indent=2, sort_keys=True,
                            default=lambda o: o.tolist()) + "\n")
 
     try:

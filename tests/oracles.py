@@ -5,8 +5,9 @@ and the quadrature divergence is the oracle for the closed-form Gaussian
 divergence. Where a fast path replaced a direct routine, the direct routine
 is kept here as its oracle: the einsum form of the mixture density and its
 log-gradient, footprint prices integrated over each clipped footprint
-polygon, and the edge-by-edge loop that projected stray points onto a
-polygon. Voronoi cell masses as a discrete measure have no caller in a
+polygon, the edge-by-edge loop that projected stray points onto a polygon,
+and the one-plane clip that built a polygon after every cut, with its
+``HalfPlane``. Voronoi cell masses as a discrete measure have no caller in a
 pipeline either. None of these runs in a pipeline, so they live here and not
 in the package.
 """
@@ -23,7 +24,7 @@ from coverkit.coverage import KIND_VORONOI, build_partition, make_agents
 from coverkit.density import (DensityField, DiscreteMeasure, GmmDensity, cell_moments,
                               polygon_quadrature)
 from coverkit.errors import CoverkitError
-from coverkit.geometry import ConvexPolygon, intersect
+from coverkit.geometry import EPS_GEO, ConvexPolygon, intersect
 
 _FLOOR_REL = 1e-12
 SEARCH_CAP = 1_000_000
@@ -193,3 +194,78 @@ def loop_project_into(poly: ConvexPolygon, pts: np.ndarray) -> np.ndarray:
                 best, best_d2 = c, d2
         pts[idx] = best
     return pts
+
+
+# --------------------------------------------------------------- clipping
+
+@dataclass(frozen=True)
+class HalfPlane:
+    """The set {q : normal . q <= offset}, with a unit normal."""
+
+    normal: np.ndarray
+    offset: float
+
+    @staticmethod
+    def from_direction(direction, offset: float) -> "HalfPlane":
+        d = np.asarray(direction, dtype=float)
+        ln = float(np.hypot(d[0], d[1]))
+        if ln <= 0.0:
+            raise ValueError("half-plane direction must be nonzero")
+        return HalfPlane(d / ln, float(offset) / ln)
+
+
+def one_plane_clip(poly: ConvexPolygon | None, h: HalfPlane) -> ConvexPolygon | None:
+    """Intersect a convex polygon with one half-plane (Sutherland-Hodgman).
+
+    Returns the polygon itself when the plane does not bind, and None when
+    the intersection has no area; zero-width slivers collapse.
+    """
+    if poly is None:
+        return None
+    v = poly.vertices
+    s = v @ h.normal - h.offset
+    if (s <= EPS_GEO).all():
+        return poly
+    if (s >= -EPS_GEO).all():
+        return None
+    out = []
+    n = len(v)
+    for i in range(n):
+        j = (i + 1) % n
+        si, sj = s[i], s[j]
+        if si <= 0.0:
+            out.append(v[i])
+        if (si < 0.0 < sj) or (sj < 0.0 < si):
+            t = si / (si - sj)
+            out.append(v[i] + t * (v[j] - v[i]))
+    return polygon_or_none(out)
+
+
+def polygon_or_none(points) -> ConvexPolygon | None:
+    """Build a polygon from raw clip output, dropping duplicates and slivers."""
+    if len(points) < 3:
+        return None
+    pts = np.asarray(points, dtype=float)
+    keep = [0]
+    for i in range(1, len(pts)):
+        if np.hypot(*(pts[i] - pts[keep[-1]])) > EPS_GEO:
+            keep.append(i)
+    if len(keep) > 1 and np.hypot(*(pts[keep[-1]] - pts[keep[0]])) <= EPS_GEO:
+        keep.pop()
+    if len(keep) < 3:
+        return None
+    pts = pts[keep]
+    x, y = pts[:, 0], pts[:, 1]
+    area = 0.5 * (x * np.roll(y, -1) - np.roll(x, -1) * y).sum()
+    edges = np.roll(pts, -1, axis=0) - pts
+    longest = float(np.hypot(edges[:, 0], edges[:, 1]).max())
+    if area <= EPS_GEO * longest:
+        return None
+    return ConvexPolygon(pts)
+
+
+def clip_planes(poly: ConvexPolygon, normals, offsets) -> ConvexPolygon | None:
+    """Clip by a stack of unit half-planes, one ``one_plane_clip`` call each."""
+    for n, c in zip(normals, offsets):
+        poly = one_plane_clip(poly, HalfPlane(np.array(n, dtype=float), float(c)))
+    return poly

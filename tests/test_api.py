@@ -10,7 +10,7 @@ PUBLIC = [
     "AgentState", "AssignmentResult", "ConvexPolygon", "CostMatrix", "CoverkitError",
     "DensityField", "DescentResult", "DiscreteMeasure", "DuplicateSites",
     "EvalOutsideSupport", "GaussianService", "GmmDensity", "GmmFit", "GreedyTrace",
-    "GridDensity", "HalfPlane", "InfeasibleShape", "InvalidDensity", "IsotropicService",
+    "GridDensity", "InfeasibleShape", "InvalidDensity", "IsotropicService",
     "KIND_POWER", "KIND_VORONOI", "KMeansResult", "KernelMismatch", "NoConvergence",
     "NonFiniteCost", "NonMonotoneDescent", "Partition", "PoiSet", "SiteOutsideWorkspace",
     "SizeLimit", "SwarmRun", "SwarmState", "TransportPlan", "UniformDensity",

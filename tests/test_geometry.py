@@ -3,8 +3,8 @@ import pytest
 
 from coverkit.errors import DuplicateSites, SiteOutsideWorkspace
 from coverkit.geometry import (
+    EPS_GEO,
     ConvexPolygon,
-    HalfPlane,
     _power_neighbours,
     check_sites,
     clip,
@@ -17,7 +17,7 @@ from coverkit.geometry import (
     separate,
     voronoi_cells,
 )
-from tests.oracles import loop_project_into
+from tests.oracles import HalfPlane, clip_planes, loop_project_into, one_plane_clip
 
 
 def unit_square():
@@ -53,7 +53,23 @@ def all_pairs_power_cells(workspace, points, weights):
                 continue
             direction = 2.0 * (P[j] - P[i])
             offset = (sq[j] - sq[i]) - (w[j] - w[i])
-            cell = clip(cell, HalfPlane.from_direction(direction, offset))
+            cell = one_plane_clip(cell, HalfPlane.from_direction(direction, offset))
+        cells.append(cell)
+    return cells
+
+
+def neighbour_power_cells(workspace, points, weights):
+    """Oracle: clip each cell by its power neighbours' radical axes, one
+    ``one_plane_clip`` at a time."""
+    P = np.atleast_2d(np.asarray(points, dtype=float))
+    w = np.asarray(weights, dtype=float)
+    sq = (P * P).sum(axis=1)
+    cells = []
+    for i, rivals in enumerate(_power_neighbours(P, w)):
+        cell = None if rivals is None else workspace
+        for j in rivals if rivals is not None else ():
+            h = HalfPlane.from_direction(2.0 * (P[j] - P[i]), (sq[j] - sq[i]) - (w[j] - w[i]))
+            cell = one_plane_clip(cell, h)
         cells.append(cell)
     return cells
 
@@ -71,21 +87,27 @@ def assert_same_cells(got, want, tol=1e-12):
 
 # ---------------------------------------------------------------- clip
 
+def unit_plane(direction, offset):
+    """One half-plane as the (1, 2) normals and (1,) offsets that clip takes."""
+    h = HalfPlane.from_direction(direction, offset)
+    return h.normal[None, :], np.array([h.offset])
+
+
 def test_clip_axis_aligned_cut():
-    out = clip(unit_square(), HalfPlane.from_direction([1, 0], 0.5))
+    out = clip(unit_square().vertices, *unit_plane([1, 0], 0.5))
     assert out is not None
-    assert np.isclose(out.area, 0.5)
-    assert out.vertices[:, 0].max() == pytest.approx(0.5)
-    assert out.vertices[:, 0].min() == pytest.approx(0.0)
+    assert np.isclose(ConvexPolygon(out).area, 0.5)
+    assert out[:, 0].max() == pytest.approx(0.5)
+    assert out[:, 0].min() == pytest.approx(0.0)
 
 
 def test_clip_non_binding_returns_same_polygon():
-    sq = unit_square()
-    assert clip(sq, HalfPlane.from_direction([1, 0], 2.0)) is sq
+    v = unit_square().vertices
+    assert clip(v, *unit_plane([1, 0], 2.0)) is v
 
 
 def test_clip_disjoint_returns_none():
-    assert clip(unit_square(), HalfPlane.from_direction([1, 0], -1.0)) is None
+    assert clip(unit_square().vertices, *unit_plane([1, 0], -1.0)) is None
 
 
 def test_clip_idempotent_on_random_cuts():
@@ -93,13 +115,53 @@ def test_clip_idempotent_on_random_cuts():
     for _ in range(50):
         direction = rng.normal(size=2)
         offset = rng.uniform(-0.2, 1.2)
-        h = HalfPlane.from_direction(direction, offset)
-        once = clip(unit_square(), h)
-        twice = clip(once, h)
-        if once is None:
-            assert twice is None
-        else:
-            assert np.allclose(once.vertices, twice.vertices, atol=1e-12)
+        plane = unit_plane(direction, offset)
+        once = clip(unit_square().vertices, *plane)
+        if once is not None:
+            assert np.allclose(once, clip(once, *plane), atol=1e-12)
+
+
+def random_convex_ring(rng):
+    """Vertices of a random convex polygon, counter-clockwise, 3 to 12 of them."""
+    ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, rng.integers(3, 13)))
+    radii = rng.uniform(0.5, 2.0, 2)
+    ring = rng.uniform(-1.0, 1.0, 2) + radii * np.column_stack([np.cos(ang), np.sin(ang)])
+    return ConvexPolygon(ring).vertices
+
+
+def random_planes(rng, v, k):
+    """k unit half-planes: random lines, lines through a vertex, and lines a
+    vertex misses by 0.5 or 2 EPS_GEO on either side."""
+    normals = rng.normal(size=(k, 2))
+    normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
+    offsets = normals @ rng.uniform(-1.5, 1.5, 2)
+    through = rng.random(k) < 0.5
+    corner = v[rng.integers(len(v), size=k)]
+    nudge = rng.choice([0.0, 0.5, -0.5, 2.0, -2.0], size=k) * EPS_GEO
+    offsets[through] = (normals * corner).sum(1)[through] + nudge[through]
+    return normals, offsets
+
+
+def assert_clip_matches_oracle(v, normals, offsets) -> str:
+    """clip equals the one-plane oracle bit for bit; returns 'none', 'same' or 'cut'."""
+    got = clip(v, normals, offsets)
+    want = clip_planes(ConvexPolygon(v), normals, offsets)
+    if want is None:
+        assert got is None
+        return "none"
+    np.testing.assert_array_equal(got, want.vertices)
+    assert (got is v) == (want.vertices is v)
+    return "same" if got is v else "cut"
+
+
+def test_clip_matches_one_plane_oracle():
+    rng = np.random.default_rng(2024)
+    outcomes = {"same": 0, "none": 0, "cut": 0}
+    for _ in range(400):
+        v = random_convex_ring(rng)
+        outcomes[assert_clip_matches_oracle(
+            v, *random_planes(rng, v, int(rng.integers(1, 41))))] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def clip_to_edges(poly, region):
@@ -108,7 +170,7 @@ def clip_to_edges(poly, region):
     for a, b in zip(v, np.roll(v, -1, axis=0)):
         e = b - a
         n = np.array([e[1], -e[0]])
-        poly = clip(poly, HalfPlane.from_direction(n, n @ a))
+        poly = one_plane_clip(poly, HalfPlane.from_direction(n, n @ a))
     return poly
 
 
@@ -138,12 +200,6 @@ def test_intersect_disjoint_and_contained():
                                   clip_to_edges(square, inner).vertices)
     np.testing.assert_allclose(intersect(square, inner).vertices, inner.vertices,
                                atol=1e-15)
-
-
-def test_halfplane_normalizes():
-    h = HalfPlane.from_direction([3, 4], 10.0)
-    assert np.isclose(np.hypot(*h.normal), 1.0, atol=1e-12)
-    assert np.isclose(h.offset, 2.0)
 
 
 # ---------------------------------------------------------------- moments
@@ -181,6 +237,13 @@ def test_polygon_rejects_nonconvex():
 def test_polygon_rejects_duplicate_vertices():
     with pytest.raises(ValueError):
         ConvexPolygon([[0, 0], [0, 0], [1, 0], [1, 1]])
+
+
+@pytest.mark.parametrize("ring", [[[0, 0], [1, 0], [2, 0]], [[0, 0], [1, 0], [0.5, 1e-10]]],
+                         ids=["collinear", "sliver"])
+def test_polygon_rejects_zero_area(ring):
+    with pytest.raises(ValueError, match="area"):
+        ConvexPolygon(ring)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -447,8 +510,14 @@ def oracle_cases():
 @pytest.mark.parametrize("case", list(oracle_cases()), ids=lambda c: c[0])
 def test_power_cells_match_all_pairs_oracle(case):
     _, workspace, sites, weights = case
-    assert_same_cells(power_cells_from_weights(workspace, sites, weights),
-                      all_pairs_power_cells(workspace, sites, weights))
+    got = power_cells_from_weights(workspace, sites, weights)
+    assert_same_cells(got, all_pairs_power_cells(workspace, sites, weights))
+    # bit for bit, cutting by the same neighbours one plane and one polygon at a time
+    want = neighbour_power_cells(workspace, sites, weights)
+    assert [c is None for c in got] == [c is None for c in want]
+    for a, b in zip(got, want):
+        if b is not None:
+            np.testing.assert_array_equal(a.vertices, b.vertices)
 
 
 def test_oracle_cases_reach_every_path():

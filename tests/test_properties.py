@@ -14,7 +14,8 @@ from coverkit.density import (GmmDensity, GridDensity, UniformDensity,  # noqa: 
 from coverkit.errors import InvalidDensity  # noqa: E402
 from coverkit.geometry import (EPS_GEO, ConvexPolygon, check_sites,  # noqa: E402
                                coincident_pairs, power_cells_from_weights, separate)
-from tests.test_geometry import all_pairs_power_cells, assert_same_cells  # noqa: E402
+from tests.test_geometry import (all_pairs_power_cells, assert_clip_matches_oracle,  # noqa: E402
+                                  assert_same_cells)
 
 coords = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 corner_sets = st.lists(st.tuples(coords, coords), min_size=3, max_size=10)
@@ -67,6 +68,25 @@ def test_power_cells_match_all_pairs_oracle(corners, mix, raw):
     weights = np.asarray(raw[:len(sites)])
     assert_same_cells(power_cells_from_weights(workspace, sites, weights),
                       all_pairs_power_cells(workspace, sites, weights))
+
+
+# (angle of the normal, vertex index, miss in EPS_GEO, free offset): an even
+# index puts the line through that vertex, missed by the given amount
+planes = st.lists(st.tuples(st.floats(0.0, 2.0 * np.pi), st.integers(0, 19),
+                            st.sampled_from([0.0, 0.5, -0.5, 2.0, -2.0]), coords),
+                  min_size=1, max_size=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corners=corner_sets, planes=planes)
+def test_clip_matches_one_plane_oracle(corners, planes):
+    workspace = hull_polygon(corners)
+    assume(workspace is not None)
+    v = workspace.vertices
+    angle, corner, miss, free = (np.array(x) for x in zip(*planes))
+    normals = np.column_stack([np.cos(angle), np.sin(angle)])
+    through = (normals * v[corner % len(v)]).sum(axis=1) + miss * EPS_GEO
+    assert_clip_matches_oracle(v, normals, np.where(corner % 2 == 0, through, free))
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import yaml
 
 import coverkit
@@ -122,6 +124,18 @@ def test_gmm_without_mass_over_the_workspace_fails_before_any_output(tmp_path):
     assert not (tmp_path / "results").exists()
 
 
+def test_zero_area_workspace_fails_before_any_output(tmp_path):
+    cfg = lloyd_cfg()
+    cfg["workspace"] = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
+    cfg["out"] = str(tmp_path / "results")
+    path = write_cfg(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [e["field"] for e in validate(path).errors] == ["workspace"]
+        assert run(path) == EXIT_CONFIG
+    assert not (tmp_path / "results").exists()
+
+
 def test_structural_complaints_carry_field_names(tmp_path):
     cfg = {
         "pipeline": "poi_assign",
@@ -183,6 +197,14 @@ def test_lloyd_run_writes_all_artifacts(tmp_path):
     rows = (out / "final.csv").read_text().splitlines()
     assert rows[0] == "agent,x,y,power_radius"
     assert len(rows) == 4
+
+
+def test_manifest_records_versions(tmp_path):
+    assert run(write_cfg(tmp_path, lloyd_cfg(iters=2)), out=tmp_path / "out") == EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["versions"] == {"coverkit": coverkit.__version__,
+                                    "python": platform.python_version(),
+                                    "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def test_metrics_are_byte_deterministic_and_seed_sensitive(tmp_path):
