@@ -48,9 +48,9 @@ _UNIT_NGON = _unit_ngon()
 @functools.lru_cache(maxsize=None)
 def _reference_rule(scale: float, levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes and weights over scale * the unit polygon, built once."""
-    pts, w = polygon_quadrature(ConvexPolygon(scale * _UNIT_NGON), levels)
+    pts, w = polygon_quadrature((scale * _UNIT_NGON)[None], levels)
     pts.flags.writeable = w.flags.writeable = False
-    return pts, w
+    return pts[0], w[0]
 
 
 def _check_orientations(orientations) -> tuple:
@@ -73,6 +73,14 @@ class _Service:
     def footprint(self, center, theta: float) -> ConvexPolygon:
         ring = (self._scale * _UNIT_NGON) @ self._footprint_map(theta).T
         return ConvexPolygon(np.asarray(center, float) + ring)
+
+    def _check_footprint(self) -> None:
+        """ValueError unless the footprint at the origin is a polygon: every
+        edge longer than EPS_GEO and not a sliver. Rotations keep its edges."""
+        try:
+            self.footprint((0.0, 0.0), 0.0)
+        except ValueError as exc:
+            raise ValueError(f"footprint is too small or too thin to price: {exc}") from None
 
     def _quadrature(self, workspace: ConvexPolygon, center, theta: float, levels: int):
         """What ``cell_moments`` integrates for the footprint at one orientation.
@@ -104,6 +112,7 @@ class IsotropicService(_Service):
         self.radius = float(radius)
         self.falloff = falloff if falloff is not None else lambda r: r * r
         self.orientations = _check_orientations(orientations)
+        self._check_footprint()
 
     def _footprint_map(self, theta: float) -> np.ndarray:
         del theta
@@ -129,6 +138,7 @@ class GaussianService(_Service):
         self._chol = spd_cholesky(cov)
         self.covariance = cov
         self.orientations = _check_orientations(orientations)
+        self._check_footprint()
 
     def oriented_covariance(self, theta: float) -> np.ndarray:
         rot = rotation(theta)

@@ -7,13 +7,19 @@ Integration uses a fixed symmetric degree-6 triangle rule with two uniform
 refinement levels by default: deterministic, cheap, and accurate enough for
 the cell sizes produced by the descent loops (tests carry dense-grid oracles).
 
+``polygon_quadrature`` builds the rules for a (P, V, 2) stack of polygons at
+once: each is fanned from its area centroid and subdivided along a leading
+polygon axis, so a polygon's nodes come out in the order they would alone,
+and one polygon is the stack of P = 1.
+
 ``cell_moments`` is the one place where polygon quadrature nodes meet
 ``DensityField.eval``: every per-cell mass, centroid and locational cost in
 the toolkit (Lloyd cells, equitable weights, footprint prices) comes from it.
-It builds each polygon's rule with ``polygon_quadrature``, or takes a ready
-one: ``assign`` calls ``polygon_quadrature`` once per level for a reference
+It groups its polygons by vertex count and builds their rules stacked, or
+takes ready ones: ``assign`` builds one rule per level for a reference
 footprint and hands over its affine image for every footprint that the
-workspace does not clip.
+workspace does not clip. Each slab of about ``EVAL_NODES`` nodes takes one
+``eval`` call and one row-wise reduction to masses, centroids and costs.
 ``spd_cholesky`` is the one covariance check, and ``write_csv`` the one
 artifact CSV writer, next to the grid CSV loader.
 """
@@ -27,9 +33,13 @@ import numpy as np
 
 from .errors import EvalOutsideSupport, InvalidDensity, NoConvergence
 # clip is not called here, but coverbench/tracing.py patches it in this module
-from .geometry import EPS_GEO, ConvexPolygon, clip, intersect  # noqa: F401
+from .geometry import EPS_GEO, ConvexPolygon, clip, intersect, ring_moments  # noqa: F401
 
 MASS_EPS = 1e-12
+# nodes per phi.eval call in cell_moments: one call over every cell of a
+# 100-site diagram raised peak memory by about a quarter, and slabs of about
+# this size were also faster than one call
+EVAL_NODES = 8192
 _ACCEPT_FLOOR = 1e-3  # see DensityField._sample_rejection
 _PROBE_PROPOSALS = 10_000
 _SYMMETRY_REL = 1e-12  # see spd_cholesky
@@ -60,38 +70,46 @@ RULE_BARY, RULE_WEIGHTS = _build_rule()
 
 
 def _subdivide(tris: np.ndarray) -> np.ndarray:
-    """Split each triangle into 4 congruent children (orientation preserved)."""
-    m01 = 0.5 * (tris[:, 0] + tris[:, 1])
-    m12 = 0.5 * (tris[:, 1] + tris[:, 2])
-    m20 = 0.5 * (tris[:, 2] + tris[:, 0])
-    out = np.concatenate([
-        np.stack([tris[:, 0], m01, m20], axis=1),
-        np.stack([m01, tris[:, 1], m12], axis=1),
-        np.stack([m20, m12, tris[:, 2]], axis=1),
-        np.stack([m01, m12, m20], axis=1),
-    ])
-    return out
+    """Split each triangle of a (P, T, 3, 2) stack into 4 congruent children
+    (orientation preserved); the children of one polygon stay in its row."""
+    a, b, c = tris[:, :, 0], tris[:, :, 1], tris[:, :, 2]
+    m01 = 0.5 * (a + b)
+    m12 = 0.5 * (b + c)
+    m20 = 0.5 * (c + a)
+    return np.concatenate([
+        np.stack([a, m01, m20], axis=2),
+        np.stack([m01, b, m12], axis=2),
+        np.stack([m20, m12, c], axis=2),
+        np.stack([m01, m12, m20], axis=2),
+    ], axis=1)
 
 
-def triangulate_fan(poly: ConvexPolygon) -> np.ndarray:
-    """Fan triangulation of a convex polygon from its area centroid, (T, 3, 2)."""
-    v = poly.vertices
-    c = poly.centroid
-    nxt = np.roll(v, -1, axis=0)
-    return np.stack([v, nxt, np.broadcast_to(c, v.shape)], axis=1)
+def polygon_quadrature(rings, levels: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature over a (P, V, 2) stack of counter-clockwise vertex rings.
 
-
-def polygon_quadrature(poly: ConvexPolygon, levels: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes and weights over a polygon; weights sum to its area."""
-    tris = triangulate_fan(poly)
+    Each polygon is fanned from its area centroid, every triangle split into
+    4 ``levels`` times, and the degree-6 rule placed on each. Returns (P, n, 2)
+    nodes and (P, n) weights, n = 12 V 4**levels, and each row's weights sum
+    to its polygon's area. One polygon is the stack of P = 1. Every step is
+    elementwise or a reduction along a row, so a polygon's nodes and weights
+    do not depend on what else is in the stack.
+    """
+    v = np.asarray(rings, dtype=float)
+    c = ring_moments(v)[1]
+    tris = np.stack([v, np.roll(v, -1, axis=1), np.broadcast_to(c[:, None, :], v.shape)],
+                    axis=2)
     for _ in range(levels):
         tris = _subdivide(tris)
-    e1 = tris[:, 1] - tris[:, 0]
-    e2 = tris[:, 2] - tris[:, 0]
-    areas = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    pts = np.einsum("rb,tbd->trd", RULE_BARY, tris).reshape(-1, 2)
-    w = (areas[:, None] * RULE_WEIGHTS[None, :]).reshape(-1)
-    return pts, w
+    e1 = tris[:, :, 1] - tris[:, :, 0]
+    e2 = tris[:, :, 2] - tris[:, :, 0]
+    areas = 0.5 * np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
+    # RULE_BARY @ tris with the products summed left to right; a BLAS product
+    # rounds nodes differently, which moves every normalized density
+    b = RULE_BARY[:, :, None]
+    t = tris[:, :, None]
+    pts = (b[:, 0] * t[..., 0, :] + b[:, 1] * t[..., 1, :]) + b[:, 2] * t[..., 2, :]
+    w = areas[..., None] * RULE_WEIGHTS
+    return pts.reshape(len(v), -1, 2), w.reshape(len(v), -1)
 
 
 @dataclass
@@ -131,8 +149,8 @@ class DensityField:
         raise NotImplementedError
 
     def _normalize(self, levels: int = 2) -> None:
-        pts, w = polygon_quadrature(self.workspace, levels)
-        self._set_mass(float(w @ self._raw(pts)))
+        pts, w = polygon_quadrature(self.workspace.vertices[None], levels)
+        self._set_mass(float(w[0] @ self._raw(pts[0])))
 
     def _set_mass(self, total: float) -> None:
         """Scale to unit mass; InvalidDensity when the mass is not positive or
@@ -433,30 +451,43 @@ def cell_moments(phi: DensityField, polys, centers, levels: int = 2, falloff=Non
     An entry may also be a ready quadrature rule (offsets, weights) about its
     center, nodes at center + offsets; footprint prices pass their
     affine-mapped reference rule this way.
+
+    Entries are grouped by vertex count (polygons) or node count (rules) and
+    handled in slabs of whole entries with about EVAL_NODES nodes: one
+    stacked ``polygon_quadrature``, one ``phi.eval`` and one row-wise
+    reduction per slab. Each row reduces as one polygon alone would.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
     masses = np.zeros(len(polys))
     centroids = centers.copy()
     costs = np.zeros(len(polys))
+    groups: dict[tuple[bool, int], list[int]] = {}
     for i, poly in enumerate(polys):
-        if poly is None:
-            continue
-        if isinstance(poly, ConvexPolygon):
-            pts, w = polygon_quadrature(poly, levels)
-            offsets = pts - centers[i]
-        else:
-            offsets, w = poly
-            pts = centers[i] + offsets
-        wv = w * np.asarray(phi.eval(pts), dtype=float)
-        mass = float(wv.sum())
-        if falloff is None:
-            kernel = (offsets ** 2).sum(axis=1)
-        else:
-            kernel = falloff(np.linalg.norm(offsets, axis=1))
-        costs[i] = wv @ kernel
-        masses[i] = max(mass, 0.0)
-        if mass >= MASS_EPS:
-            centroids[i] = wv @ pts / mass
+        if poly is not None:
+            ring = isinstance(poly, ConvexPolygon)
+            groups.setdefault((ring, len(poly.vertices if ring else poly[1])), []).append(i)
+    for (ring, size), members in groups.items():
+        per_slab = max(1, EVAL_NODES // (12 * 4 ** levels * size if ring else size))
+        for start in range(0, len(members), per_slab):
+            idx = members[start:start + per_slab]
+            if ring:
+                pts, w = polygon_quadrature(np.stack([polys[i].vertices for i in idx]), levels)
+                offsets = pts - centers[idx, None, :]
+            else:
+                offsets = np.stack([polys[i][0] for i in idx])
+                w = np.stack([polys[i][1] for i in idx])
+                pts = centers[idx, None, :] + offsets
+            wv = w * np.asarray(phi.eval(pts.reshape(-1, 2)), dtype=float).reshape(w.shape)
+            if falloff is None:
+                kernel = (offsets ** 2).sum(axis=2)
+            else:
+                kernel = np.reshape(falloff(np.linalg.norm(offsets, axis=2).ravel()), w.shape)
+            mass = wv.sum(axis=1)
+            costs[idx] = (wv[:, None, :] @ kernel[:, :, None])[:, 0, 0]
+            masses[idx] = np.maximum(mass, 0.0)
+            heavy = mass >= MASS_EPS
+            centroids[np.asarray(idx)[heavy]] = (
+                (wv[heavy, None, :] @ pts[heavy])[:, 0, :] / mass[heavy, None])
     return masses, centroids, costs
 
 

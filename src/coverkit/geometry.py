@@ -1,22 +1,35 @@
 """Convex polygon primitives: half-plane clipping, Voronoi and power cells, moments.
 
-Cells are built by clipping the workspace against radical-axis half-planes
-(bisectors when the weights are equal). Only a site's power neighbours can
-bound its cell, and they are read off the lifted convex hull (Aurenhammer
-1987): site i lifts to (x_i, y_i, |p_i|^2 - w_i), and two sites are
-neighbours when they share an edge of a hull facet whose outward normal has
-z <= 1e-12, i.e. of a lower or vertical facet. Extra pairs are harmless, as
-their half-plane clips nothing. A site on no such edge lies above the lower
-hull, so its cell is empty (None), unless qhull lists it as coplanar with a
-facet; such a site is clipped against every other site. With fewer than four
-sites, a weight that is not finite, or when qhull cannot build the hull
-(collinear sites, or cocircular sites with equal weights), every site takes
-that all-sites path, which is the plain O(N^2) construction. Either way a
-site's half-planes are stacked in increasing index order of its competitors
-and cut in one ``clip`` call, the one clipper: it cuts a raw (V, 2) vertex
-array by a (K, 2) stack of unit normals and K offsets, so only the finished
-cell becomes a ``ConvexPolygon``. ``power_cells_from_weights`` is the one
-entry point; the Voronoi and nonnegative-radius forms call it.
+Power cells come from the lifted convex hull (Aurenhammer 1987): site i
+lifts to (x_i, y_i, |p_i|^2 - w_i), and the lower facets of the hull of the
+lifted sites are dual to the vertices of the power diagram. Two routes build
+a cell from that one hull:
+
+- Dual vertices, no clip. Each lower facet (i, j, k) is one power vertex;
+  cell i's copy is solved from the radical axes of (i, j) and (i, k). A site
+  whose lower facets close a fan around it has a bounded cell: its copies,
+  sorted by angle about their mean in one ``lexsort`` over all sites. When
+  every vertex lies in the workspace and the ring is a proper polygon, the
+  cell is finished with no clip.
+- Neighbour clip. A cell that crosses the workspace, or belongs to a site on
+  the sites' 2-D hull (an open fan, an unbounded cell), is the workspace
+  clipped by the radical axes of the site's power neighbours: the sites it
+  shares an edge with on a facet whose outward normal has z <= 1e-12 (lower
+  or vertical). Extra pairs are harmless, as their half-plane clips nothing.
+  Starting from the workspace keeps far-away vertices, such as those of
+  nearly collinear hull sites, out of the arithmetic.
+
+A site on no such edge lies above the lower hull, so its cell is empty
+(None). With fewer than four sites, a weight that is not finite, when qhull
+cannot build the hull (collinear sites, or cocircular sites with equal
+weights), or when qhull lists a site as coplanar with a facet, no cell takes
+the dual route; a coplanar site, and every site when there is no hull, is
+clipped against all other sites, the plain O(N^2) construction. A site's
+half-planes are stacked in increasing index order of its competitors and cut
+in one ``clip`` call, the one clipper: it cuts a raw (V, 2) vertex array by
+a (K, 2) stack of unit normals and K offsets, so only the finished cell
+becomes a ``ConvexPolygon``. ``power_cells_from_weights`` is the one entry
+point; the Voronoi and nonnegative-radius forms call it.
 
 This module is the one home of the polygon and point helpers the other layers
 share: ``ConvexPolygon.contains`` for point-in-polygon tests, ``intersect``
@@ -36,6 +49,9 @@ from scipy.spatial.distance import pdist
 from .errors import DuplicateSites, SiteOutsideWorkspace
 
 EPS_GEO = 1e-9
+# a lifted-hull facet whose outward normal has |z| <= _VERTICAL is vertical:
+# it bounds no cell, but its edges still join neighbours
+_VERTICAL = 1e-12
 
 
 class ConvexPolygon:
@@ -52,10 +68,10 @@ class ConvexPolygon:
             raise ValueError("need at least 3 two-dimensional vertices")
         if not np.isfinite(v).all():
             raise ValueError("vertices must be finite")
-        edges = np.roll(v, -1, axis=0) - v
+        edges = np.concatenate((v[1:], v[:1])) - v
         if (np.hypot(edges[:, 0], edges[:, 1]) <= EPS_GEO).any():
             raise ValueError("duplicate consecutive vertices")
-        nxt = np.roll(edges, -1, axis=0)
+        nxt = np.concatenate((edges[1:], edges[:1]))
         cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
         if (cross < -EPS_GEO).any():
             raise ValueError("vertices must be convex in counter-clockwise order")
@@ -107,14 +123,20 @@ class ConvexPolygon:
 
 def polygon_moments(poly: ConvexPolygon) -> tuple[float, np.ndarray]:
     """Shoelace area and centroid."""
-    v = poly.vertices
-    x, y = v[:, 0], v[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    (area,), (centroid,) = ring_moments(poly.vertices[None])
+    return float(area), centroid
+
+
+def ring_moments(rings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shoelace areas (P,) and centroids (P, 2) of a (P, V, 2) stack of
+    counter-clockwise rings, each row summed as it would be alone."""
+    nxt = np.roll(rings, -1, axis=1)
+    x, y, xn, yn = rings[..., 0], rings[..., 1], nxt[..., 0], nxt[..., 1]
     cross = x * yn - xn * y
-    area = 0.5 * cross.sum()
-    cx = ((x + xn) * cross).sum() / (6.0 * area)
-    cy = ((y + yn) * cross).sum() / (6.0 * area)
-    return float(area), np.array([cx, cy])
+    area = 0.5 * cross.sum(axis=1)
+    centroid = np.stack([((x + xn) * cross).sum(axis=1) / (6.0 * area),
+                         ((y + yn) * cross).sum(axis=1) / (6.0 * area)], axis=-1)
+    return area, centroid
 
 
 def clip(vertices: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray | None:
@@ -172,13 +194,18 @@ def intersect(poly: ConvexPolygon, region: ConvexPolygon) -> ConvexPolygon | Non
     Clips by the region's edges in order. Returns ``poly`` itself when no
     edge cuts it.
     """
+    v = clip(poly.vertices, *_edge_planes(region))
+    return poly if v is poly.vertices else None if v is None else ConvexPolygon(v)
+
+
+def _edge_planes(region: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:
+    """Unit outward normals and offsets of a region's edges, as ``clip`` takes them."""
     a = region.vertices
     e = np.concatenate((a[1:], a[:1])) - a
     n = np.column_stack((e[:, 1], -e[:, 0]))  # outward normals of counter-clockwise edges
     ln = np.hypot(n[:, 0], n[:, 1])
     # n . a through matmul: a row-wise (n * a).sum(1) rounds differently
-    v = clip(poly.vertices, n / ln[:, None], (n[:, None, :] @ a[:, :, None])[:, 0, 0] / ln)
-    return poly if v is poly.vertices else None if v is None else ConvexPolygon(v)
+    return n / ln[:, None], (n[:, None, :] @ a[:, :, None])[:, 0, 0] / ln
 
 
 def project_into(poly: ConvexPolygon, pts: np.ndarray) -> np.ndarray:
@@ -257,25 +284,28 @@ def separate(workspace: ConvexPolygon, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _power_neighbours(P: np.ndarray, w: np.ndarray) -> list[np.ndarray | None]:
+def _lifted_hull(P: np.ndarray, w: np.ndarray) -> ConvexHull | None:
+    """Convex hull of the sites lifted to (x, y, |p|^2 - w); None with fewer
+    than four sites, a weight that is not finite, or when qhull fails."""
+    if len(P) < 4 or not np.isfinite(w).all():
+        return None
+    try:
+        return ConvexHull(np.column_stack([P, (P * P).sum(axis=1) - w]), qhull_options="Qc")
+    except QhullError:
+        return None
+
+
+def _power_neighbours(hull: ConvexHull | None, n: int) -> list[np.ndarray | None]:
     """Per site, the sorted indices of the other sites that may bound its power cell.
 
     None marks a site lying above the lower lifted hull (an empty cell). A
-    coplanar site, and every site when the hull is degenerate or a weight is
-    not finite, gets all other indices.
+    coplanar site, and every site when there is no hull, gets all other
+    indices.
     """
-    n = len(P)
     everyone = np.arange(n)
-    hull = None
-    if n >= 4 and np.isfinite(w).all():
-        try:
-            hull = ConvexHull(np.column_stack([P, (P * P).sum(axis=1) - w]),
-                              qhull_options="Qc")
-        except QhullError:
-            pass
     if hull is None:
         return [np.delete(everyone, i) for i in range(n)]
-    tri = hull.simplices[hull.equations[:, 2] <= 1e-12]
+    tri = hull.simplices[hull.equations[:, 2] <= _VERTICAL]
     edges = tri[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     pairs = np.unique(np.concatenate([edges, edges[:, ::-1]]), axis=0)
     starts = np.searchsorted(pairs[:, 0], everyone)
@@ -287,8 +317,65 @@ def _power_neighbours(P: np.ndarray, w: np.ndarray) -> list[np.ndarray | None]:
     return found
 
 
+def _dual_cells(workspace: ConvexPolygon, P: np.ndarray, w: np.ndarray, sq: np.ndarray,
+                hull: ConvexHull) -> dict[int, ConvexPolygon]:
+    """The cells that need no clip, read off the lower facets of the lifted hull.
+
+    Each lower facet (i, j, k) is one power vertex, met by the cells of its
+    three sites. Cell i's copy is solved from the radical axes of (i, j) and
+    (i, k), the very half-planes the clip route cuts by. A site all of whose
+    lower-facet edges lie in two lower facets has a closed fan, so its cell
+    is the bounded polygon of those copies, in the order of their angle about
+    the copies' mean. The cell is finished here when every copy lies in the
+    workspace, so that it is the workspace cut by those axes, and the ring
+    is a polygon as it stands: edges longer than EPS_GEO, no turn to the
+    right beyond EPS_GEO, no sliver. Every other site (an open fan on the
+    sites' 2-D hull, a vertex outside W, near-coincident vertices of nearly
+    cocircular sites) is left to the clip route.
+    """
+    n = len(P)
+    lower = hull.simplices[hull.equations[:, 2] < -_VERTICAL]
+    i = lower.ravel()
+    j = lower[:, [1, 2, 0]].ravel()
+    k = lower[:, [2, 0, 1]].ravel()
+    edge = np.minimum(i, j) * n + np.maximum(i, j)
+    _, where, counts = np.unique(edge, return_inverse=True, return_counts=True)
+    left_out = np.zeros(n, dtype=bool)
+    single = counts[where] == 1
+    left_out[i[single]] = left_out[j[single]] = True
+    dj, dk = 2.0 * (P[j] - P[i]), 2.0 * (P[k] - P[i])
+    ej, ek = (sq[j] - sq[i]) - (w[j] - w[i]), (sq[k] - sq[i]) - (w[k] - w[i])
+    normals, offsets = _edge_planes(workspace)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = dj[:, 0] * dk[:, 1] - dj[:, 1] * dk[:, 0]
+        q = np.column_stack([ej * dk[:, 1] - ek * dj[:, 1],
+                             dj[:, 0] * ek - dk[:, 0] * ej]) / det[:, None]
+        inside = (q @ normals.T - offsets <= 0.0).all(axis=1)
+    left_out[i[~inside]] = True
+    keep = ~left_out[i]
+    i, q = i[keep], q[keep]
+    if not len(i):
+        return {}
+    count = np.bincount(i, minlength=n)[i]
+    mx = np.bincount(i, q[:, 0], minlength=n)[i] / count
+    my = np.bincount(i, q[:, 1], minlength=n)[i] / count
+    order = np.lexsort((np.arctan2(q[:, 1] - my, q[:, 0] - mx), i))
+    i, q = i[order], q[order]
+    starts = np.flatnonzero(np.concatenate(([True], i[1:] != i[:-1])))
+    # each vertex's successor around its own cell; ConvexPolygon's edge and turn tests
+    nxt = np.arange(1, len(i) + 1)
+    nxt[np.concatenate((starts[1:], [len(i)])) - 1] = starts
+    edges = q[nxt] - q
+    turn = edges[:, 0] * edges[nxt, 1] - edges[:, 1] * edges[nxt, 0]
+    polygon = ((np.minimum.reduceat(np.hypot(edges[:, 0], edges[:, 1]), starts) > EPS_GEO)
+               & (np.minimum.reduceat(turn, starts) >= -EPS_GEO))
+    return {site: ConvexPolygon(v)
+            for site, v, ok in zip(i[starts].tolist(), np.split(q, starts[1:]), polygon)
+            if ok and _has_area(v)}
+
+
 def power_cells_from_weights(workspace: ConvexPolygon, points, weights) -> list[ConvexPolygon | None]:
-    """Power cells for signed squared-radius weights w_i (radical-axis clipping).
+    """Power cells for signed squared-radius weights w_i.
 
     The diagram only depends on weight differences, so negative weights are fine;
     this is the primitive behind both power_cells and the equitable-weight solver.
@@ -299,10 +386,12 @@ def power_cells_from_weights(workspace: ConvexPolygon, points, weights) -> list[
         raise ValueError("one weight per site required")
     check_sites(P, workspace)
     sq = (P * P).sum(axis=1)
+    hull = _lifted_hull(P, w)
+    done = {} if hull is None or len(hull.coplanar) else _dual_cells(workspace, P, w, sq, hull)
     cells: list[ConvexPolygon | None] = []
-    for i, rivals in enumerate(_power_neighbours(P, w)):
-        if rivals is None:
-            cells.append(None)
+    for i, rivals in enumerate(_power_neighbours(hull, len(P))):
+        if i in done or rivals is None:
+            cells.append(done.get(i))
             continue
         # {q : |q-p_i|^2 - w_i <= |q-p_j|^2 - w_j} for each rival j
         d = 2.0 * (P[rivals] - P[i])

@@ -237,12 +237,19 @@ def _check_agents(agents, pipeline, workspace, err) -> dict | None:
                     if not (_is_num(spec.get("radius")) and spec["radius"] > 0):
                         err(f"agents.services[{i}].radius",
                             "must be a positive finite number")
+                        continue
                 elif kind == "gaussian":
                     if not _covariance_ok(spec.get("covariance")):
                         err(f"agents.services[{i}].covariance",
                             "must be a symmetric positive-definite 2x2")
+                        continue
                 else:
                     err(f"agents.services[{i}].kind", "must be disk or gaussian")
+                    continue
+                try:
+                    _build_services([spec], assign_mod.DEFAULT_ORIENTATIONS)
+                except ValueError as exc:
+                    err(f"agents.services[{i}]", str(exc))
     elif services is not None:
         err("agents.services", "only used by poi_assign")
     return {"positions": "sample", "radii": None, "services": None, **agents}

@@ -49,6 +49,9 @@ class TransportPlan:
     epsilon: float | None = None
     iterations: int | None = None
     residual: float | None = None
+    # exact solves only: "assignment" for equal-count uniform measures, which
+    # linear assignment solves, and "lp" for the transportation LP
+    route: str | None = None
 
 
 def _check_order(p) -> float:
@@ -136,7 +139,8 @@ def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2):
     plan = _round_to_polytope(plan, wa, wb)
     value = float((plan * cost).sum()) ** (1.0 / p)
     full = _embed(plan, ia, ib, m, k)
-    return value, TransportPlan(full, mu, nu, value, p)
+    return value, TransportPlan(full, mu, nu, value, p,
+                                route="assignment" if uniform else "lp")
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:

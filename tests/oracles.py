@@ -6,8 +6,9 @@ divergence. Where a fast path replaced a direct routine, the direct routine
 is kept here as its oracle: the einsum form of the mixture density and its
 log-gradient, footprint prices integrated over each clipped footprint
 polygon, the edge-by-edge loop that projected stray points onto a polygon,
-and the one-plane clip that built a polygon after every cut, with its
-``HalfPlane``. Voronoi cell masses as a discrete measure have no caller in a
+the one-plane clip that built a polygon after every cut, with its
+``HalfPlane``, the power cells clipped from every lifted-hull neighbour, and
+the cell moments built one polygon, one einsum rule and one eval at a time. Voronoi cell masses as a discrete measure have no caller in a
 pipeline either. None of these runs in a pipeline, so they live here and not
 in the package.
 """
@@ -21,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from coverkit.coverage import KIND_VORONOI, build_partition, make_agents
-from coverkit.density import (DensityField, DiscreteMeasure, GmmDensity, cell_moments,
-                              polygon_quadrature)
+from coverkit.density import (MASS_EPS, RULE_BARY, RULE_WEIGHTS, DensityField,
+                              DiscreteMeasure, GmmDensity, cell_moments)
 from coverkit.errors import CoverkitError
-from coverkit.geometry import EPS_GEO, ConvexPolygon, intersect
+from coverkit.geometry import (EPS_GEO, ConvexPolygon, _lifted_hull, _power_neighbours,
+                               intersect)
 
 _FLOOR_REL = 1e-12
 SEARCH_CAP = 1_000_000
@@ -40,15 +42,63 @@ class SearchSpaceTooLarge(CoverkitError):
 
 # ------------------------------------------------------------- quadrature
 
+def fan_quadrature(poly: ConvexPolygon, levels: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """One polygon's nodes and weights: centroid fan, subdivided, nodes by einsum."""
+    v = poly.vertices
+    tris = np.stack([v, np.roll(v, -1, axis=0), np.broadcast_to(poly.centroid, v.shape)],
+                    axis=1)
+    for _ in range(levels):
+        m01 = 0.5 * (tris[:, 0] + tris[:, 1])
+        m12 = 0.5 * (tris[:, 1] + tris[:, 2])
+        m20 = 0.5 * (tris[:, 2] + tris[:, 0])
+        tris = np.concatenate([np.stack([tris[:, 0], m01, m20], axis=1),
+                               np.stack([m01, tris[:, 1], m12], axis=1),
+                               np.stack([m20, m12, tris[:, 2]], axis=1),
+                               np.stack([m01, m12, m20], axis=1)])
+    e1 = tris[:, 1] - tris[:, 0]
+    e2 = tris[:, 2] - tris[:, 0]
+    areas = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    pts = np.einsum("rb,tbd->trd", RULE_BARY, tris).reshape(-1, 2)
+    return pts, (areas[:, None] * RULE_WEIGHTS[None, :]).reshape(-1)
+
+
+def loop_cell_moments(phi: DensityField, polys, centers, levels: int = 2, falloff=None):
+    """``cell_moments`` one entry at a time: one rule and one eval per polygon."""
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    masses = np.zeros(len(polys))
+    centroids = centers.copy()
+    costs = np.zeros(len(polys))
+    for i, poly in enumerate(polys):
+        if poly is None:
+            continue
+        if isinstance(poly, ConvexPolygon):
+            pts, w = fan_quadrature(poly, levels)
+            offsets = pts - centers[i]
+        else:
+            offsets, w = poly
+            pts = centers[i] + offsets
+        wv = w * np.asarray(phi.eval(pts), dtype=float)
+        mass = float(wv.sum())
+        if falloff is None:
+            kernel = (offsets ** 2).sum(axis=1)
+        else:
+            kernel = falloff(np.linalg.norm(offsets, axis=1))
+        costs[i] = wv @ kernel
+        masses[i] = max(mass, 0.0)
+        if mass >= MASS_EPS:
+            centroids[i] = wv @ pts / mass
+    return masses, centroids, costs
+
+
 def integrate(fn, poly: ConvexPolygon, levels: int = 2) -> float:
     """Integral of a vectorized scalar function over a polygon."""
-    pts, w = polygon_quadrature(poly, levels)
+    pts, w = fan_quadrature(poly, levels)
     return float(w @ np.asarray(fn(pts), dtype=float))
 
 
 def floor_value(phi: DensityField) -> float:
     """Density floor used when phi sits in a KL denominator."""
-    pts, _ = polygon_quadrature(phi.workspace, 3)
+    pts, _ = fan_quadrature(phi.workspace, 3)
     return _FLOOR_REL * float(np.max(phi.eval(pts)))
 
 
@@ -60,7 +110,7 @@ def kl_divergence(psi: DensityField, phi: DensityField, region: ConvexPolygon,
     as-is, so the result stays nonnegative whenever ``phi`` is a proper
     density. Raises when ``phi`` vanishes under significant psi mass.
     """
-    nodes, w = polygon_quadrature(region, levels)
+    nodes, w = fan_quadrature(region, levels)
     pv = np.asarray(psi.eval(nodes))
     fv = np.asarray(phi.eval(nodes))
     mass = float(w @ pv)
@@ -269,3 +319,19 @@ def clip_planes(poly: ConvexPolygon, normals, offsets) -> ConvexPolygon | None:
     for n, c in zip(normals, offsets):
         poly = one_plane_clip(poly, HalfPlane(np.array(n, dtype=float), float(c)))
     return poly
+
+
+def neighbour_power_cells(workspace, points, weights):
+    """Power cells by clipping the workspace with each site's lifted-hull
+    neighbours' radical axes, one ``one_plane_clip`` at a time."""
+    P = np.atleast_2d(np.asarray(points, dtype=float))
+    w = np.asarray(weights, dtype=float)
+    sq = (P * P).sum(axis=1)
+    cells = []
+    for i, rivals in enumerate(_power_neighbours(_lifted_hull(P, w), len(P))):
+        cell = None if rivals is None else workspace
+        for j in rivals if rivals is not None else ():
+            h = HalfPlane.from_direction(2.0 * (P[j] - P[i]), (sq[j] - sq[i]) - (w[j] - w[i]))
+            cell = one_plane_clip(cell, h)
+        cells.append(cell)
+    return cells

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from coverkit.density import (
+    EVAL_NODES,
     MASS_EPS,
     RULE_BARY,
     RULE_WEIGHTS,
@@ -26,7 +27,8 @@ from coverkit.density import (
 from coverkit.errors import CoverkitError, EvalOutsideSupport, InvalidDensity, NoConvergence
 from coverkit.geometry import ConvexPolygon, power_cells
 
-from tests.oracles import einsum_eval, einsum_grad_log, floor_value, integrate
+from tests.oracles import (einsum_eval, einsum_grad_log, fan_quadrature, floor_value, integrate,
+                           loop_cell_moments)
 
 
 def unit_square():
@@ -90,20 +92,20 @@ def test_quadrature_weights_sum_to_area():
             continue
         poly = ConvexPolygon(np.stack([np.cos(ang), np.sin(ang)], axis=1))
         for levels in (0, 1, 2):
-            _, w = polygon_quadrature(poly, levels)
+            _, (w,) = polygon_quadrature(poly.vertices[None], levels)
             assert abs(w.sum() - poly.area) < 1e-12 * max(1.0, poly.area)
 
 
 def test_quadrature_node_count():
     poly = hexagon()
     for levels in (0, 1, 3):
-        pts, w = polygon_quadrature(poly, levels)
+        (pts,), (w,) = polygon_quadrature(poly.vertices[None], levels)
         assert len(pts) == len(w) == 6 * 4**levels * 12
 
 
 def test_quadrature_exact_polynomials_on_square():
     sq = unit_square()
-    pts, w = polygon_quadrature(sq, 1)
+    (pts,), (w,) = polygon_quadrature(sq.vertices[None], 1)
     for a in range(7):
         for b in range(7 - a):
             got = float(w @ (pts[:, 0] ** a * pts[:, 1] ** b))
@@ -503,7 +505,7 @@ def moments_oracle(phi, polys, centers, levels, falloff):
         if poly is None:
             out.append((0.0, center, 0.0))
             continue
-        pts, w = polygon_quadrature(poly, levels)
+        pts, w = fan_quadrature(poly, levels)
         vals = phi.eval(pts)
         dist = np.linalg.norm(pts - center, axis=1)
         weight = dist**2 if falloff is None else falloff(dist)
@@ -542,6 +544,55 @@ def test_cell_moments_matches_per_polygon_oracle(kind, falloff):
     if kind == "gmm":
         assert masses[-1] < MASS_EPS
         np.testing.assert_array_equal(centroids[-1], centers[-1])
+
+
+def random_ngon(rng, sides):
+    """A convex polygon inscribed in a random circle inside the unit square."""
+    center = rng.uniform(0.25, 0.75, 2)
+    ang = 2.0 * np.pi * (np.arange(sides) + rng.uniform(0.1, 0.9, sides)) / sides
+    return ConvexPolygon(center + rng.uniform(0.05, 0.2) * np.column_stack(
+        [np.cos(ang), np.sin(ang)])), center
+
+
+def test_stacked_quadrature_rows_match_one_polygon_rule():
+    rng = np.random.default_rng(4)
+    polys = [random_ngon(rng, 5)[0] for _ in range(4)]
+    pts, w = polygon_quadrature(np.stack([p.vertices for p in polys]), 2)
+    for row, poly in enumerate(polys):
+        want_pts, want_w = fan_quadrature(poly, 2)
+        np.testing.assert_allclose(pts[row], want_pts, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w[row], want_w, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "gmm", "grid"])
+@pytest.mark.parametrize("falloff", [None, lambda r: np.exp(-r)], ids=["squared", "exp"])
+def test_cell_moments_matches_loop_oracle(kind, falloff):
+    ws = unit_square()
+    if kind == "uniform":
+        phi = UniformDensity(ws)
+    elif kind == "gmm":
+        phi = GmmDensity(ws, [0.7, 0.3], [[0.6, 0.55], [0.8, 0.3]],
+                         [np.eye(2) * 0.01, [[0.012, 0.003], [0.003, 0.008]]])
+    else:
+        phi = GridDensity(ws, np.random.default_rng(3).uniform(0.0, 2.0, (5, 7)))
+    rng = np.random.default_rng(8)
+    # polygons of 3 to 12 vertices, with more hexagons than one eval slab holds
+    entries = [random_ngon(rng, sides) for sides in [*range(3, 13), *[6] * 12]]
+    # ready rules about their centers, of two node counts
+    for sides in (4, 7, 7):
+        poly, center = random_ngon(rng, sides)
+        pts, w = fan_quadrature(poly, 2)
+        entries.append(((pts - center, w), center))
+    entries += [(None, np.array([0.3, 0.3])), (None, np.array([0.6, 0.1]))]
+    order = rng.permutation(len(entries))
+    polys = [entries[i][0] for i in order]
+    centers = np.array([entries[i][1] for i in order])
+    assert 12 * 6 * 16 * 13 > EVAL_NODES
+
+    got = cell_moments(phi, polys, centers, 2, falloff)
+    want = loop_cell_moments(phi, polys, centers, 2, falloff)
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
 
 
 def test_rejection_sampling_gives_up_on_mass_out_of_reach():

@@ -5,6 +5,8 @@ from coverkit.errors import DuplicateSites, SiteOutsideWorkspace
 from coverkit.geometry import (
     EPS_GEO,
     ConvexPolygon,
+    _dual_cells,
+    _lifted_hull,
     _power_neighbours,
     check_sites,
     clip,
@@ -17,7 +19,8 @@ from coverkit.geometry import (
     separate,
     voronoi_cells,
 )
-from tests.oracles import HalfPlane, clip_planes, loop_project_into, one_plane_clip
+from tests.oracles import (HalfPlane, clip_planes, loop_project_into, neighbour_power_cells,
+                           one_plane_clip)
 
 
 def unit_square():
@@ -41,35 +44,33 @@ def grid_power_labels(points, radii, n=400):
 
 
 def all_pairs_power_cells(workspace, points, weights):
-    """Oracle: clip each cell against the radical axis of every other site."""
+    """Oracle: clip each cell against the radical axis of every other site.
+
+    A plane that keeps every vertex of the cell EPS_GEO / 2 or more inside
+    cannot bind, and ``one_plane_clip`` would return the cell unchanged, so
+    such planes are skipped in bulk and every other one (NaN included) goes
+    through it.
+    """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     w = np.asarray(weights, dtype=float)
     sq = (P * P).sum(axis=1)
     cells = []
     for i in range(len(P)):
-        cell = workspace
-        for j in range(len(P)):
-            if j == i or cell is None:
-                continue
-            direction = 2.0 * (P[j] - P[i])
-            offset = (sq[j] - sq[i]) - (w[j] - w[i])
-            cell = one_plane_clip(cell, HalfPlane.from_direction(direction, offset))
-        cells.append(cell)
-    return cells
-
-
-def neighbour_power_cells(workspace, points, weights):
-    """Oracle: clip each cell by its power neighbours' radical axes, one
-    ``one_plane_clip`` at a time."""
-    P = np.atleast_2d(np.asarray(points, dtype=float))
-    w = np.asarray(weights, dtype=float)
-    sq = (P * P).sum(axis=1)
-    cells = []
-    for i, rivals in enumerate(_power_neighbours(P, w)):
-        cell = None if rivals is None else workspace
-        for j in rivals if rivals is not None else ():
-            h = HalfPlane.from_direction(2.0 * (P[j] - P[i]), (sq[j] - sq[i]) - (w[j] - w[i]))
-            cell = one_plane_clip(cell, h)
+        others = np.delete(np.arange(len(P)), i)
+        # HalfPlane.from_direction, one row per competitor
+        d = 2.0 * (P[others] - P[i])
+        ln = np.hypot(d[:, 0], d[:, 1])
+        normals = d / ln[:, None]
+        offsets = ((sq[others] - sq[i]) - (w[others] - w[i])) / ln
+        cell, k = workspace, 0
+        while cell is not None and k < len(others):
+            near = np.flatnonzero(
+                ~(cell.vertices @ normals[k:].T - offsets[k:] <= 0.5 * EPS_GEO).all(axis=0))
+            if not len(near):
+                break
+            k += near[0]
+            cell = one_plane_clip(cell, HalfPlane(normals[k], float(offsets[k])))
+            k += 1
         cells.append(cell)
     return cells
 
@@ -505,6 +506,31 @@ def oracle_cases():
     for name, bad in (("infinite", np.inf), ("nan", np.nan)):
         weights = np.where(np.arange(6) == 2, bad, 0.0)
         yield name, W, rng.uniform(0.1, 0.9, size=(6, 2)), weights
+    # nearly cocircular: every grid square's four power vertices lie within
+    # about 1e-13 of one another
+    g = (np.arange(8) + 0.5) / 8
+    grid = np.array([[x, y] for y in g for x in g])
+    yield "grid-jittered", W, grid + rng.uniform(-1e-13, 1e-13, grid.shape), np.zeros(len(grid))
+    # sites on the workspace's corners and edges, and a few inside
+    rim = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.3, 0.0], [0.7, 0.0],
+                    [1.0, 0.45], [0.6, 1.0], [0.0, 0.55], [0.0, 0.8]])
+    inner = rng.uniform(0.1, 0.9, size=(12, 2))
+    yield "rim", W, np.vstack([rim, inner]), rng.uniform(0.0, 0.004, 22)
+    sites = rng.uniform(0.05, 0.95, size=(25, 2))
+    yield "one-dominates", W, sites, np.eye(25)[7] * 4.0
+    for n in (4, 11, 60, 250, 1000):
+        yield (f"random-n{n}", W, rng.uniform(0.0, 1.0, size=(n, 2)),
+               rng.uniform(0.0, 0.6 / np.sqrt(n), n) ** 2)
+
+
+def dual_sites(workspace, sites, weights):
+    """The sites whose cells the lifted hull's dual vertices finish, unclipped."""
+    P = np.asarray(sites, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    hull = _lifted_hull(P, w)
+    if hull is None or len(hull.coplanar):
+        return set()
+    return set(_dual_cells(workspace, P, w, (P * P).sum(axis=1), hull))
 
 
 @pytest.mark.parametrize("case", list(oracle_cases()), ids=lambda c: c[0])
@@ -512,20 +538,37 @@ def test_power_cells_match_all_pairs_oracle(case):
     _, workspace, sites, weights = case
     got = power_cells_from_weights(workspace, sites, weights)
     assert_same_cells(got, all_pairs_power_cells(workspace, sites, weights))
-    # bit for bit, cutting by the same neighbours one plane and one polygon at a time
     want = neighbour_power_cells(workspace, sites, weights)
     assert [c is None for c in got] == [c is None for c in want]
-    for a, b in zip(got, want):
-        if b is not None:
+    # cells read off the dual vertices are solved, not clipped: within
+    # 1e-12 of the clipped cell, with its vertex count
+    dual = dual_sites(workspace, sites, weights)
+    assert_same_cells([got[i] for i in sorted(dual)], [want[i] for i in sorted(dual)])
+    # the rest bit for bit, cutting by the same neighbours one plane and one
+    # polygon at a time
+    for i, (a, b) in enumerate(zip(got, want)):
+        if b is not None and i not in dual:
             np.testing.assert_array_equal(a.vertices, b.vertices)
 
 
 def test_oracle_cases_reach_every_path():
-    cells = {name: power_cells_from_weights(W, s, w) for name, W, s, w in oracle_cases()}
+    cases = {name: (W, s, w) for name, W, s, w in oracle_cases()}
+    cells = {name: power_cells_from_weights(*case) for name, case in cases.items()}
+    dual = {name: dual_sites(*case) for name, case in cases.items()}
     assert sum(c is None for c in cells["dominated-120"]) > 60
     assert all(c is not None for c in cells["grid-equal"])
     assert all(c is not None for c in cells["collinear"])
     assert [c is None for c in cells["infinite"]] == [True, True, False, True, True, True]
     assert all(c is None for c in cells["nan"])
-    _, _, sites, weights = next(c for c in oracle_cases() if c[0] == "coplanar")
-    assert _power_neighbours(sites, weights)[4].tolist() == [0, 1, 2, 3, 5, 6, 7, 8]
+    assert [c is None for c in cells["one-dominates"]] == [i != 7 for i in range(25)]
+    _, sites, weights = cases["coplanar"]
+    hull = _lifted_hull(sites, weights)
+    assert len(hull.coplanar)
+    assert _power_neighbours(hull, len(sites))[4].tolist() == [0, 1, 2, 3, 5, 6, 7, 8]
+    # the degenerate inputs all take the clip route
+    for name in ("coplanar", "collinear", "collinear-diagonal", "n1", "n2", "n3",
+                 "infinite", "nan"):
+        assert not dual[name], name
+    # and the dual route finishes most inner cells
+    assert len(dual["random-n1000"]) > 800
+    assert dual["rim"] and not dual["rim"] & set(range(10))

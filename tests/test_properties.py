@@ -14,8 +14,9 @@ from coverkit.density import (GmmDensity, GridDensity, UniformDensity,  # noqa: 
 from coverkit.errors import InvalidDensity  # noqa: E402
 from coverkit.geometry import (EPS_GEO, ConvexPolygon, check_sites,  # noqa: E402
                                coincident_pairs, power_cells_from_weights, separate)
+from tests.oracles import neighbour_power_cells  # noqa: E402
 from tests.test_geometry import (all_pairs_power_cells, assert_clip_matches_oracle,  # noqa: E402
-                                  assert_same_cells)
+                                  assert_same_cells, dual_sites)
 
 coords = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 corner_sets = st.lists(st.tuples(coords, coords), min_size=3, max_size=10)
@@ -68,6 +69,26 @@ def test_power_cells_match_all_pairs_oracle(corners, mix, raw):
     weights = np.asarray(raw[:len(sites)])
     assert_same_cells(power_cells_from_weights(workspace, sites, weights),
                       all_pairs_power_cells(workspace, sites, weights))
+
+
+# enough sites that most cells are inner ones, read off the dual vertices
+crowds = st.lists(st.lists(st.floats(0.01, 1.0), min_size=10, max_size=10),
+                  min_size=4, max_size=60)
+
+
+@settings(max_examples=40, deadline=None)
+@given(corners=corner_sets, mix=crowds,
+       raw=st.lists(st.floats(-1.0, 1.0), min_size=60, max_size=60))
+def test_dual_cells_match_neighbour_oracle(corners, mix, raw):
+    workspace, sites = draw_case(corners, mix)
+    # weights up to about a cell's area, so that some sites are dominated
+    weights = np.asarray(raw[:len(sites)]) * workspace.area / len(sites)
+    got = power_cells_from_weights(workspace, sites, weights)
+    want = neighbour_power_cells(workspace, sites, weights)
+    assert_same_cells(got, want)
+    for i in set(range(len(sites))) - dual_sites(workspace, sites, weights):
+        if want[i] is not None:
+            np.testing.assert_array_equal(got[i].vertices, want[i].vertices)
 
 
 # (angle of the normal, vertex index, miss in EPS_GEO, free offset): an even

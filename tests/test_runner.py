@@ -577,6 +577,21 @@ def test_unknown_service_fields_fail_before_any_output(tmp_path, spec, field):
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "disk", "radius": 1e-10},
+    {"kind": "gaussian", "covariance": [[0.01, 0.0], [0.0, 1e-22]]},
+], ids=["tiny-disk", "flat-gaussian"])
+def test_footprint_too_small_for_a_polygon_fails_before_any_output(tmp_path, capsys, spec):
+    cfg = poi_cfg()
+    cfg["agents"]["services"][1] = spec
+    path = write_cfg(tmp_path, {**cfg, "out": str(tmp_path / "results")})
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    report = json.loads(capsys.readouterr().out)
+    assert [e["field"] for e in report["errors"]] == ["agents.services[1]"]
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert not (tmp_path / "results").exists()
+
+
 def test_non_finite_cost_exits_3(tmp_path):
     cfg = poi_cfg()
     cfg["agents"]["services"][1] = {"kind": "gaussian",

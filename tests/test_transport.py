@@ -336,6 +336,18 @@ def test_sinkhorn_plan_diagnostics():
     assert exact.epsilon is None and exact.iterations is None and exact.residual is None
 
 
+@pytest.mark.parametrize("route", ["assignment", "lp", None])
+def test_plan_reports_its_route(route):
+    rng = np.random.default_rng(5)
+    mu = rand_measure(rng, 12, uniform=route == "assignment")
+    nu = rand_measure(rng, 12, uniform=route == "assignment")
+    if route is None:
+        _, plan = wasserstein_sinkhorn(mu, nu, p=2, epsilon=0.05, tol=1e-5)
+    else:
+        _, plan = wasserstein_exact(mu, nu, p=2)
+    assert plan.route == route
+
+
 def test_sinkhorn_epsilon_validation():
     mu = DiscreteMeasure([[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0])
     with pytest.raises(ValueError):
