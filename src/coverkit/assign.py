@@ -10,7 +10,10 @@ A footprint is a reference polygon under the service's linear map, moved to
 the point of interest. Footprints that cross the workspace boundary are
 clipped and integrated with ``polygon_quadrature`` (through ``cell_moments``);
 the rest reuse one ``polygon_quadrature`` rule on the reference polygon,
-mapped affinely, so pricing them builds no triangulation at all.
+mapped affinely, so pricing them builds no triangulation at all. One
+``footprint_cost`` call prices one site: every orientation of the service
+goes through one ``cell_moments`` call. Clipped or not, a footprint's nodes
+lie in the workspace, so they are integrated with no point-in-polygon test.
 """
 
 from __future__ import annotations

@@ -30,6 +30,8 @@ KERNEL_POWER = "power"
 
 _KINDS = (KIND_VORONOI, KIND_POWER)
 _KERNELS = (KERNEL_SQUARED, KERNEL_POWER)
+# the starved warning names this many agents; the full list is in the Partition
+_STARVED_LOGGED = 10
 
 
 @dataclass
@@ -109,12 +111,17 @@ def coverage_cost(phi: DensityField, agents, partition: Partition,
     """Sum over cells of the integrated cost kernel against the density.
 
     kernel "squared" integrates the squared distance to the agent; "power"
-    subtracts the squared power radius on each cell.
+    subtracts the squared power radius on each cell. ValueError when a cell
+    has a vertex outside the workspace (beyond EPS_GEO): ``cell_moments``
+    integrates only inside it.
     """
     if kernel not in _KERNELS:
         raise ValueError(f"unknown cost kernel: {kernel!r}")
     if len(partition.cells) != len(agents):
         raise ValueError("partition and agent list sizes differ")
+    for i, cell in enumerate(partition.cells):
+        if cell is not None and not phi.workspace.contains(cell.vertices).all():
+            raise ValueError(f"partition cell {i} reaches outside the workspace")
     rho = radii_of(agents)
     if kernel == KERNEL_POWER and partition.kind == KIND_VORONOI and np.ptp(rho) > 0:
         raise KernelMismatch(
@@ -135,8 +142,8 @@ def lloyd_step(phi: DensityField, agents, kind: str = KIND_VORONOI,
     """
     partition, cost = _survey(phi, agents, kind, levels)
     if partition.starved:
-        log.warning("agents %s hold position (empty or mass-starved cell)",
-                    partition.starved)
+        log.warning("%d agents hold position (empty or mass-starved cell), first %s",
+                    len(partition.starved), partition.starved[:_STARVED_LOGGED])
     pos = positions_of(agents)
     new_pos = project_into(phi.workspace, pos + relax * (partition.centroids - pos))
     separated = separate(phi.workspace, new_pos)

@@ -4,13 +4,15 @@ Exhaustive matroid search is the oracle for the greedy approximation floors,
 and the quadrature divergence is the oracle for the closed-form Gaussian
 divergence. Where a fast path replaced a direct routine, the direct routine
 is kept here as its oracle: the einsum form of the mixture density and its
-log-gradient, footprint prices integrated over each clipped footprint
-polygon, the edge-by-edge loop that projected stray points onto a polygon,
-the one-plane clip that built a polygon after every cut, with its
+log-gradient, the point-major (n, J) mixture layout that summed each point's
+components along its row, footprint prices integrated over each clipped
+footprint polygon, the edge-by-edge loop that projected stray points onto a
+polygon, the one-plane clip that built a polygon after every cut, with its
 ``HalfPlane``, the power cells clipped from every lifted-hull neighbour, and
-the cell moments built one polygon, one einsum rule and one eval at a time. Voronoi cell masses as a discrete measure have no caller in a
-pipeline either. None of these runs in a pipeline, so they live here and not
-in the package.
+the cell moments built one polygon, one rule and one masked eval at a time.
+Voronoi cell masses as a discrete measure have no caller in a pipeline
+either. None of these runs in a pipeline, so they live here and not in the
+package.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from coverkit.coverage import KIND_VORONOI, build_partition, make_agents
 from coverkit.density import (MASS_EPS, RULE_BARY, RULE_WEIGHTS, DensityField,
-                              DiscreteMeasure, GmmDensity, cell_moments)
+                              DiscreteMeasure, GmmDensity, cell_moments, polygon_quadrature)
 from coverkit.errors import CoverkitError
 from coverkit.geometry import (EPS_GEO, ConvexPolygon, _lifted_hull, _power_neighbours,
                                intersect)
@@ -63,7 +65,8 @@ def fan_quadrature(poly: ConvexPolygon, levels: int = 2) -> tuple[np.ndarray, np
 
 
 def loop_cell_moments(phi: DensityField, polys, centers, levels: int = 2, falloff=None):
-    """``cell_moments`` one entry at a time: one rule and one eval per polygon."""
+    """``cell_moments`` one entry at a time: the stacked rule of one polygon
+    (P = 1) and one masked ``phi.eval`` per polygon."""
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
     masses = np.zeros(len(polys))
     centroids = centers.copy()
@@ -72,7 +75,8 @@ def loop_cell_moments(phi: DensityField, polys, centers, levels: int = 2, fallof
         if poly is None:
             continue
         if isinstance(poly, ConvexPolygon):
-            pts, w = fan_quadrature(poly, levels)
+            pts, w = polygon_quadrature(poly.vertices[None], levels)
+            pts, w = pts[0], w[0]
             offsets = pts - centers[i]
         else:
             offsets, w = poly
@@ -129,6 +133,34 @@ def kl_divergence(psi: DensityField, phi: DensityField, region: ConvexPolygon,
 
 # ------------------------------------------------------------- fast paths
 
+def point_major_component_densities(phi: GmmDensity, pts) -> np.ndarray:
+    """Weighted component densities in the (n, J) layout, one row per point."""
+    dx = pts[:, 0, None] - phi.means[None, :, 0]
+    dy = pts[:, 1, None] - phi.means[None, :, 1]
+    inv = phi._inv
+    maha = (dx * inv[:, 0, 0] * dx + dx * inv[:, 0, 1] * dy
+            + dy * inv[:, 1, 0] * dx + dy * inv[:, 1, 1] * dy)
+    log_n = -0.5 * (maha + phi._logdet[None, :]) - np.log(2.0 * np.pi)
+    return phi.weights[None, :] * np.exp(log_n)
+
+
+def point_major_raw(phi: GmmDensity, pts) -> np.ndarray:
+    """Unnormalized mixture density, each point's components summed along its row."""
+    return point_major_component_densities(phi, pts).sum(axis=1)
+
+
+def point_major_grad_log(phi: GmmDensity, pts) -> np.ndarray:
+    """Gradient of the log mixture density in the (n, J) layout."""
+    return log_gradient(phi, pts, point_major_component_densities(phi, pts))
+
+
+def log_gradient(phi: GmmDensity, pts, dens) -> np.ndarray:
+    """Gradient of the log mixture density from its (n, J) component densities."""
+    d = phi.means[None, :, :] - pts[:, None, :]
+    pulls = np.einsum("jde,nje->njd", phi._inv, d)
+    return (dens[:, :, None] * pulls).sum(axis=1) / dens.sum(axis=1)[:, None]
+
+
 def einsum_component_densities(phi: GmmDensity, pts) -> np.ndarray:
     """Weighted component densities, (n, J), with the quadratic form by einsum."""
     d = pts[:, None, :] - phi.means[None, :, :]
@@ -145,10 +177,7 @@ def einsum_eval(phi: GmmDensity, pts) -> np.ndarray:
 
 def einsum_grad_log(phi: GmmDensity, pts) -> np.ndarray:
     """Gradient of the log mixture density at (n, 2) points."""
-    dens = einsum_component_densities(phi, pts)
-    d = phi.means[None, :, :] - pts[:, None, :]
-    pulls = np.einsum("jde,nje->njd", phi._inv, d)
-    return (dens[:, :, None] * pulls).sum(axis=1) / dens.sum(axis=1)[:, None]
+    return log_gradient(phi, pts, einsum_component_densities(phi, pts))
 
 
 def polygon_footprint_cost(phi: DensityField, model, poi, levels: int = 2):

@@ -154,6 +154,20 @@ def test_cost_validation():
         make_agents([[0.5, 0.5]], [0.1, 0.2])
 
 
+def test_cost_rejects_cells_outside_the_workspace():
+    sq = unit_square()
+    phi = UniformDensity(sq)
+    rng = np.random.default_rng(21)
+    agents = make_agents(rng.uniform(0.0, 1.0, (40, 2)), rng.uniform(0.0, 0.05, 40))
+    for kind in (KIND_VORONOI, KIND_POWER):
+        coverage_cost(phi, agents, build_partition(phi, agents, kind))
+    part = build_partition(phi, agents[:2])
+    # a cell shifted 1e-6 past the right edge of W
+    part.cells[1] = ConvexPolygon(part.cells[1].vertices + [1e-6, 0.0])
+    with pytest.raises(ValueError, match="cell 1"):
+        coverage_cost(phi, agents[:2], part)
+
+
 # ------------------------------------------------------------- partitions
 
 def test_partition_masses_sum_to_one():
@@ -314,12 +328,12 @@ class InflatingDensity(UniformDensity):
     """Pathological test double whose scale grows with every evaluation."""
 
     def __init__(self, workspace):
-        super().__init__(workspace)
         self.calls = 0
+        super().__init__(workspace)
 
-    def eval(self, q):
+    def _raw(self, pts):
         self.calls += 1
-        return super().eval(q) * (1.0 + 0.5 * self.calls)
+        return super()._raw(pts) * (1.0 + 0.5 * self.calls)
 
 
 def test_descent_raises_on_rising_cost():
@@ -395,6 +409,18 @@ def test_equitable_reports_no_convergence():
     phi = UniformDensity(unit_square())
     with pytest.raises(NoConvergence):
         equitable_weights(phi, [[0.2, 0.5], [0.6, 0.5]], tol_mass=1e-15, max_iters=4)
+
+
+def test_starved_warning_names_a_count_and_the_first_ten(caplog):
+    # one large power disk dominates the 15 agents packed around its centre
+    ring = 0.5 + 0.05 * np.column_stack([np.cos(np.arange(15)), np.sin(np.arange(15))])
+    agents = make_agents(np.vstack([[0.5, 0.5], ring, [0.9, 0.9]]), [0.6, *[0.0] * 15, 0.0])
+    with caplog.at_level(logging.WARNING, logger="coverkit.coverage"):
+        _, partition, _ = lloyd_step(UniformDensity(unit_square()), agents, KIND_POWER)
+    assert partition.starved == list(range(1, 16))
+    (message,) = [r.getMessage() for r in caplog.records if "hold position" in r.message]
+    assert message.startswith("15 agents hold position")
+    assert message.endswith(str(list(range(1, 11))))
 
 
 def test_descent_records_starved_agents_per_trajectory_entry():

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from coverkit.assign import GaussianService, IsotropicService
 from coverkit.density import (
     EVAL_NODES,
     MASS_EPS,
@@ -25,10 +26,10 @@ from coverkit.density import (
     read_pgm,
 )
 from coverkit.errors import CoverkitError, EvalOutsideSupport, InvalidDensity, NoConvergence
-from coverkit.geometry import ConvexPolygon, power_cells
+from coverkit.geometry import EPS_GEO, ConvexPolygon, power_cells
 
 from tests.oracles import (einsum_eval, einsum_grad_log, fan_quadrature, floor_value, integrate,
-                           loop_cell_moments)
+                           loop_cell_moments, point_major_grad_log, point_major_raw)
 
 
 def unit_square():
@@ -223,16 +224,19 @@ def test_gmm_grad_log_matches_finite_differences():
             assert abs(gq[d] - fd) < 1e-4 * max(1.0, abs(fd))
 
 
-@pytest.mark.parametrize("components", [1, 2, 5])
-def test_gmm_eval_and_grad_log_match_einsum_oracle(components):
-    rng = np.random.default_rng(40 + components)
-    ws = hexagon()
+def random_mixture(rng, components, ws):
     covs = []
     for _ in range(components):
         a = rng.normal(size=(2, 2))
         covs.append(0.01 * a @ a.T + 0.002 * np.eye(2))
-    phi = GmmDensity(ws, rng.uniform(0.2, 1.0, components),
-                     rng.uniform(0.2, 0.8, (components, 2)), covs)
+    return GmmDensity(ws, rng.uniform(0.2, 1.0, components),
+                      rng.uniform(0.2, 0.8, (components, 2)), covs)
+
+
+@pytest.mark.parametrize("components", [1, 2, 5])
+def test_gmm_eval_and_grad_log_match_einsum_oracle(components):
+    rng = np.random.default_rng(40 + components)
+    phi = random_mixture(rng, components, hexagon())
     # points inside the workspace and in the bounding box around it
     pts = rng.uniform(0.0, 1.0, (4000, 2))
     assert 0 < phi.workspace.contains(pts).sum() < len(pts)
@@ -240,6 +244,24 @@ def test_gmm_eval_and_grad_log_match_einsum_oracle(components):
     got, want = phi.grad_log(pts), einsum_grad_log(phi, pts)
     err = np.linalg.norm(got - want, axis=1)
     assert (err <= 1e-13 * np.linalg.norm(want, axis=1)).all()
+
+
+@pytest.mark.parametrize("components", [*range(1, 10), 17])
+def test_gmm_component_rows_match_point_major_oracle(components):
+    """Summing component rows in order gives numpy's bits for a short point
+    row below 8 components; from 8 on numpy sums such a row in another order."""
+    rng = np.random.default_rng(70 + components)
+    phi = random_mixture(rng, components, hexagon())
+    pts = rng.uniform(0.0, 1.0, (4000, 2))
+    raw, want_raw = phi._raw(pts), point_major_raw(phi, pts)
+    grad, want_grad = phi.grad_log(pts), point_major_grad_log(phi, pts)
+    if components < 8:
+        np.testing.assert_array_equal(raw, want_raw)
+        np.testing.assert_array_equal(grad, want_grad)
+    else:
+        assert (np.abs(raw - want_raw) <= 1e-15 * want_raw).all()
+        err = np.linalg.norm(grad - want_grad, axis=1)
+        assert (err <= 1e-15 * np.linalg.norm(want_grad, axis=1)).all()
 
 
 def test_gmm_grad_log_raises_on_underflow():
@@ -593,6 +615,70 @@ def test_cell_moments_matches_loop_oracle(kind, falloff):
     want = loop_cell_moments(phi, polys, centers, 2, falloff)
     for a, b in zip(got, want):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+
+PENTAGON = ConvexPolygon([(0.1, 0.0), (0.9, 0.05), (1.0, 0.6), (0.5, 1.0), (0.0, 0.7)])
+
+
+def edge_gaps(ws, pts):
+    """Signed distance of each point to the nearest edge line of ws, positive inside."""
+    a = ws.vertices
+    e = np.roll(a, -1, axis=0) - a
+    rel = pts[:, None, :] - a[None, :, :]
+    gaps = (e[:, 0] * rel[..., 1] - e[:, 1] * rel[..., 0]) / np.hypot(e[:, 0], e[:, 1])
+    return gaps[np.arange(len(pts)), np.abs(gaps).argmin(axis=1)]
+
+
+@pytest.mark.parametrize("kind", ["uniform", "gmm", "grid"])
+@pytest.mark.parametrize("falloff", [None, lambda r: np.exp(-r)], ids=["squared", "exp"])
+def test_unmasked_moments_equal_masked_loop_oracle(kind, falloff):
+    """Every node cell_moments integrates lies in W, so skipping the mask of
+    eval changes no bit: clipped cells with vertices a rounding error off W's
+    edges, and footprints pushed out through an edge by up to 0.9 EPS_GEO,
+    which stay unclipped ready rules."""
+    ws = PENTAGON
+    if kind == "uniform":
+        phi = UniformDensity(ws)
+    elif kind == "gmm":
+        phi = GmmDensity(ws, [0.6, 0.4], [[0.3, 0.35], [0.7, 0.65]],
+                         [np.eye(2) * 0.015, [[0.01, -0.003], [-0.003, 0.012]]])
+    else:
+        phi = GridDensity(ws, np.random.default_rng(5).uniform(0.0, 2.0, (6, 9)))
+    rng = np.random.default_rng(12)
+    sites = rng.uniform(0.0, 1.0, (80, 2))
+    sites = sites[ws.contains(sites)]
+    cells = power_cells(ws, sites, rng.uniform(0.0, 0.01, len(sites)))
+    entries = list(zip(cells, sites))
+    on_edge = [gap for c in cells if c is not None for gap in edge_gaps(ws, c.vertices)
+               if abs(gap) <= 1e-16]
+    assert min(on_edge) < 0.0 < max(on_edge)
+
+    services = [IsotropicService(0.1), GaussianService([[0.004, 0.001], [0.001, 0.002]])]
+    v = ws.vertices
+    for k in range(len(v)):
+        a, b = v[k], v[(k + 1) % len(v)]
+        normal = np.array([b[1] - a[1], a[0] - b[0]]) / np.hypot(*(b - a))
+        for model in services:
+            theta = rng.uniform(0.0, 2.0 * np.pi)
+            ring = model.footprint([0.0, 0.0], theta).vertices
+            start = a + 0.5 * (b - a) - 0.3 * normal
+            reach = (ring @ normal).max() + (start - a) @ normal
+            for overshoot in (-EPS_GEO, -3e-10, 0.0, 3e-10, 0.9 * EPS_GEO):
+                center = start + (overshoot - reach) * normal
+                rule = model._quadrature(ws, center, theta, 2)
+                assert isinstance(rule, tuple)
+                entries.append((rule, center))
+        # a footprint the edge clips, as footprint_cost prices it
+        clipped = services[0]._quadrature(ws, a + 0.5 * (b - a), 0.0, 2)
+        assert isinstance(clipped, ConvexPolygon)
+        entries.append((clipped, a + 0.5 * (b - a)))
+    polys = [e[0] for e in entries]
+    centers = np.array([e[1] for e in entries])
+
+    got = cell_moments(phi, polys, centers, 2, falloff)
+    want = loop_cell_moments(phi, polys, centers, 2, falloff)
+    for x, y in zip(got, want):
+        np.testing.assert_array_equal(x, y)
 
 
 def test_rejection_sampling_gives_up_on_mass_out_of_reach():
