@@ -5,6 +5,15 @@ discretized target with an exact assignment, then slides every matched
 agent a fraction tau along its ray. The target draw uses a fixed
 stratification offset, so repeated full-batch steps chase one common
 target multiset and the matching objective can only shrink.
+
+A full-batch step solves its assignment once and later full-batch steps
+toward the same target reuse it. Moving every agent a fraction tau toward
+its match is McCann's displacement interpolation (McCann 1997, "A
+convexity principle for interacting gases"): the matching that was optimal
+for the old positions stays optimal for every point along those rays, so
+solving it again would return the same pairs. A step whose projection
+into the workspace moved an agent leaves the rays, and the next step
+solves afresh.
 """
 
 from __future__ import annotations
@@ -29,12 +38,19 @@ STOP_FRACTION = 1e-4
 
 @dataclass
 class SwarmState:
-    """Agent positions plus the step counter and latest distance estimate."""
+    """Agent positions plus the step counter and latest distance estimate.
+
+    matching is the (target, matched points) pair of the full-batch step
+    that produced this state, or None; the next full-batch step toward the
+    same target object moves along it without solving an assignment.
+    """
 
     positions: np.ndarray
     workspace: ConvexPolygon
     iteration: int = 0
     w2_estimate: float | None = None
+    matching: tuple[DiscreteMeasure, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -73,6 +89,11 @@ def transport_step(state: SwarmState, target: DiscreteMeasure, tau: float,
     The batch is drawn without replacement; everyone else stays put. The
     returned state's w2_estimate is the root mean squared matched distance
     measured before the move, so it prices the state the step started from.
+
+    A full batch toward the target object of the state's matching reuses
+    that matching (see the module docstring); the returned state carries
+    its matching when the batch was full and no agent had to be projected
+    back into the workspace.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
@@ -80,18 +101,27 @@ def transport_step(state: SwarmState, target: DiscreteMeasure, tau: float,
     batch = n if batch is None else int(batch)
     if not 1 <= batch <= n:
         raise ValueError(f"batch must lie in [1, {n}]")
-    rng = np.random.default_rng(seed)
-    moving = np.sort(rng.permutation(n)[:batch])
-    draws = target.points[systematic_resample(target.weights, batch)]
-    src = state.positions[moving]
-    cost = cdist(src, draws, "sqeuclidean")
-    rows, cols = linear_sum_assignment(cost)
-    objective = float(cost[rows, cols].sum())
+    full = batch == n
+    if full and state.matching is not None and state.matching[0] is target:
+        moving = slice(None)
+        src = state.positions
+        matched = state.matching[1]
+    else:
+        rng = np.random.default_rng(seed)
+        moving = np.sort(rng.permutation(n)[:batch])
+        draws = target.points[systematic_resample(target.weights, batch)]
+        src = state.positions[moving]
+        _, cols = linear_sum_assignment(cdist(src, draws, "sqeuclidean"))
+        matched = draws[cols]
+    # the squared distances of cdist, summed in the same order
+    objective = float(((src - matched) ** 2).sum(axis=1).sum())
     moved = state.positions.copy()
-    moved[moving] = (1.0 - tau) * src + tau * draws[cols]
-    moved = project_into(state.workspace, moved)
-    return SwarmState(moved, state.workspace, state.iteration + 1,
-                      w2_estimate=math.sqrt(objective / batch))
+    moved[moving] = (1.0 - tau) * src + tau * matched
+    projected = project_into(state.workspace, moved)
+    keep = full and projected is moved
+    return SwarmState(projected, state.workspace, state.iteration + 1,
+                      w2_estimate=math.sqrt(objective / batch),
+                      matching=(target, matched) if keep else None)
 
 
 @dataclass

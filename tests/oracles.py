@@ -9,7 +9,8 @@ components along its row, footprint prices integrated over each clipped
 footprint polygon, the edge-by-edge loop that projected stray points onto a
 polygon, the one-plane clip that built a polygon after every cut, with its
 ``HalfPlane``, the power cells clipped from every lifted-hull neighbour, and
-the cell moments built one polygon, one rule and one masked eval at a time.
+the cell moments built one polygon, one rule and one masked eval at a time,
+and the swarm step that solved a fresh assignment at every step.
 Voronoi cell masses as a discrete measure have no caller in a pipeline
 either. None of these runs in a pipeline, so they live here and not in the
 package.
@@ -22,13 +23,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from coverkit.coverage import KIND_VORONOI, build_partition, make_agents
 from coverkit.density import (MASS_EPS, RULE_BARY, RULE_WEIGHTS, DensityField,
                               DiscreteMeasure, GmmDensity, cell_moments, polygon_quadrature)
 from coverkit.errors import CoverkitError
 from coverkit.geometry import (EPS_GEO, ConvexPolygon, _lifted_hull, _power_neighbours,
-                               intersect)
+                               intersect, project_into)
+from coverkit.swarm import SwarmState, systematic_resample
 
 _FLOOR_REL = 1e-12
 SEARCH_CAP = 1_000_000
@@ -364,3 +368,25 @@ def neighbour_power_cells(workspace, points, weights):
             cell = one_plane_clip(cell, h)
         cells.append(cell)
     return cells
+
+
+# ------------------------------------------------------------------ swarm
+
+def assignment_transport_step(state: SwarmState, target: DiscreteMeasure, tau: float,
+                              batch: int | None = None, seed: int = 0) -> SwarmState:
+    """``transport_step`` with a fresh ``linear_sum_assignment`` at every step,
+    whatever matching the state carries; the returned state carries none."""
+    n = len(state)
+    batch = n if batch is None else int(batch)
+    rng = np.random.default_rng(seed)
+    moving = np.sort(rng.permutation(n)[:batch])
+    draws = target.points[systematic_resample(target.weights, batch)]
+    src = state.positions[moving]
+    cost = cdist(src, draws, "sqeuclidean")
+    rows, cols = linear_sum_assignment(cost)
+    objective = float(cost[rows, cols].sum())
+    moved = state.positions.copy()
+    moved[moving] = (1.0 - tau) * src + tau * draws[cols]
+    moved = project_into(state.workspace, moved)
+    return SwarmState(moved, state.workspace, state.iteration + 1,
+                      w2_estimate=math.sqrt(objective / batch))

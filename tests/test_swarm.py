@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coverkit import swarm
 from coverkit.density import DiscreteMeasure, GmmDensity, UniformDensity, from_pgm
 from coverkit.errors import SiteOutsideWorkspace
 from coverkit.geometry import ConvexPolygon
@@ -13,6 +14,7 @@ from coverkit.swarm import (
     systematic_resample,
     transport_step,
 )
+from tests.oracles import assignment_transport_step
 
 
 # ---------------------------------------------------------------- oracles
@@ -247,3 +249,94 @@ def test_run_validation():
         run_reconfiguration(phi, 0, iters=3)
     with pytest.raises(ValueError):
         run_reconfiguration(phi, 5, iters=-1)
+
+
+# ------------------------------------------------------ matching reuse
+
+def _run_both(monkeypatch, phi, n_agents, iters, **kw):
+    """The same run with matching reuse and with the fresh-assignment oracle."""
+    fast = run_reconfiguration(phi, n_agents, iters, metric_every=None, **kw)
+    with monkeypatch.context() as m:
+        m.setattr(swarm, "transport_step", assignment_transport_step)
+        slow = run_reconfiguration(phi, n_agents, iters, metric_every=None, **kw)
+    return fast, slow
+
+
+def _assert_same_run(fast, slow):
+    np.testing.assert_array_equal(fast.final.positions, slow.final.positions)
+    assert fast.metrics == slow.metrics  # w2_batch and displacement, exactly
+    assert [t for t, _ in fast.snapshots] == [t for t, _ in slow.snapshots]
+    for (_, a), (_, b) in zip(fast.snapshots, slow.snapshots):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_reused_matching_equals_fresh_assignments_on_the_portrait(monkeypatch,
+                                                                  portrait_path):
+    phi = from_pgm(portrait_path, square())
+    # the shipped swarm_portrait demo
+    fast, slow = _run_both(monkeypatch, phi, 600, 30, tau=0.5, seed=1, snapshot_every=5)
+    assert fast.final.iteration > 5
+    _assert_same_run(fast, slow)
+    for seed in range(5):
+        fast, slow = _run_both(monkeypatch, phi, 500, 12, tau=0.5, seed=seed)
+        _assert_same_run(fast, slow)
+
+
+def test_full_batch_steps_solve_one_assignment(monkeypatch):
+    calls = []
+    solve = swarm.linear_sum_assignment
+
+    def counted(cost):
+        calls.append(cost.shape)
+        return solve(cost)
+
+    monkeypatch.setattr(swarm, "linear_sum_assignment", counted)
+    target = grid_measure(6)
+    state = SwarmState(np.random.default_rng(4).uniform(size=(36, 2)), square())
+    for t in range(8):
+        state = transport_step(state, target, tau=0.5, seed=t)
+    assert calls == [(36, 36)]
+    assert state.matching[0] is target
+
+
+def _step_pair(state, target, **kw):
+    fast = transport_step(state, target, tau=0.5, **kw)
+    slow = assignment_transport_step(state, target, tau=0.5, **kw)
+    np.testing.assert_array_equal(fast.positions, slow.positions)
+    assert fast.w2_estimate == slow.w2_estimate
+    return fast
+
+
+def test_partial_batch_solves_afresh_and_carries_no_matching():
+    target = grid_measure(7)
+    state = SwarmState(np.random.default_rng(6).uniform(size=(40, 2)), square())
+    state = _step_pair(state, target)
+    assert state.matching is not None
+    state = _step_pair(state, target, batch=25, seed=1)
+    assert state.matching is None
+    state = _step_pair(state, target, seed=2)
+    assert state.matching is not None
+
+
+def test_another_target_object_solves_afresh():
+    target = grid_measure(6)
+    state = SwarmState(np.random.default_rng(7).uniform(size=(36, 2)), square())
+    state = _step_pair(state, target)
+    shifted = DiscreteMeasure(0.5 * target.points + 0.2, target.weights)
+    moved = _step_pair(state, shifted)
+    assert moved.matching[0] is shifted
+    # equal atoms in another object are solved again, with the same pairs
+    twin = DiscreteMeasure(target.points.copy(), target.weights.copy())
+    np.testing.assert_array_equal(_step_pair(state, twin).positions,
+                                  transport_step(state, target, tau=0.5).positions)
+
+
+def test_a_projected_step_solves_afresh():
+    # atoms outside the square: the first step projects agents off their
+    # rays, and the optimal matching afterwards pairs them differently
+    rng = np.random.default_rng(93)
+    x = rng.uniform(0.05, 0.95, size=(4, 2))
+    target = DiscreteMeasure(rng.uniform(-0.8, 1.8, size=(4, 2)), np.full(4, 0.25))
+    state = _step_pair(SwarmState(x, square()), target)
+    assert state.matching is None
+    _step_pair(state, target)

@@ -7,6 +7,7 @@ The stabilized Sinkhorn stage is checked against the plain log-domain stage
 it replaced.
 """
 import itertools
+import threading
 import warnings
 
 import numpy as np
@@ -352,6 +353,77 @@ def test_sinkhorn_epsilon_validation():
     mu = DiscreteMeasure([[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0])
     with pytest.raises(ValueError):
         wasserstein_sinkhorn(mu, mu, p=2, epsilon=0.0)
+
+
+def _concurrent_instance():
+    """A pair of measures large enough for the concurrent debiasing route."""
+    rng = np.random.default_rng(15)
+    mu, nu = rand_measure(rng, 520), rand_measure(rng, 500)
+    assert len(mu) * len(nu) >= transport.CONCURRENT_PAIRS
+    return mu, nu
+
+
+def test_concurrent_debiasing_equals_the_serial_sum(monkeypatch):
+    mu, nu = _concurrent_instance()
+    threads, divide = [], []
+    solve_self = transport.self_transport_cost
+
+    def recorded(*args):
+        threads.append(threading.get_ident())
+        divide.append(np.geterr()["divide"])
+        return solve_self(*args)
+
+    monkeypatch.setattr(transport, "self_transport_cost", recorded)
+    before = threading.active_count()
+    with np.errstate(divide="raise"):  # the worker runs in the caller's error state
+        value, plan = wasserstein_sinkhorn(mu, nu, p=2)
+    assert threading.active_count() == before
+    assert len(threads) == 2 and threading.get_ident() not in threads
+    assert divide == ["raise", "raise"]
+
+    pa, wa, _ = transport._compact(mu)
+    pb, wb, _ = transport._compact(nu)
+    cost = transport._cost_power(pa, pb, 2)
+    eps = 0.05 * float(np.median(cost))
+    cross, raw, iters, resid = transport._solve_coupling_cost(cost, wa, wb, eps,
+                                                              5000, 1e-4, True)
+    raw = raw - 0.5 * solve_self(pa, wa, 2, eps) - 0.5 * solve_self(pb, wb, 2, eps)
+    assert value == max(raw, 0.0) ** 0.5
+    np.testing.assert_array_equal(plan.coupling, cross)
+    assert (plan.iterations, plan.residual) == (iters, resid)
+
+    monkeypatch.setattr(transport, "CONCURRENT_PAIRS", len(mu) * len(nu) + 1)
+    serial, serial_plan = wasserstein_sinkhorn(mu, nu, p=2)
+    assert serial == value
+    np.testing.assert_array_equal(serial_plan.coupling, plan.coupling)
+    assert len(threads) == 4 and threads[2:] == [threading.get_ident()] * 2
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_concurrent_self_solve_failure_reaches_the_caller(monkeypatch, failing):
+    mu, nu = _concurrent_instance()
+    calls = []
+    solve_self = transport.self_transport_cost
+
+    def flaky(*args):
+        calls.append(len(calls))
+        if calls[-1] == failing:
+            raise NoConvergence(f"self-solve {failing} ran out")
+        return solve_self(*args)
+
+    monkeypatch.setattr(transport, "self_transport_cost", flaky)
+    before = threading.active_count()
+    with pytest.raises(NoConvergence, match=f"self-solve {failing}"):
+        wasserstein_sinkhorn(mu, nu, p=2)
+    assert threading.active_count() == before
+
+
+def test_concurrent_cross_solve_failure_reaches_the_caller():
+    mu, nu = _concurrent_instance()
+    before = threading.active_count()
+    with pytest.raises(NoConvergence):
+        wasserstein_sinkhorn(mu, nu, p=2, epsilon=1e-6, max_iters=3, anneal=False)
+    assert threading.active_count() == before
 
 
 def test_self_transport_cost_is_small_and_nonnegative():
