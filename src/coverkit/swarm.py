@@ -40,17 +40,20 @@ STOP_FRACTION = 1e-4
 class SwarmState:
     """Agent positions plus the step counter and latest distance estimate.
 
-    matching is the (target, matched points) pair of the full-batch step
-    that produced this state, or None; the next full-batch step toward the
-    same target object moves along it without solving an assignment.
+    matching is the (target, positions, matched points) triple of the
+    full-batch step that produced this state, or None. Only transport_step
+    sets it, after construction, so neither the constructor nor
+    dataclasses.replace carries it to other positions. The next full-batch
+    step toward the same target object moves along it without solving an
+    assignment while positions still equal the copy the triple holds.
     """
 
     positions: np.ndarray
     workspace: ConvexPolygon
     iteration: int = 0
     w2_estimate: float | None = None
-    matching: tuple[DiscreteMeasure, np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
+    matching: tuple[DiscreteMeasure, np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -91,9 +94,10 @@ def transport_step(state: SwarmState, target: DiscreteMeasure, tau: float,
     measured before the move, so it prices the state the step started from.
 
     A full batch toward the target object of the state's matching reuses
-    that matching (see the module docstring); the returned state carries
-    its matching when the batch was full and no agent had to be projected
-    back into the workspace.
+    that matching (see the module docstring) if the positions are still the
+    ones it was made for; the returned state carries its matching when the
+    batch was full and no agent had to be projected back into the
+    workspace.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
@@ -102,10 +106,12 @@ def transport_step(state: SwarmState, target: DiscreteMeasure, tau: float,
     if not 1 <= batch <= n:
         raise ValueError(f"batch must lie in [1, {n}]")
     full = batch == n
-    if full and state.matching is not None and state.matching[0] is target:
+    made = state.matching
+    if (full and made is not None and made[0] is target
+            and np.array_equal(made[1], state.positions)):
         moving = slice(None)
         src = state.positions
-        matched = state.matching[1]
+        matched = made[2]
     else:
         rng = np.random.default_rng(seed)
         moving = np.sort(rng.permutation(n)[:batch])
@@ -118,10 +124,11 @@ def transport_step(state: SwarmState, target: DiscreteMeasure, tau: float,
     moved = state.positions.copy()
     moved[moving] = (1.0 - tau) * src + tau * matched
     projected = project_into(state.workspace, moved)
-    keep = full and projected is moved
-    return SwarmState(projected, state.workspace, state.iteration + 1,
-                      w2_estimate=math.sqrt(objective / batch),
-                      matching=(target, matched) if keep else None)
+    out = SwarmState(projected, state.workspace, state.iteration + 1,
+                     w2_estimate=math.sqrt(objective / batch))
+    if full and projected is moved:
+        out.matching = (target, projected.copy(), matched)
+    return out
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Swarm transport steps and reconfiguration runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -282,7 +284,7 @@ def test_reused_matching_equals_fresh_assignments_on_the_portrait(monkeypatch,
         _assert_same_run(fast, slow)
 
 
-def test_full_batch_steps_solve_one_assignment(monkeypatch):
+def _count_assignments(monkeypatch):
     calls = []
     solve = swarm.linear_sum_assignment
 
@@ -291,6 +293,11 @@ def test_full_batch_steps_solve_one_assignment(monkeypatch):
         return solve(cost)
 
     monkeypatch.setattr(swarm, "linear_sum_assignment", counted)
+    return calls
+
+
+def test_full_batch_steps_solve_one_assignment(monkeypatch):
+    calls = _count_assignments(monkeypatch)
     target = grid_measure(6)
     state = SwarmState(np.random.default_rng(4).uniform(size=(36, 2)), square())
     for t in range(8):
@@ -340,3 +347,22 @@ def test_a_projected_step_solves_afresh():
     state = _step_pair(SwarmState(x, square()), target)
     assert state.matching is None
     _step_pair(state, target)
+
+
+def test_a_matching_stays_with_the_positions_it_was_made_for(monkeypatch):
+    calls = _count_assignments(monkeypatch)
+    target = grid_measure(6)
+    state = _step_pair(SwarmState(np.random.default_rng(8).uniform(size=(36, 2)),
+                                  square()), target)
+    assert state.matching is not None and len(calls) == 1
+    with pytest.raises(TypeError):
+        SwarmState(state.positions, square(), matching=state.matching)
+    # replace() drops the matching, so perturbed positions are solved afresh
+    nudged = dataclasses.replace(state, positions=0.98 * state.positions[::-1] + 0.01)
+    assert nudged.matching is None
+    _step_pair(nudged, target)
+    assert len(calls) == 2
+    # so are positions changed in place: two agents swap their places
+    state.positions[[0, 1]] = state.positions[[1, 0]]
+    _step_pair(state, target)
+    assert len(calls) == 3

@@ -355,8 +355,10 @@ def test_sinkhorn_epsilon_validation():
         wasserstein_sinkhorn(mu, mu, p=2, epsilon=0.0)
 
 
-def _concurrent_instance():
-    """A pair of measures large enough for the concurrent debiasing route."""
+def _concurrent_instance(monkeypatch):
+    """A pair of measures large enough for the concurrent debiasing route,
+    taken as on a 2-CPU process whatever the host has."""
+    monkeypatch.setattr(transport, "_usable_cpus", lambda: 2)
     rng = np.random.default_rng(15)
     mu, nu = rand_measure(rng, 520), rand_measure(rng, 500)
     assert len(mu) * len(nu) >= transport.CONCURRENT_PAIRS
@@ -364,22 +366,22 @@ def _concurrent_instance():
 
 
 def test_concurrent_debiasing_equals_the_serial_sum(monkeypatch):
-    mu, nu = _concurrent_instance()
-    threads, divide = [], []
+    mu, nu = _concurrent_instance(monkeypatch)
+    threads, settings = [], []
     solve_self = transport.self_transport_cost
 
     def recorded(*args):
         threads.append(threading.get_ident())
-        divide.append(np.geterr()["divide"])
+        settings.append((np.geterr()["divide"], np.geterr()["invalid"]))
         return solve_self(*args)
 
     monkeypatch.setattr(transport, "self_transport_cost", recorded)
     before = threading.active_count()
-    with np.errstate(divide="raise"):  # the worker runs in the caller's error state
+    with np.errstate(divide="raise", invalid="raise"):  # the worker gets these too
         value, plan = wasserstein_sinkhorn(mu, nu, p=2)
     assert threading.active_count() == before
     assert len(threads) == 2 and threading.get_ident() not in threads
-    assert divide == ["raise", "raise"]
+    assert settings == [("raise", "raise")] * 2
 
     pa, wa, _ = transport._compact(mu)
     pb, wb, _ = transport._compact(nu)
@@ -392,16 +394,20 @@ def test_concurrent_debiasing_equals_the_serial_sum(monkeypatch):
     np.testing.assert_array_equal(plan.coupling, cross)
     assert (plan.iterations, plan.residual) == (iters, resid)
 
-    monkeypatch.setattr(transport, "CONCURRENT_PAIRS", len(mu) * len(nu) + 1)
-    serial, serial_plan = wasserstein_sinkhorn(mu, nu, p=2)
+    # below the size threshold, and on one CPU, the self-solves run here
+    with monkeypatch.context() as m:
+        m.setattr(transport, "CONCURRENT_PAIRS", len(mu) * len(nu) + 1)
+        serial, serial_plan = wasserstein_sinkhorn(mu, nu, p=2)
     assert serial == value
     np.testing.assert_array_equal(serial_plan.coupling, plan.coupling)
-    assert len(threads) == 4 and threads[2:] == [threading.get_ident()] * 2
+    monkeypatch.setattr(transport, "_usable_cpus", lambda: 1)
+    assert wasserstein_sinkhorn(mu, nu, p=2)[0] == value
+    assert len(threads) == 6 and threads[2:] == [threading.get_ident()] * 4
 
 
 @pytest.mark.parametrize("failing", [0, 1])
 def test_concurrent_self_solve_failure_reaches_the_caller(monkeypatch, failing):
-    mu, nu = _concurrent_instance()
+    mu, nu = _concurrent_instance(monkeypatch)
     calls = []
     solve_self = transport.self_transport_cost
 
@@ -418,8 +424,8 @@ def test_concurrent_self_solve_failure_reaches_the_caller(monkeypatch, failing):
     assert threading.active_count() == before
 
 
-def test_concurrent_cross_solve_failure_reaches_the_caller():
-    mu, nu = _concurrent_instance()
+def test_concurrent_cross_solve_failure_reaches_the_caller(monkeypatch):
+    mu, nu = _concurrent_instance(monkeypatch)
     before = threading.active_count()
     with pytest.raises(NoConvergence):
         wasserstein_sinkhorn(mu, nu, p=2, epsilon=1e-6, max_iters=3, anneal=False)
