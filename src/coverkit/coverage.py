@@ -159,7 +159,8 @@ class DescentResult:
     """Final agents and partition plus the per-iteration (positions, cost) path.
 
     starved[k] lists the agents whose cell was dominated or massless at
-    trajectory entry k.
+    trajectory entry k. initial is the partition at the input positions,
+    which the first step surveyed.
     """
 
     agents: list
@@ -167,6 +168,7 @@ class DescentResult:
     trajectory: list
     converged: bool
     starved: list
+    initial: Partition
 
     @property
     def iterations(self) -> int:
@@ -201,8 +203,11 @@ def run_descent(phi: DensityField, agents, kind: str = KIND_VORONOI,
     starved = []
     converged = False
     prev = None
+    initial = None
     for _ in range(max_iters):
         moved, partition, cost = lloyd_step(phi, current, kind, relax, levels)
+        if initial is None:
+            initial = partition
         _check_monotone(prev, cost)
         prev = cost
         trajectory.append((positions_of(current), cost))
@@ -217,7 +222,7 @@ def run_descent(phi: DensityField, agents, kind: str = KIND_VORONOI,
     _check_monotone(prev, final_cost)
     trajectory.append((positions_of(current), final_cost))
     starved.append(partition.starved)
-    return DescentResult(current, partition, trajectory, converged, starved)
+    return DescentResult(current, partition, trajectory, converged, starved, initial)
 
 
 def equitable_weights(phi: DensityField, positions, tol_mass: float = 1e-3,

@@ -2,6 +2,14 @@
 
 No plotting dependency; elements are written as plain strings with fixed
 decimal formatting so identical scenes produce identical bytes.
+
+Each layer of a frame is written in array form. Its points go to the screen
+in one ``SvgCanvas.map`` pass, and its elements are formatted from the
+``.tolist()`` values in one list comprehension. The density bands are the
+runs of one level along each grid row, found in one numpy step. The
+arithmetic is the element-at-a-time writer's, operation for operation, so
+the bytes are too: ``loop_render_scene`` in ``tests/oracles.py`` keeps that
+writer, and the render tests hold every frame to it byte for byte.
 """
 
 from __future__ import annotations
@@ -24,6 +32,11 @@ def _band_color(level: int, bands: int) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
+def _pairs(sx, sy) -> list[str]:
+    """One "x,y" string per screen point."""
+    return [f"{x:.2f},{y:.2f}" for x, y in zip(sx.tolist(), sy.tolist())]
+
+
 class SvgCanvas:
     """World-to-screen mapping plus an element buffer, y axis up."""
 
@@ -37,57 +50,20 @@ class SvgCanvas:
         self.height = 2 * margin + (ymax - ymin) * self.scale
         self.elements: list[str] = []
 
-    def map(self, point) -> tuple[float, float]:
-        x, y = float(point[0]), float(point[1])
-        return (self.margin + (x - self.xmin) * self.scale,
-                self.margin + (self.ymax - y) * self.scale)
+    def map(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Screen x and y arrays of an (n, 2) array of world points."""
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        return (self.margin + (pts[:, 0] - self.xmin) * self.scale,
+                self.margin + (self.ymax - pts[:, 1]) * self.scale)
 
-    def _points_attr(self, pts) -> str:
-        return " ".join(f"{sx:.2f},{sy:.2f}" for sx, sy in map(self.map, pts))
-
-    def rect(self, corner, w, h, fill):
-        sx, sy = self.map((corner[0], corner[1] + h))
-        self.elements.append(
-            f'<rect x="{sx:.2f}" y="{sy:.2f}" width="{w * self.scale + 0.4:.2f}" '
-            f'height="{h * self.scale + 0.4:.2f}" fill="{fill}"/>')
-
-    def polygon(self, pts, fill="none", stroke="none", width=1.0, dash=None, opacity=None):
-        attrs = f'points="{self._points_attr(pts)}" fill="{fill}" stroke="{stroke}"'
-        if stroke != "none":
-            attrs += f' stroke-width="{width:.2f}"'
-        if dash:
-            attrs += f' stroke-dasharray="{dash}"'
-        if opacity is not None:
-            attrs += f' opacity="{opacity:.2f}"'
-        self.elements.append(f"<polygon {attrs}/>")
-
-    def circle(self, center, radius_world, fill="none", stroke="none",
-               width=1.0, dash=None, opacity=None, radius_px=None):
-        sx, sy = self.map(center)
-        r = radius_px if radius_px is not None else radius_world * self.scale
-        attrs = f'cx="{sx:.2f}" cy="{sy:.2f}" r="{r:.2f}" fill="{fill}" stroke="{stroke}"'
-        if stroke != "none":
-            attrs += f' stroke-width="{width:.2f}"'
-        if dash:
-            attrs += f' stroke-dasharray="{dash}"'
-        if opacity is not None:
-            attrs += f' opacity="{opacity:.2f}"'
-        self.elements.append(f"<circle {attrs}/>")
-
-    def line(self, a, b, stroke="#555555", width=1.0, dash=None):
-        ax, ay = self.map(a)
-        bx, by = self.map(b)
-        attrs = (f'x1="{ax:.2f}" y1="{ay:.2f}" x2="{bx:.2f}" y2="{by:.2f}" '
-                 f'stroke="{stroke}" stroke-width="{width:.2f}"')
-        if dash:
-            attrs += f' stroke-dasharray="{dash}"'
-        self.elements.append(f"<line {attrs}/>")
-
-    def text(self, screen_xy, content, size=13):
-        self.elements.append(
-            f'<text x="{screen_xy[0]:.2f}" y="{screen_xy[1]:.2f}" '
-            f'font-family="sans-serif" font-size="{size}" '
-            f'fill="#333333">{escape(content)}</text>')
+    def polygons(self, vertex_arrays, attrs: str) -> None:
+        """One polygon per vertex array, all mapped in one pass."""
+        if not vertex_arrays:
+            return
+        pairs = _pairs(*self.map(np.concatenate(vertex_arrays)))
+        ends = np.cumsum([len(v) for v in vertex_arrays]).tolist()
+        self.elements.extend(f'<polygon points="{" ".join(pairs[a:b])}" {attrs}/>'
+                             for a, b in zip([0] + ends[:-1], ends))
 
     def save(self, path) -> None:
         head = (f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -98,8 +74,12 @@ class SvgCanvas:
             fh.write(f"{head}\n{body}\n</svg>\n")
 
 
+def _circle(x: float, y: float, r: float, attrs: str) -> str:
+    return f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r:.2f}" {attrs}/>'
+
+
 def _append_density_bands(canvas: SvgCanvas, phi, workspace: ConvexPolygon,
-                          bands: int, resolution: int) -> None:
+                          bands: int, resolution: int, clip: str) -> None:
     xmin, xmax, ymin, ymax = workspace.bbox
     dx = (xmax - xmin) / resolution
     dy = (ymax - ymin) / resolution
@@ -113,20 +93,29 @@ def _append_density_bands(canvas: SvgCanvas, phi, workspace: ConvexPolygon,
         return
     levels = np.minimum((vals / top * bands).astype(int), bands - 1)
 
-    clip = " ".join(f"{sx:.2f},{sy:.2f}"
-                    for sx, sy in map(canvas.map, workspace.vertices))
+    # a run of one level starts at a row's first cell or at a level change,
+    # and ends where the next one starts or at the row's end
+    starts = np.ones(levels.shape, dtype=bool)
+    starts[:, 1:] = levels[:, 1:] != levels[:, :-1]
+    ends = np.ones(levels.shape, dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    iy, first = np.nonzero(starts)
+    stop = np.nonzero(ends)[1] + 1
+    colors = [_band_color(level, bands) for level in range(bands)]
+    # each run is a rect from its lower-left corner: the top-left corner
+    # goes to the screen, and the size is scaled and padded by 0.4 px
+    sx, sy = canvas.map(np.stack([xmin + first * dx, ymin + iy * dy + dy], axis=1))
+    widths = (stop - first) * dx * canvas.scale + 0.4
+    height = f"{dy * canvas.scale + 0.4:.2f}"
+
     canvas.elements.append(
         f'<defs><clipPath id="ws"><polygon points="{clip}"/></clipPath></defs>')
     canvas.elements.append('<g clip-path="url(#ws)">')
-    for iy in range(resolution):
-        run_start, run_level = 0, levels[iy, 0]
-        for ix in range(1, resolution + 1):
-            if ix < resolution and levels[iy, ix] == run_level:
-                continue
-            canvas.rect((xmin + run_start * dx, ymin + iy * dy),
-                        (ix - run_start) * dx, dy, _band_color(run_level, bands))
-            if ix < resolution:
-                run_start, run_level = ix, levels[iy, ix]
+    canvas.elements.extend(
+        f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{height}" '
+        f'fill="{colors[level]}"/>'
+        for x, y, w, level in zip(sx.tolist(), sy.tolist(), widths.tolist(),
+                                  levels[iy, first].tolist()))
     canvas.elements.append("</g>")
 
 
@@ -139,45 +128,59 @@ def render_scene(path, phi, workspace: ConvexPolygon, *, agents=None,
     agents are drawn as colored dots, power_radii as dashed circles around
     them, cells as outlines, pois as diamonds, and assignment as (agent,
     poi) index pairs joined by lines. swarm_points are small translucent
-    dots for large crowds.
+    dots for large crowds. ValueError when bands or resolution is below 1.
     """
+    for name, value in (("bands", bands), ("resolution", resolution)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value!r}")
     canvas = SvgCanvas(workspace.bbox, size=size)
     canvas.elements.append(
         f'<rect width="{canvas.width:.0f}" height="{canvas.height:.0f}" fill="#ffffff"/>')
+    clip = " ".join(_pairs(*canvas.map(workspace.vertices)))
     if phi is not None:
-        _append_density_bands(canvas, phi, workspace, bands, resolution)
-    canvas.polygon(workspace.vertices, stroke="#222222", width=1.6)
+        _append_density_bands(canvas, phi, workspace, bands, resolution, clip)
+    canvas.elements.append(
+        f'<polygon points="{clip}" fill="none" stroke="#222222" stroke-width="1.60"/>')
 
     if cells is not None:
-        for cell in cells:
-            if cell is not None:
-                canvas.polygon(cell.vertices, stroke="#444444", width=1.0)
+        canvas.polygons([c.vertices for c in cells if c is not None],
+                        'fill="none" stroke="#444444" stroke-width="1.00"')
 
     if swarm_points is not None:
-        for point in np.atleast_2d(swarm_points):
-            canvas.circle(point, 0.0, fill="#1f4e8c", opacity=0.55, radius_px=2.0)
+        sx, sy = canvas.map(swarm_points)
+        canvas.elements.extend(
+            _circle(x, y, 2.0, 'fill="#1f4e8c" stroke="none" opacity="0.55"')
+            for x, y in zip(sx.tolist(), sy.tolist()))
 
     if pois is not None:
-        for point in np.atleast_2d(pois):
-            x, y = float(point[0]), float(point[1])
-            r = 5.0 / canvas.scale
-            canvas.polygon([(x - r, y), (x, y + r), (x + r, y), (x, y - r)],
-                           fill="#f2b134", stroke="#7a5b0e", width=1.0)
+        pois = np.asarray(pois, dtype=float).reshape(-1, 2)
+        diamond = 5.0 / canvas.scale * np.array([[-1.0, 0.0], [0.0, 1.0],
+                                                 [1.0, 0.0], [0.0, -1.0]])
+        canvas.polygons(list(pois[:, None, :] + diamond),
+                        'fill="#f2b134" stroke="#7a5b0e" stroke-width="1.00"')
 
     if agents is not None:
-        agents = np.atleast_2d(agents)
+        ax, ay = (v.tolist() for v in canvas.map(agents))
         if assignment is not None and pois is not None:
-            pois = np.atleast_2d(pois)
-            for i, j in assignment:
-                canvas.line(agents[i], pois[j], stroke="#666666", width=1.2, dash="5 3")
-        for i, point in enumerate(agents):
+            px, py = (v.tolist() for v in canvas.map(pois))
+            canvas.elements.extend(
+                f'<line x1="{ax[i]:.2f}" y1="{ay[i]:.2f}" x2="{px[j]:.2f}" '
+                f'y2="{py[j]:.2f}" stroke="#666666" stroke-width="1.20" '
+                f'stroke-dasharray="5 3"/>'
+                for i, j in assignment)
+        for i, (x, y) in enumerate(zip(ax, ay)):
             color = AGENT_PALETTE[i % len(AGENT_PALETTE)]
             if power_radii is not None and power_radii[i] > 0:
-                canvas.circle(point, float(power_radii[i]), stroke=color,
-                              width=1.4, dash="6 4")
-            canvas.circle(point, 0.0, fill=color, stroke="#ffffff",
-                          width=1.2, radius_px=6.0)
+                canvas.elements.append(_circle(
+                    x, y, float(power_radii[i]) * canvas.scale,
+                    f'fill="none" stroke="{color}" stroke-width="1.40" '
+                    f'stroke-dasharray="6 4"'))
+            canvas.elements.append(_circle(
+                x, y, 6.0, f'fill="{color}" stroke="#ffffff" stroke-width="1.20"'))
 
     if title:
-        canvas.text((canvas.margin, canvas.margin - 8), title)
+        canvas.elements.append(
+            f'<text x="{canvas.margin:.2f}" y="{canvas.margin - 8:.2f}" '
+            f'font-family="sans-serif" font-size="13" '
+            f'fill="#333333">{escape(title)}</text>')
     canvas.save(path)

@@ -29,7 +29,10 @@ from scipy.spatial.distance import cdist
 from . import __version__, submod, swarm
 from . import assign as assign_mod
 from . import poi as poi_mod
-from .coverage import KIND_POWER, KIND_VORONOI, build_partition, make_agents, run_descent
+# build_partition is not called here, but coverbench/tracing.py patches it
+# in this module
+from .coverage import (KIND_POWER, KIND_VORONOI, build_partition,  # noqa: F401
+                       make_agents, run_descent)
 from .density import (DensityField, GmmDensity, UniformDensity, from_pgm, load_grid_csv,
                       spd_cholesky, write_csv)
 from .errors import CoverkitError, NoConvergence
@@ -387,12 +390,11 @@ def _run_lloyd(resolved, phi, workspace, out: Path) -> None:
     positions = _initial_positions(resolved, phi)
     radii = resolved["agents"]["radii"] if power else None
     agents = make_agents(positions, radii)
-    render_scene(out / "render_initial.svg", phi, workspace,
-                 agents=positions, power_radii=radii,
-                 cells=build_partition(phi, agents, kind, params["levels"]).cells,
-                 title="initial")
     result = run_descent(phi, agents, kind, max_iters=params["iters"], tol=params["tol"],
                          levels=params["levels"])
+    render_scene(out / "render_initial.svg", phi, workspace,
+                 agents=positions, power_radii=radii, cells=result.initial.cells,
+                 title="initial")
     records = []
     previous = None
     for i, ((pos, cost), starved) in enumerate(zip(result.trajectory, result.starved)):

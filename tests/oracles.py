@@ -8,9 +8,10 @@ log-gradient, the point-major (n, J) mixture layout that summed each point's
 components along its row, footprint prices integrated over each clipped
 footprint polygon, the edge-by-edge loop that projected stray points onto a
 polygon, the one-plane clip that built a polygon after every cut, with its
-``HalfPlane``, the power cells clipped from every lifted-hull neighbour, and
+``HalfPlane``, the power cells clipped from every lifted-hull neighbour,
 the cell moments built one polygon, one rule and one masked eval at a time,
-and the swarm step that solved a fresh assignment at every step.
+the swarm step that solved a fresh assignment at every step, and the SVG
+writer that mapped one point and wrote one element per Python call.
 Voronoi cell masses as a discrete measure have no caller in a pipeline
 either. None of these runs in a pipeline, so they live here and not in the
 package.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from xml.sax.saxutils import escape
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -32,6 +34,7 @@ from coverkit.density import (MASS_EPS, RULE_BARY, RULE_WEIGHTS, DensityField,
 from coverkit.errors import CoverkitError
 from coverkit.geometry import (EPS_GEO, ConvexPolygon, _lifted_hull, _power_neighbours,
                                intersect, project_into)
+from coverkit.render import AGENT_PALETTE, _band_color
 from coverkit.swarm import SwarmState, systematic_resample
 
 _FLOOR_REL = 1e-12
@@ -390,3 +393,159 @@ def assignment_transport_step(state: SwarmState, target: DiscreteMeasure, tau: f
     moved = project_into(state.workspace, moved)
     return SwarmState(moved, state.workspace, state.iteration + 1,
                       w2_estimate=math.sqrt(objective / batch))
+
+
+# ----------------------------------------------------------------- render
+
+class LoopSvgCanvas:
+    """The element-at-a-time canvas: one ``map`` and one string per element."""
+
+    def __init__(self, bbox, size: int = 640, margin: int = 24):
+        xmin, xmax, ymin, ymax = bbox
+        extent = max(xmax - xmin, ymax - ymin)
+        self.scale = (size - 2 * margin) / extent
+        self.xmin, self.ymax = xmin, ymax
+        self.margin = margin
+        self.width = 2 * margin + (xmax - xmin) * self.scale
+        self.height = 2 * margin + (ymax - ymin) * self.scale
+        self.elements: list[str] = []
+
+    def map(self, point) -> tuple[float, float]:
+        x, y = float(point[0]), float(point[1])
+        return (self.margin + (x - self.xmin) * self.scale,
+                self.margin + (self.ymax - y) * self.scale)
+
+    def _points_attr(self, pts) -> str:
+        return " ".join(f"{sx:.2f},{sy:.2f}" for sx, sy in map(self.map, pts))
+
+    def rect(self, corner, w, h, fill):
+        sx, sy = self.map((corner[0], corner[1] + h))
+        self.elements.append(
+            f'<rect x="{sx:.2f}" y="{sy:.2f}" width="{w * self.scale + 0.4:.2f}" '
+            f'height="{h * self.scale + 0.4:.2f}" fill="{fill}"/>')
+
+    def polygon(self, pts, fill="none", stroke="none", width=1.0, dash=None, opacity=None):
+        attrs = f'points="{self._points_attr(pts)}" fill="{fill}" stroke="{stroke}"'
+        if stroke != "none":
+            attrs += f' stroke-width="{width:.2f}"'
+        if dash:
+            attrs += f' stroke-dasharray="{dash}"'
+        if opacity is not None:
+            attrs += f' opacity="{opacity:.2f}"'
+        self.elements.append(f"<polygon {attrs}/>")
+
+    def circle(self, center, radius_world, fill="none", stroke="none",
+               width=1.0, dash=None, opacity=None, radius_px=None):
+        sx, sy = self.map(center)
+        r = radius_px if radius_px is not None else radius_world * self.scale
+        attrs = f'cx="{sx:.2f}" cy="{sy:.2f}" r="{r:.2f}" fill="{fill}" stroke="{stroke}"'
+        if stroke != "none":
+            attrs += f' stroke-width="{width:.2f}"'
+        if dash:
+            attrs += f' stroke-dasharray="{dash}"'
+        if opacity is not None:
+            attrs += f' opacity="{opacity:.2f}"'
+        self.elements.append(f"<circle {attrs}/>")
+
+    def line(self, a, b, stroke="#555555", width=1.0, dash=None):
+        ax, ay = self.map(a)
+        bx, by = self.map(b)
+        attrs = (f'x1="{ax:.2f}" y1="{ay:.2f}" x2="{bx:.2f}" y2="{by:.2f}" '
+                 f'stroke="{stroke}" stroke-width="{width:.2f}"')
+        if dash:
+            attrs += f' stroke-dasharray="{dash}"'
+        self.elements.append(f"<line {attrs}/>")
+
+    def text(self, screen_xy, content, size=13):
+        self.elements.append(
+            f'<text x="{screen_xy[0]:.2f}" y="{screen_xy[1]:.2f}" '
+            f'font-family="sans-serif" font-size="{size}" '
+            f'fill="#333333">{escape(content)}</text>')
+
+    def save(self, path) -> None:
+        head = (f'<svg xmlns="http://www.w3.org/2000/svg" '
+                f'width="{self.width:.0f}" height="{self.height:.0f}" '
+                f'viewBox="0 0 {self.width:.0f} {self.height:.0f}">')
+        body = "\n".join(self.elements)
+        with open(path, "w") as fh:
+            fh.write(f"{head}\n{body}\n</svg>\n")
+
+
+def loop_density_bands(canvas: LoopSvgCanvas, phi, workspace: ConvexPolygon,
+                          bands: int, resolution: int) -> None:
+    xmin, xmax, ymin, ymax = workspace.bbox
+    dx = (xmax - xmin) / resolution
+    dy = (ymax - ymin) / resolution
+    cx = xmin + (np.arange(resolution) + 0.5) * dx
+    cy = ymin + (np.arange(resolution) + 0.5) * dy
+    gx, gy = np.meshgrid(cx, cy)
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    vals = np.asarray(phi.eval(pts), dtype=float).reshape(resolution, resolution)
+    top = vals.max()
+    if top <= 0:
+        return
+    levels = np.minimum((vals / top * bands).astype(int), bands - 1)
+
+    clip = " ".join(f"{sx:.2f},{sy:.2f}"
+                    for sx, sy in map(canvas.map, workspace.vertices))
+    canvas.elements.append(
+        f'<defs><clipPath id="ws"><polygon points="{clip}"/></clipPath></defs>')
+    canvas.elements.append('<g clip-path="url(#ws)">')
+    for iy in range(resolution):
+        run_start, run_level = 0, levels[iy, 0]
+        for ix in range(1, resolution + 1):
+            if ix < resolution and levels[iy, ix] == run_level:
+                continue
+            canvas.rect((xmin + run_start * dx, ymin + iy * dy),
+                        (ix - run_start) * dx, dy, _band_color(run_level, bands))
+            if ix < resolution:
+                run_start, run_level = ix, levels[iy, ix]
+    canvas.elements.append("</g>")
+
+
+def loop_render_scene(path, phi, workspace: ConvexPolygon, *, agents=None,
+                 power_radii=None, cells=None, pois=None, assignment=None,
+                 swarm_points=None, title=None, bands: int = 16,
+                 resolution: int = 128, size: int = 640) -> None:
+    """``render_scene`` one element at a time: a ``map`` call per point, a
+    ``rect`` and a ``_band_color`` per density run."""
+    canvas = LoopSvgCanvas(workspace.bbox, size=size)
+    canvas.elements.append(
+        f'<rect width="{canvas.width:.0f}" height="{canvas.height:.0f}" fill="#ffffff"/>')
+    if phi is not None:
+        loop_density_bands(canvas, phi, workspace, bands, resolution)
+    canvas.polygon(workspace.vertices, stroke="#222222", width=1.6)
+
+    if cells is not None:
+        for cell in cells:
+            if cell is not None:
+                canvas.polygon(cell.vertices, stroke="#444444", width=1.0)
+
+    if swarm_points is not None:
+        for point in np.atleast_2d(swarm_points):
+            canvas.circle(point, 0.0, fill="#1f4e8c", opacity=0.55, radius_px=2.0)
+
+    if pois is not None:
+        for point in np.atleast_2d(pois):
+            x, y = float(point[0]), float(point[1])
+            r = 5.0 / canvas.scale
+            canvas.polygon([(x - r, y), (x, y + r), (x + r, y), (x, y - r)],
+                           fill="#f2b134", stroke="#7a5b0e", width=1.0)
+
+    if agents is not None:
+        agents = np.atleast_2d(agents)
+        if assignment is not None and pois is not None:
+            pois = np.atleast_2d(pois)
+            for i, j in assignment:
+                canvas.line(agents[i], pois[j], stroke="#666666", width=1.2, dash="5 3")
+        for i, point in enumerate(agents):
+            color = AGENT_PALETTE[i % len(AGENT_PALETTE)]
+            if power_radii is not None and power_radii[i] > 0:
+                canvas.circle(point, float(power_radii[i]), stroke=color,
+                              width=1.4, dash="6 4")
+            canvas.circle(point, 0.0, fill=color, stroke="#ffffff",
+                          width=1.2, radius_px=6.0)
+
+    if title:
+        canvas.text((canvas.margin, canvas.margin - 8), title)
+    canvas.save(path)

@@ -430,3 +430,22 @@ def test_descent_records_starved_agents_per_trajectory_entry():
     assert len(res.starved) == len(res.trajectory)
     assert all(s == [1] for s in res.starved)
     assert res.partition.cells[1] is None
+
+
+def test_descent_surveys_each_visited_configuration_once(monkeypatch):
+    from coverkit import geometry
+    calls = []
+    build = geometry.power_cells_from_weights
+    monkeypatch.setattr(geometry, "power_cells_from_weights",
+                        lambda *args: calls.append(args) or build(*args))
+    agents = make_agents([[0.3, 0.35], [0.7, 0.2], [0.5, 0.8]], [0.05, 0.1, 0.0])
+    phi, _ = four_mode_density()
+    res = run_descent(phi, agents, KIND_POWER, max_iters=4, tol=1e-12)
+    assert res.iterations == 4
+    assert len(calls) == res.iterations + 1
+    # the first step's partition is the one at the input positions
+    want = build_partition(phi, agents, KIND_POWER)
+    assert [c is None for c in res.initial.cells] == [c is None for c in want.cells]
+    for got, ref in zip(res.initial.cells, want.cells):
+        np.testing.assert_array_equal(got.vertices, ref.vertices)
+    np.testing.assert_array_equal(res.initial.masses, want.masses)

@@ -49,7 +49,8 @@ def all_pairs_power_cells(workspace, points, weights):
     A plane that keeps every vertex of the cell EPS_GEO / 2 or more inside
     cannot bind, and ``one_plane_clip`` would return the cell unchanged, so
     such planes are skipped in bulk and every other one (NaN included) goes
-    through it.
+    through it. Rivals come nearest first, so the cell shrinks to its few
+    binding planes early and the far ones are skipped without a cut.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     w = np.asarray(weights, dtype=float)
@@ -57,6 +58,7 @@ def all_pairs_power_cells(workspace, points, weights):
     cells = []
     for i in range(len(P)):
         others = np.delete(np.arange(len(P)), i)
+        others = others[np.argsort(np.hypot(*(P[others] - P[i]).T), kind="stable")]
         # HalfPlane.from_direction, one row per competitor
         d = 2.0 * (P[others] - P[i])
         ln = np.hypot(d[:, 0], d[:, 1])

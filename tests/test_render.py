@@ -1,4 +1,4 @@
-"""SVG output structure: element counts, clipping, determinism."""
+"""SVG output structure, byte equality with the loop writer, argument checks."""
 
 import xml.etree.ElementTree as ET
 
@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from coverkit.coverage import build_partition, make_agents
-from coverkit.density import GmmDensity, UniformDensity
+from coverkit.density import GmmDensity, UniformDensity, from_pgm
 from coverkit.geometry import ConvexPolygon
 from coverkit.render import render_scene
+from tests.oracles import loop_render_scene
 
 NS = "{http://www.w3.org/2000/svg}"
 
@@ -96,3 +97,78 @@ def test_none_cells_are_skipped(tmp_path):
     root = ET.parse(path).getroot()
     outlines = [p for p in root.iter(f"{NS}polygon") if p.get("fill") == "none"]
     assert len(outlines) == 2  # workspace + one cell, clip path not counted
+
+
+# ------------------------------------------------------- loop-writer oracle
+
+def pentagon():
+    t = np.pi / 2 + 2 * np.pi * np.arange(5) / 5
+    return ConvexPolygon(np.stack([0.5 + 0.5 * np.cos(t), 0.5 + 0.5 * np.sin(t)], axis=1))
+
+
+WORKSPACES = {
+    "square": square,
+    "pentagon": pentagon,
+    # dx != dy, and a bbox away from the origin
+    "wide": lambda: ConvexPolygon([(-0.5, 0.2), (1.5, 0.2), (1.5, 1.2), (-0.5, 1.2)]),
+}
+
+
+def make_density(kind, w, tmp_path):
+    if kind == "gmm":
+        return two_mode_phi(w)
+    if kind == "uniform":
+        return UniformDensity(w)
+    if kind == "image":
+        (tmp_path / "d.pgm").write_text("P2\n3 2\n255\n10 200 30\n40 50 60\n")
+        return from_pgm(tmp_path / "d.pgm", w)
+    return None
+
+
+def full_scene(phi, w):
+    """Every layer: cells with a dominated None, zero and non-zero power
+    radii, points of interest with an assignment, swarm dots, and a title
+    with XML characters."""
+    agents = np.array([[0.4, 0.5], [0.45, 0.5], [0.8, 0.6], [0.3, 0.3]])
+    radii = [0.5, 0.0, 0.1, 0.05]
+    cells = build_partition(UniformDensity(w) if phi is None else phi,
+                            make_agents(agents, radii), "power").cells
+    assert cells[1] is None
+    return dict(agents=agents, power_radii=radii, cells=cells,
+                pois=np.array([[0.5, 0.5], [0.6, 0.3], [0.35, 0.6]]),
+                assignment=[(0, 1), (2, 0), (3, 2)],
+                swarm_points=np.random.default_rng(3).uniform(0.3, 0.7, size=(30, 2)),
+                title='cost <1 & "q" > 0')
+
+
+def assert_same_bytes(tmp_path, phi, w, **kwargs):
+    got, want = tmp_path / "got.svg", tmp_path / "want.svg"
+    render_scene(got, phi, w, **kwargs)
+    loop_render_scene(want, phi, w, **kwargs)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("workspace", sorted(WORKSPACES))
+@pytest.mark.parametrize("density", ["gmm", "uniform", "image", "none"])
+def test_frame_matches_the_loop_writer_byte_for_byte(tmp_path, density, workspace):
+    w = WORKSPACES[workspace]()
+    phi = make_density(density, w, tmp_path)
+    assert_same_bytes(tmp_path, phi, w, **full_scene(phi, w))
+
+
+@pytest.mark.parametrize("resolution", [1, 3, 128])
+@pytest.mark.parametrize("bands", [1, 2, 16])
+def test_bands_and_resolution_match_the_loop_writer(tmp_path, bands, resolution):
+    w = WORKSPACES["wide"]()
+    phi = two_mode_phi(w)
+    assert_same_bytes(tmp_path, phi, w, bands=bands, resolution=resolution,
+                      **full_scene(phi, w))
+
+
+@pytest.mark.parametrize("name", ["bands", "resolution"])
+def test_bands_or_resolution_below_one_is_refused(tmp_path, name):
+    w = square()
+    path = tmp_path / "bad.svg"
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+        render_scene(path, UniformDensity(w), w, **{name: 0})
+    assert not path.exists()

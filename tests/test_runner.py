@@ -17,6 +17,10 @@ import yaml
 
 import coverkit
 from coverkit import runner
+from coverkit.coverage import build_partition, make_agents
+from coverkit.density import GmmDensity
+from coverkit.geometry import ConvexPolygon
+from coverkit.render import render_scene
 from coverkit.runner import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, MAX_LEVELS, main, run,
                              validate)
 
@@ -197,6 +201,46 @@ def test_lloyd_run_writes_all_artifacts(tmp_path):
     rows = (out / "final.csv").read_text().splitlines()
     assert rows[0] == "agent,x,y,power_radius"
     assert len(rows) == 4
+
+
+def test_lloyd_run_builds_one_diagram_per_visited_configuration(tmp_path, monkeypatch):
+    from coverkit import geometry
+    calls = []
+    build = geometry.power_cells_from_weights
+    monkeypatch.setattr(geometry, "power_cells_from_weights",
+                        lambda *args: calls.append(args) or build(*args))
+    out = tmp_path / "out"
+    assert run(write_cfg(tmp_path, lloyd_cfg(iters=4, tol=1e-12)), out=out) == EXIT_OK
+    # render_initial.svg draws the first step's diagram, not a second one
+    assert len(calls) == len(read_metrics(out)) == 5
+
+
+def test_initial_frame_draws_the_partition_at_the_initial_positions(tmp_path):
+    cfg = {
+        "pipeline": "power_lloyd",
+        "seed": 2,
+        "density": {"kind": "gmm", "weights": [0.6, 0.4],
+                    "means": [[0.3, 0.35], [0.7, 0.65]],
+                    "covariances": [[[0.015, 0.0], [0.0, 0.015]],
+                                    [[0.01, 0.0], [0.0, 0.012]]]},
+        # agent 1 sits inside agent 0's power disk: its cell is dominated
+        "agents": {"n": 4, "positions": [[0.4, 0.5], [0.45, 0.5], [0.8, 0.5], [0.3, 0.2]],
+                   "radii": [0.5, 0.0, 0.1, 0.05]},
+        "params": {"iters": 3},
+    }
+    out = tmp_path / "out"
+    assert run(write_cfg(tmp_path, cfg), out=out) == EXIT_OK
+    density = cfg["density"]
+    workspace = ConvexPolygon(runner.UNIT_SQUARE)
+    phi = GmmDensity(workspace, density["weights"], density["means"],
+                     [np.array(c) for c in density["covariances"]])
+    positions = np.array(cfg["agents"]["positions"])
+    radii = cfg["agents"]["radii"]
+    cells = build_partition(phi, make_agents(positions, radii), "power").cells
+    assert any(c is None for c in cells)
+    render_scene(tmp_path / "want.svg", phi, workspace, agents=positions,
+                 power_radii=radii, cells=cells, title="initial")
+    assert (out / "render_initial.svg").read_bytes() == (tmp_path / "want.svg").read_bytes()
 
 
 def test_manifest_records_versions(tmp_path):
