@@ -19,16 +19,11 @@ from .assign import (
     solve_assignment,
 )
 from .coverage import (
-    KIND_POWER,
-    KIND_VORONOI,
-    AgentState,
     DescentResult,
     Partition,
     build_partition,
-    coverage_cost,
     equitable_weights,
     lloyd_step,
-    make_agents,
     run_descent,
 )
 from .density import (
@@ -47,14 +42,13 @@ from .errors import (
     EvalOutsideSupport,
     InfeasibleShape,
     InvalidDensity,
-    KernelMismatch,
     NoConvergence,
     NonFiniteCost,
     NonMonotoneDescent,
     SiteOutsideWorkspace,
     SizeLimit,
 )
-from .geometry import ConvexPolygon, power_cells, voronoi_cells
+from .geometry import ConvexPolygon, power_cells
 from .poi import GmmFit, KMeansResult, PoiSet, gmm_em, kmeans, svgd
 from .render import render_scene
 from .submod import (
@@ -82,7 +76,6 @@ from .transport import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentState",
     "AssignmentResult",
     "ConvexPolygon",
     "CostMatrix",
@@ -100,9 +93,6 @@ __all__ = [
     "InfeasibleShape",
     "InvalidDensity",
     "IsotropicService",
-    "KernelMismatch",
-    "KIND_POWER",
-    "KIND_VORONOI",
     "KMeansResult",
     "NoConvergence",
     "NonFiniteCost",
@@ -118,7 +108,6 @@ __all__ = [
     "build_cost_matrix",
     "build_partition",
     "check_w2_identity",
-    "coverage_cost",
     "discretize",
     "equitable_weights",
     "exemplar_utility",
@@ -133,7 +122,6 @@ __all__ = [
     "kmeans",
     "lloyd_step",
     "load_grid_csv",
-    "make_agents",
     "power_cells",
     "render_scene",
     "run_descent",
@@ -143,7 +131,6 @@ __all__ = [
     "svgd",
     "systematic_resample",
     "transport_step",
-    "voronoi_cells",
     "wasserstein_exact",
     "wasserstein_sinkhorn",
     "__version__",

@@ -1,16 +1,18 @@
-"""Locational costs and Lloyd descent over Voronoi and power partitions.
+"""Locational cost and Lloyd descent over power partitions.
 
-The descent is the discrete Lloyd map: partition, then move every agent to
-its region's density centroid. Power cells handle heterogeneous agents; with
-equal radii the construction degenerates to the Voronoi one through the very
-same arithmetic, so the two descents produce identical trajectories. Moved
-agents go through the ``geometry`` point helpers: ``project_into`` brings
-back any that drifted outside the workspace, and ``separate`` nudges apart
-any that landed on one another.
+Generators are an (n, 2) array of positions with optional power radii. The
+radii choose the diagram: None means zeros, which is the Voronoi diagram
+through the very same arithmetic, so a descent with equal radii follows the
+Voronoi trajectory. The descent is the discrete Lloyd map: partition, then
+move every generator to its cell's density centroid. Moved generators go
+through the ``geometry`` point helpers: ``project_into`` brings back any that
+drifted outside the workspace, and ``separate`` nudges apart any that landed
+on one another.
 """
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,69 +20,53 @@ import numpy as np
 # polygon_quadrature is not called here, but coverbench/tracing.py patches it
 # in this module
 from .density import MASS_EPS, DensityField, cell_moments, polygon_quadrature  # noqa: F401
-from .errors import KernelMismatch, NoConvergence, NonMonotoneDescent
-from .geometry import power_cells, power_cells_from_weights, project_into, separate
+from .errors import NoConvergence, NonMonotoneDescent
+from .geometry import (EPS_GEO, power_cells, power_cells_from_weights, project_into,
+                       separate)
 
 log = logging.getLogger(__name__)
 
-KIND_VORONOI = "voronoi"
-KIND_POWER = "power"
-KERNEL_SQUARED = "squared"
-KERNEL_POWER = "power"
-
-_KINDS = (KIND_VORONOI, KIND_POWER)
-_KERNELS = (KERNEL_SQUARED, KERNEL_POWER)
-# the starved warning names this many agents; the full list is in the Partition
+# the starved warning names this many generators; the full list is in the Partition
 _STARVED_LOGGED = 10
 
 
-@dataclass
-class AgentState:
-    """One agent: planar position, power radius (0 = homogeneous), stable id."""
+def _checked(positions, radii, tol: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Float copies of positions and radii (zeros for None).
 
-    position: np.ndarray
-    power_radius: float = 0.0
-    id: int = 0
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(2)
-        self.power_radius = float(self.power_radius)
-        if self.power_radius < 0:
-            raise ValueError("power radius must be nonnegative")
-
-
-def make_agents(positions, radii=None) -> list[AgentState]:
-    """AgentState list from a position array and optional radii."""
-    pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    if radii is None:
-        radii = np.zeros(len(pos))
-    radii = np.asarray(radii, dtype=float)
-    if len(radii) != len(pos):
-        raise ValueError("one radius per agent required")
-    return [AgentState(p, r, i) for i, (p, r) in enumerate(zip(pos, radii))]
-
-
-def positions_of(agents) -> np.ndarray:
-    return np.array([a.position for a in agents])
-
-
-def radii_of(agents) -> np.ndarray:
-    return np.array([a.power_radius for a in agents])
+    ValueError for positions that are not (n, 2), a radius count that
+    differs from the position count, a radius that is negative or NaN or
+    whose square over EPS_GEO is not finite, and a tol (only run_descent
+    has one) that is not finite and positive. The cell clips divide
+    squared-radius differences by site distances, which exceed EPS_GEO.
+    """
+    pos = np.atleast_2d(np.array(positions, dtype=float))
+    if pos.ndim != 2 or pos.shape[1] != 2:
+        raise ValueError(f"positions must be an (n, 2) array, not {pos.shape}")
+    rho = np.zeros(len(pos)) if radii is None else np.array(radii, dtype=float).reshape(-1)
+    if len(rho) != len(pos):
+        raise ValueError(f"{len(pos)} positions but {len(rho)} radii")
+    if not all(0.0 <= r and math.isfinite(r * r / EPS_GEO) for r in rho.tolist()):
+        raise ValueError(f"power radii must be nonnegative with r*r/{EPS_GEO:g} finite")
+    if not (0.0 < tol < math.inf):
+        raise ValueError("tol must be finite and positive")
+    return pos, rho
 
 
 @dataclass
 class Partition:
-    """Cells aligned with the agent list; None marks a dominated power cell.
+    """Cells aligned with the generators; None marks a dominated power cell.
 
-    Centroid rows for dominated or mass-starved cells repeat the agent
+    Centroid rows for dominated or mass-starved cells repeat the generator
     position, which makes them fixed points of the Lloyd update. starved
-    lists those agents.
+    lists those generators. cost is the locational cost: the squared
+    distance to each cell's generator minus its squared radius, integrated
+    against the density.
     """
 
-    kind: str
     cells: list
     masses: np.ndarray
     centroids: np.ndarray
+    cost: float
     starved: list = field(init=False)
 
     def __post_init__(self) -> None:
@@ -88,82 +74,47 @@ class Partition:
                         if c is None or self.masses[i] < MASS_EPS]
 
 
-def _survey(phi: DensityField, agents, kind: str, levels: int):
-    """Partition for the current positions plus the matching locational cost."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown partition kind: {kind!r}")
-    pos = positions_of(agents)
-    rho = radii_of(agents) if kind == KIND_POWER else np.zeros(len(agents))
+def build_partition(phi: DensityField, positions, radii=None,
+                    levels: int = 2) -> Partition:
+    """Power partition of the workspace, the Voronoi one for radii None, with
+    cell masses, centroids and the locational cost."""
+    pos, rho = _checked(positions, radii)
     cells = power_cells(phi.workspace, pos, rho)
     masses, centroids, costs = cell_moments(phi, cells, pos, levels)
-    cost = float((costs - rho ** 2 * masses).sum())
-    return Partition(kind, list(cells), masses, centroids), cost
+    return Partition(list(cells), masses, centroids,
+                     float((costs - rho ** 2 * masses).sum()))
 
 
-def build_partition(phi: DensityField, agents, kind: str = KIND_VORONOI,
-                    levels: int = 2) -> Partition:
-    """Voronoi or power partition of the workspace with cell masses and centroids."""
-    return _survey(phi, agents, kind, levels)[0]
-
-
-def coverage_cost(phi: DensityField, agents, partition: Partition,
-                  kernel: str = KERNEL_SQUARED, levels: int = 2) -> float:
-    """Sum over cells of the integrated cost kernel against the density.
-
-    kernel "squared" integrates the squared distance to the agent; "power"
-    subtracts the squared power radius on each cell. ValueError when a cell
-    has a vertex outside the workspace (beyond EPS_GEO): ``cell_moments``
-    integrates only inside it.
-    """
-    if kernel not in _KERNELS:
-        raise ValueError(f"unknown cost kernel: {kernel!r}")
-    if len(partition.cells) != len(agents):
-        raise ValueError("partition and agent list sizes differ")
-    for i, cell in enumerate(partition.cells):
-        if cell is not None and not phi.workspace.contains(cell.vertices).all():
-            raise ValueError(f"partition cell {i} reaches outside the workspace")
-    rho = radii_of(agents)
-    if kernel == KERNEL_POWER and partition.kind == KIND_VORONOI and np.ptp(rho) > 0:
-        raise KernelMismatch(
-            "power kernel on a Voronoi partition of agents with unequal radii")
-    masses, _, costs = cell_moments(phi, partition.cells, positions_of(agents), levels)
-    if kernel == KERNEL_POWER:
-        costs = costs - rho ** 2 * masses
-    return float(costs.sum())
-
-
-def lloyd_step(phi: DensityField, agents, kind: str = KIND_VORONOI,
-               relax: float = 1.0, levels: int = 2):
+def lloyd_step(phi: DensityField, positions, radii=None, relax: float = 1.0,
+               levels: int = 2) -> tuple[np.ndarray, Partition]:
     """One Lloyd update.
 
-    Returns (moved agents, partition at the input positions, cost at the
-    input positions). Agents whose cell is dominated or carries no mass hold
-    position.
+    Returns (new positions, partition at the input positions). Generators
+    whose cell is dominated or carries no mass hold position.
     """
-    partition, cost = _survey(phi, agents, kind, levels)
+    pos, rho = _checked(positions, radii)
+    partition = build_partition(phi, pos, rho, levels)
     if partition.starved:
         log.warning("%d agents hold position (empty or mass-starved cell), first %s",
                     len(partition.starved), partition.starved[:_STARVED_LOGGED])
-    pos = positions_of(agents)
     new_pos = project_into(phi.workspace, pos + relax * (partition.centroids - pos))
     separated = separate(phi.workspace, new_pos)
     if separated is not new_pos:
         log.warning("agents %s nudged off coincident generators",
                     np.flatnonzero((separated != new_pos).any(axis=1)).tolist())
-    moved = [AgentState(p, a.power_radius, a.id) for p, a in zip(separated, agents)]
-    return moved, partition, cost
+    return separated, partition
 
 
 @dataclass
 class DescentResult:
-    """Final agents and partition plus the per-iteration (positions, cost) path.
+    """Final positions and partition plus the per-iteration (positions, cost) path.
 
-    starved[k] lists the agents whose cell was dominated or massless at
+    starved[k] lists the generators whose cell was dominated or massless at
     trajectory entry k. initial is the partition at the input positions,
     which the first step surveyed.
     """
 
-    agents: list
+    positions: np.ndarray
     partition: Partition
     trajectory: list
     converged: bool
@@ -186,43 +137,40 @@ def _check_monotone(prev: float | None, cost: float) -> None:
             "raise the quadrature level")
 
 
-def run_descent(phi: DensityField, agents, kind: str = KIND_VORONOI,
-                max_iters: int = 200, tol: float = 1e-6,
-                relax: float = 1.0, levels: int = 2) -> DescentResult:
+def run_descent(phi: DensityField, positions, radii=None, max_iters: int = 200,
+                tol: float = 1e-6, relax: float = 1.0, levels: int = 2) -> DescentResult:
     """Iterate lloyd_step until the largest displacement drops below tol.
 
     The trajectory records (positions, cost) at every visited configuration,
-    including the final one, so it has iterations + 1 entries.
+    including the final one, so it has iterations + 1 entries, each its own
+    array. The input arrays are not written.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    current = list(agents)
+    current, rho = _checked(positions, radii, tol)
     trajectory = []
     starved = []
     converged = False
     prev = None
     initial = None
     for _ in range(max_iters):
-        moved, partition, cost = lloyd_step(phi, current, kind, relax, levels)
+        moved, partition = lloyd_step(phi, current, rho, relax, levels)
         if initial is None:
             initial = partition
-        _check_monotone(prev, cost)
-        prev = cost
-        trajectory.append((positions_of(current), cost))
+        _check_monotone(prev, partition.cost)
+        prev = partition.cost
+        trajectory.append((current, partition.cost))
         starved.append(partition.starved)
-        disp = float(np.linalg.norm(positions_of(moved) - positions_of(current),
-                                    axis=1).max())
+        disp = float(np.linalg.norm(moved - current, axis=1).max())
         current = moved
         if disp < tol:
             converged = True
             break
-    partition, final_cost = _survey(phi, current, kind, levels)
-    _check_monotone(prev, final_cost)
-    trajectory.append((positions_of(current), final_cost))
+    partition = build_partition(phi, current, rho, levels)
+    _check_monotone(prev, partition.cost)
+    trajectory.append((current, partition.cost))
     starved.append(partition.starved)
-    return DescentResult(current, partition, trajectory, converged, starved, initial)
+    return DescentResult(current.copy(), partition, trajectory, converged, starved, initial)
 
 
 def equitable_weights(phi: DensityField, positions, tol_mass: float = 1e-3,

@@ -484,7 +484,8 @@ def cell_moments(phi: DensityField, polys, centers, levels: int = 2, falloff=Non
     unchanged all do by construction. The density is therefore evaluated
     without the workspace mask of ``DensityField.eval``, which would keep
     every node; a polygon reaching past W would be priced as if phi went on
-    beyond W. ``coverage.coverage_cost`` checks the cells its callers build.
+    beyond W. ``coverage.build_partition`` integrates only the power cells it
+    builds itself.
 
     Entries are grouped by vertex count (polygons) or node count (rules) and
     handled in slabs of whole entries with about EVAL_NODES nodes: one

@@ -21,10 +21,6 @@ class EvalOutsideSupport(CoverkitError):
     """Density log-gradient requested where the density underflows to zero."""
 
 
-class KernelMismatch(CoverkitError):
-    """Power cost kernel paired with a plain Voronoi partition of unequal-radius agents."""
-
-
 class NonMonotoneDescent(CoverkitError):
     """Descent cost increased beyond slack; quadrature is too coarse for this density."""
 

@@ -409,13 +409,3 @@ def power_cells(workspace: ConvexPolygon, points, radii) -> list[ConvexPolygon |
     if (r < 0).any():
         raise ValueError("power radii must be nonnegative")
     return power_cells_from_weights(workspace, points, r * r)
-
-
-def voronoi_cells(workspace: ConvexPolygon, points) -> list[ConvexPolygon]:
-    """Voronoi cells of sites inside the workspace (never empty)."""
-    P = np.atleast_2d(np.asarray(points, dtype=float))
-    cells = power_cells_from_weights(workspace, P, np.zeros(len(P)))
-    for i, cell in enumerate(cells):
-        if cell is None:  # cannot happen for distinct in-workspace sites
-            raise RuntimeError(f"degenerate Voronoi cell for site {i}")
-    return cells  # type: ignore[return-value]

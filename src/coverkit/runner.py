@@ -31,12 +31,11 @@ from . import assign as assign_mod
 from . import poi as poi_mod
 # build_partition is not called here, but coverbench/tracing.py patches it
 # in this module
-from .coverage import (KIND_POWER, KIND_VORONOI, build_partition,  # noqa: F401
-                       make_agents, run_descent)
+from .coverage import build_partition, run_descent  # noqa: F401
 from .density import (DensityField, GmmDensity, UniformDensity, from_pgm, load_grid_csv,
                       spd_cholesky, write_csv)
 from .errors import CoverkitError, NoConvergence
-from .geometry import ConvexPolygon, coincident_pairs
+from .geometry import EPS_GEO, ConvexPolygon, coincident_pairs
 from .render import render_scene
 
 log = logging.getLogger(__name__)
@@ -219,8 +218,13 @@ def _check_agents(agents, pipeline, workspace, err) -> dict | None:
     if radii is not None and pipeline != "power_lloyd":
         err("agents.radii", "only used by power_lloyd")
     elif radii is not None:
-        if not (isinstance(radii, list) and all(_is_num(r) and r >= 0 for r in radii)):
-            err("agents.radii", "must be a list of finite nonnegative numbers")
+        # the rule of coverage.run_descent: the cell clips divide squared
+        # radii by site distances, which exceed EPS_GEO
+        if not (isinstance(radii, list) and all(_is_num(r) and r >= 0
+                                                and math.isfinite(float(r) * r / EPS_GEO)
+                                                for r in radii)):
+            err("agents.radii",
+                f"must be a list of nonnegative numbers r with r*r/{EPS_GEO:g} finite")
         elif len(radii) != n:
             err("agents.radii", f"expected {n} entries, got {len(radii)}")
     services = agents.get("services")
@@ -386,11 +390,9 @@ def _write_jsonl(path: Path, records) -> None:
 def _run_lloyd(resolved, phi, workspace, out: Path) -> None:
     params = resolved["params"]
     power = resolved["pipeline"] == "power_lloyd"
-    kind = KIND_POWER if power else KIND_VORONOI
     positions = _initial_positions(resolved, phi)
     radii = resolved["agents"]["radii"] if power else None
-    agents = make_agents(positions, radii)
-    result = run_descent(phi, agents, kind, max_iters=params["iters"], tol=params["tol"],
+    result = run_descent(phi, positions, radii, max_iters=params["iters"], tol=params["tol"],
                          levels=params["levels"])
     render_scene(out / "render_initial.svg", phi, workspace,
                  agents=positions, power_radii=radii, cells=result.initial.cells,
@@ -405,8 +407,8 @@ def _run_lloyd(resolved, phi, workspace, out: Path) -> None:
         previous = pos
     _write_jsonl(out / "metrics.jsonl", records)
 
-    final = np.array([a.position for a in result.agents])
-    rho = np.array([a.power_radius for a in result.agents])
+    final = result.positions
+    rho = np.zeros(len(final)) if radii is None else np.array(radii, dtype=float)
     write_csv(out / "final.csv", "agent,x,y,power_radius",
               [(i, p[0], p[1], r) for i, (p, r) in enumerate(zip(final, rho))])
     render_scene(out / "render_final.svg", phi, workspace, agents=final,

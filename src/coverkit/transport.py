@@ -37,7 +37,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import csr_matrix
 from scipy.spatial.distance import cdist
 
-from .coverage import KIND_VORONOI, _survey, make_agents
+from .coverage import build_partition
 from .density import DensityField, DiscreteMeasure, discretize
 from .errors import NoConvergence, SizeLimit
 
@@ -368,7 +368,8 @@ def check_w2_identity(phi: DensityField, positions, grid_resolution: int = 64):
     """
     if grid_resolution < 32:
         raise ValueError("grid resolution below 32 is too coarse for the identity")
-    part, rhs = _survey(phi, make_agents(positions), KIND_VORONOI, levels=2)
+    part = build_partition(phi, positions)
+    rhs = part.cost
     mu = DiscreteMeasure(np.atleast_2d(np.asarray(positions, dtype=float)), part.masses)
     nu = discretize(phi, grid_resolution, grid_resolution)
     value, _ = wasserstein_exact(mu, nu, p=2)

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from coverkit.coverage import KIND_VORONOI, build_partition, make_agents
+from coverkit.coverage import build_partition
 from coverkit.density import (MASS_EPS, RULE_BARY, RULE_WEIGHTS, DensityField,
                               DiscreteMeasure, GmmDensity, cell_moments, polygon_quadrature)
 from coverkit.errors import CoverkitError
@@ -200,7 +200,7 @@ def polygon_footprint_cost(phi: DensityField, model, poi, levels: int = 2):
 
 def voronoi_measure(phi: DensityField, positions, levels: int = 2) -> DiscreteMeasure:
     """Atoms at the given sites weighted by their Voronoi cell masses."""
-    part = build_partition(phi, make_agents(positions), KIND_VORONOI, levels)
+    part = build_partition(phi, positions, levels=levels)
     return DiscreteMeasure(np.atleast_2d(np.asarray(positions, dtype=float)),
                            part.masses)
 

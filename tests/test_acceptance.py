@@ -21,16 +21,7 @@ from scipy.spatial.distance import cdist
 from scipy.stats import chi2
 
 from coverkit.assign import gaussian_kl, rotation, solve_assignment
-from coverkit.coverage import (
-    KIND_POWER,
-    KIND_VORONOI,
-    build_partition,
-    coverage_cost,
-    equitable_weights,
-    make_agents,
-    positions_of,
-    run_descent,
-)
+from coverkit.coverage import build_partition, equitable_weights, run_descent
 from coverkit.density import (
     DiscreteMeasure,
     GmmDensity,
@@ -91,19 +82,16 @@ def test_accept_01_descent_monotone_and_stationary():
         n = 2 + case % 5
         phi = UniformDensity(WORKSPACE) if case % 2 == 0 else _random_mixture(rng)
         pos = rng.uniform(0.1, 0.9, size=(n, 2))
-        result = run_descent(phi, make_agents(pos), KIND_VORONOI,
-                             max_iters=2000, tol=2e-5)
+        result = run_descent(phi, pos, max_iters=2000, tol=2e-5)
         stalled += int(not result.converged)
         costs = result.costs
         rises = np.diff(costs) / np.maximum(np.abs(costs[:-1]), 1e-30)
         worst_rise = max(worst_rise, float(rises.max()))
-        pull = np.linalg.norm(
-            positions_of(result.agents) - result.partition.centroids, axis=1).max()
+        pull = np.linalg.norm(result.positions - result.partition.centroids, axis=1).max()
         worst_pull = max(worst_pull, float(pull))
 
-    anchor = run_descent(UniformDensity(WORKSPACE), make_agents([[0.31, 0.87]]),
-                         KIND_VORONOI, max_iters=60, tol=1e-9)
-    center_err = float(np.linalg.norm(positions_of(anchor.agents)[0] - [0.5, 0.5]))
+    anchor = run_descent(UniformDensity(WORKSPACE), [[0.31, 0.87]], max_iters=60, tol=1e-9)
+    center_err = float(np.linalg.norm(anchor.positions[0] - [0.5, 0.5]))
     cost_err = abs(anchor.costs[-1] - 1.0 / 6.0)
 
     ok = (stalled == 0 and worst_rise <= 1e-6 and worst_pull < 1e-4
@@ -126,10 +114,8 @@ def test_accept_02_equal_radius_power_matches_voronoi():
         n = 2 + seed % 4
         phi = UniformDensity(WORKSPACE) if seed % 2 == 0 else _random_mixture(rng)
         pos = rng.uniform(0.1, 0.9, size=(n, 2))
-        plain = run_descent(phi, make_agents(pos), KIND_VORONOI,
-                            max_iters=25, tol=1e-12)
-        offset = run_descent(phi, make_agents(pos, np.full(n, 0.25)), KIND_POWER,
-                             max_iters=25, tol=1e-12)
+        plain = run_descent(phi, pos, max_iters=25, tol=1e-12)
+        offset = run_descent(phi, pos, np.full(n, 0.25), max_iters=25, tol=1e-12)
         desynced += int(len(plain.trajectory) != len(offset.trajectory))
         for (pv, _), (pp, _) in zip(plain.trajectory, offset.trajectory):
             worst = max(worst, float(np.abs(pv - pp).max()))
@@ -155,9 +141,8 @@ def test_accept_03_mode_capture_and_compromise():
     two_sigma = 2 * MODE_SIGMA
 
     start4 = [[0.4, 0.3], [0.7, 0.35], [0.3, 0.6], [0.6, 0.7]]
-    full = run_descent(phi, make_agents(start4), KIND_VORONOI,
-                       max_iters=400, tol=1e-6)
-    dists = cdist(positions_of(full.agents), FOUR_MODES)
+    full = run_descent(phi, start4, max_iters=400, tol=1e-6)
+    dists = cdist(full.positions, FOUR_MODES)
     rows, cols = linear_sum_assignment(dists)
     captured = float(dists[rows, cols].max())
 
@@ -165,15 +150,13 @@ def test_accept_03_mode_capture_and_compromise():
     gaps = {}
     for n, start in ((2, [[0.35, 0.4], [0.65, 0.6]]),
                      (3, [[0.3, 0.3], [0.7, 0.3], [0.5, 0.7]])):
-        res = run_descent(phi, make_agents(start), KIND_VORONOI,
-                          max_iters=400, tol=1e-6)
-        nearest = cdist(positions_of(res.agents), FOUR_MODES).min(axis=1)
+        res = run_descent(phi, start, max_iters=400, tol=1e-6)
+        nearest = cdist(res.positions, FOUR_MODES).min(axis=1)
         gaps[n] = float(nearest.max())
         compromise_ok = compromise_ok and nearest.max() > two_sigma
 
     radii = np.array([0.25, 0.1, 0.1, 0.1])
-    heavy = run_descent(phi, make_agents(start4, radii), KIND_POWER,
-                        max_iters=400, tol=1e-6)
+    heavy = run_descent(phi, start4, radii, max_iters=400, tol=1e-6)
     mass_rank_ok = int(np.argmax(heavy.partition.masses)) == int(np.argmax(radii))
 
     ok = captured < two_sigma and compromise_ok and mass_rank_ok
@@ -384,7 +367,7 @@ def test_accept_09_equitable_split():
                    else _random_mixture(rng, eig_range=(0.01, 0.03)))
             pos = phi.sample(n, seed=900 + n)
             radii = equitable_weights(phi, pos, tol_mass=2e-4)
-            part = build_partition(phi, make_agents(pos, radii), KIND_POWER)
+            part = build_partition(phi, pos, radii)
             rel = float(np.abs(part.masses - 1.0 / n).max() * n)
             worst = max(worst, rel)
     _verdict("09 equitable split", worst < 0.01,
@@ -479,14 +462,12 @@ def test_accept_12_descent_gradient_check():
         n = 2 + trial % 4
         phi = UniformDensity(WORKSPACE) if trial % 2 == 0 else _random_mixture(rng)
         pos = rng.uniform(0.12, 0.88, size=(n, 2))
-        part = build_partition(phi, make_agents(pos), KIND_VORONOI)
+        part = build_partition(phi, pos)
         grad = 2.0 * part.masses[:, None] * (pos - part.centroids)
         tol = max(1e-3, 1e-2 * float(np.linalg.norm(grad)))
 
         def cost_at(p):
-            agents = make_agents(p)
-            return coverage_cost(phi, agents,
-                                 build_partition(phi, agents, KIND_VORONOI))
+            return build_partition(phi, p).cost
 
         err = 0.0
         for i in range(n):

@@ -1,27 +1,28 @@
-"""The public names and the module attributes the benchmark tracer patches."""
+"""The public names, the module attributes the benchmark tracer patches, and
+the README's library quick start."""
 
 import importlib
 
 import coverkit
 from coverbench.tracing import LAYERS
 
+from tests.conftest import REPO_ROOT
+
 # Growing or shrinking the public API is a decision: make it here, in the diff.
 PUBLIC = [
-    "AgentState", "AssignmentResult", "ConvexPolygon", "CostMatrix", "CoverkitError",
+    "AssignmentResult", "ConvexPolygon", "CostMatrix", "CoverkitError",
     "DensityField", "DescentResult", "DiscreteMeasure", "DuplicateSites",
     "EvalOutsideSupport", "GaussianService", "GmmDensity", "GmmFit", "GreedyTrace",
     "GridDensity", "InfeasibleShape", "InvalidDensity", "IsotropicService",
-    "KIND_POWER", "KIND_VORONOI", "KMeansResult", "KernelMismatch", "NoConvergence",
-    "NonFiniteCost", "NonMonotoneDescent", "Partition", "PoiSet", "SiteOutsideWorkspace",
-    "SizeLimit", "SwarmRun", "SwarmState", "TransportPlan", "UniformDensity",
-    "__version__", "build_cost_matrix", "build_partition", "check_w2_identity",
-    "coverage_cost", "discretize", "equitable_weights", "exemplar_utility",
-    "exemplar_utility_fn", "footprint_cost", "from_pgm", "gaussian_kl", "gmm_em",
-    "greedy_partition", "greedy_uniform", "kld_cost", "kmeans", "lloyd_step",
-    "load_grid_csv", "make_agents", "power_cells", "render_scene", "run_descent",
+    "KMeansResult", "NoConvergence", "NonFiniteCost", "NonMonotoneDescent", "Partition",
+    "PoiSet", "SiteOutsideWorkspace", "SizeLimit", "SwarmRun", "SwarmState",
+    "TransportPlan", "UniformDensity", "__version__", "build_cost_matrix",
+    "build_partition", "check_w2_identity", "discretize", "equitable_weights",
+    "exemplar_utility", "exemplar_utility_fn", "footprint_cost", "from_pgm",
+    "gaussian_kl", "gmm_em", "greedy_partition", "greedy_uniform", "kld_cost", "kmeans",
+    "lloyd_step", "load_grid_csv", "power_cells", "render_scene", "run_descent",
     "run_reconfiguration", "self_transport_cost", "solve_assignment", "svgd",
-    "systematic_resample", "transport_step", "voronoi_cells", "wasserstein_exact",
-    "wasserstein_sinkhorn",
+    "systematic_resample", "transport_step", "wasserstein_exact", "wasserstein_sinkhorn",
 ]
 
 
@@ -42,3 +43,11 @@ def test_every_traced_attribute_exists():
             if cls:
                 owner = getattr(owner, cls)
             assert attr in owner.__dict__, f"{where}.{attr}"
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (REPO_ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md: Library quick start", "exec"), {})
+    assert capsys.readouterr().out.startswith("True ")

@@ -3,25 +3,15 @@
 The oracle at the top reproduces the locational cost with no polygon
 machinery at all: label a dense grid by power distance and sum.
 """
+import itertools
 import logging
 
 import numpy as np
 import pytest
 
-from coverkit.coverage import (
-    KIND_POWER,
-    KIND_VORONOI,
-    AgentState,
-    build_partition,
-    coverage_cost,
-    equitable_weights,
-    lloyd_step,
-    make_agents,
-    positions_of,
-    run_descent,
-)
+from coverkit.coverage import build_partition, equitable_weights, lloyd_step, run_descent
 from coverkit.density import GmmDensity, UniformDensity
-from coverkit.errors import KernelMismatch, NoConvergence, NonMonotoneDescent
+from coverkit.errors import NoConvergence, NonMonotoneDescent
 from coverkit.geometry import ConvexPolygon, check_sites, separate
 
 
@@ -74,18 +64,15 @@ def riemann_mass_fractions(phi, positions, radii, n=700):
 
 def test_single_agent_at_center_cost():
     phi = UniformDensity(unit_square())
-    agents = make_agents([[0.5, 0.5]])
-    part = build_partition(phi, agents)
-    assert abs(coverage_cost(phi, agents, part) - 1.0 / 6.0) < 1e-12
+    assert abs(build_partition(phi, [[0.5, 0.5]]).cost - 1.0 / 6.0) < 1e-12
 
 
 def test_two_agent_cost_is_five_forty_eighths():
     phi = UniformDensity(unit_square())
-    agents = make_agents([[0.25, 0.5], [0.75, 0.5]])
-    part = build_partition(phi, agents)
-    h = coverage_cost(phi, agents, part)
+    pos = np.array([[0.25, 0.5], [0.75, 0.5]])
+    h = build_partition(phi, pos).cost
     assert abs(h - 5.0 / 48.0) < 1e-12
-    assert abs(h - riemann_cost(phi, positions_of(agents), n=1000)) < 1e-4
+    assert abs(h - riemann_cost(phi, pos, n=1000)) < 1e-4
 
 
 def test_cost_matches_riemann_oracle():
@@ -93,13 +80,12 @@ def test_cost_matches_riemann_oracle():
     rng = np.random.default_rng(21)
     pos = rng.uniform(0.15, 0.85, size=(3, 2))
     uni = UniformDensity(sq)
-    agents = make_agents(pos)
-    h = coverage_cost(uni, agents, build_partition(uni, agents))
+    h = build_partition(uni, pos).cost
     assert abs(h - riemann_cost(uni, pos, n=2000)) < 2e-3
 
     gmm = GmmDensity(sq, [0.5, 0.5], [[0.3, 0.4], [0.7, 0.6]],
                      [np.eye(2) * 0.03, np.eye(2) * 0.05])
-    h = coverage_cost(gmm, agents, build_partition(gmm, agents))
+    h = build_partition(gmm, pos).cost
     assert abs(h - riemann_cost(gmm, pos, n=2000)) < 5e-3
 
 
@@ -108,11 +94,9 @@ def test_equal_radii_power_cost_identity():
     c = 0.37
     for phi in (UniformDensity(sq),
                 GmmDensity(sq, [1.0], [[0.45, 0.55]], [np.eye(2) * 0.04])):
-        agents = make_agents([[0.3, 0.4], [0.7, 0.5], [0.5, 0.8]], [c, c, c])
-        pow_part = build_partition(phi, agents, KIND_POWER)
-        vor_part = build_partition(phi, agents, KIND_VORONOI)
-        h_p = coverage_cost(phi, agents, pow_part, kernel="power")
-        h_v = coverage_cost(phi, agents, vor_part, kernel="squared")
+        pos = [[0.3, 0.4], [0.7, 0.5], [0.5, 0.8]]
+        h_p = build_partition(phi, pos, [c, c, c]).cost
+        h_v = build_partition(phi, pos).cost
         assert abs(h_p - (h_v - c**2)) < 1e-6
 
 
@@ -120,52 +104,45 @@ def test_power_cost_matches_riemann_oracle():
     phi = UniformDensity(unit_square())
     pos = np.array([[0.3, 0.5], [0.7, 0.5]])
     rho = np.array([0.4, 0.1])
-    agents = make_agents(pos, rho)
-    part = build_partition(phi, agents, KIND_POWER)
-    h = coverage_cost(phi, agents, part, kernel="power")
+    h = build_partition(phi, pos, rho).cost
     assert abs(h - riemann_cost(phi, pos, rho, power=True, n=2000)) < 2e-3
-
-
-def test_kernel_mismatch():
-    phi = UniformDensity(unit_square())
-    agents = make_agents([[0.3, 0.5], [0.7, 0.5]], [0.1, 0.3])
-    vor = build_partition(phi, agents, KIND_VORONOI)
-    with pytest.raises(KernelMismatch):
-        coverage_cost(phi, agents, vor, kernel="power")
-    # equal radii carry no heterogeneity, so the Voronoi partition is fine
-    same = make_agents([[0.3, 0.5], [0.7, 0.5]], [0.2, 0.2])
-    coverage_cost(phi, same, build_partition(phi, same, KIND_VORONOI), kernel="power")
-    coverage_cost(phi, agents, build_partition(phi, agents, KIND_POWER), kernel="power")
 
 
 def test_cost_validation():
     phi = UniformDensity(unit_square())
-    agents = make_agents([[0.3, 0.5], [0.7, 0.5]])
-    part = build_partition(phi, agents)
-    with pytest.raises(ValueError):
-        coverage_cost(phi, agents, part, kernel="cubic")
-    with pytest.raises(ValueError):
-        coverage_cost(phi, agents[:1], part)
-    with pytest.raises(ValueError):
-        build_partition(phi, agents, kind="radial")
-    with pytest.raises(ValueError):
-        AgentState(np.array([0.5, 0.5]), power_radius=-0.1)
-    with pytest.raises(ValueError):
-        make_agents([[0.5, 0.5]], [0.1, 0.2])
+    pos = np.array([[0.3, 0.5], [0.7, 0.5]])
+    bad_radii = [
+        [0.1, 0.2, 0.3],  # one radius too many
+        [-0.1, 0.0],
+        [np.nan, 0.0],
+        [np.inf, 0.0],
+        [-np.inf, 0.0],
+        [1e200, 0.0],  # the square overflows
+        [1.3e154, 0.0],  # the square over EPS_GEO overflows in the clip offsets
+    ]
+    for radii in bad_radii:
+        for call in (build_partition, lloyd_step, run_descent):
+            with pytest.raises(ValueError):
+                call(phi, pos, radii)
+    for tol in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="tol"):
+            run_descent(phi, pos, tol=tol)
+    for bad_pos in ([[0.3, 0.5, 0.1], [0.7, 0.5, 0.1]], np.full((2, 2, 2), 0.5)):
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            build_partition(phi, bad_pos)
 
 
 def test_cost_rejects_cells_outside_the_workspace():
+    # every cell the partition integrates lies inside W, so the costs are valid
     sq = unit_square()
     phi = UniformDensity(sq)
     rng = np.random.default_rng(21)
-    agents = make_agents(rng.uniform(0.0, 1.0, (40, 2)), rng.uniform(0.0, 0.05, 40))
-    for kind in (KIND_VORONOI, KIND_POWER):
-        coverage_cost(phi, agents, build_partition(phi, agents, kind))
-    part = build_partition(phi, agents[:2])
-    # a cell shifted 1e-6 past the right edge of W
-    part.cells[1] = ConvexPolygon(part.cells[1].vertices + [1e-6, 0.0])
-    with pytest.raises(ValueError, match="cell 1"):
-        coverage_cost(phi, agents[:2], part)
+    pos, rho = rng.uniform(0.0, 1.0, (40, 2)), rng.uniform(0.0, 0.05, 40)
+    for radii in (None, rho):
+        part = build_partition(phi, pos, radii)
+        assert np.isfinite(part.cost)
+        for cell in part.cells:
+            assert cell is None or sq.contains(cell.vertices).all()
 
 
 # ------------------------------------------------------------- partitions
@@ -177,8 +154,7 @@ def test_partition_masses_sum_to_one():
                      [np.eye(2) * 0.03, np.eye(2) * 0.04])
     for phi in (UniformDensity(sq), gmm):
         for _ in range(3):
-            agents = make_agents(rng.uniform(0.1, 0.9, size=(5, 2)))
-            part = build_partition(phi, agents)
+            part = build_partition(phi, rng.uniform(0.1, 0.9, size=(5, 2)))
             assert abs(part.masses.sum() - 1.0) < 1e-4
             for cell, c in zip(part.cells, part.centroids):
                 assert cell.contains(c)
@@ -186,20 +162,19 @@ def test_partition_masses_sum_to_one():
 
 def test_dominated_power_cell_is_empty():
     phi = UniformDensity(unit_square())
-    agents = make_agents([[0.5, 0.5], [0.9, 0.9]], [1.0, 0.0])
-    part = build_partition(phi, agents, KIND_POWER)
+    pos, rho = [[0.5, 0.5], [0.9, 0.9]], [1.0, 0.0]
+    part = build_partition(phi, pos, rho)
     assert part.cells[1] is None
     assert part.masses[1] == 0.0
     np.testing.assert_array_equal(part.centroids[1], [0.9, 0.9])
-    moved, _, _ = lloyd_step(phi, agents, KIND_POWER)
-    np.testing.assert_array_equal(moved[1].position, [0.9, 0.9])
+    moved, _ = lloyd_step(phi, pos, rho)
+    np.testing.assert_array_equal(moved[1], [0.9, 0.9])
 
 
 def test_largest_radius_takes_largest_mass():
     phi = UniformDensity(unit_square())
     pos = [[0.3, 0.3], [0.7, 0.3], [0.3, 0.7], [0.7, 0.7]]
-    agents = make_agents(pos, [0.3, 0.0, 0.0, 0.0])
-    part = build_partition(phi, agents, KIND_POWER)
+    part = build_partition(phi, pos, [0.3, 0.0, 0.0, 0.0])
     assert np.argmax(part.masses) == 0
     assert part.masses[0] > part.masses[1:].max() + 0.05
 
@@ -208,19 +183,18 @@ def test_largest_radius_takes_largest_mass():
 
 def test_lloyd_single_agent_jumps_to_center():
     phi = UniformDensity(unit_square())
-    agents = make_agents([[0.2, 0.3]])
-    moved, part, cost = lloyd_step(phi, agents)
-    np.testing.assert_allclose(moved[0].position, [0.5, 0.5], atol=1e-12)
+    moved, part = lloyd_step(phi, [[0.2, 0.3]])
+    np.testing.assert_allclose(moved[0], [0.5, 0.5], atol=1e-12)
     # reported cost belongs to the position before the move
     expect = (1.0 / 3 - 0.2 + 0.04) + (1.0 / 3 - 0.3 + 0.09)
-    assert abs(cost - expect) < 1e-12
+    assert abs(part.cost - expect) < 1e-12
 
 
 def test_lloyd_fixed_point_stays_put():
     phi = UniformDensity(unit_square())
-    agents = make_agents([[0.25, 0.5], [0.75, 0.5]])
-    moved, _, _ = lloyd_step(phi, agents)
-    np.testing.assert_allclose(positions_of(moved), positions_of(agents), atol=1e-12)
+    pos = np.array([[0.25, 0.5], [0.75, 0.5]])
+    moved, _ = lloyd_step(phi, pos)
+    np.testing.assert_allclose(moved, pos, atol=1e-12)
 
 
 def test_separate_nudges_coincident_generators():
@@ -238,10 +212,8 @@ def test_overrelaxed_step_projects_and_separates_agents(caplog):
     # projection merges them; two of them must then be nudged apart
     sq = unit_square()
     phi = GmmDensity(sq, [1.0], [[0.0, 0.0]], [[[0.02, 0.0], [0.0, 0.02]]])
-    agents = make_agents([[0.3, 0.32], [0.32, 0.3], [0.8, 0.8]])
     with caplog.at_level(logging.WARNING, logger="coverkit.coverage"):
-        moved, _, _ = lloyd_step(phi, agents, relax=100.0)
-    pos = positions_of(moved)
+        pos, _ = lloyd_step(phi, [[0.3, 0.32], [0.32, 0.3], [0.8, 0.8]], relax=100.0)
     np.testing.assert_array_equal(pos[0], [0.0, 0.0])
     assert sq.contains(pos).all()
     assert np.abs(pos).max() < 1e-5
@@ -253,8 +225,7 @@ def test_overrelaxed_step_projects_and_separates_agents(caplog):
 
 def test_descent_fixed_point_single_iteration():
     phi = UniformDensity(unit_square())
-    agents = make_agents([[0.25, 0.5], [0.75, 0.5]])
-    res = run_descent(phi, agents, max_iters=50, tol=1e-9)
+    res = run_descent(phi, [[0.25, 0.5], [0.75, 0.5]], max_iters=50, tol=1e-9)
     assert res.converged
     assert res.iterations == 1
     np.testing.assert_allclose(res.trajectory[0][0], res.trajectory[1][0])
@@ -268,20 +239,20 @@ def test_descent_monotone_and_centroidal():
         for seed in (0, 1):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(2, 7))
-            agents = make_agents(rng.uniform(0.1, 0.9, size=(n, 2)))
-            res = run_descent(phi, agents, max_iters=300, tol=1e-7, levels=3)
+            res = run_descent(phi, rng.uniform(0.1, 0.9, size=(n, 2)), max_iters=300,
+                              tol=1e-7, levels=3)
             costs = res.costs
             assert (np.diff(costs) <= 1e-6 * np.abs(costs[:-1])).all()
             if res.converged:
-                gap = positions_of(res.agents) - res.partition.centroids
+                gap = res.positions - res.partition.centroids
                 assert np.linalg.norm(gap, axis=1).max() < 1e-4
 
 
 def test_descent_four_agents_find_four_modes():
     phi, modes = four_mode_density()
-    agents = make_agents([[0.35, 0.4], [0.6, 0.35], [0.4, 0.6], [0.65, 0.6]])
-    res = run_descent(phi, agents, max_iters=200, tol=1e-6, levels=3)
-    final = positions_of(res.agents)
+    res = run_descent(phi, [[0.35, 0.4], [0.6, 0.35], [0.4, 0.6], [0.65, 0.6]],
+                      max_iters=200, tol=1e-6, levels=3)
+    final = res.positions
     d = np.linalg.norm(final[:, None, :] - modes[None, :, :], axis=2)
     claimed = d.argmin(axis=1)
     assert sorted(claimed) == [0, 1, 2, 3]
@@ -290,9 +261,9 @@ def test_descent_four_agents_find_four_modes():
 
 def test_descent_three_agents_share_four_modes():
     phi, modes = four_mode_density()
-    agents = make_agents([[0.25, 0.5], [0.7, 0.3], [0.7, 0.7]])
-    res = run_descent(phi, agents, max_iters=300, tol=1e-6, levels=3)
-    final = positions_of(res.agents)
+    res = run_descent(phi, [[0.25, 0.5], [0.7, 0.3], [0.7, 0.7]], max_iters=300,
+                      tol=1e-6, levels=3)
+    final = res.positions
     d = np.linalg.norm(final[:, None, :] - modes[None, :, :], axis=2)
     torn = [i for i in range(3) if d[i].min() > 2 * 0.09]
     assert torn, "expected one agent wedged between two modes"
@@ -307,9 +278,8 @@ def test_power_and_voronoi_descents_coincide_for_equal_radii():
     for seed in (3, 4, 5):
         rng = np.random.default_rng(seed)
         pos = rng.uniform(0.1, 0.9, size=(4, 2))
-        res_v = run_descent(phi, make_agents(pos), KIND_VORONOI, max_iters=30, tol=1e-12)
-        res_p = run_descent(phi, make_agents(pos, np.full(4, 0.25)), KIND_POWER,
-                            max_iters=30, tol=1e-12)
+        res_v = run_descent(phi, pos, max_iters=30, tol=1e-12)
+        res_p = run_descent(phi, pos, np.full(4, 0.25), max_iters=30, tol=1e-12)
         assert len(res_v.trajectory) == len(res_p.trajectory)
         for (pv, _), (pp, _) in zip(res_v.trajectory, res_p.trajectory):
             assert np.abs(pv - pp).max() < 1e-9
@@ -317,11 +287,10 @@ def test_power_and_voronoi_descents_coincide_for_equal_radii():
 
 def test_descent_validation():
     phi = UniformDensity(unit_square())
-    agents = make_agents([[0.4, 0.4]])
     with pytest.raises(ValueError):
-        run_descent(phi, agents, max_iters=0)
+        run_descent(phi, [[0.4, 0.4]], max_iters=0)
     with pytest.raises(ValueError):
-        run_descent(phi, agents, tol=0.0)
+        run_descent(phi, [[0.4, 0.4]], tol=0.0)
 
 
 class InflatingDensity(UniformDensity):
@@ -338,17 +307,14 @@ class InflatingDensity(UniformDensity):
 
 def test_descent_raises_on_rising_cost():
     phi = InflatingDensity(unit_square())
-    agents = make_agents([[0.2, 0.2], [0.8, 0.8]])
     with pytest.raises(NonMonotoneDescent):
-        run_descent(phi, agents, max_iters=10, tol=1e-12)
+        run_descent(phi, [[0.2, 0.2], [0.8, 0.8]], max_iters=10, tol=1e-12)
 
 
 # --------------------------------------------------------------- gradient
 
 def descent_objective(phi, flat_pos):
-    pos = flat_pos.reshape(-1, 2)
-    agents = make_agents(pos)
-    return coverage_cost(phi, agents, build_partition(phi, agents))
+    return build_partition(phi, flat_pos.reshape(-1, 2)).cost
 
 
 def test_gradient_matches_finite_differences():
@@ -359,8 +325,7 @@ def test_gradient_matches_finite_differences():
     for phi in fields:
         for n in (2, 4):
             pos = rng.uniform(0.15, 0.85, size=(n, 2))
-            agents = make_agents(pos)
-            part = build_partition(phi, agents)
+            part = build_partition(phi, pos)
             g = 2.0 * part.masses[:, None] * (pos - part.centroids)
             flat = pos.ravel()
             fd = np.zeros_like(flat)
@@ -399,8 +364,7 @@ def test_equitable_eight_sites_gmm():
     gx, gy = np.meshgrid([0.2, 0.4, 0.6, 0.8], [0.3, 0.7])
     pos = np.stack([gx.ravel(), gy.ravel()], axis=1) + rng.uniform(-0.05, 0.05, (8, 2))
     rho = equitable_weights(phi, pos, tol_mass=0.01 / 8)
-    agents = make_agents(pos, rho)
-    part = build_partition(phi, agents, KIND_POWER)
+    part = build_partition(phi, pos, rho)
     assert np.abs(part.masses - 1.0 / 8).max() <= 0.01 / 8
     assert (rho >= 0).all()
 
@@ -414,9 +378,9 @@ def test_equitable_reports_no_convergence():
 def test_starved_warning_names_a_count_and_the_first_ten(caplog):
     # one large power disk dominates the 15 agents packed around its centre
     ring = 0.5 + 0.05 * np.column_stack([np.cos(np.arange(15)), np.sin(np.arange(15))])
-    agents = make_agents(np.vstack([[0.5, 0.5], ring, [0.9, 0.9]]), [0.6, *[0.0] * 15, 0.0])
+    pos = np.vstack([[0.5, 0.5], ring, [0.9, 0.9]])
     with caplog.at_level(logging.WARNING, logger="coverkit.coverage"):
-        _, partition, _ = lloyd_step(UniformDensity(unit_square()), agents, KIND_POWER)
+        _, partition = lloyd_step(UniformDensity(unit_square()), pos, [0.6, *[0.0] * 15, 0.0])
     assert partition.starved == list(range(1, 16))
     (message,) = [r.getMessage() for r in caplog.records if "hold position" in r.message]
     assert message.startswith("15 agents hold position")
@@ -425,8 +389,8 @@ def test_starved_warning_names_a_count_and_the_first_ten(caplog):
 
 def test_descent_records_starved_agents_per_trajectory_entry():
     # agent 1 sits inside agent 0's power disk, so its cell is dominated
-    agents = make_agents([[0.4, 0.5], [0.45, 0.5], [0.8, 0.5]], [0.5, 0.0, 0.1])
-    res = run_descent(UniformDensity(unit_square()), agents, KIND_POWER, max_iters=3)
+    res = run_descent(UniformDensity(unit_square()), [[0.4, 0.5], [0.45, 0.5], [0.8, 0.5]],
+                      [0.5, 0.0, 0.1], max_iters=3)
     assert len(res.starved) == len(res.trajectory)
     assert all(s == [1] for s in res.starved)
     assert res.partition.cells[1] is None
@@ -438,14 +402,29 @@ def test_descent_surveys_each_visited_configuration_once(monkeypatch):
     build = geometry.power_cells_from_weights
     monkeypatch.setattr(geometry, "power_cells_from_weights",
                         lambda *args: calls.append(args) or build(*args))
-    agents = make_agents([[0.3, 0.35], [0.7, 0.2], [0.5, 0.8]], [0.05, 0.1, 0.0])
+    pos, rho = [[0.3, 0.35], [0.7, 0.2], [0.5, 0.8]], [0.05, 0.1, 0.0]
     phi, _ = four_mode_density()
-    res = run_descent(phi, agents, KIND_POWER, max_iters=4, tol=1e-12)
+    res = run_descent(phi, pos, rho, max_iters=4, tol=1e-12)
     assert res.iterations == 4
     assert len(calls) == res.iterations + 1
     # the first step's partition is the one at the input positions
-    want = build_partition(phi, agents, KIND_POWER)
+    want = build_partition(phi, pos, rho)
     assert [c is None for c in res.initial.cells] == [c is None for c in want.cells]
     for got, ref in zip(res.initial.cells, want.cells):
         np.testing.assert_array_equal(got.vertices, ref.vertices)
     np.testing.assert_array_equal(res.initial.masses, want.masses)
+
+
+def test_descent_writes_neither_input_and_keeps_its_own_arrays():
+    phi, _ = four_mode_density()
+    pos = np.array([[0.3, 0.35], [0.7, 0.2], [0.5, 0.8]])
+    rho = np.array([0.05, 0.1, 0.0])
+    pos_before, rho_before = pos.copy(), rho.copy()
+    res = run_descent(phi, pos, rho, max_iters=4, tol=1e-12)
+    np.testing.assert_array_equal(pos, pos_before)
+    np.testing.assert_array_equal(rho, rho_before)
+    np.testing.assert_array_equal(res.trajectory[0][0], pos)
+    arrays = [p for p, _ in res.trajectory] + [pos, res.positions]
+    for a, b in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(a, b)
+    np.testing.assert_array_equal(res.positions, res.trajectory[-1][0])

@@ -17,7 +17,6 @@ from coverkit.geometry import (
     power_cells_from_weights,
     project_into,
     separate,
-    voronoi_cells,
 )
 from tests.oracles import (HalfPlane, clip_planes, loop_project_into, neighbour_power_cells,
                            one_plane_clip)
@@ -338,20 +337,20 @@ def test_separate_returns_the_same_array_when_nothing_coincides():
 # ---------------------------------------------------------------- voronoi
 
 def test_voronoi_two_sites_split_at_half():
-    cells = voronoi_cells(unit_square(), [[0.25, 0.5], [0.75, 0.5]])
+    cells = power_cells_from_weights(unit_square(), [[0.25, 0.5], [0.75, 0.5]], np.zeros(2))
     assert np.isclose(cells[0].area, 0.5)
     assert np.isclose(cells[1].area, 0.5)
     assert cells[0].vertices[:, 0].max() == pytest.approx(0.5)
 
 
 def test_voronoi_single_site_is_whole_workspace():
-    cells = voronoi_cells(unit_square(), [[0.3, 0.9]])
+    cells = power_cells_from_weights(unit_square(), [[0.3, 0.9]], np.zeros(1))
     assert np.isclose(cells[0].area, 1.0)
 
 
 def test_voronoi_quadrants():
     sites = [[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]]
-    cells = voronoi_cells(unit_square(), sites)
+    cells = power_cells_from_weights(unit_square(), sites, np.zeros(4))
     for cell, site in zip(cells, sites):
         assert np.isclose(cell.area, 0.25)
         assert np.allclose(cell.centroid, site)
@@ -359,12 +358,12 @@ def test_voronoi_quadrants():
 
 def test_voronoi_duplicate_sites_raise():
     with pytest.raises(DuplicateSites):
-        voronoi_cells(unit_square(), [[0.5, 0.5], [0.5, 0.5]])
+        power_cells_from_weights(unit_square(), [[0.5, 0.5], [0.5, 0.5]], np.zeros(2))
 
 
 def test_voronoi_site_outside_raises():
     with pytest.raises(SiteOutsideWorkspace):
-        voronoi_cells(unit_square(), [[0.5, 0.5], [1.5, 0.5]])
+        power_cells_from_weights(unit_square(), [[0.5, 0.5], [1.5, 0.5]], np.zeros(2))
 
 
 def test_voronoi_partition_tiles_workspace():
@@ -373,7 +372,7 @@ def test_voronoi_partition_tiles_workspace():
     for _ in range(10):
         n = rng.integers(2, 9)
         sites = rng.uniform(0.05, 0.95, size=(n, 2))
-        cells = voronoi_cells(W, sites)
+        cells = power_cells_from_weights(W, sites, np.zeros(n))
         total = sum(c.area for c in cells)
         assert abs(total - 1.0) < 1e-6
 
@@ -382,7 +381,7 @@ def test_voronoi_nearest_site_consistency():
     rng = np.random.default_rng(11)
     W = unit_square()
     sites = rng.uniform(0.1, 0.9, size=(6, 2))
-    cells = voronoi_cells(W, sites)
+    cells = power_cells_from_weights(W, sites, np.zeros(6))
     qs = rng.uniform(0, 1, size=(1000, 2))
     d2 = ((qs[:, None, :] - sites[None, :, :]) ** 2).sum(-1)
     nearest = d2.argmin(axis=1)
@@ -398,7 +397,7 @@ def test_random_point_lies_in_exactly_one_cell_interior():
     rng = np.random.default_rng(5)
     W = unit_square()
     sites = rng.uniform(0.1, 0.9, size=(5, 2))
-    cells = voronoi_cells(W, sites)
+    cells = power_cells_from_weights(W, sites, np.zeros(5))
     qs = rng.uniform(0, 1, size=(500, 2))
     for q in qs:
         hits = [i for i, c in enumerate(cells) if c.contains(q, tol=0.0)]
@@ -414,7 +413,7 @@ def test_power_equal_radii_match_voronoi_vertices():
     W = unit_square()
     for _ in range(5):
         sites = rng.uniform(0.1, 0.9, size=(5, 2))
-        vor = voronoi_cells(W, sites)
+        vor = power_cells_from_weights(W, sites, np.zeros(5))
         pow_ = power_cells(W, sites, np.full(5, 0.37))
         for a, b in zip(vor, pow_):
             assert b is not None

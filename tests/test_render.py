@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from coverkit.coverage import build_partition, make_agents
+from coverkit.coverage import build_partition
 from coverkit.density import GmmDensity, UniformDensity, from_pgm
 from coverkit.geometry import ConvexPolygon
 from coverkit.render import render_scene
@@ -27,7 +27,7 @@ def test_scene_parses_and_carries_the_expected_elements(tmp_path):
     w = square()
     phi = two_mode_phi(w)
     agents = np.array([[0.3, 0.3], [0.7, 0.7], [0.5, 0.2]])
-    cells = build_partition(phi, make_agents(agents)).cells
+    cells = build_partition(phi, agents).cells
     path = tmp_path / "scene.svg"
     render_scene(path, phi, w, agents=agents, power_radii=[0.2, 0.1, 0.0],
                  cells=cells, title="demo")
@@ -131,8 +131,7 @@ def full_scene(phi, w):
     with XML characters."""
     agents = np.array([[0.4, 0.5], [0.45, 0.5], [0.8, 0.6], [0.3, 0.3]])
     radii = [0.5, 0.0, 0.1, 0.05]
-    cells = build_partition(UniformDensity(w) if phi is None else phi,
-                            make_agents(agents, radii), "power").cells
+    cells = build_partition(UniformDensity(w) if phi is None else phi, agents, radii).cells
     assert cells[1] is None
     return dict(agents=agents, power_radii=radii, cells=cells,
                 pois=np.array([[0.5, 0.5], [0.6, 0.3], [0.35, 0.6]]),

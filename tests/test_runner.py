@@ -17,7 +17,7 @@ import yaml
 
 import coverkit
 from coverkit import runner
-from coverkit.coverage import build_partition, make_agents
+from coverkit.coverage import build_partition
 from coverkit.density import GmmDensity
 from coverkit.geometry import ConvexPolygon
 from coverkit.render import render_scene
@@ -105,7 +105,8 @@ def test_unusable_grid_data_fails_before_any_output(tmp_path, values):
     assert not (tmp_path / "results").exists()
 
 
-@pytest.mark.parametrize("radius", [float("inf"), 10 ** 400], ids=["inf", "huge_int"])
+@pytest.mark.parametrize("radius", [float("inf"), 10 ** 400, 1e200, 1.3e154],
+                         ids=["inf", "huge_int", "1e200", "1.3e154"])
 def test_non_finite_power_radius_fails_before_any_output(tmp_path, radius):
     cfg = lloyd_cfg(n=4)
     cfg["pipeline"] = "power_lloyd"
@@ -236,7 +237,7 @@ def test_initial_frame_draws_the_partition_at_the_initial_positions(tmp_path):
                      [np.array(c) for c in density["covariances"]])
     positions = np.array(cfg["agents"]["positions"])
     radii = cfg["agents"]["radii"]
-    cells = build_partition(phi, make_agents(positions, radii), "power").cells
+    cells = build_partition(phi, positions, radii).cells
     assert any(c is None for c in cells)
     render_scene(tmp_path / "want.svg", phi, workspace, agents=positions,
                  power_radii=radii, cells=cells, title="initial")
