@@ -190,13 +190,11 @@ def gaussian_kl(mean0, cov0, mean1, cov1) -> float:
     return 0.5 * (trace + maha - 2.0 + logdet)
 
 
-def kld_cost(model, component_mean, component_cov,
-             component_weight: float = 1.0, weight_fn=None):
+def kld_cost(model, component_mean, component_cov):
     """Cheapest orientation of a Gaussian service against a mixture component.
 
     The service is centred on the component mean, so only the covariance
-    mismatch is priced. ``weight_fn`` optionally rescales the cost from
-    the component weight (identity multiplier of 1 when omitted).
+    mismatch is priced.
     """
     mean = np.asarray(component_mean, dtype=float).reshape(2)
     best_cost, best_theta = np.inf, model.orientations[0]
@@ -204,8 +202,7 @@ def kld_cost(model, component_mean, component_cov,
         div = gaussian_kl(mean, model.oriented_covariance(theta), mean, component_cov)
         if div < best_cost:
             best_cost, best_theta = div, theta
-    scale = 1.0 if weight_fn is None else float(weight_fn(component_weight))
-    return scale * best_cost, best_theta
+    return best_cost, best_theta
 
 
 @dataclass

@@ -21,7 +21,7 @@ import numpy as np
 # in this module
 from .density import MASS_EPS, DensityField, cell_moments, polygon_quadrature  # noqa: F401
 from .errors import NoConvergence, NonMonotoneDescent
-from .geometry import (EPS_GEO, power_cells, power_cells_from_weights, project_into,
+from .geometry import (check_radii, power_cells, power_cells_from_weights, project_into,
                        separate)
 
 log = logging.getLogger(__name__)
@@ -33,20 +33,17 @@ _STARVED_LOGGED = 10
 def _checked(positions, radii, tol: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Float copies of positions and radii (zeros for None).
 
-    ValueError for positions that are not (n, 2), a radius count that
-    differs from the position count, a radius that is negative or NaN or
-    whose square over EPS_GEO is not finite, and a tol (only run_descent
-    has one) that is not finite and positive. The cell clips divide
-    squared-radius differences by site distances, which exceed EPS_GEO.
+    ValueError for positions that are not (n, 2), radii that break
+    geometry.check_radii, a radius count that differs from the position
+    count, and a tol (only run_descent has one) that is not finite and
+    positive.
     """
     pos = np.atleast_2d(np.array(positions, dtype=float))
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ValueError(f"positions must be an (n, 2) array, not {pos.shape}")
-    rho = np.zeros(len(pos)) if radii is None else np.array(radii, dtype=float).reshape(-1)
+    rho = np.zeros(len(pos)) if radii is None else check_radii(np.array(radii, dtype=float).ravel())
     if len(rho) != len(pos):
         raise ValueError(f"{len(pos)} positions but {len(rho)} radii")
-    if not all(0.0 <= r and math.isfinite(r * r / EPS_GEO) for r in rho.tolist()):
-        raise ValueError(f"power radii must be nonnegative with r*r/{EPS_GEO:g} finite")
     if not (0.0 < tol < math.inf):
         raise ValueError("tol must be finite and positive")
     return pos, rho

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import EvalOutsideSupport, InvalidDensity, NoConvergence
 # clip is not called here, but coverbench/tracing.py patches it in this module
-from .geometry import EPS_GEO, ConvexPolygon, clip, intersect, ring_moments  # noqa: F401
+from .geometry import ConvexPolygon, clip, intersect, ring_moments  # noqa: F401
 
 MASS_EPS = 1e-12
 # nodes per density evaluation in cell_moments: one over every cell of a
@@ -301,7 +301,7 @@ class GridDensity(DensityField):
     Row 0 of the value array maps to the TOP of the workspace (image convention).
     """
 
-    def __init__(self, workspace: ConvexPolygon, values, bbox=None):
+    def __init__(self, workspace: ConvexPolygon, values):
         super().__init__(workspace)
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 2 or vals.size == 0:
@@ -311,12 +311,9 @@ class GridDensity(DensityField):
         if (vals < 0).any():
             raise InvalidDensity("grid values must be nonnegative")
         self.values = vals
-        self.bbox = tuple(bbox) if bbox is not None else workspace.bbox
+        self.bbox = workspace.bbox
         self.ny, self.nx = vals.shape
         xmin, xmax, ymin, ymax = self.bbox
-        wx0, wx1, wy0, wy1 = workspace.bbox
-        if wx0 < xmin - EPS_GEO or wx1 > xmax + EPS_GEO or wy0 < ymin - EPS_GEO or wy1 > ymax + EPS_GEO:
-            raise InvalidDensity("grid bbox must cover the workspace")
         self.dx = (xmax - xmin) / self.nx
         self.dy = (ymax - ymin) / self.ny
         self._normalize_raster()

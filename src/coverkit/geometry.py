@@ -403,9 +403,22 @@ def power_cells_from_weights(workspace: ConvexPolygon, points, weights) -> list[
     return cells
 
 
-def power_cells(workspace: ConvexPolygon, points, radii) -> list[ConvexPolygon | None]:
-    """Power diagram cells; a dominated site may get None."""
+def check_radii(radii) -> np.ndarray:
+    """Power radii as a float array; ValueError unless every r is nonnegative
+    with r*r/EPS_GEO finite.
+
+    The cell clips divide squared-radius differences by site distances, which
+    exceed EPS_GEO. The rule is tested on Python floats, so a huge radius
+    fails the test instead of overflowing.
+    """
     r = np.asarray(radii, dtype=float)
-    if (r < 0).any():
-        raise ValueError("power radii must be nonnegative")
+    if not all(0.0 <= x and math.isfinite(x * x / EPS_GEO) for x in r.ravel().tolist()):
+        raise ValueError(f"power radii must be nonnegative numbers r with r*r/{EPS_GEO:g} finite")
+    return r
+
+
+def power_cells(workspace: ConvexPolygon, points, radii) -> list[ConvexPolygon | None]:
+    """Power diagram cells; a dominated site may get None. Radii follow
+    check_radii."""
+    r = check_radii(radii)
     return power_cells_from_weights(workspace, points, r * r)

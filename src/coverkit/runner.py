@@ -35,7 +35,7 @@ from .coverage import build_partition, run_descent  # noqa: F401
 from .density import (DensityField, GmmDensity, UniformDensity, from_pgm, load_grid_csv,
                       spd_cholesky, write_csv)
 from .errors import CoverkitError, NoConvergence
-from .geometry import EPS_GEO, ConvexPolygon, coincident_pairs
+from .geometry import ConvexPolygon, check_radii, coincident_pairs
 from .render import render_scene
 
 log = logging.getLogger(__name__)
@@ -218,15 +218,15 @@ def _check_agents(agents, pipeline, workspace, err) -> dict | None:
     if radii is not None and pipeline != "power_lloyd":
         err("agents.radii", "only used by power_lloyd")
     elif radii is not None:
-        # the rule of coverage.run_descent: the cell clips divide squared
-        # radii by site distances, which exceed EPS_GEO
-        if not (isinstance(radii, list) and all(_is_num(r) and r >= 0
-                                                and math.isfinite(float(r) * r / EPS_GEO)
-                                                for r in radii)):
-            err("agents.radii",
-                f"must be a list of nonnegative numbers r with r*r/{EPS_GEO:g} finite")
+        if not (isinstance(radii, list) and all(_is_num(r) for r in radii)):
+            err("agents.radii", "must be a list of numbers")
         elif len(radii) != n:
             err("agents.radii", f"expected {n} entries, got {len(radii)}")
+        else:
+            try:
+                check_radii(radii)
+            except ValueError as exc:
+                err("agents.radii", str(exc))
     services = agents.get("services")
     if pipeline == "poi_assign":
         if not isinstance(services, list):
@@ -236,7 +236,7 @@ def _check_agents(agents, pipeline, workspace, err) -> dict | None:
         else:
             for i, spec in enumerate(services):
                 kind = spec.get("kind") if isinstance(spec, dict) else None
-                if kind in SERVICE_FIELDS:
+                if isinstance(kind, str) and kind in SERVICE_FIELDS:
                     for key in spec:
                         if key not in SERVICE_FIELDS[kind]:
                             err(f"agents.services[{i}].{key}", f"unknown field for kind {kind}")
@@ -449,11 +449,9 @@ def _run_poi_assign(resolved, phi, workspace, out: Path) -> None:
             lambda model, pt: assign_mod.footprint_cost(phi, model, pt,
                                                         levels=params["levels"]))
     else:
-        components = list(zip(gmm_fit.means, gmm_fit.covariances, gmm_fit.weights))
+        components = list(zip(gmm_fit.means, gmm_fit.covariances))
         matrix = assign_mod.build_cost_matrix(
-            models, components,
-            lambda model, c: assign_mod.kld_cost(model, c[0], c[1],
-                                                 component_weight=float(c[2])))
+            models, components, lambda model, c: assign_mod.kld_cost(model, *c))
 
     solution = assign_mod.solve_assignment(matrix)
     records.append({"iteration": len(trace), "objective": float(solution.total_cost),

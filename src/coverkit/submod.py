@@ -24,15 +24,28 @@ class GreedyTrace:
     values: np.ndarray
 
 
-def _best_marginal(f, chosen, current, candidates):
-    """First strict maximizer of the marginal gain, in candidate order."""
-    best_gain, best_item, best_value = -np.inf, None, None
-    for item in candidates:
-        value = f(tuple(chosen) + (item,))
-        gain = value - current
-        if gain > best_gain:
-            best_gain, best_item, best_value = gain, item, value
-    return best_item, best_gain, best_value
+def _greedy(f, rounds) -> GreedyTrace:
+    """One pick per round: the first strict maximizer of the marginal gain
+    among that round's candidates, in candidate order.
+
+    ``rounds(chosen)`` yields the candidate lists. It is consumed one round
+    at a time, so a round may depend on ``chosen``, the picks so far.
+    """
+    chosen: list = []
+    gains, values = [], []
+    current = float(f(()))
+    for candidates in rounds(chosen):
+        best_gain, best_item, best_value = -np.inf, None, None
+        for item in candidates:
+            value = f(tuple(chosen) + (item,))
+            gain = value - current
+            if gain > best_gain:
+                best_gain, best_item, best_value = gain, item, value
+        chosen.append(best_item)
+        gains.append(best_gain)
+        values.append(best_value)
+        current = best_value
+    return GreedyTrace(chosen=chosen, gains=np.array(gains), values=np.array(values))
 
 
 def greedy_uniform(f, ground, n_pick: int) -> GreedyTrace:
@@ -44,43 +57,16 @@ def greedy_uniform(f, ground, n_pick: int) -> GreedyTrace:
     items = list(ground)
     if not 0 <= n_pick <= len(items):
         raise ValueError(f"cannot pick {n_pick} of {len(items)} elements")
-    chosen: list = []
-    gains, values = [], []
-    current = float(f(()))
-    for _ in range(n_pick):
-        rest = [it for it in items if it not in chosen]
-        item, gain, value = _best_marginal(f, chosen, current, rest)
-        chosen.append(item)
-        gains.append(gain)
-        values.append(value)
-        current = value
-    return GreedyTrace(chosen=chosen, gains=np.array(gains), values=np.array(values))
+    return _greedy(f, lambda chosen: ([it for it in items if it not in chosen]
+                                      for _ in range(n_pick)))
 
 
-def greedy_partition(f, blocks, order=None) -> GreedyTrace:
-    """Sequential greedy picking one element per block.
-
-    Blocks are visited in ascending index order unless ``order`` names a
-    different visiting permutation.
-    """
+def greedy_partition(f, blocks) -> GreedyTrace:
+    """Sequential greedy picking one element per block, blocks in index order."""
     blocks = [list(b) for b in blocks]
     if any(len(b) == 0 for b in blocks):
         raise ValueError("every block needs at least one element")
-    if order is None:
-        order = range(len(blocks))
-    order = list(order)
-    if sorted(order) != list(range(len(blocks))):
-        raise ValueError("order must permute the block indices")
-    chosen: list = []
-    gains, values = [], []
-    current = float(f(()))
-    for i in order:
-        item, gain, value = _best_marginal(f, chosen, current, blocks[i])
-        chosen.append(item)
-        gains.append(gain)
-        values.append(value)
-        current = value
-    return GreedyTrace(chosen=chosen, gains=np.array(gains), values=np.array(values))
+    return _greedy(f, lambda chosen: blocks)
 
 
 def _as_cloud(points) -> np.ndarray:
@@ -96,30 +82,22 @@ def _check_d_max(d_max) -> None:
         raise ValueError("d_max must be a positive finite distance")
 
 
-def exemplar_utility(chosen, data, d_max: float, dist=None) -> float:
+def exemplar_utility(chosen, data, d_max: float) -> float:
     """Drop in summed data-to-nearest-exemplar distance versus a phantom.
 
-    Every data point starts at distance ``d_max`` (the phantom exemplar);
-    adding real exemplars can only shrink its nearest distance, so the
-    utility is monotone and submodular. ``dist`` defaults to Euclidean;
-    a callable ``dist(exemplar, data_point)`` overrides it.
+    Every data point starts at Euclidean distance ``d_max`` (the phantom
+    exemplar); adding real exemplars can only shrink its nearest distance,
+    so the utility is monotone and submodular.
     """
     _check_d_max(d_max)
     data = _as_cloud(data)
-    if len(data) == 0:
+    if len(data) == 0 or len(chosen) == 0:
         return 0.0
-    chosen = _as_cloud(chosen) if len(chosen) else np.empty((0, data.shape[1]))
-    if len(chosen) == 0:
-        return 0.0
-    if dist is None:
-        dmat = cdist(data, chosen)
-    else:
-        dmat = np.array([[float(dist(p, d)) for p in chosen] for d in data])
-    nearest = np.minimum(dmat.min(axis=1), d_max)
+    nearest = np.minimum(cdist(data, _as_cloud(chosen)).min(axis=1), d_max)
     return float(np.sum(d_max - nearest))
 
 
-def exemplar_utility_fn(candidates, data, d_max: float, dist=None):
+def exemplar_utility_fn(candidates, data, d_max: float):
     """Index-subset evaluator over candidate exemplars, for the greedy drivers."""
     _check_d_max(d_max)
     candidates = _as_cloud(candidates)
@@ -128,6 +106,6 @@ def exemplar_utility_fn(candidates, data, d_max: float, dist=None):
         idx = list(index_subset)
         if not idx:
             return 0.0
-        return exemplar_utility(candidates[idx], data, d_max, dist)
+        return exemplar_utility(candidates[idx], data, d_max)
 
     return f

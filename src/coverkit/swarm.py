@@ -66,21 +66,19 @@ class SwarmState:
         return len(self.positions)
 
 
-def systematic_resample(weights, n: int, offset: float = 0.5) -> np.ndarray:
-    """Stratified index draw: n marks at (i + offset)/n against the weight CDF.
+def systematic_resample(weights, n: int) -> np.ndarray:
+    """Stratified index draw: n marks at (i + 1/2)/n against the weight CDF.
 
     With uniform weights and n equal to the atom count every atom is drawn
-    exactly once. The offset is fixed by default so repeated draws agree.
+    exactly once. The offset is fixed, so repeated draws agree.
     """
     w = np.asarray(weights, dtype=float)
     if n < 1:
         raise ValueError("need at least one draw")
-    if not 0.0 <= offset < 1.0:
-        raise ValueError("offset must lie in [0, 1)")
     total = w.sum()
     if total <= 0:
         raise ValueError("total weight must be positive")
-    marks = (np.arange(n) + offset) / n
+    marks = (np.arange(n) + 0.5) / n
     idx = np.searchsorted(np.cumsum(w / total), marks, side="left")
     return np.minimum(idx, len(w) - 1)
 

@@ -17,18 +17,15 @@ instead. Either way each iteration is the same update as the plain log-domain
 solver's, so iteration counts and results match it to rounding. K and the
 final plan are each built in one array, operation by operation in place.
 
-A debiased distance needs three independent solves: the cross coupling and
-the two self-couplings. When the process may run on more than one CPU and
-the instance has at least CONCURRENT_PAIRS cost entries, the two
-self-solves run one after the other on a single worker thread, under the
-caller's numpy error settings, while the calling thread runs the cross
-solve; numpy's BLAS and elementwise loops release the interpreter lock, so
-the two overlap. The value is then combined in the serial order, so it is
-the same to the bit.
+The debiased distance needs three independent solves: the cross coupling
+and the two self-couplings. The two self-solves run one after the other on
+a single worker thread, under the caller's numpy error settings, while the
+calling thread runs the cross solve; numpy's BLAS and elementwise loops
+release the interpreter lock, so on a second CPU the two overlap. The value
+is then combined in the serial order, so it is the same to the bit.
 """
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -45,12 +42,6 @@ SIZE_LIMIT = 4_000_000
 # |log u| or |log v| beyond which the Sinkhorn scalings are folded into the
 # potentials: keeps K @ (b * v) far from overflow and underflow
 ABSORB_LOG = 50.0
-# cost-matrix entries from which wasserstein_sinkhorn runs its two debiasing
-# self-solves on a worker thread beside the cross solve (given a second CPU).
-# Measured at two sizes only, on a 2-CPU host: 600 x 576 ran faster on two
-# threads, 450 x 450 did not (within noise). The serial side is unverified:
-# no benchmark workload runs Sinkhorn below this size.
-CONCURRENT_PAIRS = 250_000
 
 
 @dataclass
@@ -299,18 +290,9 @@ def self_transport_cost(points: np.ndarray, weights: np.ndarray, p=2,
     return sharp
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks (macOS, Windows)
-        return os.cpu_count() or 1
-
-
 def wasserstein_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2,
                          epsilon: float | None = None, max_iters: int = 5000,
-                         tol: float = 1e-4, anneal: bool = True,
-                         debias: bool = True):
+                         tol: float = 1e-4, anneal: bool = True):
     """Entropic approximation of W_p with annealed temperature.
 
     tol is the stopping residual on the unrounded row marginals; the rounding
@@ -330,31 +312,24 @@ def wasserstein_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2,
         epsilon = 0.05 * float(np.median(cost))
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if debias and cost.size >= CONCURRENT_PAIRS and _usable_cpus() > 1:
-        # one worker runs the two self-solves in turn while this thread runs
-        # the cross solve; leaving the block waits for the worker either way
-        errors = np.geterr()  # per thread on numpy 1.x, per context on 2.x
+    # one worker runs the two self-solves in turn while this thread runs the
+    # cross solve; leaving the block waits for the worker either way
+    errors = np.geterr()  # per thread on numpy 1.x, per context on 2.x
 
-        def solve_self(points, weights):
-            with np.errstate(**errors):
-                return self_transport_cost(points, weights, p, epsilon,
-                                           max_iters, tol, anneal)
+    def solve_self(points, weights):
+        with np.errstate(**errors):
+            return self_transport_cost(points, weights, p, epsilon,
+                                       max_iters, tol, anneal)
 
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            self_a = pool.submit(solve_self, pa, wa)
-            self_b = pool.submit(solve_self, pb, wb)
-            try:
-                plan, raw, iters, resid = _solve_coupling_cost(cost, wa, wb, epsilon,
-                                                               max_iters, tol, anneal)
-                raw = raw - 0.5 * self_a.result() - 0.5 * self_b.result()
-            finally:
-                self_b.cancel()
-    else:
-        plan, raw, iters, resid = _solve_coupling_cost(cost, wa, wb, epsilon,
-                                                       max_iters, tol, anneal)
-        if debias:
-            raw = raw - 0.5 * self_transport_cost(pa, wa, p, epsilon, max_iters, tol, anneal) \
-                      - 0.5 * self_transport_cost(pb, wb, p, epsilon, max_iters, tol, anneal)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        self_a = pool.submit(solve_self, pa, wa)
+        self_b = pool.submit(solve_self, pb, wb)
+        try:
+            plan, raw, iters, resid = _solve_coupling_cost(cost, wa, wb, epsilon,
+                                                           max_iters, tol, anneal)
+            raw = raw - 0.5 * self_a.result() - 0.5 * self_b.result()
+        finally:
+            self_b.cancel()
     value = max(raw, 0.0) ** (1.0 / p)
     full = _embed(plan, ia, ib, len(mu), len(nu))
     return value, TransportPlan(full, mu, nu, value, p, epsilon, iters, resid)

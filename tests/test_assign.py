@@ -333,14 +333,6 @@ def test_kld_cost_principal_axis_alignment():
         assert gap <= 2.0 * np.pi / 360 + 1e-12
 
 
-def test_kld_cost_weight_hook():
-    model = GaussianService(np.diag([4.0, 1.0]), orientations=(np.pi / 2,))
-    base, _ = kld_cost(model, [0.5, 0.5], np.diag([4.0, 1.0]))
-    scaled, _ = kld_cost(model, [0.5, 0.5], np.diag([4.0, 1.0]),
-                         component_weight=0.3, weight_fn=lambda w: w)
-    assert scaled == pytest.approx(0.3 * base, rel=1e-12)
-
-
 def test_kld_cost_accepts_disk_services():
     # A disk of radius r stands in for the Gaussian whose 3-sigma circle
     # matches it, so a component with covariance (r/3)^2 I is a free match.

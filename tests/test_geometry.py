@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -465,6 +467,21 @@ def test_power_partition_tiles_and_matches_grid_oracle():
 def test_power_rejects_negative_radius():
     with pytest.raises(ValueError):
         power_cells(unit_square(), [[0.3, 0.5], [0.7, 0.5]], [0.1, -0.2])
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, 1e200, 1.3e154],
+                         ids=["nan", "inf", "-inf", "1e200", "1.3e154"])
+def test_power_rejects_radius_whose_square_over_eps_is_not_finite(radius):
+    # NaN once gave None for every cell, inf gave one site the whole square,
+    # and 1e200 and 1.3e154 overflowed in numpy (a RuntimeWarning)
+    sites = [[0.2, 0.5], [0.5, 0.5], [0.8, 0.5]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="power radii"):
+            power_cells(unit_square(), sites, [radius, 0.1, 0.0])
+        # the largest radii the rule admits still give a diagram without a warning
+        cells = power_cells(unit_square(), sites, [4e149, 0.1, 0.0])
+    assert cells[0].area == pytest.approx(1.0) and cells[1:] == [None, None]
 
 
 # ------------------------------------------------- lifted-hull power cells

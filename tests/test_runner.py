@@ -561,6 +561,41 @@ def test_every_non_finite_number_is_named_and_refused(tmp_path, scenario):
             assert not (tmp_path / "results").exists()
 
 
+def all_nodes(node, keys=()):
+    """Key paths of every value below a parsed YAML node, lists and mappings too."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, value in children:
+        yield keys + (key,)
+        yield from all_nodes(value, keys + (key,))
+
+
+@pytest.mark.parametrize("scenario", SHIPPED)
+def test_every_node_of_the_wrong_type_is_refused_without_a_crash(tmp_path, monkeypatch,
+                                                                 scenario):
+    # a list or mapping as a service kind once raised TypeError: unhashable type
+    from tests.conftest import REPO_ROOT
+
+    base = yaml.safe_load((REPO_ROOT / "scenarios" / scenario).read_text())
+    if "path" in base["density"]:
+        base["density"]["path"] = str(REPO_ROOT / "scenarios" / base["density"]["path"])
+    monkeypatch.chdir(tmp_path)  # a relative out lands here too
+    nodes = list(all_nodes(base))
+    assert nodes
+    for keys in nodes:
+        for bad in ([], {}, True, "x"):
+            cfg = copy.deepcopy(base)
+            node = cfg
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = bad
+            path = write_cfg(tmp_path, cfg)
+            report = validate(path)
+            if not report.ok:
+                assert run(path) == EXIT_CONFIG, (keys, bad)
+                assert list(tmp_path.iterdir()) == [path], (keys, bad)
+
+
 @pytest.mark.parametrize("cfg", [poi_cfg(samples=3), poi_cfg(samples=3, method="gmm"),
                                  submodular_cfg(samples=3)],
                          ids=["kmeans", "gmm", "submodular"])

@@ -178,22 +178,10 @@ def test_partition_greedy_meets_half_ratio():
         assert trace.values[-1] >= 0.5 * opt - GAIN_SLACK
 
 
-def test_partition_visit_order_is_a_knob():
-    f, blocks = partitioned_exemplar_instance(4)
-    forward = greedy_partition(f, blocks)
-    backward = greedy_partition(f, blocks, order=[2, 1, 0])
-    assert [key[0] for key in backward.chosen] == [2, 1, 0]
-    # Both orders obey the same matroid even if the picks differ.
-    assert sorted(key[0] for key in backward.chosen) == [0, 1, 2]
-    assert sorted(key[0] for key in forward.chosen) == [0, 1, 2]
-
-
 def test_partition_validation():
     f = modular_fn([1.0])
     with pytest.raises(ValueError):
         greedy_partition(f, [[0], []])
-    with pytest.raises(ValueError):
-        greedy_partition(f, [[0], [0]], order=[0, 0])
 
 
 # ----------------------------------------------------- exemplar utility
@@ -223,16 +211,6 @@ def test_exemplar_utility_matches_loop_oracle():
         chosen = rng.uniform(-3.0, 3.0, size=rng.integers(1, 5))
         got = exemplar_utility(chosen, data, d_max=10.0)
         assert got == pytest.approx(exemplar_oracle(chosen, data, 10.0), abs=1e-10)
-
-
-def test_exemplar_utility_custom_metric():
-    def manhattan(p, d):
-        return float(np.sum(np.abs(np.asarray(p) - np.asarray(d))))
-
-    chosen = np.array([[0.0, 0.0]])
-    data = np.array([[1.0, 2.0], [0.5, 0.5]])
-    got = exemplar_utility(chosen, data, d_max=10.0, dist=manhattan)
-    assert got == pytest.approx((10.0 - 3.0) + (10.0 - 1.0), abs=1e-12)
 
 
 def test_exemplar_phantom_caps_far_points():

@@ -59,8 +59,6 @@ def test_systematic_resample_validation():
     with pytest.raises(ValueError):
         systematic_resample([1.0], 0)
     with pytest.raises(ValueError):
-        systematic_resample([1.0], 3, offset=1.0)
-    with pytest.raises(ValueError):
         systematic_resample([0.0, 0.0], 3)
 
 

@@ -234,9 +234,13 @@ def test_sinkhorn_no_convergence():
 
 
 def _recording(stage, log):
+    """Record each stage's iteration count under "main" (the calling thread)
+    or "worker" (the debiasing thread), in call order."""
+    main = threading.get_ident()
+
     def recorded(*args):
         out = stage(*args)
-        log.append(out[2])
+        log.setdefault("main" if threading.get_ident() == main else "worker", []).append(out[2])
         return out
     return recorded
 
@@ -273,7 +277,7 @@ def _oracle_instance(name):
 def test_stabilized_sinkhorn_matches_log_domain_oracle(monkeypatch, name):
     cost, a, b, mu, nu, kw = _oracle_instance(name)
     args = (cost, a, b, kw["epsilon"], kw["max_iters"], kw["tol"], kw["anneal"])
-    kernels, fallbacks, stages, oracle_stages = [], [], [], []
+    kernels, fallbacks, stages, oracle_stages = [], [], {}, {}
     monkeypatch.setattr(transport, "_gibbs_kernel",
                         _counting(transport._gibbs_kernel, kernels))
     monkeypatch.setattr(transport, "_logsumexp", _counting(transport._logsumexp, fallbacks))
@@ -287,12 +291,16 @@ def test_stabilized_sinkhorn_matches_log_domain_oracle(monkeypatch, name):
     oracle_value, _ = wasserstein_sinkhorn(mu, nu, p=2, **kw)
 
     n_stages = len(transport._anneal_schedule(cost, kw["epsilon"], kw["anneal"]))
-    assert stages == oracle_stages  # per-stage iteration counts, all four solves
-    assert iters == oracle_iters == sum(stages[:n_stages])
+    # per-stage iteration counts of all four solves: the two cross solves on
+    # this thread, the two debiasing self-solves in turn on the worker
+    assert stages == oracle_stages
+    assert len(stages["main"]) == 2 * n_stages
+    assert iters == oracle_iters == sum(stages["main"][:n_stages])
+    assert tplan.iterations == sum(stages["main"][n_stages:])
     assert resid <= kw["tol"]
     assert not fallbacks
     if name == "absorbing":  # kernels rebuilt by absorption alone
-        assert len(kernels) > len(stages)
+        assert len(kernels) > len(stages["main"]) + len(stages["worker"])
     assert np.abs(plan - oracle_plan).sum() <= 1e-9  # plans carry unit mass
     assert abs(sharp - oracle_sharp) <= 1e-9 * oracle_sharp
     assert abs(value - oracle_value) <= 1e-9 * oracle_value
@@ -355,18 +363,15 @@ def test_sinkhorn_epsilon_validation():
         wasserstein_sinkhorn(mu, mu, p=2, epsilon=0.0)
 
 
-def _concurrent_instance(monkeypatch):
-    """A pair of measures large enough for the concurrent debiasing route,
-    taken as on a 2-CPU process whatever the host has."""
-    monkeypatch.setattr(transport, "_usable_cpus", lambda: 2)
+def _concurrent_instance():
+    """A pair of measures with 260,000 cost entries, near the swarm demo's 345,600."""
     rng = np.random.default_rng(15)
-    mu, nu = rand_measure(rng, 520), rand_measure(rng, 500)
-    assert len(mu) * len(nu) >= transport.CONCURRENT_PAIRS
-    return mu, nu
+    return rand_measure(rng, 520), rand_measure(rng, 500)
 
 
-def test_concurrent_debiasing_equals_the_serial_sum(monkeypatch):
-    mu, nu = _concurrent_instance(monkeypatch)
+def _recording_self_solves(monkeypatch):
+    """Patch self_transport_cost to note the thread and the numpy error
+    settings of each call; returns (threads, settings, original)."""
     threads, settings = [], []
     solve_self = transport.self_transport_cost
 
@@ -376,6 +381,12 @@ def test_concurrent_debiasing_equals_the_serial_sum(monkeypatch):
         return solve_self(*args)
 
     monkeypatch.setattr(transport, "self_transport_cost", recorded)
+    return threads, settings, solve_self
+
+
+def test_concurrent_debiasing_equals_the_serial_sum(monkeypatch):
+    mu, nu = _concurrent_instance()
+    threads, settings, solve_self = _recording_self_solves(monkeypatch)
     before = threading.active_count()
     with np.errstate(divide="raise", invalid="raise"):  # the worker gets these too
         value, plan = wasserstein_sinkhorn(mu, nu, p=2)
@@ -394,20 +405,28 @@ def test_concurrent_debiasing_equals_the_serial_sum(monkeypatch):
     np.testing.assert_array_equal(plan.coupling, cross)
     assert (plan.iterations, plan.residual) == (iters, resid)
 
-    # below the size threshold, and on one CPU, the self-solves run here
-    with monkeypatch.context() as m:
-        m.setattr(transport, "CONCURRENT_PAIRS", len(mu) * len(nu) + 1)
-        serial, serial_plan = wasserstein_sinkhorn(mu, nu, p=2)
-    assert serial == value
-    np.testing.assert_array_equal(serial_plan.coupling, plan.coupling)
-    monkeypatch.setattr(transport, "_usable_cpus", lambda: 1)
-    assert wasserstein_sinkhorn(mu, nu, p=2)[0] == value
-    assert len(threads) == 6 and threads[2:] == [threading.get_ident()] * 4
+
+def test_small_instance_debiases_on_the_worker_thread(monkeypatch):
+    # 144 pairs: every instance takes the worker route, however small
+    rng = np.random.default_rng(16)
+    mu, nu = rand_measure(rng, 12), rand_measure(rng, 12)
+    threads, _, solve_self = _recording_self_solves(monkeypatch)
+    before = threading.active_count()
+    value, _ = wasserstein_sinkhorn(mu, nu, p=2, epsilon=0.01)
+    assert threading.active_count() == before
+    assert len(threads) == 2 and threading.get_ident() not in threads
+
+    cost = transport._cost_power(mu.points, nu.points, 2)
+    _, raw, _, _ = transport._solve_coupling_cost(cost, mu.weights, nu.weights, 0.01,
+                                                  5000, 1e-4, True)
+    raw = raw - 0.5 * solve_self(mu.points, mu.weights, 2, 0.01) \
+              - 0.5 * solve_self(nu.points, nu.weights, 2, 0.01)
+    assert value == max(raw, 0.0) ** 0.5
 
 
 @pytest.mark.parametrize("failing", [0, 1])
 def test_concurrent_self_solve_failure_reaches_the_caller(monkeypatch, failing):
-    mu, nu = _concurrent_instance(monkeypatch)
+    mu, nu = _concurrent_instance()
     calls = []
     solve_self = transport.self_transport_cost
 
@@ -424,8 +443,8 @@ def test_concurrent_self_solve_failure_reaches_the_caller(monkeypatch, failing):
     assert threading.active_count() == before
 
 
-def test_concurrent_cross_solve_failure_reaches_the_caller(monkeypatch):
-    mu, nu = _concurrent_instance(monkeypatch)
+def test_concurrent_cross_solve_failure_reaches_the_caller():
+    mu, nu = _concurrent_instance()
     before = threading.active_count()
     with pytest.raises(NoConvergence):
         wasserstein_sinkhorn(mu, nu, p=2, epsilon=1e-6, max_iters=3, anneal=False)
