@@ -49,7 +49,7 @@ from .errors import (
     SizeLimit,
 )
 from .geometry import ConvexPolygon, power_cells
-from .poi import GmmFit, KMeansResult, PoiSet, gmm_em, kmeans, svgd
+from .poi import GmmFit, KMeansResult, gmm_em, kmeans, svgd
 from .render import render_scene
 from .submod import (
     GreedyTrace,
@@ -98,7 +98,6 @@ __all__ = [
     "NonFiniteCost",
     "NonMonotoneDescent",
     "Partition",
-    "PoiSet",
     "SiteOutsideWorkspace",
     "SizeLimit",
     "SwarmRun",

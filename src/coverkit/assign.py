@@ -180,6 +180,8 @@ def gaussian_kl(mean0, cov0, mean1, cov1) -> float:
     mean1 = np.asarray(mean1, dtype=float).reshape(2)
     cov0 = np.asarray(cov0, dtype=float).reshape(2, 2)
     cov1 = np.asarray(cov1, dtype=float).reshape(2, 2)
+    if not (np.isfinite(mean0).all() and np.isfinite(mean1).all()):
+        raise ValueError("means must be finite")
     chol0 = spd_cholesky(cov0)
     chol1 = spd_cholesky(cov1)
     inv1 = np.linalg.inv(cov1)
@@ -205,6 +207,19 @@ def kld_cost(model, component_mean, component_cov):
     return best_cost, best_theta
 
 
+def _check_table(values: np.ndarray) -> None:
+    """ValueError unless two-dimensional, InfeasibleShape for more agents
+    (rows) than points of interest (columns), NonFiniteCost for NaN or inf."""
+    if values.ndim != 2:
+        raise ValueError("cost matrix must be two-dimensional")
+    rows, cols = values.shape
+    if rows > cols:
+        raise InfeasibleShape(
+            f"{rows} agents need at least {rows} points of interest, got {cols}")
+    if not np.isfinite(values).all():
+        raise NonFiniteCost("cost matrix entries must be finite")
+
+
 @dataclass
 class CostMatrix:
     """Agent-by-poi deployment prices plus the best orientation per entry."""
@@ -215,16 +230,9 @@ class CostMatrix:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         self.theta_star = np.asarray(self.theta_star, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError("cost matrix must be two-dimensional")
         if self.theta_star.shape != self.values.shape:
             raise ValueError("orientation table must match the cost matrix shape")
-        if not np.all(np.isfinite(self.values)):
-            raise NonFiniteCost("cost matrix entries must be finite")
-        rows, cols = self.values.shape
-        if rows > cols:
-            raise InfeasibleShape(
-                f"{rows} agents need at least {rows} points of interest, got {cols}")
+        _check_table(self.values)
 
     def to_csv(self, path) -> None:
         rows, cols = self.values.shape
@@ -265,14 +273,7 @@ class AssignmentResult:
 def solve_assignment(cost) -> AssignmentResult:
     """Exact minimum-cost matching of agents (rows) to pois (columns)."""
     values = cost.values if isinstance(cost, CostMatrix) else np.asarray(cost, dtype=float)
-    if values.ndim != 2:
-        raise ValueError("cost matrix must be two-dimensional")
-    rows, cols = values.shape
-    if rows > cols:
-        raise InfeasibleShape(
-            f"{rows} agents need at least {rows} points of interest, got {cols}")
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteCost("cost matrix entries must be finite")
+    _check_table(values)
     row_idx, col_idx = linear_sum_assignment(values)
     matrix = np.zeros(values.shape, dtype=int)
     matrix[row_idx, col_idx] = 1

@@ -30,13 +30,14 @@ log = logging.getLogger(__name__)
 _STARVED_LOGGED = 10
 
 
-def _checked(positions, radii, tol: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def _checked(positions, radii, tol: float = 1.0,
+             relax: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Float copies of positions and radii (zeros for None).
 
     ValueError for positions that are not (n, 2), radii that break
     geometry.check_radii, a radius count that differs from the position
-    count, and a tol (only run_descent has one) that is not finite and
-    positive.
+    count, a tol (only run_descent has one) that is not finite and
+    positive, and a relax that is not finite.
     """
     pos = np.atleast_2d(np.array(positions, dtype=float))
     if pos.ndim != 2 or pos.shape[1] != 2:
@@ -46,6 +47,8 @@ def _checked(positions, radii, tol: float = 1.0) -> tuple[np.ndarray, np.ndarray
         raise ValueError(f"{len(pos)} positions but {len(rho)} radii")
     if not (0.0 < tol < math.inf):
         raise ValueError("tol must be finite and positive")
+    if not math.isfinite(relax):
+        raise ValueError("relax must be finite")
     return pos, rho
 
 
@@ -89,7 +92,7 @@ def lloyd_step(phi: DensityField, positions, radii=None, relax: float = 1.0,
     Returns (new positions, partition at the input positions). Generators
     whose cell is dominated or carries no mass hold position.
     """
-    pos, rho = _checked(positions, radii)
+    pos, rho = _checked(positions, radii, relax=relax)
     partition = build_partition(phi, pos, rho, levels)
     if partition.starved:
         log.warning("%d agents hold position (empty or mass-starved cell), first %s",
@@ -144,7 +147,7 @@ def run_descent(phi: DensityField, positions, radii=None, max_iters: int = 200,
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    current, rho = _checked(positions, radii, tol)
+    current, rho = _checked(positions, radii, tol, relax)
     trajectory = []
     starved = []
     converged = False

@@ -129,8 +129,10 @@ class DiscreteMeasure:
         w = np.asarray(self.weights, dtype=float)
         if len(w) != len(self.points):
             raise InvalidDensity("one weight per point required")
-        if (w < 0).any():
-            raise InvalidDensity("weights must be nonnegative")
+        if not np.isfinite(self.points).all():
+            raise InvalidDensity("points must be finite")
+        if not (np.isfinite(w).all() and (w >= 0).all()):
+            raise InvalidDensity("weights must be finite and nonnegative")
         total = w.sum()
         if total <= 0:
             raise InvalidDensity("total weight must be positive")

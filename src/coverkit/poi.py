@@ -1,15 +1,17 @@
 """Point-of-interest extraction: k-means, Gaussian-mixture EM, Stein descent.
 
-All three routes are seed-deterministic. K-means and EM work on point
-clouds; the Stein sampler works directly on a density field and spreads
-its particles either by the usual median heuristic or at a fixed service
-footprint scale.
+All three routes are seed-deterministic and refuse NaN or inf input with
+ValueError. K-means and EM work on point clouds; the Stein sampler works
+directly on a density field and spreads its particles either by the usual
+median heuristic or at a fixed service footprint scale. The extracted
+points come back as plain (n, 2) arrays.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
@@ -27,35 +29,9 @@ def _as_points(data) -> np.ndarray:
         raise ValueError("expected an (n, 2) array of points")
     if len(pts) == 0:
         raise ValueError("point cloud is empty")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     return pts
-
-
-@dataclass
-class PoiSet:
-    """Extracted points of interest plus a record of how they were made.
-
-    ``provenance`` is a plain dict with at least a ``method`` key; the
-    extraction routines add their own parameters (cluster count, mixture
-    weights and covariances, particle bandwidth). When a workspace is
-    supplied every point must lie inside it.
-    """
-
-    points: np.ndarray
-    provenance: dict = field(default_factory=dict)
-    workspace: ConvexPolygon | None = None
-
-    def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if self.points.ndim != 2 or self.points.shape[1] != 2:
-            raise ValueError("points must form an (n, 2) array")
-        check_sites(self.points, self.workspace)
-
-    def __len__(self):
-        return len(self.points)
-
-
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return cdist(a, b, "sqeuclidean")
 
 
 def _kmeans_pp(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -76,7 +52,7 @@ def _kmeans_pp(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass
 class KMeansResult:
-    pois: PoiSet
+    centers: np.ndarray
     labels: np.ndarray
     inertia: float
     inertia_trace: np.ndarray
@@ -84,13 +60,13 @@ class KMeansResult:
 
 
 def kmeans(data, k: int, seed: int = 0, max_iters: int = 100,
-           init_centers=None, workspace: ConvexPolygon | None = None) -> KMeansResult:
+           workspace: ConvexPolygon | None = None) -> KMeansResult:
     """Lloyd's k-means with seeded k-means++ initialization.
 
     Runs assign/update sweeps until the labeling stops changing or the
     iteration cap is hit. An empty cluster is re-seeded at the point
-    currently farthest from its own center (logged). ``init_centers``
-    skips the k-means++ stage for warm starts.
+    currently farthest from its own center (logged). The (k, 2) centers
+    pass geometry.check_sites, against ``workspace`` when one is given.
     """
     pts = _as_points(data)
     if k < 1:
@@ -99,19 +75,13 @@ def kmeans(data, k: int, seed: int = 0, max_iters: int = 100,
         raise ValueError(f"cannot fill {k} clusters from {len(pts)} points")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    if init_centers is not None:
-        centers = np.asarray(init_centers, dtype=float).copy()
-        if centers.shape != (k, 2):
-            raise ValueError(f"init_centers must have shape ({k}, 2)")
-    else:
-        rng = np.random.default_rng(seed)
-        centers = _kmeans_pp(pts, k, rng)
+    centers = _kmeans_pp(pts, k, np.random.default_rng(seed))
 
     labels = np.full(len(pts), -1)
     trace = []
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        d2 = _sq_dists(pts, centers)
+        d2 = cdist(pts, centers, "sqeuclidean")
         new_labels = d2.argmin(axis=1)
         own = d2[np.arange(len(pts)), new_labels]
         trace.append(float(own.sum()))
@@ -129,11 +99,11 @@ def kmeans(data, k: int, seed: int = 0, max_iters: int = 100,
                 labels[worst] = j
                 own[worst] = 0.0
 
-    d2 = _sq_dists(pts, centers)
+    d2 = cdist(pts, centers, "sqeuclidean")
     labels = d2.argmin(axis=1)
     inertia = float(d2[np.arange(len(pts)), labels].sum())
-    pois = PoiSet(centers, {"method": "kmeans", "k": k}, workspace)
-    return KMeansResult(pois=pois, labels=labels, inertia=inertia,
+    check_sites(centers, workspace)
+    return KMeansResult(centers=centers, labels=labels, inertia=inertia,
                         inertia_trace=np.array(trace), iterations=iterations)
 
 
@@ -149,7 +119,6 @@ def _log_gauss(pts: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray
 
 @dataclass
 class GmmFit:
-    pois: PoiSet
     weights: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
@@ -158,7 +127,7 @@ class GmmFit:
 
 
 def gmm_em(data, n_components: int, seed: int = 0, max_iters: int = 200,
-           reg: float = 1e-6, tol: float = 1e-8, init_means=None,
+           reg: float = 1e-6, tol: float = 1e-8,
            workspace: ConvexPolygon | None = None) -> GmmFit:
     """Fit a Gaussian mixture by EM, initialized from k-means.
 
@@ -166,7 +135,8 @@ def gmm_em(data, n_components: int, seed: int = 0, max_iters: int = 200,
     log-likelihood trace is non-decreasing up to float noise; iteration
     stops once the gain drops below ``tol`` or the cap is reached. A
     component whose responsibility mass collapses below 1e-10 is
-    re-seeded at the worst-covered data point (logged).
+    re-seeded at the worst-covered data point (logged). The means pass
+    geometry.check_sites like k-means centers.
     """
     pts = _as_points(data)
     n = len(pts)
@@ -179,25 +149,18 @@ def gmm_em(data, n_components: int, seed: int = 0, max_iters: int = 200,
     ridge = reg * np.eye(2)
     global_cov = np.cov(pts.T, bias=True).reshape(2, 2) + ridge
 
-    if init_means is not None:
-        means = np.asarray(init_means, dtype=float).copy()
-        if means.shape != (n_components, 2):
-            raise ValueError(f"init_means must have shape ({n_components}, 2)")
-        weights = np.full(n_components, 1.0 / n_components)
-        covs = np.repeat(global_cov[None, :, :], n_components, axis=0)
-    else:
-        warm = kmeans(pts, n_components, seed=seed, max_iters=50)
-        means = warm.pois.points.copy()
-        weights = np.empty(n_components)
-        covs = np.empty((n_components, 2, 2))
-        for j in range(n_components):
-            mask = warm.labels == j
-            weights[j] = max(mask.sum(), 1) / n
-            if mask.sum() > 0:
-                covs[j] = np.cov(pts[mask].T, bias=True).reshape(2, 2) + ridge
-            else:
-                covs[j] = global_cov
-        weights = weights / weights.sum()
+    warm = kmeans(pts, n_components, seed=seed, max_iters=50)
+    means = warm.centers
+    weights = np.empty(n_components)
+    covs = np.empty((n_components, 2, 2))
+    for j in range(n_components):
+        mask = warm.labels == j
+        weights[j] = max(mask.sum(), 1) / n
+        if mask.sum() > 0:
+            covs[j] = np.cov(pts[mask].T, bias=True).reshape(2, 2) + ridge
+        else:
+            covs[j] = global_cov
+    weights = weights / weights.sum()
 
     trace = []
     iterations = 0
@@ -235,29 +198,24 @@ def gmm_em(data, n_components: int, seed: int = 0, max_iters: int = 200,
         if len(trace) > 1 and trace[-1] - trace[-2] < tol:
             break
 
-    pois = PoiSet(means, {"method": "gmm", "n_components": n_components,
-                          "weights": weights.copy(), "covariances": covs.copy()},
-                  workspace)
-    return GmmFit(pois=pois, weights=weights, means=means, covariances=covs,
+    check_sites(means, workspace)
+    return GmmFit(weights=weights, means=means, covariances=covs,
                   log_likelihoods=np.array(trace), iterations=iterations)
 
 
 def _bandwidth(x: np.ndarray, policy, floor: float) -> float:
+    """RBF bandwidth: the median heuristic for "median", else r^2 for a radius r."""
     if isinstance(policy, str):
-        if policy != "median":
-            raise ValueError(f"unknown bandwidth policy {policy!r}")
         if len(x) < 2:
             return 1.0
         h = float(np.median(pdist(x, "sqeuclidean"))) / np.log(len(x))
         return max(h, floor)
     r = float(policy)
-    if r <= 0.0:
-        raise ValueError("footprint radius must be positive")
     return r * r
 
 
 def svgd(phi: DensityField, n_particles: int, bandwidth_policy="median",
-         step: float | None = None, iters: int = 500, seed: int = 0) -> PoiSet:
+         step: float | None = None, iters: int = 500, seed: int = 0) -> np.ndarray:
     """Stein variational descent of ``n_particles`` on a density field.
 
     Each sweep moves every particle along the kernel-averaged density
@@ -266,16 +224,21 @@ def svgd(phi: DensityField, n_particles: int, bandwidth_policy="median",
     median heuristic, or a positive number r to pin the spread at a
     service footprint scale (h = r^2). After every sweep, particles are
     projected back into the workspace and merged ones nudged apart
-    (``geometry.project_into``, then ``geometry.separate``).
+    (``geometry.project_into``, then ``geometry.separate``). The returned
+    (n_particles, 2) positions pass geometry.check_sites.
     """
     if n_particles < 1:
         raise ValueError("need at least one particle")
     if iters < 0:
         raise ValueError("iters must be nonnegative")
+    if isinstance(bandwidth_policy, str) and bandwidth_policy != "median":
+        raise ValueError(f"unknown bandwidth policy {bandwidth_policy!r}")
+    if not isinstance(bandwidth_policy, str) and not 0.0 < float(bandwidth_policy) < math.inf:
+        raise ValueError("footprint radius must be finite and positive")
     if step is None:
         step = 0.05 * phi.workspace.diameter ** 2
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise ValueError("step must be finite and positive")
     floor = 1e-12 * phi.workspace.diameter ** 2
 
     x = phi.sample(n_particles, seed)
@@ -285,7 +248,7 @@ def svgd(phi: DensityField, n_particles: int, bandwidth_policy="median",
         grad = phi.grad_log(x)
         if grad.ndim == 1:
             grad = grad[None, :]
-        kernel = np.exp(-_sq_dists(x, x) / h)
+        kernel = np.exp(-cdist(x, x, "sqeuclidean") / h)
         ksum = kernel.sum(axis=1)
         drive = kernel @ grad
         repel = (2.0 / h) * (x * ksum[:, None] - kernel @ x)
@@ -298,8 +261,5 @@ def svgd(phi: DensityField, n_particles: int, bandwidth_policy="median",
         shift = float(np.linalg.norm(separated - x, axis=1).mean())
         x = separated
     log.debug("stein descent finished: mean particle shift %.3g on last sweep", shift)
-
-    h = _bandwidth(x, bandwidth_policy, floor)
-    policy_tag = "median" if isinstance(bandwidth_policy, str) else float(bandwidth_policy)
-    return PoiSet(x, {"method": "svgd", "n_particles": n_particles,
-                      "bandwidth": h, "policy": policy_tag}, phi.workspace)
+    check_sites(x, phi.workspace)
+    return x

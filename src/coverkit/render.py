@@ -128,11 +128,16 @@ def render_scene(path, phi, workspace: ConvexPolygon, *, agents=None,
     agents are drawn as colored dots, power_radii as dashed circles around
     them, cells as outlines, pois as diamonds, and assignment as (agent,
     poi) index pairs joined by lines. swarm_points are small translucent
-    dots for large crowds. ValueError when bands or resolution is below 1.
+    dots for large crowds. ValueError when bands or resolution is below 1,
+    or when a point or radius array holds NaN or inf.
     """
     for name, value in (("bands", bands), ("resolution", resolution)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value!r}")
+    for name, value in (("agents", agents), ("power_radii", power_radii), ("pois", pois),
+                        ("swarm_points", swarm_points)):
+        if value is not None and not np.isfinite(np.asarray(value, dtype=float)).all():
+            raise ValueError(f"{name} must be finite")
     canvas = SvgCanvas(workspace.bbox, size=size)
     canvas.elements.append(
         f'<rect width="{canvas.width:.0f}" height="{canvas.height:.0f}" fill="#ffffff"/>')

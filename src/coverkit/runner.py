@@ -423,15 +423,14 @@ def _extract_pois(resolved, phi, workspace):
     params = resolved["params"]
     seed = resolved["seed"]
     if params["method"] == "svgd":
-        pois = poi_mod.svgd(phi, params["k"], bandwidth_policy=params["bandwidth"],
-                            iters=params["svgd_iters"], seed=seed)
-        return pois.points, [], None
+        return poi_mod.svgd(phi, params["k"], bandwidth_policy=params["bandwidth"],
+                            iters=params["svgd_iters"], seed=seed), [], None
     data = phi.sample(params["samples"], seed)
     if params["method"] == "kmeans":
         fit = poi_mod.kmeans(data, params["k"], seed=seed, workspace=workspace)
-        return fit.pois.points, list(fit.inertia_trace), None
+        return fit.centers, list(fit.inertia_trace), None
     fit = poi_mod.gmm_em(data, params["k"], seed=seed, workspace=workspace)
-    return fit.pois.points, list(fit.log_likelihoods), fit
+    return fit.means, list(fit.log_likelihoods), fit
 
 
 def _run_poi_assign(resolved, phi, workspace, out: Path) -> None:
@@ -476,7 +475,7 @@ def _run_submodular(resolved, phi, workspace, out: Path) -> None:
     data = phi.sample(params["samples"], resolved["seed"])
     fit = poi_mod.kmeans(data, params["k"], seed=resolved["seed"],
                          workspace=workspace)
-    candidates = fit.pois.points
+    candidates = fit.centers
     d_max = params["d_max"] if params["d_max"] is not None \
         else 2.0 * workspace.diameter
     utility = submod.exemplar_utility_fn(candidates, data, d_max)

@@ -75,6 +75,8 @@ def systematic_resample(weights, n: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if n < 1:
         raise ValueError("need at least one draw")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
     total = w.sum()
     if total <= 0:
         raise ValueError("total weight must be positive")

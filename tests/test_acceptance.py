@@ -421,7 +421,7 @@ def test_accept_11_particle_spread_controls():
     mode = np.array([0.6, 0.4])
     phi = GmmDensity(WORKSPACE, [1.0], [mode], [np.eye(2) * 0.04])
     lone = svgd(phi, 1, step=0.01, iters=400, seed=5)
-    mode_err = float(np.linalg.norm(lone.points[0] - mode))
+    mode_err = float(np.linalg.norm(lone[0] - mode))
 
     def mean_nn(pts):
         d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
@@ -435,7 +435,7 @@ def test_accept_11_particle_spread_controls():
     spacings = []
     for seed in range(1, 6):
         row = [mean_nn(svgd(broad, 12, bandwidth_policy=r, step=0.01,
-                            iters=800, seed=seed).points)
+                            iters=800, seed=seed))
                for r in (0.05, 0.1, 0.2)]
         spacings.append(row)
         ordered += int(row[0] < row[1] < row[2])

@@ -15,7 +15,7 @@ PUBLIC = [
     "EvalOutsideSupport", "GaussianService", "GmmDensity", "GmmFit", "GreedyTrace",
     "GridDensity", "InfeasibleShape", "InvalidDensity", "IsotropicService",
     "KMeansResult", "NoConvergence", "NonFiniteCost", "NonMonotoneDescent", "Partition",
-    "PoiSet", "SiteOutsideWorkspace", "SizeLimit", "SwarmRun", "SwarmState",
+    "SiteOutsideWorkspace", "SizeLimit", "SwarmRun", "SwarmState",
     "TransportPlan", "UniformDensity", "__version__", "build_cost_matrix",
     "build_partition", "check_w2_identity", "discretize", "equitable_weights",
     "exemplar_utility", "exemplar_utility_fn", "footprint_cost", "from_pgm",

@@ -250,6 +250,14 @@ def test_gaussian_kl_frozen_example():
     assert val == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_gaussian_kl_refuses_non_finite_means(bad):
+    with pytest.raises(ValueError, match="means must be finite"):
+        gaussian_kl([bad, 0.0], np.eye(2), [1.0, 0.0], np.eye(2))
+    with pytest.raises(ValueError, match="means must be finite"):
+        gaussian_kl([0.0, 0.0], np.eye(2), [1.0, bad], np.eye(2))
+
+
 def test_gaussian_kl_self_is_zero():
     rng = np.random.default_rng(5)
     for _ in range(10):

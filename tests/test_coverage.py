@@ -293,6 +293,16 @@ def test_descent_validation():
         run_descent(phi, [[0.4, 0.4]], tol=0.0)
 
 
+@pytest.mark.parametrize("relax", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_relax_is_refused(relax):
+    phi = UniformDensity(unit_square())
+    positions = [[0.3, 0.4], [0.7, 0.6]]
+    with pytest.raises(ValueError, match="relax must be finite"):
+        lloyd_step(phi, positions, relax=relax)
+    with pytest.raises(ValueError, match="relax must be finite"):
+        run_descent(phi, positions, relax=relax)
+
+
 class InflatingDensity(UniformDensity):
     """Pathological test double whose scale grows with every evaluation."""
 

@@ -439,6 +439,14 @@ def test_discrete_measure_normalizes():
         DiscreteMeasure([[0.0, 0.0]], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_discrete_measure_refuses_non_finite_points_and_weights(bad):
+    with pytest.raises(InvalidDensity, match="points must be finite"):
+        DiscreteMeasure([[0.0, 0.0], [bad, 1.0]], [1.0, 1.0])
+    with pytest.raises(InvalidDensity, match="weights must be finite"):
+        DiscreteMeasure([[0.0, 0.0], [1.0, 1.0]], [bad, 1.0])
+
+
 def test_discretize_uniform_is_flat():
     mu = discretize(UniformDensity(unit_square()), 4, 4)
     assert len(mu) == 16

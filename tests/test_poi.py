@@ -5,10 +5,11 @@ import logging
 import numpy as np
 import pytest
 
+from coverkit import poi
 from coverkit.density import GmmDensity, UniformDensity
 from coverkit.errors import DuplicateSites, SiteOutsideWorkspace
 from coverkit.geometry import ConvexPolygon
-from coverkit.poi import GmmFit, KMeansResult, PoiSet, gmm_em, kmeans, svgd
+from coverkit.poi import GmmFit, KMeansResult, gmm_em, kmeans, svgd
 
 UNIT = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -55,15 +56,15 @@ def test_kmeans_single_cluster_is_mean():
     rng = np.random.default_rng(3)
     pts = rng.uniform(0, 1, size=(60, 2))
     res = kmeans(pts, 1, seed=0)
-    assert np.allclose(res.pois.points[0], pts.mean(axis=0), atol=1e-12)
+    assert np.allclose(res.centers[0], pts.mean(axis=0), atol=1e-12)
     assert np.all(res.labels == 0)
-    assert res.inertia == pytest.approx(inertia_oracle(pts, res.pois.points), abs=1e-10)
+    assert res.inertia == pytest.approx(inertia_oracle(pts, res.centers), abs=1e-10)
 
 
 def test_kmeans_two_blobs_recovers_means():
     pts, mean_a, mean_b = two_blobs(seed=7)
     res = kmeans(pts, 2, seed=1)
-    centers = res.pois.points
+    centers = res.centers
     order = np.argsort(centers[:, 0])
     assert np.linalg.norm(centers[order[0]] - mean_a) < 0.05
     assert np.linalg.norm(centers[order[1]] - mean_b) < 0.05
@@ -78,7 +79,7 @@ def test_kmeans_k_equals_n():
     res = kmeans(pts, 6, seed=2)
     assert res.inertia <= 1e-18
     # centers are a permutation of the data
-    got = res.pois.points[np.lexsort(res.pois.points.T)]
+    got = res.centers[np.lexsort(res.centers.T)]
     want = pts[np.lexsort(pts.T)]
     assert np.allclose(got, want, atol=0)
 
@@ -96,18 +97,19 @@ def test_kmeans_seed_determinism():
     pts = rng.uniform(0, 1, size=(50, 2))
     a = kmeans(pts, 3, seed=9)
     b = kmeans(pts, 3, seed=9)
-    assert np.array_equal(a.pois.points, b.pois.points)
+    assert np.array_equal(a.centers, b.centers)
     assert np.array_equal(a.labels, b.labels)
 
 
-def test_kmeans_empty_cluster_reseeds(caplog):
+def test_kmeans_empty_cluster_reseeds(monkeypatch, caplog):
     pts, mean_a, mean_b = two_blobs(seed=19)
     # second center starts far from every point, so its cluster is empty
-    init = np.array([[0.0, 0.0], [40.0, 40.0]])
+    monkeypatch.setattr(poi, "_kmeans_pp",
+                        lambda pts, k, rng: np.array([[0.0, 0.0], [40.0, 40.0]]))
     with caplog.at_level(logging.WARNING, logger="coverkit.poi"):
-        res = kmeans(pts, 2, init_centers=init)
+        res = kmeans(pts, 2)
     assert any("empty cluster" in r.message for r in caplog.records)
-    centers = res.pois.points
+    centers = res.centers
     order = np.argsort(centers[:, 0])
     assert np.linalg.norm(centers[order[0]] - mean_a) < 0.05
     assert np.linalg.norm(centers[order[1]] - mean_b) < 0.05
@@ -121,8 +123,6 @@ def test_kmeans_validation():
         kmeans(pts, 5)
     with pytest.raises(ValueError):
         kmeans(np.zeros((3, 3)), 2)
-    with pytest.raises(ValueError):
-        kmeans(pts, 2, init_centers=np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------- GMM EM
@@ -171,12 +171,16 @@ def test_gmm_loglik_trace_nondecreasing():
         assert np.all(np.diff(fit.log_likelihoods) >= -1e-8)
 
 
-def test_gmm_degenerate_component_reseeds(caplog):
+def test_gmm_degenerate_component_reseeds(monkeypatch, caplog):
     rng = np.random.default_rng(47)
     pts = rng.normal([0.5, 0.5], 0.05, size=(120, 2))
-    init = np.array([[0.5, 0.5], [90.0, 90.0]])
+    # the k-means warm start puts the second component far from every point
+    far = KMeansResult(centers=np.array([[0.5, 0.5], [90.0, 90.0]]),
+                       labels=np.zeros(len(pts), dtype=int), inertia=0.0,
+                       inertia_trace=np.zeros(1), iterations=1)
+    monkeypatch.setattr(poi, "kmeans", lambda *args, **kwargs: far)
     with caplog.at_level(logging.WARNING, logger="coverkit.poi"):
-        fit = gmm_em(pts, 2, init_means=init)
+        fit = gmm_em(pts, 2)
     assert any("degenerate component" in r.message for r in caplog.records)
     assert np.isfinite(fit.log_likelihoods[-1])
     assert fit.weights.shape == (2,)
@@ -191,8 +195,17 @@ def test_gmm_validation():
         gmm_em(pts, 11)
     with pytest.raises(ValueError):
         gmm_em(pts, 2, reg=0.0)
-    with pytest.raises(ValueError):
-        gmm_em(pts, 2, init_means=np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("extract", [kmeans, gmm_em], ids=["kmeans", "gmm_em"])
+def test_extraction_refuses_non_finite_rows(caplog, extract, bad):
+    pts = np.random.default_rng(8).uniform(0, 1, size=(30, 2))
+    pts[4, 1] = bad
+    with caplog.at_level(logging.DEBUG, logger="coverkit.poi"):
+        with pytest.raises(ValueError, match="finite"):
+            extract(pts, 2)
+    assert caplog.records == []
 
 
 # ---------------------------------------------------------------- SVGD
@@ -202,15 +215,14 @@ def test_svgd_single_particle_matches_ascent_oracle():
     start = phi.sample(1, 5)
     out = svgd(phi, 1, step=0.01, iters=400, seed=5)
     ref = ascent_oracle(phi, start[0], 0.01, 400)
-    assert np.allclose(out.points[0], ref, atol=1e-12)
-    assert np.linalg.norm(out.points[0] - [0.6, 0.4]) < 1e-3
+    assert np.allclose(out[0], ref, atol=1e-12)
+    assert np.linalg.norm(out[0] - [0.6, 0.4]) < 1e-3
 
 
 def test_svgd_cloud_matches_target_moments():
     var = 0.01
     phi = gauss_phi([0.5, 0.5], var)
-    out = svgd(phi, 50, step=0.01, iters=2000, seed=8)
-    pts = out.points
+    pts = svgd(phi, 50, step=0.01, iters=2000, seed=8)
     assert np.linalg.norm(pts.mean(axis=0) - [0.5, 0.5]) < 0.05
     cov = np.cov(pts.T, bias=True)
     target = np.eye(2) * var
@@ -229,13 +241,13 @@ def test_svgd_footprint_radius_controls_spread():
     for seed in (1, 2):
         small = svgd(phi, 30, bandwidth_policy=0.05, step=0.01, iters=600, seed=seed)
         large = svgd(phi, 30, bandwidth_policy=0.2, step=0.01, iters=600, seed=seed)
-        assert mean_nn(large.points) > mean_nn(small.points)
+        assert mean_nn(large) > mean_nn(small)
 
 
 def test_svgd_particles_stay_inside_workspace():
     phi = gauss_phi([0.05, 0.05], 0.01)
     out = svgd(phi, 40, step=0.02, iters=300, seed=3)
-    assert np.all(UNIT.contains(out.points))
+    assert np.all(UNIT.contains(out))
 
 
 @pytest.mark.parametrize("where", ["centroid", "corner"])
@@ -247,9 +259,9 @@ def test_svgd_separates_particles_merged_at_one_spot(monkeypatch, caplog, where)
     monkeypatch.setattr(phi, "sample", lambda n, seed: np.repeat(spot[None], n, axis=0))
     with caplog.at_level(logging.DEBUG, logger="coverkit.poi"):
         pois = svgd(phi, 2, iters=1)
-    np.testing.assert_array_equal(pois.points[0], spot)
-    assert 0 < np.linalg.norm(pois.points[1] - spot) < 1e-5
-    assert UNIT.contains(pois.points).all()
+    np.testing.assert_array_equal(pois[0], spot)
+    assert 0 < np.linalg.norm(pois[1] - spot) < 1e-5
+    assert UNIT.contains(pois).all()
     assert [r.levelno for r in caplog.records if "merged" in r.message] == [logging.DEBUG]
 
 
@@ -257,15 +269,15 @@ def test_svgd_seed_determinism():
     phi = gauss_phi([0.5, 0.5], 0.02)
     a = svgd(phi, 25, step=0.01, iters=50, seed=17)
     b = svgd(phi, 25, step=0.01, iters=50, seed=17)
-    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a, b)
 
 
 def test_svgd_zero_iters_reports_median_bandwidth():
     phi = UniformDensity(UNIT)
     out = svgd(phi, 20, iters=0, seed=4)
-    assert np.array_equal(out.points, phi.sample(20, 4))
-    want = median_bandwidth_oracle(out.points)
-    assert out.provenance["bandwidth"] == pytest.approx(want, rel=1e-12)
+    assert np.array_equal(out, phi.sample(20, 4))
+    got = poi._bandwidth(out, "median", 1e-12 * UNIT.diameter ** 2)
+    assert got == pytest.approx(median_bandwidth_oracle(out), rel=1e-12)
 
 
 def test_svgd_validation():
@@ -278,18 +290,31 @@ def test_svgd_validation():
         svgd(phi, 5, bandwidth_policy="quartile")
     with pytest.raises(ValueError):
         svgd(phi, 5, bandwidth_policy=-0.2)
+    # the policy is checked before the first sweep, so iters=0 refuses it too
+    with pytest.raises(ValueError):
+        svgd(phi, 5, bandwidth_policy="quartile", iters=0)
 
 
-# ---------------------------------------------------------------- PoiSet
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_svgd_refuses_non_finite_radius_and_step(bad):
+    phi = UniformDensity(UNIT)
+    with pytest.raises(ValueError, match="finite"):
+        svgd(phi, 5, bandwidth_policy=bad, iters=1)
+    with pytest.raises(ValueError, match="finite"):
+        svgd(phi, 5, step=bad, iters=1)
 
-def test_poiset_rejects_duplicates():
+
+# ------------------------------------------------------ extracted points
+
+def test_kmeans_rejects_duplicate_centers():
     with pytest.raises(DuplicateSites):
-        PoiSet(np.array([[0.3, 0.3], [0.3, 0.3]]))
+        kmeans(np.full((4, 2), 0.3), 2)
 
 
-def test_poiset_rejects_outside_workspace():
+def test_kmeans_rejects_centers_outside_workspace():
+    pts = np.array([[0.5, 0.5], [0.5, 0.6], [1.5, 0.5], [1.5, 0.6]])
     with pytest.raises(SiteOutsideWorkspace):
-        PoiSet(np.array([[0.5, 0.5], [1.5, 0.5]]), workspace=UNIT)
+        kmeans(pts, 2, workspace=UNIT)
 
 
 def test_result_types_carry_traces():

@@ -171,3 +171,21 @@ def test_bands_or_resolution_below_one_is_refused(tmp_path, name):
     with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
         render_scene(path, UniformDensity(w), w, **{name: 0})
     assert not path.exists()
+
+
+@pytest.mark.parametrize("name,value", [
+    ("agents", [[np.nan, 0.5]]),
+    ("agents", [[0.5, np.inf]]),
+    ("power_radii", [np.nan]),
+    ("pois", [[0.5, -np.inf]]),
+    ("swarm_points", [[np.nan, np.nan]]),
+], ids=["agents-nan", "agents-inf", "power_radii-nan", "pois-inf", "swarm_points-nan"])
+def test_non_finite_points_are_refused(tmp_path, name, value):
+    w = square()
+    path = tmp_path / "bad.svg"
+    kwargs = {name: value}
+    if name == "power_radii":
+        kwargs["agents"] = [[0.5, 0.5]]
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        render_scene(path, UniformDensity(w), w, **kwargs)
+    assert not path.exists()

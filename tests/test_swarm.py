@@ -62,6 +62,12 @@ def test_systematic_resample_validation():
         systematic_resample([0.0, 0.0], 3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_systematic_resample_refuses_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="finite"):
+        systematic_resample([bad, 1.0], 3)
+
+
 # --------------------------------------------------------- single steps
 
 def test_state_validates_positions():
