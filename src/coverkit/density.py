@@ -133,7 +133,10 @@ class DiscreteMeasure:
             raise InvalidDensity("points must be finite")
         if not (np.isfinite(w).all() and (w >= 0).all()):
             raise InvalidDensity("weights must be finite and nonnegative")
-        total = w.sum()
+        with np.errstate(over="ignore"):
+            total = w.sum()
+        if not np.isfinite(total):
+            raise InvalidDensity("total weight overflows")
         if total <= 0:
             raise InvalidDensity("total weight must be positive")
         self.weights = w / total

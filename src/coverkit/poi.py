@@ -18,6 +18,7 @@ from scipy.spatial.distance import cdist, pdist
 from scipy.special import logsumexp
 
 from .density import DensityField
+from .errors import DuplicateSites
 from .geometry import ConvexPolygon, check_sites, project_into, separate
 
 log = logging.getLogger(__name__)
@@ -67,12 +68,17 @@ def kmeans(data, k: int, seed: int = 0, max_iters: int = 100,
     iteration cap is hit. An empty cluster is re-seeded at the point
     currently farthest from its own center (logged). The (k, 2) centers
     pass geometry.check_sites, against ``workspace`` when one is given.
+    Data with fewer distinct rows than k raises DuplicateSites at once,
+    since some two centers would have to coincide.
     """
     pts = _as_points(data)
     if k < 1:
         raise ValueError("need at least one cluster")
     if len(pts) < k:
         raise ValueError(f"cannot fill {k} clusters from {len(pts)} points")
+    distinct = len(np.unique(pts, axis=0))
+    if distinct < k:
+        raise DuplicateSites(f"cannot place {k} distinct centers on {distinct} distinct points")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     centers = _kmeans_pp(pts, k, np.random.default_rng(seed))

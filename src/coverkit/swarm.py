@@ -77,7 +77,10 @@ def systematic_resample(weights, n: int) -> np.ndarray:
         raise ValueError("need at least one draw")
     if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
-    total = w.sum()
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if not np.isfinite(total):
+        raise ValueError("total weight overflows")
     if total <= 0:
         raise ValueError("total weight must be positive")
     marks = (np.arange(n) + 0.5) / n
@@ -154,8 +157,15 @@ def run_reconfiguration(phi_target: DensityField, n_agents: int, iters: int,
     drops below 1e-4 of the workspace diameter. metric_every controls how
     often the entropic distance to the target is measured: every k steps
     for k > 0, endpoints only for 0, never for None. Each record's
-    sinkhorn_iters is the iteration count of that measurement's cross-coupling
-    solve, None where no measurement was taken.
+    sinkhorn_iters, sinkhorn_epsilon and sinkhorn_residual are the iteration
+    count, final temperature and final row-marginal residual of that
+    measurement's cross-coupling solve, None where no measurement was taken.
+
+    Every measurement after the first starts its three Sinkhorn solves from
+    the previous one's final potentials (see wasserstein_sinkhorn); only
+    those vectors are kept between measurements, never the plan. Its value
+    then agrees with a cold solve's within the solver's tol, and the first
+    measurement of every run is cold, so equal arguments give equal runs.
     """
     if n_agents < 1:
         raise ValueError("need at least one agent")
@@ -170,13 +180,20 @@ def run_reconfiguration(phi_target: DensityField, n_agents: int, iters: int,
     state = SwarmState(x0, workspace)
     stop_displacement = STOP_FRACTION * workspace.diameter
 
+    potentials = None  # the last measurement's, to warm-start the next
+
     def sinkhorn_to_target(positions, wanted):
-        """The w2_sinkhorn and sinkhorn_iters fields of one metric record."""
+        """The w2_sinkhorn and sinkhorn_* fields of one metric record."""
+        nonlocal potentials
         if not wanted:
-            return {"w2_sinkhorn": None, "sinkhorn_iters": None}
+            return {"w2_sinkhorn": None, "sinkhorn_iters": None,
+                    "sinkhorn_epsilon": None, "sinkhorn_residual": None}
         mu = DiscreteMeasure(positions, np.full(len(positions), 1.0 / len(positions)))
-        value, plan = wasserstein_sinkhorn(mu, target, p=2, epsilon=epsilon)
-        return {"w2_sinkhorn": float(value), "sinkhorn_iters": plan.iterations}
+        value, plan = wasserstein_sinkhorn(mu, target, p=2, epsilon=epsilon,
+                                           init=potentials)
+        potentials = plan.potentials
+        return {"w2_sinkhorn": float(value), "sinkhorn_iters": plan.iterations,
+                "sinkhorn_epsilon": plan.epsilon, "sinkhorn_residual": plan.residual}
 
     def want_metric(t, last):
         if metric_every is None:

@@ -11,7 +11,8 @@ polygon, the one-plane clip that built a polygon after every cut, with its
 ``HalfPlane``, the power cells clipped from every lifted-hull neighbour,
 the cell moments built one polygon, one rule and one masked eval at a time,
 the swarm step that solved a fresh assignment at every step, and the SVG
-writer that mapped one point and wrote one element per Python call.
+writer that mapped one point and wrote one element per Python call, and
+the transportation LP solved by HiGHS' dual simplex.
 Voronoi cell masses as a discrete measure have no caller in a pipeline
 either. None of these runs in a pipeline, so they live here and not in the
 package.
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, linprog
+from scipy.sparse import csr_matrix
 from scipy.spatial.distance import cdist
 
 from coverkit.coverage import build_partition
@@ -196,6 +198,25 @@ def polygon_footprint_cost(phi: DensityField, model, poi, levels: int = 2):
                          getattr(model, "falloff", None))[2]
     best = int(np.argmin(costs))
     return float(costs[best]), thetas[best]
+
+
+def simplex_transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The transportation LP through HiGHS' default (dual simplex) method."""
+    m, k = cost.shape
+    b = b * (a.sum() / b.sum())
+    # the solver needs the two marginal sums bit-identical, not merely close
+    b[np.argmax(b)] += a.sum() - b.sum()
+    n = m * k
+    rows = np.concatenate([np.repeat(np.arange(m), k),
+                           m + np.tile(np.arange(k), m)])
+    cols = np.concatenate([np.arange(n), np.arange(n)])
+    mat = csr_matrix((np.ones(2 * n), (rows, cols)), shape=(m + k, n))
+    res = linprog(cost.ravel(), A_eq=mat, b_eq=np.concatenate([a, b]),
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10})
+    if not res.success:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    return np.maximum(res.x, 0.0).reshape(m, k)
 
 
 def voronoi_measure(phi: DensityField, positions, levels: int = 2) -> DiscreteMeasure:

@@ -4,6 +4,7 @@ Independent oracles live at the top: a closed-form monomial integral on the
 reference triangle and a dense masked Riemann sum for general integrands.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -445,6 +446,13 @@ def test_discrete_measure_refuses_non_finite_points_and_weights(bad):
         DiscreteMeasure([[0.0, 0.0], [bad, 1.0]], [1.0, 1.0])
     with pytest.raises(InvalidDensity, match="weights must be finite"):
         DiscreteMeasure([[0.0, 0.0], [1.0, 1.0]], [bad, 1.0])
+
+
+def test_discrete_measure_refuses_weights_whose_sum_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidDensity, match="overflows"):
+            DiscreteMeasure([[0.0, 0.0], [1.0, 1.0]], [1e308, 1e308])
 
 
 def test_discretize_uniform_is_flat():

@@ -115,6 +115,31 @@ def test_kmeans_empty_cluster_reseeds(monkeypatch, caplog):
     assert np.linalg.norm(centers[order[1]] - mean_b) < 0.05
 
 
+def test_kmeans_too_few_distinct_rows_raises_at_once(caplog):
+    pts = np.vstack([np.full((50, 2), 0.3), [[0.1, 0.2], [0.7, 0.4], [0.5, 0.9]]])
+    for data, k in ((np.full((4, 2), 0.3), 2), (pts, 5)):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="coverkit.poi"):
+            with pytest.raises(DuplicateSites):
+                kmeans(data, k)
+        assert caplog.records == []
+
+
+def test_kmeans_distinct_row_check_leaves_valid_results_alone(monkeypatch):
+    rng = np.random.default_rng(7)
+    cases = [(rng.uniform(0, 1, size=(60, 2)), 5),
+             (np.vstack([np.full((50, 2), 0.3), [[0.1, 0.2], [0.7, 0.4], [0.5, 0.9]]]), 4)]
+    got = [kmeans(pts, k, seed=3) for pts, k in cases]
+    # without the check (every row counted distinct) the sweeps are the old ones
+    monkeypatch.setattr(poi.np, "unique", lambda a, axis=None: a)
+    for (pts, k), res in zip(cases, got):
+        ref = kmeans(pts, k, seed=3)
+        assert res.centers.tobytes() == ref.centers.tobytes()
+        assert res.labels.tobytes() == ref.labels.tobytes()
+        assert res.inertia_trace.tobytes() == ref.inertia_trace.tobytes()
+        assert (res.inertia, res.iterations) == (ref.inertia, ref.iterations)
+
+
 def test_kmeans_validation():
     pts = np.zeros((4, 2)) + np.arange(4)[:, None]
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Swarm transport steps and reconfiguration runs."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from coverkit.swarm import (
     systematic_resample,
     transport_step,
 )
+from coverkit.transport import wasserstein_sinkhorn
 from tests.oracles import assignment_transport_step
 
 
@@ -66,6 +68,13 @@ def test_systematic_resample_validation():
 def test_systematic_resample_refuses_non_finite_weights(bad):
     with pytest.raises(ValueError, match="finite"):
         systematic_resample([bad, 1.0], 3)
+
+
+def test_systematic_resample_refuses_weights_whose_sum_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            systematic_resample([1e308, 1e308], 3)
 
 
 # --------------------------------------------------------- single steps
@@ -231,8 +240,58 @@ def test_metric_records_carry_sinkhorn_iterations():
     for rec in run.metrics:
         if rec["w2_sinkhorn"] is None:
             assert rec["sinkhorn_iters"] is None
+            assert rec["sinkhorn_epsilon"] is None and rec["sinkhorn_residual"] is None
         else:
             assert isinstance(rec["sinkhorn_iters"], int) and rec["sinkhorn_iters"] > 1
+            assert isinstance(rec["sinkhorn_epsilon"], float) and rec["sinkhorn_epsilon"] > 0
+            assert isinstance(rec["sinkhorn_residual"], float)
+            assert 0.0 <= rec["sinkhorn_residual"] <= 1e-4
+
+
+def _recording_metric_calls(monkeypatch):
+    """Patch the swarm's wasserstein_sinkhorn to keep each call's measures, the
+    init it was given and its value and plan."""
+    calls = []
+
+    def recorded(mu, nu, **kw):
+        value, plan = wasserstein_sinkhorn(mu, nu, **kw)
+        calls.append((mu, nu, kw.get("init"), value, plan))
+        return value, plan
+
+    monkeypatch.setattr(swarm, "wasserstein_sinkhorn", recorded)
+    return calls
+
+
+def test_metric_calls_after_the_first_start_from_the_previous_potentials(monkeypatch):
+    phi = UniformDensity(square())
+    calls = _recording_metric_calls(monkeypatch)
+    run = run_reconfiguration(phi, 36, iters=5, tau=0.5, seed=5, metric_every=2)
+    assert len(calls) == 4
+    assert calls[0][2] is None
+    for (_, _, _, _, before), (_, _, init, _, _) in zip(calls, calls[1:]):
+        assert init is before.potentials
+    values = [rec["w2_sinkhorn"] for rec in run.metrics if rec["w2_sinkhorn"] is not None]
+    assert values == [value for _, _, _, value, _ in calls]
+
+
+def test_consecutive_runs_give_identical_metrics(portrait_path):
+    phi = from_pgm(portrait_path, square())
+    runs = [run_reconfiguration(phi, n_agents=120, iters=12, tau=0.5, seed=4,
+                                metric_every=3) for _ in range(2)]
+    assert sum(rec["w2_sinkhorn"] is not None for rec in runs[0].metrics) >= 4
+    assert runs[0].metrics == runs[1].metrics
+
+
+def test_warm_started_portrait_metrics_are_within_one_percent(portrait_path, monkeypatch):
+    # the shipped swarm_portrait scenario; calls 2 to 4 start warm
+    phi = from_pgm(portrait_path, square())
+    calls = _recording_metric_calls(monkeypatch)
+    run_reconfiguration(phi, n_agents=600, iters=30, tau=0.5, seed=1, metric_every=5)
+    assert len(calls) == 4
+    for mu, nu, init, value, _ in calls[1:]:
+        assert init is not None
+        reference, _ = wasserstein_sinkhorn(mu, nu, p=2, tol=1e-8)
+        assert abs(value - reference) <= 0.01 * reference
 
 
 def test_run_is_deterministic_and_snapshots_cover_endpoints():

@@ -25,7 +25,7 @@ from coverkit.transport import (
     wasserstein_sinkhorn,
 )
 
-from tests.oracles import voronoi_measure
+from tests.oracles import simplex_transport_lp, voronoi_measure
 
 
 def unit_square():
@@ -171,6 +171,30 @@ def test_scaling_homogeneity_exact():
     nus = DiscreteMeasure(nu.points * s, nu.weights)
     scaled, _ = wasserstein_exact(mus, nus, p=2)
     assert abs(scaled - s * base) < 1e-6 * s * base
+
+
+def _lp_instances():
+    """(cost, a, b) of transportation LPs: two-source, square, oblong, and thin
+    (three agents against a 64 x 64 grid, as check_w2_identity builds)."""
+    rng = np.random.default_rng(31)
+    grid = discretize(GmmDensity(unit_square(), [1.0], [[0.4, 0.6]], [0.05 * np.eye(2)]),
+                      64, 64)
+    for mu, nu in ((rand_measure(rng, 2), rand_measure(rng, 7)),
+                   (rand_measure(rng, 12), rand_measure(rng, 12)),
+                   (rand_measure(rng, 25), rand_measure(rng, 30)),
+                   (rand_measure(rng, 3), grid)):
+        pa, wa, _ = transport._compact(mu)
+        pb, wb, _ = transport._compact(nu)
+        yield transport._cost_power(pa, pb, 2), wa, wb
+
+
+def test_interior_point_lp_matches_the_simplex_oracle():
+    for cost, a, b in _lp_instances():
+        plan = transport._round_to_polytope(transport._transport_lp(cost, a, b), a, b)
+        oracle = transport._round_to_polytope(simplex_transport_lp(cost, a, b), a, b)
+        # random costs: the optimum is unique, so the vertices agree to the bit
+        np.testing.assert_array_equal(plan, oracle)
+        assert float((plan * cost).sum()) == float((oracle * cost).sum())
 
 
 def test_size_limit():
@@ -449,6 +473,83 @@ def test_concurrent_cross_solve_failure_reaches_the_caller():
     with pytest.raises(NoConvergence):
         wasserstein_sinkhorn(mu, nu, p=2, epsilon=1e-6, max_iters=3, anneal=False)
     assert threading.active_count() == before
+
+
+# ------------------------------------------------------------- warm start
+
+def _plan_bits(value, plan):
+    return (value, plan.coupling.tobytes(), plan.iterations, plan.residual, plan.epsilon)
+
+
+def test_cold_solve_ignores_potentials_that_do_not_fit():
+    rng = np.random.default_rng(21)
+    mu, nu = rand_measure(rng, 30), rand_measure(rng, 24)
+    cold = wasserstein_sinkhorn(mu, nu, p=2)
+    # other atom counts in every pair, and the same counts at another order
+    _, other_size = wasserstein_sinkhorn(rand_measure(rng, 29), rand_measure(rng, 25), p=2)
+    _, other_p = wasserstein_sinkhorn(mu, nu, p=3)
+    for init in (other_size.potentials, other_p.potentials):
+        assert _plan_bits(*wasserstein_sinkhorn(mu, nu, p=2, init=init)) == _plan_bits(*cold)
+
+
+def test_plan_potentials_are_the_final_state_of_each_solve():
+    rng = np.random.default_rng(22)
+    mu, nu = rand_measure(rng, 30), rand_measure(rng, 24)
+    _, plan = wasserstein_sinkhorn(mu, nu, p=2, epsilon=0.02)
+    cross, source, target = plan.potentials
+    assert all(pot.p == 2.0 and pot.epsilon == 0.02 for pot in plan.potentials)
+    assert (len(cross.f), len(cross.g)) == (30, 24)
+    assert len(source.f) == len(source.g) == 30 and len(target.f) == len(target.g) == 24
+    # the potentials rebuild the unrounded plan of the cross solve, whose last
+    # update fits the column marginals
+    cost = transport._cost_power(mu.points, nu.points, 2)
+    unrounded = transport._plan_from_potentials(cost, np.log(mu.weights), np.log(nu.weights),
+                                                cross.f, cross.g, 0.02)
+    np.testing.assert_allclose(unrounded.sum(axis=0), nu.weights, rtol=1e-12, atol=0)
+    assert np.abs(unrounded.sum(axis=1) - mu.weights).sum() <= 1e-4
+
+
+def test_warm_start_skips_the_stages_above_the_earlier_temperature(monkeypatch):
+    rng = np.random.default_rng(23)
+    mu = rand_measure(rng, 40)
+    nu = rand_measure(rng, 36)
+    moved = DiscreteMeasure(mu.points + rng.normal(0, 0.01, mu.points.shape), mu.weights)
+    _, plan0 = wasserstein_sinkhorn(mu, nu, p=2)
+    kept = [(pot.epsilon, pot.f.copy(), pot.g.copy()) for pot in plan0.potentials]
+    cold = wasserstein_sinkhorn(moved, nu, p=2)
+    stages = {}
+    monkeypatch.setattr(transport, "_sinkhorn_stage",
+                        _recording(transport._sinkhorn_stage, stages))
+    value, plan = wasserstein_sinkhorn(moved, nu, p=2, init=plan0.potentials)
+    # one stage per solve: the cross solve here, both self-solves on the worker
+    assert len(stages["main"]) == 1 and len(stages["worker"]) == 2
+    assert plan.iterations == stages["main"][0] < cold[1].iterations
+    assert plan.residual <= 1e-4
+    assert abs(value - cold[0]) <= 0.01 * cold[0]
+    # the earlier plan's potentials are read, never written
+    for (eps, f, g), pot in zip(kept, plan0.potentials):
+        assert pot.epsilon == eps
+        np.testing.assert_array_equal(pot.f, f)
+        np.testing.assert_array_equal(pot.g, g)
+
+
+def test_warm_start_from_unrelated_potentials_follows_the_cold_rule():
+    rng = np.random.default_rng(24)
+    mu, nu = rand_measure(rng, 30), rand_measure(rng, 24)
+    eps = 0.01
+    for scale, start_eps in ((1.0, 1e-3), (10.0, 10.0), (0.1, eps)):
+        init = tuple(transport.Potentials(2.0, start_eps, rng.normal(0, scale, m),
+                                          rng.normal(0, scale, k))
+                     for m, k in ((30, 24), (30, 30), (24, 24)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, plan = wasserstein_sinkhorn(mu, nu, p=2, epsilon=eps, init=init)
+        assert plan.residual <= 1e-4 and 1 < plan.iterations <= 5000
+        exact, _ = wasserstein_exact(mu, nu, p=2)
+        assert np.isfinite(value) and abs(value - exact) <= 0.2 * exact
+        np.testing.assert_allclose(plan.coupling.sum(axis=1), mu.weights, rtol=0, atol=1e-12)
+        with pytest.raises(NoConvergence):
+            wasserstein_sinkhorn(mu, nu, p=2, epsilon=eps, max_iters=3, init=init)
 
 
 def test_self_transport_cost_is_small_and_nonnegative():
