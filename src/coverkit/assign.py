@@ -26,6 +26,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .density import DensityField, cell_moments, polygon_quadrature, spd_cholesky, write_csv
 from .errors import InfeasibleShape, NonFiniteCost, SiteOutsideWorkspace
+from .geometry import check_points, check_positive
 # clip is not called here, but coverbench/tracing.py patches it in this module
 from .geometry import ConvexPolygon, clip, intersect  # noqa: F401
 
@@ -66,9 +67,11 @@ def _check_orientations(orientations) -> tuple:
 class _Service:
     """A service whose footprint at orientation theta is the reference polygon
     ``_scale * _UNIT_NGON`` under the linear map ``_footprint_map(theta)``,
-    moved to the centre."""
+    moved to the centre. Its price integrates ``falloff`` of the distance to
+    the centre, or the squared distance itself when ``falloff`` is None."""
 
     _scale = 1.0
+    falloff = None
 
     def _footprint_map(self, theta: float) -> np.ndarray:
         raise NotImplementedError
@@ -104,16 +107,15 @@ class _Service:
 
 
 class IsotropicService(_Service):
-    """Rotation-invariant service: radial falloff integrated over a disk."""
+    """Rotation-invariant service: radial falloff integrated over a disk,
+    the squared distance by default."""
 
     symmetric = True
 
     def __init__(self, radius: float, falloff=None,
                  orientations=DEFAULT_ORIENTATIONS):
-        if not 0.0 < radius < np.inf:
-            raise ValueError("footprint radius must be positive and finite")
-        self.radius = float(radius)
-        self.falloff = falloff if falloff is not None else lambda r: r * r
+        self.radius = check_positive(radius, "footprint radius")
+        self.falloff = falloff
         self.orientations = _check_orientations(orientations)
         self._check_footprint()
 
@@ -167,7 +169,7 @@ def footprint_cost(phi: DensityField, model, poi, levels: int = 2):
     with np.errstate(all="ignore"):
         rules = [model._quadrature(phi.workspace, center, theta, levels) for theta in thetas]
         costs = cell_moments(phi, rules, np.broadcast_to(center, (len(rules), 2)), levels,
-                             getattr(model, "falloff", None))[2]
+                             model.falloff)[2]
     if not np.isfinite(costs).all():
         raise NonFiniteCost("footprint price is not finite")
     best = int(np.argmin(costs))
@@ -176,12 +178,9 @@ def footprint_cost(phi: DensityField, model, poi, levels: int = 2):
 
 def gaussian_kl(mean0, cov0, mean1, cov1) -> float:
     """Closed-form divergence between two planar Gaussians."""
-    mean0 = np.asarray(mean0, dtype=float).reshape(2)
-    mean1 = np.asarray(mean1, dtype=float).reshape(2)
+    mean0, mean1 = check_points(np.reshape([mean0, mean1], (2, 2)), "means")
     cov0 = np.asarray(cov0, dtype=float).reshape(2, 2)
     cov1 = np.asarray(cov1, dtype=float).reshape(2, 2)
-    if not (np.isfinite(mean0).all() and np.isfinite(mean1).all()):
-        raise ValueError("means must be finite")
     chol0 = spd_cholesky(cov0)
     chol1 = spd_cholesky(cov1)
     inv1 = np.linalg.inv(cov1)
@@ -199,12 +198,10 @@ def kld_cost(model, component_mean, component_cov):
     mismatch is priced.
     """
     mean = np.asarray(component_mean, dtype=float).reshape(2)
-    best_cost, best_theta = np.inf, model.orientations[0]
-    for theta in model.orientations:
-        div = gaussian_kl(mean, model.oriented_covariance(theta), mean, component_cov)
-        if div < best_cost:
-            best_cost, best_theta = div, theta
-    return best_cost, best_theta
+    divs = [gaussian_kl(mean, model.oriented_covariance(theta), mean, component_cov)
+            for theta in model.orientations]
+    best = int(np.argmin(divs))
+    return divs[best], model.orientations[best]
 
 
 def _check_table(values: np.ndarray) -> None:

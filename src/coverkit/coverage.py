@@ -21,8 +21,8 @@ import numpy as np
 # in this module
 from .density import MASS_EPS, DensityField, cell_moments, polygon_quadrature  # noqa: F401
 from .errors import NoConvergence, NonMonotoneDescent
-from .geometry import (check_radii, power_cells, power_cells_from_weights, project_into,
-                       separate)
+from .geometry import (check_count, check_points, check_positive, check_radii, power_cells,
+                       power_cells_from_weights, project_into, separate)
 
 log = logging.getLogger(__name__)
 
@@ -34,19 +34,16 @@ def _checked(positions, radii, tol: float = 1.0,
              relax: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Float copies of positions and radii (zeros for None).
 
-    ValueError for positions that are not (n, 2), radii that break
-    geometry.check_radii, a radius count that differs from the position
-    count, a tol (only run_descent has one) that is not finite and
-    positive, and a relax that is not finite.
+    ValueError for positions that break geometry.check_points, radii that
+    break geometry.check_radii, a radius count that differs from the position
+    count, a tol (only run_descent has one) that breaks
+    geometry.check_positive, and a relax that is not finite.
     """
-    pos = np.atleast_2d(np.array(positions, dtype=float))
-    if pos.ndim != 2 or pos.shape[1] != 2:
-        raise ValueError(f"positions must be an (n, 2) array, not {pos.shape}")
+    pos = check_points(np.array(positions, dtype=float), "positions")
     rho = np.zeros(len(pos)) if radii is None else check_radii(np.array(radii, dtype=float).ravel())
     if len(rho) != len(pos):
         raise ValueError(f"{len(pos)} positions but {len(rho)} radii")
-    if not (0.0 < tol < math.inf):
-        raise ValueError("tol must be finite and positive")
+    check_positive(tol, "tol")
     if not math.isfinite(relax):
         raise ValueError("relax must be finite")
     return pos, rho
@@ -145,8 +142,7 @@ def run_descent(phi: DensityField, positions, radii=None, max_iters: int = 200,
     including the final one, so it has iterations + 1 entries, each its own
     array. The input arrays are not written.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    check_count(max_iters, "max_iters")
     current, rho = _checked(positions, radii, tol, relax)
     trajectory = []
     starved = []
@@ -181,6 +177,7 @@ def equitable_weights(phi: DensityField, positions, tol_mass: float = 1e-3,
     proportion to its mass deficit. The returned radii are shifted so the
     smallest is zero, which leaves the diagram unchanged.
     """
+    check_positive(tol_mass, "tol_mass")
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     n = len(pos)
     target = 1.0 / n

@@ -36,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EvalOutsideSupport, InvalidDensity, NoConvergence
+from .geometry import check_count, check_points, check_weights
 # clip is not called here, but coverbench/tracing.py patches it in this module
 from .geometry import ConvexPolygon, clip, intersect, ring_moments  # noqa: F401
 
@@ -125,21 +126,8 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        w = np.asarray(self.weights, dtype=float)
-        if len(w) != len(self.points):
-            raise InvalidDensity("one weight per point required")
-        if not np.isfinite(self.points).all():
-            raise InvalidDensity("points must be finite")
-        if not (np.isfinite(w).all() and (w >= 0).all()):
-            raise InvalidDensity("weights must be finite and nonnegative")
-        with np.errstate(over="ignore"):
-            total = w.sum()
-        if not np.isfinite(total):
-            raise InvalidDensity("total weight overflows")
-        if total <= 0:
-            raise InvalidDensity("total weight must be positive")
-        self.weights = w / total
+        self.points = check_points(self.points, error=InvalidDensity)
+        self.weights = check_weights(self.weights, len(self.points), InvalidDensity)
 
     def __len__(self):
         return len(self.points)
@@ -237,13 +225,10 @@ class GmmDensity(DensityField):
 
     def __init__(self, workspace: ConvexPolygon, weights, means, covariances):
         super().__init__(workspace)
-        w = np.asarray(weights, dtype=float)
-        if not (np.isfinite(w).all() and (w > 0).all()):
-            raise InvalidDensity("mixture weights must be positive and finite")
-        self.weights = w / w.sum()
-        self.means = np.atleast_2d(np.asarray(means, dtype=float))
-        if not np.isfinite(self.means).all():
-            raise InvalidDensity("mixture means must be finite")
+        self.weights = check_weights(weights, error=InvalidDensity)
+        if not (self.weights > 0).all():
+            raise InvalidDensity("mixture weights must be positive")
+        self.means = check_points(means, "mixture means", InvalidDensity)
         covs = np.asarray(covariances, dtype=float).reshape(-1, 2, 2)
         if not (len(self.weights) == len(self.means) == len(covs)):
             raise InvalidDensity("weights, means, covariances must have equal length")
@@ -541,8 +526,8 @@ def discretize(phi: DensityField, nx: int, ny: int) -> DiscreteMeasure:
     Each cell's mass comes from a 3x3 Gauss-Legendre rule, so a density whose
     mass all lies between the nodes gives no mass at all: InvalidDensity.
     """
-    if nx < 2 or ny < 2:
-        raise InvalidDensity("resolution must be at least 2x2")
+    check_count(nx, "nx", 2, InvalidDensity)
+    check_count(ny, "ny", 2, InvalidDensity)
     xmin, xmax, ymin, ymax = phi.workspace.bbox
     dx, dy = (xmax - xmin) / nx, (ymax - ymin) / ny
     cx = xmin + (np.arange(nx) + 0.5) * dx

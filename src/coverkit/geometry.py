@@ -37,10 +37,14 @@ for clipping a polygon to a region's edge half-planes (footprints and raster
 pixels to the workspace), ``project_into`` for pulling stray points back inside,
 ``coincident_pairs`` and ``check_sites`` for finding and rejecting points
 closer than ``EPS_GEO``, and ``separate`` for nudging such points apart.
+It also holds the one rule per kind of input that public entry points apply
+once per call: ``check_points``, ``check_weights``, ``check_positive`` (scalars),
+``check_count`` and ``check_radii`` (power radii).
 """
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -415,6 +419,61 @@ def check_radii(radii) -> np.ndarray:
     if not all(0.0 <= x and math.isfinite(x * x / EPS_GEO) for x in r.ravel().tolist()):
         raise ValueError(f"power radii must be nonnegative numbers r with r*r/{EPS_GEO:g} finite")
     return r
+
+
+def check_points(points, name: str = "points", error=ValueError) -> np.ndarray:
+    """Points as an (n, 2) float array, one point as one row; error unless
+    they have that shape and every entry is finite."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise error(f"{name} must be an (n, 2) array, not {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise error(f"{name} must be finite")
+    return pts
+
+
+def check_weights(weights, size: int | None = None, error=ValueError) -> np.ndarray:
+    """A weight vector divided by its sum; error unless it is one-dimensional
+    (of ``size`` entries when given), finite and nonnegative, with a sum that
+    is positive and finite. The sum may overflow without a numpy warning."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or size is not None and len(w) != size:
+        raise error(f"weights must be a vector{'' if size is None else f' of {size}'}, "
+                    f"not shape {w.shape}")
+    if not (np.isfinite(w).all() and (w >= 0).all()):
+        raise error("weights must be finite and nonnegative")
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if not np.isfinite(total):
+        raise error("total weight overflows")
+    if total <= 0:
+        raise error("total weight must be positive")
+    return w / total
+
+
+def check_positive(value, name: str, at_least: float | None = None,
+                   at_most: float = math.inf) -> float:
+    """A real scalar as a float; ValueError unless it is finite, at most
+    ``at_most``, and positive or, when given, at least ``at_least``. NaN
+    fails every comparison, and so does anything that is not a real number."""
+    x = float(value) if isinstance(value, numbers.Real) else math.nan
+    if not (math.isfinite(x) and x <= at_most
+            and (x > 0.0 if at_least is None else x >= at_least)):
+        rule = "positive" if at_least is None else f"at least {at_least:g}"
+        if at_most < math.inf:
+            rule += f" and at most {at_most:g}"
+        raise ValueError(f"{name} must be finite and {rule}, got {value!r}")
+    return x
+
+
+def check_count(value, name: str, at_least: int = 1, error=ValueError) -> int:
+    """A count as an int; error unless it is an integer, not a bool or a
+    float, of at least ``at_least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, not {value!r}")
+    if value < at_least:
+        raise error(f"{name} must be at least {at_least}, got {value!r}")
+    return int(value)
 
 
 def power_cells(workspace: ConvexPolygon, points, radii) -> list[ConvexPolygon | None]:

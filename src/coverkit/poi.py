@@ -10,7 +10,6 @@ points come back as plain (n, 2) arrays.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,20 +18,10 @@ from scipy.special import logsumexp
 
 from .density import DensityField
 from .errors import DuplicateSites
-from .geometry import ConvexPolygon, check_sites, project_into, separate
+from .geometry import (ConvexPolygon, check_count, check_points, check_positive, check_sites,
+                       project_into, separate)
 
 log = logging.getLogger(__name__)
-
-
-def _as_points(data) -> np.ndarray:
-    pts = np.asarray(data, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("expected an (n, 2) array of points")
-    if len(pts) == 0:
-        raise ValueError("point cloud is empty")
-    if not np.isfinite(pts).all():
-        raise ValueError("points must be finite")
-    return pts
 
 
 def _kmeans_pp(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -71,16 +60,13 @@ def kmeans(data, k: int, seed: int = 0, max_iters: int = 100,
     Data with fewer distinct rows than k raises DuplicateSites at once,
     since some two centers would have to coincide.
     """
-    pts = _as_points(data)
-    if k < 1:
-        raise ValueError("need at least one cluster")
-    if len(pts) < k:
+    pts = check_points(data)
+    check_count(max_iters, "max_iters")
+    if len(pts) < check_count(k, "k"):
         raise ValueError(f"cannot fill {k} clusters from {len(pts)} points")
     distinct = len(np.unique(pts, axis=0))
     if distinct < k:
         raise DuplicateSites(f"cannot place {k} distinct centers on {distinct} distinct points")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     centers = _kmeans_pp(pts, k, np.random.default_rng(seed))
 
     labels = np.full(len(pts), -1)
@@ -144,15 +130,11 @@ def gmm_em(data, n_components: int, seed: int = 0, max_iters: int = 200,
     re-seeded at the worst-covered data point (logged). The means pass
     geometry.check_sites like k-means centers.
     """
-    pts = _as_points(data)
+    pts = check_points(data)
     n = len(pts)
-    if n_components < 1:
-        raise ValueError("need at least one component")
-    if n < n_components:
+    if n < check_count(n_components, "n_components"):
         raise ValueError(f"cannot fit {n_components} components to {n} points")
-    if reg <= 0.0:
-        raise ValueError("covariance ridge must be positive")
-    ridge = reg * np.eye(2)
+    ridge = check_positive(reg, "reg") * np.eye(2)
     global_cov = np.cov(pts.T, bias=True).reshape(2, 2) + ridge
 
     warm = kmeans(pts, n_components, seed=seed, max_iters=50)
@@ -233,18 +215,13 @@ def svgd(phi: DensityField, n_particles: int, bandwidth_policy="median",
     (``geometry.project_into``, then ``geometry.separate``). The returned
     (n_particles, 2) positions pass geometry.check_sites.
     """
-    if n_particles < 1:
-        raise ValueError("need at least one particle")
-    if iters < 0:
-        raise ValueError("iters must be nonnegative")
+    check_count(n_particles, "n_particles")
+    check_count(iters, "iters", 0)
     if isinstance(bandwidth_policy, str) and bandwidth_policy != "median":
         raise ValueError(f"unknown bandwidth policy {bandwidth_policy!r}")
-    if not isinstance(bandwidth_policy, str) and not 0.0 < float(bandwidth_policy) < math.inf:
-        raise ValueError("footprint radius must be finite and positive")
-    if step is None:
-        step = 0.05 * phi.workspace.diameter ** 2
-    if not 0.0 < step < math.inf:
-        raise ValueError("step must be finite and positive")
+    if not isinstance(bandwidth_policy, str):
+        check_positive(bandwidth_policy, "footprint radius")
+    step = check_positive(0.05 * phi.workspace.diameter ** 2 if step is None else step, "step")
     floor = 1e-12 * phi.workspace.diameter ** 2
 
     x = phi.sample(n_particles, seed)

@@ -18,7 +18,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .geometry import ConvexPolygon
+from .geometry import ConvexPolygon, check_count
 
 AGENT_PALETTE = ("#d1495b", "#00798c", "#edae49", "#6a4c93",
                  "#2e933c", "#e26d5c", "#5f0f40", "#386fa4")
@@ -128,12 +128,11 @@ def render_scene(path, phi, workspace: ConvexPolygon, *, agents=None,
     agents are drawn as colored dots, power_radii as dashed circles around
     them, cells as outlines, pois as diamonds, and assignment as (agent,
     poi) index pairs joined by lines. swarm_points are small translucent
-    dots for large crowds. ValueError when bands or resolution is below 1,
-    or when a point or radius array holds NaN or inf.
+    dots for large crowds. ValueError when bands or resolution is not an
+    integer of at least 1, or when a point or radius array holds NaN or inf.
     """
-    for name, value in (("bands", bands), ("resolution", resolution)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value!r}")
+    check_count(bands, "bands")
+    check_count(resolution, "resolution")
     for name, value in (("agents", agents), ("power_radii", power_radii), ("pois", pois),
                         ("swarm_points", swarm_points)):
         if value is not None and not np.isfinite(np.asarray(value, dtype=float)).all():

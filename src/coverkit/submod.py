@@ -8,11 +8,12 @@ at most one element from each agent's block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
+
+from .geometry import check_count, check_positive
 
 
 @dataclass
@@ -55,7 +56,7 @@ def greedy_uniform(f, ground, n_pick: int) -> GreedyTrace:
     the earliest element in ground-set order.
     """
     items = list(ground)
-    if not 0 <= n_pick <= len(items):
+    if check_count(n_pick, "n_pick", 0) > len(items):
         raise ValueError(f"cannot pick {n_pick} of {len(items)} elements")
     return _greedy(f, lambda chosen: ([it for it in items if it not in chosen]
                                       for _ in range(n_pick)))
@@ -76,20 +77,15 @@ def _as_cloud(points) -> np.ndarray:
     return pts
 
 
-def _check_d_max(d_max) -> None:
-    # an infinite phantom makes every gain inf - inf = nan, and greedy picks nothing
-    if not 0.0 < d_max < math.inf:
-        raise ValueError("d_max must be a positive finite distance")
-
-
 def exemplar_utility(chosen, data, d_max: float) -> float:
     """Drop in summed data-to-nearest-exemplar distance versus a phantom.
 
     Every data point starts at Euclidean distance ``d_max`` (the phantom
     exemplar); adding real exemplars can only shrink its nearest distance,
-    so the utility is monotone and submodular.
+    so the utility is monotone and submodular. An infinite ``d_max`` would
+    make every gain inf - inf = nan, so it is refused.
     """
-    _check_d_max(d_max)
+    check_positive(d_max, "d_max")
     data = _as_cloud(data)
     if len(data) == 0 or len(chosen) == 0:
         return 0.0
@@ -99,7 +95,7 @@ def exemplar_utility(chosen, data, d_max: float) -> float:
 
 def exemplar_utility_fn(candidates, data, d_max: float):
     """Index-subset evaluator over candidate exemplars, for the greedy drivers."""
-    _check_d_max(d_max)
+    check_positive(d_max, "d_max")
     candidates = _as_cloud(candidates)
 
     def f(index_subset) -> float:

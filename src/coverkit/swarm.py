@@ -28,7 +28,8 @@ from scipy.spatial.distance import cdist
 
 from .density import DensityField, DiscreteMeasure, UniformDensity, discretize
 from .errors import SiteOutsideWorkspace
-from .geometry import ConvexPolygon, project_into
+from .geometry import (ConvexPolygon, check_count, check_points, check_positive,
+                       check_weights, project_into)
 from .transport import wasserstein_sinkhorn
 
 log = logging.getLogger(__name__)
@@ -56,9 +57,7 @@ class SwarmState:
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        if self.positions.ndim != 2 or self.positions.shape[1] != 2:
-            raise ValueError("positions must be an (n, 2) array")
+        self.positions = check_points(self.positions, "positions")
         if not self.workspace.contains(self.positions).all():
             raise SiteOutsideWorkspace("swarm positions must lie in the workspace")
 
@@ -72,19 +71,10 @@ def systematic_resample(weights, n: int) -> np.ndarray:
     With uniform weights and n equal to the atom count every atom is drawn
     exactly once. The offset is fixed, so repeated draws agree.
     """
-    w = np.asarray(weights, dtype=float)
-    if n < 1:
-        raise ValueError("need at least one draw")
-    if not np.isfinite(w).all():
-        raise ValueError("weights must be finite")
-    with np.errstate(over="ignore"):
-        total = w.sum()
-    if not np.isfinite(total):
-        raise ValueError("total weight overflows")
-    if total <= 0:
-        raise ValueError("total weight must be positive")
+    w = check_weights(weights)
+    n = check_count(n, "n")
     marks = (np.arange(n) + 0.5) / n
-    idx = np.searchsorted(np.cumsum(w / total), marks, side="left")
+    idx = np.searchsorted(np.cumsum(w), marks, side="left")
     return np.minimum(idx, len(w) - 1)
 
 
@@ -102,11 +92,10 @@ def transport_step(state: SwarmState, target: DiscreteMeasure, tau: float,
     batch was full and no agent had to be projected back into the
     workspace.
     """
-    if not 0.0 < tau <= 1.0:
-        raise ValueError("tau must lie in (0, 1]")
+    tau = check_positive(tau, "tau", at_most=1.0)
     n = len(state)
-    batch = n if batch is None else int(batch)
-    if not 1 <= batch <= n:
+    batch = n if batch is None else check_count(batch, "batch")
+    if batch > n:
         raise ValueError(f"batch must lie in [1, {n}]")
     full = batch == n
     made = state.matching
@@ -167,10 +156,8 @@ def run_reconfiguration(phi_target: DensityField, n_agents: int, iters: int,
     then agrees with a cold solve's within the solver's tol, and the first
     measurement of every run is cold, so equal arguments give equal runs.
     """
-    if n_agents < 1:
-        raise ValueError("need at least one agent")
-    if iters < 0:
-        raise ValueError("iters must be nonnegative")
+    check_count(n_agents, "n_agents")
+    check_count(iters, "iters", 0)
     workspace = phi_target.workspace
     if resolution is None:
         resolution = max(2, int(math.isqrt(n_agents)))

@@ -47,6 +47,7 @@ from scipy.spatial.distance import cdist
 from .coverage import build_partition
 from .density import DensityField, DiscreteMeasure, discretize
 from .errors import NoConvergence, SizeLimit
+from .geometry import check_count, check_points, check_positive, check_weights
 
 SIZE_LIMIT = 4_000_000
 # |log u| or |log v| beyond which the Sinkhorn scalings are folded into the
@@ -94,13 +95,6 @@ class TransportPlan:
     # exact solves only: "assignment" for equal-count uniform measures, which
     # linear assignment solves, and "lp" for the transportation LP
     route: str | None = None
-
-
-def _check_order(p) -> float:
-    p = float(p)
-    if p < 1.0:
-        raise ValueError("order p must be at least 1")
-    return p
 
 
 def _cost_power(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
@@ -171,7 +165,7 @@ def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2):
     Equal-count uniform measures go through linear assignment; general
     weights through the transportation LP.
     """
-    p = _check_order(p)
+    p = check_positive(p, "order p", at_least=1.0)
     m, k = len(mu), len(nu)
     if m * k > SIZE_LIMIT:
         raise SizeLimit(f"instance has {m}x{k} = {m * k} pairs; limit is {SIZE_LIMIT}")
@@ -335,7 +329,11 @@ def self_transport_cost(points: np.ndarray, weights: np.ndarray, p=2,
     positive-weight points, warm-starts the solve as in _solve_coupling_cost
     and is overwritten with its final state.
     """
-    p = _check_order(p)
+    p = check_positive(p, "order p", at_least=1.0)
+    points, weights = check_points(points), np.asarray(weights, dtype=float)
+    check_weights(weights, len(points))
+    check_positive(epsilon, "epsilon")
+    check_positive(tol, "tol")
     keep = np.nonzero(weights > 0)[0]
     pts, w = points[keep], weights[keep]
     total = w.sum()
@@ -370,14 +368,14 @@ def wasserstein_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2,
     a cold one within tol, not to the bit. Without init every bit is that
     of a cold solve.
     """
-    p = _check_order(p)
+    p = check_positive(p, "order p", at_least=1.0)
+    check_positive(tol, "tol")
     pa, wa, ia = _compact(mu)
     pb, wb, ib = _compact(nu)
     cost = _cost_power(pa, pb, p)
     if epsilon is None:
         epsilon = 0.05 * float(np.median(cost))
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    check_positive(epsilon, "epsilon")
     # one worker runs the two self-solves in turn while this thread runs the
     # cross solve; leaving the block waits for the worker either way
     errors = np.geterr()  # per thread on numpy 1.x, per context on 2.x
@@ -413,8 +411,7 @@ def check_w2_identity(phi: DensityField, positions, grid_resolution: int = 64):
     Returns (lhs, rhs, relative gap) where lhs is W2^2 from the exact solver
     and rhs the squared-distance locational cost on the Voronoi partition.
     """
-    if grid_resolution < 32:
-        raise ValueError("grid resolution below 32 is too coarse for the identity")
+    check_count(grid_resolution, "grid_resolution", 32)
     part = build_partition(phi, positions)
     rhs = part.cost
     mu = DiscreteMeasure(np.atleast_2d(np.asarray(positions, dtype=float)), part.masses)

@@ -195,7 +195,7 @@ def polygon_footprint_cost(phi: DensityField, model, poi, levels: int = 2):
     thetas = model.orientations[:1] if model.symmetric else model.orientations
     polys = [intersect(model.footprint(center, theta), phi.workspace) for theta in thetas]
     costs = cell_moments(phi, polys, np.broadcast_to(center, (len(polys), 2)), levels,
-                         getattr(model, "falloff", None))[2]
+                         model.falloff)[2]
     best = int(np.argmin(costs))
     return float(costs[best]), thetas[best]
 

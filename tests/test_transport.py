@@ -560,6 +560,14 @@ def test_self_transport_cost_is_small_and_nonnegative():
     assert 0.0 <= c < 1e-2
 
 
+def test_self_transport_cost_takes_lists():
+    # weights given as a list once raised a bare TypeError at `weights > 0`
+    rng = np.random.default_rng(15)
+    pts = rng.uniform(0, 1, (6, 2))
+    w = [0.1, 0.2, 0.0, 0.3, 0.15, 0.25]
+    assert self_transport_cost(pts.tolist(), w) == self_transport_cost(pts, np.array(w))
+
+
 # --------------------------------------------- voronoi measure & identity
 
 def test_voronoi_measure_symmetric_pair():
