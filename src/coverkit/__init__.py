@@ -8,8 +8,6 @@ YAML configs into logs and SVG frames; see the README for the CLI.
 """
 
 from .assign import (
-    AssignmentResult,
-    CostMatrix,
     GaussianService,
     IsotropicService,
     build_cost_matrix,
@@ -76,9 +74,7 @@ from .transport import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssignmentResult",
     "ConvexPolygon",
-    "CostMatrix",
     "CoverkitError",
     "DensityField",
     "DescentResult",

@@ -1,10 +1,11 @@
 """Deployment cost models and the bipartite assignment solver.
 
-Two ways to price putting an agent on a point of interest: integrate a
-radial falloff over the agent's service footprint against the density, or
+Two ways to price putting an agent on a point of interest: integrate the
+squared distance over the agent's service footprint against the density, or
 compare the service and a target mixture component as Gaussians in closed
-form. Either way one routine tabulates the prices over agents and sites, and
-the final matching is an exact rectangular assignment.
+form. Either way ``build_cost_matrix`` tabulates prices and orientations as
+two arrays, and ``solve_assignment`` returns the exact matching as (agent,
+poi) pairs with its total cost.
 
 A footprint is a reference polygon under the service's linear map, moved to
 the point of interest. Footprints that cross the workspace boundary are
@@ -19,14 +20,13 @@ lie in the workspace, so they are integrated with no point-in-polygon test.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .density import DensityField, cell_moments, polygon_quadrature, spd_cholesky, write_csv
+from .density import DensityField, cell_moments, polygon_quadrature, spd_cholesky
 from .errors import InfeasibleShape, NonFiniteCost, SiteOutsideWorkspace
-from .geometry import check_points, check_positive
+from .geometry import check_count, check_points, check_positive
 # clip is not called here, but coverbench/tracing.py patches it in this module
 from .geometry import ConvexPolygon, clip, intersect  # noqa: F401
 
@@ -67,11 +67,9 @@ def _check_orientations(orientations) -> tuple:
 class _Service:
     """A service whose footprint at orientation theta is the reference polygon
     ``_scale * _UNIT_NGON`` under the linear map ``_footprint_map(theta)``,
-    moved to the centre. Its price integrates ``falloff`` of the distance to
-    the centre, or the squared distance itself when ``falloff`` is None."""
+    moved to the centre. Its price integrates the squared distance to the centre."""
 
     _scale = 1.0
-    falloff = None
 
     def _footprint_map(self, theta: float) -> np.ndarray:
         raise NotImplementedError
@@ -107,15 +105,12 @@ class _Service:
 
 
 class IsotropicService(_Service):
-    """Rotation-invariant service: radial falloff integrated over a disk,
-    the squared distance by default."""
+    """Rotation-invariant service: the squared distance integrated over a disk."""
 
     symmetric = True
 
-    def __init__(self, radius: float, falloff=None,
-                 orientations=DEFAULT_ORIENTATIONS):
+    def __init__(self, radius: float, orientations=DEFAULT_ORIENTATIONS):
         self.radius = check_positive(radius, "footprint radius")
-        self.falloff = falloff
         self.orientations = _check_orientations(orientations)
         self._check_footprint()
 
@@ -156,20 +151,20 @@ class GaussianService(_Service):
 def footprint_cost(phi: DensityField, model, poi, levels: int = 2):
     """Cheapest orientation of the model's footprint over a point of interest.
 
-    For each candidate orientation the falloff-weighted density mass
-    inside the footprint (clipped to the workspace) is integrated; the
-    smallest value wins, first orientation on ties. Rotation-symmetric
-    models are integrated once. A price that is not finite (a footprint
-    far larger than the workspace) raises NonFiniteCost.
+    For each candidate orientation the squared distance to the point is
+    integrated against the density over the footprint (clipped to the
+    workspace); the smallest value wins, first orientation on ties.
+    Rotation-symmetric models are integrated once. A price that is not
+    finite (a footprint far larger than the workspace) raises NonFiniteCost.
     """
+    check_count(levels, "levels", 0)
     center = np.asarray(poi, dtype=float).reshape(2)
     if not phi.workspace.contains(center):
         raise SiteOutsideWorkspace("point of interest lies outside the workspace")
     thetas = model.orientations[:1] if model.symmetric else model.orientations
     with np.errstate(all="ignore"):
         rules = [model._quadrature(phi.workspace, center, theta, levels) for theta in thetas]
-        costs = cell_moments(phi, rules, np.broadcast_to(center, (len(rules), 2)), levels,
-                             model.falloff)[2]
+        costs = cell_moments(phi, rules, np.broadcast_to(center, (len(rules), 2)), levels)[2]
     if not np.isfinite(costs).all():
         raise NonFiniteCost("footprint price is not finite")
     best = int(np.argmin(costs))
@@ -204,6 +199,20 @@ def kld_cost(model, component_mean, component_cov):
     return divs[best], model.orientations[best]
 
 
+def build_cost_matrix(models, sites, entry) -> tuple[np.ndarray, np.ndarray]:
+    """Tabulate ``entry(model, site) -> (cost, theta)`` over all pairs.
+
+    ``sites`` is any sequence: points of interest for footprint prices,
+    mixture components for divergence prices. Returns (costs, thetas).
+    """
+    values = np.empty((len(models), len(sites)))
+    thetas = np.empty_like(values)
+    for i, model in enumerate(models):
+        for j, site in enumerate(sites):
+            values[i, j], thetas[i, j] = entry(model, site)
+    return values, thetas
+
+
 def _check_table(values: np.ndarray) -> None:
     """ValueError unless two-dimensional, InfeasibleShape for more agents
     (rows) than points of interest (columns), NonFiniteCost for NaN or inf."""
@@ -217,61 +226,10 @@ def _check_table(values: np.ndarray) -> None:
         raise NonFiniteCost("cost matrix entries must be finite")
 
 
-@dataclass
-class CostMatrix:
-    """Agent-by-poi deployment prices plus the best orientation per entry."""
-
-    values: np.ndarray
-    theta_star: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.theta_star = np.asarray(self.theta_star, dtype=float)
-        if self.theta_star.shape != self.values.shape:
-            raise ValueError("orientation table must match the cost matrix shape")
-        _check_table(self.values)
-
-    def to_csv(self, path) -> None:
-        rows, cols = self.values.shape
-        write_csv(path, "agent,poi,cost,theta",
-                  ((i, j, self.values[i, j], self.theta_star[i, j])
-                   for i in range(rows) for j in range(cols)))
-
-
-def build_cost_matrix(models, sites, entry) -> CostMatrix:
-    """Tabulate ``entry(model, site) -> (cost, theta)`` over all pairs.
-
-    ``sites`` is any sequence: points of interest for footprint prices,
-    mixture components for divergence prices.
-    """
-    values = np.empty((len(models), len(sites)))
-    thetas = np.empty_like(values)
-    for i, model in enumerate(models):
-        for j, site in enumerate(sites):
-            values[i, j], thetas[i, j] = entry(model, site)
-    return CostMatrix(values, thetas)
-
-
-@dataclass
-class AssignmentResult:
-    """Binary agent-to-poi matching: one poi per agent, one agent per poi."""
-
-    matrix: np.ndarray
-    total_cost: float
-
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(int(i), int(j)) for i, j in np.argwhere(self.matrix == 1)]
-
-    def to_csv(self, path) -> None:
-        write_csv(path, "agent,poi", self.pairs)
-
-
-def solve_assignment(cost) -> AssignmentResult:
-    """Exact minimum-cost matching of agents (rows) to pois (columns)."""
-    values = cost.values if isinstance(cost, CostMatrix) else np.asarray(cost, dtype=float)
+def solve_assignment(cost) -> tuple[np.ndarray, float]:
+    """Exact minimum-cost matching of agents (rows) to pois (columns): the
+    (agents, 2) int array of (agent, poi) pairs in agent order, and their total."""
+    values = np.asarray(cost, dtype=float)
     _check_table(values)
-    row_idx, col_idx = linear_sum_assignment(values)
-    matrix = np.zeros(values.shape, dtype=int)
-    matrix[row_idx, col_idx] = 1
-    return AssignmentResult(matrix=matrix, total_cost=float(values[row_idx, col_idx].sum()))
+    pairs = np.column_stack(linear_sum_assignment(values))
+    return pairs, float(values[pairs[:, 0], pairs[:, 1]].sum())

@@ -30,14 +30,14 @@ log = logging.getLogger(__name__)
 _STARVED_LOGGED = 10
 
 
-def _checked(positions, radii, tol: float = 1.0,
-             relax: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def _checked(positions, radii, tol: float = 1.0, relax: float = 1.0,
+             levels: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Float copies of positions and radii (zeros for None).
 
     ValueError for positions that break geometry.check_points, radii that
     break geometry.check_radii, a radius count that differs from the position
     count, a tol (only run_descent has one) that breaks
-    geometry.check_positive, and a relax that is not finite.
+    geometry.check_positive, a relax that is not finite, and levels that are not an int >= 0.
     """
     pos = check_points(np.array(positions, dtype=float), "positions")
     rho = np.zeros(len(pos)) if radii is None else check_radii(np.array(radii, dtype=float).ravel())
@@ -46,6 +46,7 @@ def _checked(positions, radii, tol: float = 1.0,
     check_positive(tol, "tol")
     if not math.isfinite(relax):
         raise ValueError("relax must be finite")
+    check_count(levels, "levels", 0)
     return pos, rho
 
 
@@ -75,7 +76,7 @@ def build_partition(phi: DensityField, positions, radii=None,
                     levels: int = 2) -> Partition:
     """Power partition of the workspace, the Voronoi one for radii None, with
     cell masses, centroids and the locational cost."""
-    pos, rho = _checked(positions, radii)
+    pos, rho = _checked(positions, radii, levels=levels)
     cells = power_cells(phi.workspace, pos, rho)
     masses, centroids, costs = cell_moments(phi, cells, pos, levels)
     return Partition(list(cells), masses, centroids,
@@ -89,7 +90,7 @@ def lloyd_step(phi: DensityField, positions, radii=None, relax: float = 1.0,
     Returns (new positions, partition at the input positions). Generators
     whose cell is dominated or carries no mass hold position.
     """
-    pos, rho = _checked(positions, radii, relax=relax)
+    pos, rho = _checked(positions, radii, relax=relax, levels=levels)
     partition = build_partition(phi, pos, rho, levels)
     if partition.starved:
         log.warning("%d agents hold position (empty or mass-starved cell), first %s",
@@ -143,7 +144,7 @@ def run_descent(phi: DensityField, positions, radii=None, max_iters: int = 200,
     array. The input arrays are not written.
     """
     check_count(max_iters, "max_iters")
-    current, rho = _checked(positions, radii, tol, relax)
+    current, rho = _checked(positions, radii, tol, relax, levels)
     trajectory = []
     starved = []
     converged = False
@@ -178,6 +179,8 @@ def equitable_weights(phi: DensityField, positions, tol_mass: float = 1e-3,
     smallest is zero, which leaves the diagram unchanged.
     """
     check_positive(tol_mass, "tol_mass")
+    check_count(max_iters, "max_iters")
+    check_count(levels, "levels", 0)
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     n = len(pos)
     target = 1.0 / n

@@ -23,8 +23,7 @@ clip. Its nodes lie in the workspace by construction, so each slab of about
 test, unlike the public ``eval``) and one row-wise reduction to masses,
 centroids and costs. The Gaussian mixture evaluates one component at a
 time, each as a contiguous row of n values, and adds the rows in order.
-``spd_cholesky`` is the one covariance check, and ``write_csv`` the one
-artifact CSV writer, next to the grid CSV loader.
+``spd_cholesky`` is the one covariance check.
 """
 from __future__ import annotations
 
@@ -416,15 +415,6 @@ def load_grid_csv(path, workspace: ConvexPolygon) -> GridDensity:
     return GridDensity(workspace, np.loadtxt(path, delimiter=",", ndmin=2))
 
 
-def write_csv(path, header: str, rows) -> None:
-    """Write an artifact CSV: floats as their shortest round-trip repr, the rest by str."""
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{float(v)!r}" if isinstance(v, (float, np.floating))
-                              else str(v) for v in row) + "\n")
-
-
 def spd_cholesky(cov) -> np.ndarray:
     """Lower Cholesky factor of a covariance; InvalidDensity unless it is finite,
     symmetric to _SYMMETRY_REL relative and positive definite.
@@ -453,11 +443,10 @@ def _rowwise(op, stack: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
-def cell_moments(phi: DensityField, polys, centers, levels: int = 2, falloff=None):
-    """Mass, centroid and falloff cost of each polygon under phi.
+def cell_moments(phi: DensityField, polys, centers, levels: int = 2):
+    """Mass, centroid and locational cost of each polygon under phi.
 
-    The cost of polygon i integrates falloff(|q - centers[i]|) phi(q) over it;
-    the default falloff is the squared distance, which makes the cost the
+    The cost of polygon i integrates |q - centers[i]|^2 phi(q) over it: the
     second moment about the generator. Returns (masses, centroids, costs) as
     arrays aligned with polys. A None polygon has zero mass and cost. The
     centroid repeats the center when the mass is below MASS_EPS.
@@ -504,8 +493,6 @@ def cell_moments(phi: DensityField, polys, centers, levels: int = 2, falloff=Non
             # the last axis, with no reduction over an axis of length 2
             ox, oy = offsets[..., 0], offsets[..., 1]
             kernel = ox * ox + oy * oy
-            if falloff is not None:
-                kernel = np.reshape(falloff(np.sqrt(kernel).ravel()), w.shape)
             mass = wv.sum(axis=1)
             costs[idx] = (wv[:, None, :] @ kernel[:, :, None])[:, 0, 0]
             masses[idx] = np.maximum(mass, 0.0)

@@ -455,8 +455,13 @@ def check_positive(value, name: str, at_least: float | None = None,
                    at_most: float = math.inf) -> float:
     """A real scalar as a float; ValueError unless it is finite, at most
     ``at_most``, and positive or, when given, at least ``at_least``. NaN
-    fails every comparison, and so does anything that is not a real number."""
-    x = float(value) if isinstance(value, numbers.Real) else math.nan
+    fails every comparison, and so does anything that is not a real number,
+    a bool, or an int too large for a float."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:
+        x = math.nan
     if not (math.isfinite(x) and x <= at_most
             and (x > 0.0 if at_least is None else x >= at_least)):
         rule = "positive" if at_least is None else f"at least {at_least:g}"

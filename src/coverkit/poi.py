@@ -134,6 +134,7 @@ def gmm_em(data, n_components: int, seed: int = 0, max_iters: int = 200,
     n = len(pts)
     if n < check_count(n_components, "n_components"):
         raise ValueError(f"cannot fit {n_components} components to {n} points")
+    check_count(max_iters, "max_iters")
     ridge = check_positive(reg, "reg") * np.eye(2)
     global_cov = np.cov(pts.T, bias=True).reshape(2, 2) + ridge
 
@@ -229,8 +230,6 @@ def svgd(phi: DensityField, n_particles: int, bandwidth_policy="median",
     for _ in range(iters):
         h = _bandwidth(x, bandwidth_policy, floor)
         grad = phi.grad_log(x)
-        if grad.ndim == 1:
-            grad = grad[None, :]
         kernel = np.exp(-cdist(x, x, "sqeuclidean") / h)
         ksum = kernel.sum(axis=1)
         drive = kernel @ grad

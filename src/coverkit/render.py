@@ -24,6 +24,7 @@ AGENT_PALETTE = ("#d1495b", "#00798c", "#edae49", "#6a4c93",
                  "#2e933c", "#e26d5c", "#5f0f40", "#386fa4")
 BAND_LOW = np.array([252.0, 252.0, 250.0])
 BAND_HIGH = np.array([44.0, 66.0, 134.0])
+SIZE, MARGIN = 640, 24  # pixels: a frame's longer side, the margin around the workspace
 
 
 def _band_color(level: int, bands: int) -> str:
@@ -40,21 +41,20 @@ def _pairs(sx, sy) -> list[str]:
 class SvgCanvas:
     """World-to-screen mapping plus an element buffer, y axis up."""
 
-    def __init__(self, bbox, size: int = 640, margin: int = 24):
+    def __init__(self, bbox):
         xmin, xmax, ymin, ymax = bbox
         extent = max(xmax - xmin, ymax - ymin)
-        self.scale = (size - 2 * margin) / extent
+        self.scale = (SIZE - 2 * MARGIN) / extent
         self.xmin, self.ymax = xmin, ymax
-        self.margin = margin
-        self.width = 2 * margin + (xmax - xmin) * self.scale
-        self.height = 2 * margin + (ymax - ymin) * self.scale
+        self.width = 2 * MARGIN + (xmax - xmin) * self.scale
+        self.height = 2 * MARGIN + (ymax - ymin) * self.scale
         self.elements: list[str] = []
 
     def map(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Screen x and y arrays of an (n, 2) array of world points."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        return (self.margin + (pts[:, 0] - self.xmin) * self.scale,
-                self.margin + (self.ymax - pts[:, 1]) * self.scale)
+        return (MARGIN + (pts[:, 0] - self.xmin) * self.scale,
+                MARGIN + (self.ymax - pts[:, 1]) * self.scale)
 
     def polygons(self, vertex_arrays, attrs: str) -> None:
         """One polygon per vertex array, all mapped in one pass."""
@@ -122,7 +122,7 @@ def _append_density_bands(canvas: SvgCanvas, phi, workspace: ConvexPolygon,
 def render_scene(path, phi, workspace: ConvexPolygon, *, agents=None,
                  power_radii=None, cells=None, pois=None, assignment=None,
                  swarm_points=None, title=None, bands: int = 16,
-                 resolution: int = 128, size: int = 640) -> None:
+                 resolution: int = 128) -> None:
     """Write one SVG frame of the scenario.
 
     agents are drawn as colored dots, power_radii as dashed circles around
@@ -137,7 +137,7 @@ def render_scene(path, phi, workspace: ConvexPolygon, *, agents=None,
                         ("swarm_points", swarm_points)):
         if value is not None and not np.isfinite(np.asarray(value, dtype=float)).all():
             raise ValueError(f"{name} must be finite")
-    canvas = SvgCanvas(workspace.bbox, size=size)
+    canvas = SvgCanvas(workspace.bbox)
     canvas.elements.append(
         f'<rect width="{canvas.width:.0f}" height="{canvas.height:.0f}" fill="#ffffff"/>')
     clip = " ".join(_pairs(*canvas.map(workspace.vertices)))
@@ -184,7 +184,7 @@ def render_scene(path, phi, workspace: ConvexPolygon, *, agents=None,
 
     if title:
         canvas.elements.append(
-            f'<text x="{canvas.margin:.2f}" y="{canvas.margin - 8:.2f}" '
+            f'<text x="{MARGIN:.2f}" y="{MARGIN - 8:.2f}" '
             f'font-family="sans-serif" font-size="13" '
             f'fill="#333333">{escape(title)}</text>')
     canvas.save(path)

@@ -6,8 +6,10 @@ pipeline on exactly what ``validate`` built, so a config that passes
 ``validate`` is the config that runs. Every run leaves behind manifest.json
 (the resolved config, and under ``versions`` those of coverkit, Python, numpy
 and scipy), metrics.jsonl (per-iteration records), final.csv,
-and at least one render_*.svg. Exit codes: 0 success, 2 invalid config,
-3 numerical failure with whatever logs were already written left intact.
+and at least one render_*.svg; poi_assign adds cost_matrix.csv and
+assignment.csv. The library returns arrays; this module writes every CSV and JSON.
+Exit codes: 0 success, 2 invalid config, 3 numerical failure with whatever
+logs were already written left intact.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from . import poi as poi_mod
 # in this module
 from .coverage import build_partition, run_descent  # noqa: F401
 from .density import (DensityField, GmmDensity, UniformDensity, from_pgm, load_grid_csv,
-                      spd_cholesky, write_csv)
+                      spd_cholesky)
 from .errors import CoverkitError, NoConvergence
 from .geometry import ConvexPolygon, check_radii, coincident_pairs
 from .render import render_scene
@@ -385,6 +387,15 @@ def _write_jsonl(path: Path, records) -> None:
             fh.write(json.dumps(record, sort_keys=True, default=lambda o: o.tolist()) + "\n")
 
 
+def write_csv(path, header: str, rows) -> None:
+    """Write an artifact CSV: floats as their shortest round-trip repr, the rest by str."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{float(v)!r}" if isinstance(v, (float, np.floating))
+                              else str(v) for v in row) + "\n")
+
+
 # -------------------------------------------------------------- pipelines
 
 def _run_lloyd(resolved, phi, workspace, out: Path) -> None:
@@ -443,30 +454,28 @@ def _run_poi_assign(resolved, phi, workspace, out: Path) -> None:
                                endpoint=False))
     models = _build_services(resolved["agents"]["services"], thetas)
     if params["cost"] == "footprint":
-        matrix = assign_mod.build_cost_matrix(
+        values, thetas = assign_mod.build_cost_matrix(
             models, points,
             lambda model, pt: assign_mod.footprint_cost(phi, model, pt,
                                                         levels=params["levels"]))
     else:
         components = list(zip(gmm_fit.means, gmm_fit.covariances))
-        matrix = assign_mod.build_cost_matrix(
+        values, thetas = assign_mod.build_cost_matrix(
             models, components, lambda model, c: assign_mod.kld_cost(model, *c))
 
-    solution = assign_mod.solve_assignment(matrix)
-    records.append({"iteration": len(trace), "objective": float(solution.total_cost),
-                    "stage": "assign"})
+    pairs, total = assign_mod.solve_assignment(values)
+    records.append({"iteration": len(trace), "objective": total, "stage": "assign"})
     _write_jsonl(out / "metrics.jsonl", records)
-    matrix.to_csv(out / "cost_matrix.csv")
-    solution.to_csv(out / "assignment.csv")
+    write_csv(out / "cost_matrix.csv", "agent,poi,cost,theta",
+              ((i, j, values[i, j], thetas[i, j]) for i, j in np.ndindex(values.shape)))
+    write_csv(out / "assignment.csv", "agent,poi", pairs.tolist())
 
     positions = _initial_positions(resolved, phi)
     rows = [(i, positions[i, 0], positions[i, 1], j, points[j, 0], points[j, 1],
-             float(matrix.theta_star[i, j]), float(matrix.values[i, j]))
-            for i, j in solution.pairs]
+             thetas[i, j], values[i, j]) for i, j in pairs.tolist()]
     write_csv(out / "final.csv", "agent,x,y,poi,poi_x,poi_y,theta,cost", rows)
     render_scene(out / "render_final.svg", phi, workspace, agents=positions,
-                 pois=points, assignment=solution.pairs,
-                 title=f"assignment cost {solution.total_cost:.6g}")
+                 pois=points, assignment=pairs, title=f"assignment cost {total:.6g}")
 
 
 def _run_submodular(resolved, phi, workspace, out: Path) -> None:
@@ -491,12 +500,12 @@ def _run_submodular(resolved, phi, workspace, out: Path) -> None:
 
     chosen = candidates[[int(e) for e in trace.chosen]]
     positions = _initial_positions(resolved, phi)
-    matching = assign_mod.solve_assignment(cdist(positions, chosen, "sqeuclidean"))
+    pairs, _ = assign_mod.solve_assignment(cdist(positions, chosen, "sqeuclidean"))
     rows = [(i, positions[i, 0], positions[i, 1], j, chosen[j, 0], chosen[j, 1])
-            for i, j in matching.pairs]
+            for i, j in pairs.tolist()]
     write_csv(out / "final.csv", "agent,x,y,site,site_x,site_y", rows)
     render_scene(out / "render_final.svg", phi, workspace, agents=positions,
-                 pois=chosen, assignment=matching.pairs,
+                 pois=chosen, assignment=pairs,
                  title=f"greedy utility {trace.values[-1]:.6g}")
 
 

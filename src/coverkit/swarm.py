@@ -158,6 +158,9 @@ def run_reconfiguration(phi_target: DensityField, n_agents: int, iters: int,
     """
     check_count(n_agents, "n_agents")
     check_count(iters, "iters", 0)
+    if metric_every is not None:
+        check_count(metric_every, "metric_every", 0)
+    check_count(snapshot_every, "snapshot_every", 0)
     workspace = phi_target.workspace
     if resolution is None:
         resolution = max(2, int(math.isqrt(n_agents)))

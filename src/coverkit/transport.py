@@ -333,6 +333,7 @@ def self_transport_cost(points: np.ndarray, weights: np.ndarray, p=2,
     points, weights = check_points(points), np.asarray(weights, dtype=float)
     check_weights(weights, len(points))
     check_positive(epsilon, "epsilon")
+    check_count(max_iters, "max_iters")
     check_positive(tol, "tol")
     keep = np.nonzero(weights > 0)[0]
     pts, w = points[keep], weights[keep]
@@ -369,6 +370,7 @@ def wasserstein_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2,
     of a cold solve.
     """
     p = check_positive(p, "order p", at_least=1.0)
+    check_count(max_iters, "max_iters")
     check_positive(tol, "tol")
     pa, wa, ia = _compact(mu)
     pb, wb, ib = _compact(nu)

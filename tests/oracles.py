@@ -73,7 +73,7 @@ def fan_quadrature(poly: ConvexPolygon, levels: int = 2) -> tuple[np.ndarray, np
     return pts, (areas[:, None] * RULE_WEIGHTS[None, :]).reshape(-1)
 
 
-def loop_cell_moments(phi: DensityField, polys, centers, levels: int = 2, falloff=None):
+def loop_cell_moments(phi: DensityField, polys, centers, levels: int = 2):
     """``cell_moments`` one entry at a time: the stacked rule of one polygon
     (P = 1) and one masked ``phi.eval`` per polygon."""
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
@@ -92,11 +92,7 @@ def loop_cell_moments(phi: DensityField, polys, centers, levels: int = 2, fallof
             pts = centers[i] + offsets
         wv = w * np.asarray(phi.eval(pts), dtype=float)
         mass = float(wv.sum())
-        if falloff is None:
-            kernel = (offsets ** 2).sum(axis=1)
-        else:
-            kernel = falloff(np.linalg.norm(offsets, axis=1))
-        costs[i] = wv @ kernel
+        costs[i] = wv @ (offsets ** 2).sum(axis=1)
         masses[i] = max(mass, 0.0)
         if mass >= MASS_EPS:
             centroids[i] = wv @ pts / mass
@@ -194,8 +190,7 @@ def polygon_footprint_cost(phi: DensityField, model, poi, levels: int = 2):
     center = np.asarray(poi, dtype=float).reshape(2)
     thetas = model.orientations[:1] if model.symmetric else model.orientations
     polys = [intersect(model.footprint(center, theta), phi.workspace) for theta in thetas]
-    costs = cell_moments(phi, polys, np.broadcast_to(center, (len(polys), 2)), levels,
-                         model.falloff)[2]
+    costs = cell_moments(phi, polys, np.broadcast_to(center, (len(polys), 2)), levels)[2]
     best = int(np.argmin(costs))
     return float(costs[best]), thetas[best]
 

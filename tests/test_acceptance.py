@@ -177,7 +177,7 @@ def test_accept_04_assignment_matches_brute_force():
         rows = int(rng.integers(1, 8))
         cols = int(rng.integers(rows, 9))
         values = rng.uniform(0.0, 10.0, size=(rows, cols))
-        solved = solve_assignment(values).total_cost
+        solved = solve_assignment(values)[1]
         best = min(sum(values[i, j] for i, j in enumerate(perm))
                    for perm in itertools.permutations(range(cols), rows))
         if abs(solved - best) > 1e-9:

@@ -5,9 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from coverkit.assign import (AssignmentResult, CostMatrix, GaussianService,
-                             IsotropicService, build_cost_matrix, footprint_cost,
-                             gaussian_kl, kld_cost, rotation, solve_assignment)
+from coverkit.assign import (GaussianService, IsotropicService, build_cost_matrix,
+                             footprint_cost, gaussian_kl, kld_cost, rotation,
+                             solve_assignment)
 from coverkit.density import GmmDensity, GridDensity, UniformDensity
 from coverkit.errors import (CoverkitError, InfeasibleShape, NonFiniteCost,
                              SiteOutsideWorkspace)
@@ -143,24 +143,15 @@ def test_footprint_poi_outside_workspace():
         footprint_cost(phi, IsotropicService(0.1), [1.4, 0.5])
 
 
-def test_custom_falloff_honored():
-    phi = UniformDensity(UNIT)
-    flat = IsotropicService(radius=0.2, falloff=lambda r: np.ones_like(r))
-    cost, _ = footprint_cost(phi, flat, [0.5, 0.5])
-    # integrating 1 against the density over the disk: its probability mass
-    assert cost == pytest.approx(np.pi * 0.2**2, rel=1e-3)
-
-
 PENTAGON = ConvexPolygon([(0.1, 0.0), (0.9, 0.05), (1.0, 0.6), (0.5, 1.0), (0.0, 0.7)])
 MIXTURE = ([0.5, 0.3, 0.2], [[0.35, 0.4], [0.7, 0.6], [0.5, 0.85]],
            [[[0.02, 0.005], [0.005, 0.01]], np.eye(2) * 0.015, [[0.008, -0.002], [-0.002, 0.02]]])
 
 
 def random_models(rng, orientations):
-    """Two disks (one with a custom falloff) and two anisotropic Gaussians."""
+    """Two disks and two anisotropic Gaussians."""
     models = [IsotropicService(rng.uniform(0.02, 0.35), orientations=orientations),
-              IsotropicService(rng.uniform(0.02, 0.2), falloff=lambda r: np.exp(-3.0 * r),
-                               orientations=orientations)]
+              IsotropicService(rng.uniform(0.02, 0.2), orientations=orientations)]
     for _ in range(2):
         minor = rng.uniform(2e-4, 2e-3)
         turn = rot(rng.uniform(0.0, np.pi))
@@ -369,68 +360,61 @@ def test_covariance_cholesky_cannot_vet_is_rejected(cov):
 def test_assignment_identity_matrix():
     values = np.ones((3, 3))
     np.fill_diagonal(values, 0.0)
-    res = solve_assignment(values)
-    assert np.array_equal(res.matrix, np.eye(3, dtype=int))
-    assert res.total_cost == 0.0
+    pairs, total = solve_assignment(values)
+    assert np.array_equal(pairs, [[0, 0], [1, 1], [2, 2]])
+    assert total == 0.0
 
 
 def test_assignment_two_by_three_matches_brute_force():
     values = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
-    res = solve_assignment(values)
+    pairs, total = solve_assignment(values)
     want, cols = brute_assignment(values)
-    assert res.total_cost == pytest.approx(want)
+    assert total == pytest.approx(want)
     assert want == 4.0  # crossed pairing beats the diagonal here
-    assert res.pairs == [(0, cols[0]), (1, cols[1])] or res.total_cost == want
+    assert pairs.tolist() == [[0, cols[0]], [1, cols[1]]] or total == want
 
 
 def test_assignment_random_matches_brute_force():
     rng = np.random.default_rng(17)
     for _ in range(20):
         values = rng.uniform(0, 10, size=(4, 6))
-        res = solve_assignment(values)
+        _, total = solve_assignment(values)
         want, _ = brute_assignment(values)
-        assert res.total_cost == pytest.approx(want, abs=1e-12)
+        assert total == pytest.approx(want, abs=1e-12)
 
 
 def test_assignment_constraints_hold():
     rng = np.random.default_rng(19)
     values = rng.uniform(0, 1, size=(5, 9))
-    res = solve_assignment(values)
-    assert np.array_equal(np.unique(res.matrix), [0, 1])
-    assert np.all(res.matrix.sum(axis=1) == 1)
-    assert np.all(res.matrix.sum(axis=0) <= 1)
+    pairs, _ = solve_assignment(values)
+    assert pairs.shape == (5, 2)
+    assert np.array_equal(pairs[:, 0], np.arange(5))  # one poi per agent, in agent order
+    assert len(np.unique(pairs[:, 1])) == 5  # one agent per poi
 
 
 def test_assignment_infeasible_and_invalid():
     with pytest.raises(InfeasibleShape):
         solve_assignment(np.zeros((3, 2)))
-    with pytest.raises(InfeasibleShape):
-        CostMatrix(np.zeros((3, 2)), np.zeros((3, 2)))
     with pytest.raises(ValueError):
         solve_assignment(np.array([[np.inf, 1.0], [0.0, 2.0]]))
     with pytest.raises(ValueError):
-        CostMatrix(np.array([[np.nan, 1.0]]), np.zeros((1, 2)))
+        solve_assignment(np.array([[np.nan, 1.0]]))
 
 
-def test_cost_matrix_pipeline(tmp_path):
+def test_cost_matrix_pipeline():
     phi = GmmDensity(UNIT, [0.5, 0.5], [[0.3, 0.3], [0.7, 0.7]],
                      [np.eye(2) * 0.01, np.eye(2) * 0.01])
     models = [IsotropicService(0.1), IsotropicService(0.2)]
     pois = np.array([[0.3, 0.3], [0.7, 0.7], [0.5, 0.5]])
-    table = build_cost_matrix(models, pois,
-                              lambda m, p: footprint_cost(phi, m, p))
-    assert table.values.shape == (2, 3)
-    res = solve_assignment(table)
-    assert isinstance(res, AssignmentResult)
-    assert res.matrix.sum() == 2
-    csv_path = tmp_path / "costs.csv"
-    table.to_csv(csv_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "agent,poi,cost,theta"
-    assert len(lines) == 7
-    out = tmp_path / "pairs.csv"
-    res.to_csv(out)
-    assert out.read_text().startswith("agent,poi\n")
+    values, thetas = build_cost_matrix(models, pois,
+                                       lambda m, p: footprint_cost(phi, m, p))
+    assert values.shape == thetas.shape == (2, 3)
+    pairs, total = solve_assignment(values)
+    assert pairs.shape == (2, 2)
+    assert np.issubdtype(pairs.dtype, np.integer)
+    assert np.array_equal(pairs[:, 0], [0, 1])
+    assert len(set(pairs[:, 1].tolist())) == 2
+    assert total == values[pairs[:, 0], pairs[:, 1]].sum()
 
 
 def test_orientation_set_validation():
@@ -449,7 +433,7 @@ def test_isotropic_service_rejects_non_finite_radius(radius):
 
 
 def test_non_finite_costs_raise_a_typed_error():
-    for build in (lambda: CostMatrix(np.array([[np.nan, 1.0]]), np.zeros((1, 2))),
+    for build in (lambda: solve_assignment(np.array([[np.nan, 1.0]])),
                   lambda: solve_assignment(np.array([[np.inf, 1.0], [0.0, 2.0]]))):
         with pytest.raises(NonFiniteCost) as caught:
             build()

@@ -534,7 +534,12 @@ def test_cell_mass_centroid_empty_cell():
     np.testing.assert_array_equal(c, center)
 
 
-def moments_oracle(phi, polys, centers, levels, falloff):
+# each case's cost is the squared distance to its center, as its id says
+SQUARED_KINDS = pytest.mark.parametrize("kind", ["uniform", "gmm", "grid"],
+                                        ids=lambda kind: f"squared-{kind}")
+
+
+def moments_oracle(phi, polys, centers, levels):
     """One quadrature and one eval per polygon, reduced term by term."""
     out = []
     for poly, center in zip(polys, centers):
@@ -543,8 +548,7 @@ def moments_oracle(phi, polys, centers, levels, falloff):
             continue
         pts, w = fan_quadrature(poly, levels)
         vals = phi.eval(pts)
-        dist = np.linalg.norm(pts - center, axis=1)
-        weight = dist**2 if falloff is None else falloff(dist)
+        weight = np.linalg.norm(pts - center, axis=1) ** 2
         mass = float(np.sum(w * vals))
         cost = float(np.sum(w * vals * weight))
         centroid = (w * vals) @ pts / mass if mass >= MASS_EPS else center
@@ -552,9 +556,8 @@ def moments_oracle(phi, polys, centers, levels, falloff):
     return out
 
 
-@pytest.mark.parametrize("kind", ["uniform", "gmm", "grid"])
-@pytest.mark.parametrize("falloff", [None, lambda r: np.exp(-r)], ids=["squared", "exp"])
-def test_cell_moments_matches_per_polygon_oracle(kind, falloff):
+@SQUARED_KINDS
+def test_cell_moments_matches_per_polygon_oracle(kind):
     ws = unit_square()
     if kind == "uniform":
         phi = UniformDensity(ws)
@@ -571,9 +574,8 @@ def test_cell_moments_matches_per_polygon_oracle(kind, falloff):
     centers = np.vstack([sites, [[0.2, 0.2], [0.005, 0.005]]])
     assert any(poly is None for poly in polys)
 
-    masses, centroids, costs = cell_moments(phi, polys, centers, 2, falloff)
-    for i, (mass, centroid, cost) in enumerate(
-            moments_oracle(phi, polys, centers, 2, falloff)):
+    masses, centroids, costs = cell_moments(phi, polys, centers, 2)
+    for i, (mass, centroid, cost) in enumerate(moments_oracle(phi, polys, centers, 2)):
         assert masses[i] == pytest.approx(mass, rel=1e-12, abs=1e-300)
         np.testing.assert_allclose(centroids[i], centroid, rtol=1e-12, atol=0)
         assert costs[i] == pytest.approx(cost, rel=1e-12, abs=1e-300)
@@ -600,9 +602,8 @@ def test_stacked_quadrature_rows_match_one_polygon_rule():
         np.testing.assert_allclose(w[row], want_w, rtol=1e-14, atol=0)
 
 
-@pytest.mark.parametrize("kind", ["uniform", "gmm", "grid"])
-@pytest.mark.parametrize("falloff", [None, lambda r: np.exp(-r)], ids=["squared", "exp"])
-def test_cell_moments_matches_loop_oracle(kind, falloff):
+@SQUARED_KINDS
+def test_cell_moments_matches_loop_oracle(kind):
     ws = unit_square()
     if kind == "uniform":
         phi = UniformDensity(ws)
@@ -625,8 +626,8 @@ def test_cell_moments_matches_loop_oracle(kind, falloff):
     centers = np.array([entries[i][1] for i in order])
     assert 12 * 6 * 16 * 13 > EVAL_NODES
 
-    got = cell_moments(phi, polys, centers, 2, falloff)
-    want = loop_cell_moments(phi, polys, centers, 2, falloff)
+    got = cell_moments(phi, polys, centers, 2)
+    want = loop_cell_moments(phi, polys, centers, 2)
     for a, b in zip(got, want):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
 
@@ -643,9 +644,8 @@ def edge_gaps(ws, pts):
     return gaps[np.arange(len(pts)), np.abs(gaps).argmin(axis=1)]
 
 
-@pytest.mark.parametrize("kind", ["uniform", "gmm", "grid"])
-@pytest.mark.parametrize("falloff", [None, lambda r: np.exp(-r)], ids=["squared", "exp"])
-def test_unmasked_moments_equal_masked_loop_oracle(kind, falloff):
+@SQUARED_KINDS
+def test_unmasked_moments_equal_masked_loop_oracle(kind):
     """Every node cell_moments integrates lies in W, so skipping the mask of
     eval changes no bit: clipped cells with vertices a rounding error off W's
     edges, and footprints pushed out through an edge by up to 0.9 EPS_GEO,
@@ -689,8 +689,8 @@ def test_unmasked_moments_equal_masked_loop_oracle(kind, falloff):
     polys = [e[0] for e in entries]
     centers = np.array([e[1] for e in entries])
 
-    got = cell_moments(phi, polys, centers, 2, falloff)
-    want = loop_cell_moments(phi, polys, centers, 2, falloff)
+    got = cell_moments(phi, polys, centers, 2)
+    want = loop_cell_moments(phi, polys, centers, 2)
     for x, y in zip(got, want):
         np.testing.assert_array_equal(x, y)
 

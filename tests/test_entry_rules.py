@@ -1,9 +1,10 @@
 """Public entry points refuse bad points, weights, scalars and counts at the entry.
 
 Each row is an input that an entry point once took without a typed error: it
-returned NaN, drew from negative weights, truncated a fractional count, ran
-its whole iteration budget on a NaN tolerance, or raised a bare TypeError
-from deep inside. The rules live in ``geometry`` (``check_points``,
+returned NaN, drew from negative weights, truncated or ignored a fractional
+or negative count, ran its whole iteration budget on a NaN tolerance, read
+True as 1.0, or raised a bare TypeError or OverflowError from deep inside.
+The rules live in ``geometry`` (``check_points``,
 ``check_weights``, ``check_positive`` and ``check_count``), and each row must
 now raise the ValueError or CoverkitError it names, with no numpy warning.
 """
@@ -14,7 +15,8 @@ import warnings
 import numpy as np
 import pytest
 
-from coverkit.coverage import equitable_weights, run_descent
+from coverkit.assign import IsotropicService, footprint_cost
+from coverkit.coverage import build_partition, equitable_weights, lloyd_step, run_descent
 from coverkit.density import (DiscreteMeasure, GmmDensity, InvalidDensity, UniformDensity,
                               discretize)
 from coverkit.geometry import ConvexPolygon
@@ -81,6 +83,32 @@ GAPS = [
      lambda: render_scene(os.devnull, PHI, SQUARE, bands=2.5)),
     ("equitable-tol-mass-nan", ValueError,
      lambda: equitable_weights(PHI, SITES, tol_mass=NAN, max_iters=3)),
+    ("gmm-fractional-max-iters", ValueError, lambda: gmm_em(DATA, 2, max_iters=1.5)),
+    ("equitable-fractional-max-iters", ValueError,
+     lambda: equitable_weights(PHI, SITES, max_iters=1.5)),
+    ("equitable-fractional-levels", ValueError,
+     lambda: equitable_weights(PHI, SITES, max_iters=3, levels=1.5)),
+    ("sinkhorn-fractional-max-iters", ValueError,
+     lambda: wasserstein_sinkhorn(MU, NU, max_iters=2.5)),
+    ("self-cost-fractional-max-iters", ValueError,
+     lambda: self_transport_cost(DATA[:3], np.ones(3) / 3, max_iters=2.5)),
+    ("reconfiguration-fractional-metric-every", ValueError,
+     lambda: run_reconfiguration(PHI, 4, 1, metric_every=1.5)),
+    ("reconfiguration-negative-metric-every", ValueError,
+     lambda: run_reconfiguration(PHI, 4, 1, metric_every=-1)),
+    ("reconfiguration-fractional-snapshot-every", ValueError,
+     lambda: run_reconfiguration(PHI, 4, 1, metric_every=None, snapshot_every=0.5)),
+    ("reconfiguration-negative-snapshot-every", ValueError,
+     lambda: run_reconfiguration(PHI, 4, 1, metric_every=None, snapshot_every=-1)),
+    ("partition-fractional-levels", ValueError, lambda: build_partition(PHI, SITES, levels=1.5)),
+    ("lloyd-fractional-levels", ValueError, lambda: lloyd_step(PHI, SITES, levels=1.5)),
+    ("descent-fractional-levels", ValueError, lambda: run_descent(PHI, SITES, levels=1.5)),
+    ("footprint-negative-levels", ValueError,
+     lambda: footprint_cost(PHI, IsotropicService(0.1), [0.5, 0.5], levels=-1)),
+    ("service-radius-bool", ValueError, lambda: IsotropicService(True)),
+    ("service-radius-huge-int", ValueError, lambda: IsotropicService(10**400)),
+    ("step-tau-bool", ValueError,
+     lambda: transport_step(SwarmState(np.array(SITES), SQUARE), discretize(PHI, 3, 3), True)),
 ]
 
 

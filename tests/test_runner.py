@@ -17,6 +17,7 @@ import yaml
 
 import coverkit
 from coverkit import runner
+from coverkit.assign import footprint_cost, solve_assignment
 from coverkit.coverage import build_partition
 from coverkit.density import GmmDensity
 from coverkit.geometry import ConvexPolygon
@@ -368,6 +369,50 @@ def test_poi_assign_end_to_end(tmp_path):
     assert len(rows) == 3
     stages = {r["stage"] for r in read_metrics(out)}
     assert stages == {"extract", "assign"}
+
+
+def read_csv(path):
+    header, *rows = path.read_text().splitlines()
+    return header, [row.split(",") for row in rows]
+
+
+def test_poi_assign_artifacts_hold_the_library_results(tmp_path):
+    """cost_matrix.csv, assignment.csv and final.csv carry, bit for bit, what
+    footprint_cost and solve_assignment return for the run's pois."""
+    services = [{"kind": "disk", "radius": 0.1},
+                {"kind": "gaussian", "covariance": [[0.01, 0.0], [0.0, 0.003]]}]
+    path = write_cfg(tmp_path, {**poi_cfg(), "density": gmm_density(),
+                                "agents": {"n": 2, "services": services}})
+    out = tmp_path / "poi"
+    assert run(path, out=out) == EXIT_OK
+    report = validate(path)
+    resolved = report.config
+    points = runner._extract_pois(resolved, report.density, report.workspace)[0]
+    thetas = tuple(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False))
+    models = runner._build_services(resolved["agents"]["services"], thetas)
+
+    header, rows = read_csv(out / "cost_matrix.csv")
+    assert header == "agent,poi,cost,theta"
+    assert [(int(i), int(j)) for i, j, _, _ in rows] == [(i, j) for i in range(2)
+                                                         for j in range(4)]
+    values, angles = np.empty((2, 4)), np.empty((2, 4))
+    for i, j, cost, theta in rows:
+        i, j = int(i), int(j)
+        values[i, j], angles[i, j] = footprint_cost(report.density, models[i], points[j])
+        assert (float(cost), float(theta)) == (values[i, j], angles[i, j])
+
+    pairs, _ = solve_assignment(values)
+    header, rows = read_csv(out / "assignment.csv")
+    assert header == "agent,poi"
+    assert [[int(i), int(j)] for i, j in rows] == pairs.tolist()
+
+    header, rows = read_csv(out / "final.csv")
+    assert header == "agent,x,y,poi,poi_x,poi_y,theta,cost"
+    assert [[int(row[0]), int(row[3])] for row in rows] == pairs.tolist()
+    for row in rows:
+        i, j = int(row[0]), int(row[3])
+        assert [float(v) for v in row[4:6]] == points[j].tolist()
+        assert (float(row[6]), float(row[7])) == (angles[i, j], values[i, j])
 
 
 def test_gmm_extraction_with_kld_costs(tmp_path):
