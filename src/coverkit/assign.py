@@ -20,6 +20,7 @@ lie in the workspace, so they are integrated with no point-in-polygon test.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -58,9 +59,13 @@ def _reference_rule(scale: float, levels: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_orientations(orientations) -> tuple:
+    """The orientations as a tuple of floats; ValueError unless there is at
+    least one and each is finite."""
     thetas = tuple(float(t) for t in orientations)
     if len(thetas) < 1:
         raise ValueError("need at least one orientation")
+    if not all(map(math.isfinite, thetas)):
+        raise ValueError(f"orientations must be finite, got {thetas}")
     return thetas
 
 

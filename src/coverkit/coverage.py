@@ -176,13 +176,14 @@ def equitable_weights(phi: DensityField, positions, tol_mass: float = 1e-3,
 
     Damped fixed-point ascent on squared radii: each cell's weight grows in
     proportion to its mass deficit. The returned radii are shifted so the
-    smallest is zero, which leaves the diagram unchanged.
+    smallest is zero, which leaves the diagram unchanged. ValueError for
+    positions that break geometry.check_points or hold no point.
     """
     check_positive(tol_mass, "tol_mass")
     check_count(max_iters, "max_iters")
     check_count(levels, "levels", 0)
-    pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    n = len(pos)
+    pos = check_points(positions, "positions")
+    n = check_count(len(pos), "number of positions")
     target = 1.0 / n
     eta = phi.workspace.area / 2.0
     w = np.zeros(n)

@@ -10,7 +10,11 @@ the cell sizes produced by the descent loops (tests carry dense-grid oracles).
 ``polygon_quadrature`` builds the rules for a (P, V, 2) stack of polygons at
 once: each is fanned from its area centroid and subdivided along a leading
 polygon axis, so a polygon's nodes come out in the order they would alone,
-and one polygon is the stack of P = 1.
+and one polygon is the stack of P = 1. Rules are built one coordinate at a
+time: the fan's corners are contiguous (P, T) arrays of x and of y through
+subdivision, areas and node placement, which write into one (P, T, 12, 2)
+node array. The same steps broadcast over a trailing axis of length 2 give
+the same bits two to three times slower.
 
 ``cell_moments`` is the one place where polygon quadrature nodes meet the
 density: every per-cell mass, centroid and locational cost in the toolkit
@@ -35,15 +39,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EvalOutsideSupport, InvalidDensity, NoConvergence
-from .geometry import check_count, check_points, check_weights
+from .geometry import EVAL_NODES, check_count, check_points, check_weights
 # clip is not called here, but coverbench/tracing.py patches it in this module
 from .geometry import ConvexPolygon, clip, intersect, ring_moments  # noqa: F401
 
 MASS_EPS = 1e-12
-# nodes per density evaluation in cell_moments: one over every cell of a
-# 100-site diagram raised peak memory by about a quarter, and slabs of about
-# this size were also faster than one call
-EVAL_NODES = 8192
 _ACCEPT_FLOOR = 1e-3  # see DensityField._sample_rejection
 _PROBE_PROPOSALS = 10_000
 _SYMMETRY_REL = 1e-12  # see spd_cholesky
@@ -74,19 +74,17 @@ def _build_rule():
 RULE_BARY, RULE_WEIGHTS = _build_rule()
 
 
-def _subdivide(tris: np.ndarray) -> np.ndarray:
-    """Split each triangle of a (P, T, 3, 2) stack into 4 congruent children
-    (orientation preserved); the children of one polygon stay in its row."""
-    a, b, c = tris[:, :, 0], tris[:, :, 1], tris[:, :, 2]
+def _subdivide(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Split each triangle (a, b, c) of a (P, T) stack of one coordinate into
+    4 congruent children (orientation preserved), the children of one
+    polygon in its row: [a, m01, m20], [m01, b, m12], [m20, m12, c] and
+    [m01, m12, m20], each block T triangles long."""
     m01 = 0.5 * (a + b)
     m12 = 0.5 * (b + c)
     m20 = 0.5 * (c + a)
-    return np.concatenate([
-        np.stack([a, m01, m20], axis=2),
-        np.stack([m01, b, m12], axis=2),
-        np.stack([m20, m12, c], axis=2),
-        np.stack([m01, m12, m20], axis=2),
-    ], axis=1)
+    return (np.concatenate([a, m01, m20, m01], axis=1),
+            np.concatenate([m01, b, m12, m12], axis=1),
+            np.concatenate([m20, m12, c, m20], axis=1))
 
 
 def polygon_quadrature(rings, levels: int = 2) -> tuple[np.ndarray, np.ndarray]:
@@ -101,18 +99,19 @@ def polygon_quadrature(rings, levels: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """
     v = np.asarray(rings, dtype=float)
     c = ring_moments(v)[1]
-    tris = np.stack([v, np.roll(v, -1, axis=1), np.broadcast_to(c[:, None, :], v.shape)],
-                    axis=2)
+    nxt = np.concatenate((v[:, 1:], v[:, :1]), axis=1)
+    corners = [(v[..., k], nxt[..., k], np.broadcast_to(c[:, k, None], v.shape[:2]))
+               for k in range(2)]
     for _ in range(levels):
-        tris = _subdivide(tris)
-    e1 = tris[:, :, 1] - tris[:, :, 0]
-    e2 = tris[:, :, 2] - tris[:, :, 0]
-    areas = 0.5 * np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
-    # RULE_BARY @ tris with the products summed left to right; a BLAS product
-    # rounds nodes differently, which moves every normalized density
-    b = RULE_BARY[:, :, None]
-    t = tris[:, :, None]
-    pts = (b[:, 0] * t[..., 0, :] + b[:, 1] * t[..., 1, :]) + b[:, 2] * t[..., 2, :]
+        corners = [_subdivide(*abc) for abc in corners]
+    (ax, bx, cx), (ay, by, cy) = corners
+    areas = 0.5 * np.abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+    pts = np.empty((*areas.shape, len(RULE_BARY), 2))
+    # RULE_BARY @ (a, b, c) with the products summed left to right; a BLAS
+    # product rounds nodes differently, which moves every normalized density
+    b0, b1, b2 = RULE_BARY.T
+    for k, (a, b, c) in enumerate(corners):
+        pts[..., k] = (b0 * a[..., None] + b1 * b[..., None]) + b2 * c[..., None]
     w = areas[..., None] * RULE_WEIGHTS
     return pts.reshape(len(v), -1, 2), w.reshape(len(v), -1)
 

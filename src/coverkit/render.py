@@ -129,7 +129,8 @@ def render_scene(path, phi, workspace: ConvexPolygon, *, agents=None,
     them, cells as outlines, pois as diamonds, and assignment as (agent,
     poi) index pairs joined by lines. swarm_points are small translucent
     dots for large crowds. ValueError when bands or resolution is not an
-    integer of at least 1, or when a point or radius array holds NaN or inf.
+    integer of at least 1, when a point or radius array holds NaN or inf, or
+    when an assignment pair is not an integer index into agents and pois.
     """
     check_count(bands, "bands")
     check_count(resolution, "resolution")
@@ -137,6 +138,13 @@ def render_scene(path, phi, workspace: ConvexPolygon, *, agents=None,
                         ("swarm_points", swarm_points)):
         if value is not None and not np.isfinite(np.asarray(value, dtype=float)).all():
             raise ValueError(f"{name} must be finite")
+    if assignment is not None and len(assignment):
+        pairs = np.asarray(assignment)
+        counts = [0 if x is None else len(np.reshape(x, (-1, 2))) for x in (agents, pois)]
+        if (pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu"
+                or (pairs < 0).any() or (pairs >= counts).any()):
+            raise ValueError(f"assignment must be (agent, poi) index pairs into "
+                             f"{counts[0]} agents and {counts[1]} pois")
     canvas = SvgCanvas(workspace.bbox)
     canvas.elements.append(
         f'<rect width="{canvas.width:.0f}" height="{canvas.height:.0f}" fill="#ffffff"/>')

@@ -6,9 +6,11 @@ divergence. Where a fast path replaced a direct routine, the direct routine
 is kept here as its oracle: the einsum form of the mixture density and its
 log-gradient, the point-major (n, J) mixture layout that summed each point's
 components along its row, footprint prices integrated over each clipped
-footprint polygon, the edge-by-edge loop that projected stray points onto a
-polygon, the one-plane clip that built a polygon after every cut, with its
-``HalfPlane``, the power cells clipped from every lifted-hull neighbour,
+footprint polygon, the rule built by broadcasting over the coordinate axis
+of stacked triangles, the edge-by-edge loops that tested points against a
+polygon and projected stray points onto it, the one-plane clip that built
+a polygon after every cut, with its ``HalfPlane``, the power cells clipped
+from every lifted-hull neighbour,
 the cell moments built one polygon, one rule and one masked eval at a time,
 the swarm step that solved a fresh assignment at every step, and the SVG
 writer that mapped one point and wrote one element per Python call, and
@@ -35,7 +37,7 @@ from coverkit.density import (MASS_EPS, RULE_BARY, RULE_WEIGHTS, DensityField,
                               DiscreteMeasure, GmmDensity, cell_moments, polygon_quadrature)
 from coverkit.errors import CoverkitError
 from coverkit.geometry import (EPS_GEO, ConvexPolygon, _lifted_hull, _power_neighbours,
-                               intersect, project_into)
+                               intersect, project_into, ring_moments)
 from coverkit.render import AGENT_PALETTE, _band_color
 from coverkit.swarm import SwarmState, systematic_resample
 
@@ -71,6 +73,41 @@ def fan_quadrature(poly: ConvexPolygon, levels: int = 2) -> tuple[np.ndarray, np
     areas = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     pts = np.einsum("rb,tbd->trd", RULE_BARY, tris).reshape(-1, 2)
     return pts, (areas[:, None] * RULE_WEIGHTS[None, :]).reshape(-1)
+
+
+def _broadcast_subdivide(tris: np.ndarray) -> np.ndarray:
+    """Split each triangle of a (P, T, 3, 2) stack into 4 congruent children
+    (orientation preserved); the children of one polygon stay in its row."""
+    a, b, c = tris[:, :, 0], tris[:, :, 1], tris[:, :, 2]
+    m01 = 0.5 * (a + b)
+    m12 = 0.5 * (b + c)
+    m20 = 0.5 * (c + a)
+    return np.concatenate([
+        np.stack([a, m01, m20], axis=2),
+        np.stack([m01, b, m12], axis=2),
+        np.stack([m20, m12, c], axis=2),
+        np.stack([m01, m12, m20], axis=2),
+    ], axis=1)
+
+
+def broadcast_polygon_quadrature(rings, levels: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """``polygon_quadrature`` on (P, T, 3, 2) triangle stacks, broadcasting
+    every step over the trailing coordinate axis: the same nodes and weights,
+    bit for bit."""
+    v = np.asarray(rings, dtype=float)
+    c = ring_moments(v)[1]
+    tris = np.stack([v, np.roll(v, -1, axis=1), np.broadcast_to(c[:, None, :], v.shape)],
+                    axis=2)
+    for _ in range(levels):
+        tris = _broadcast_subdivide(tris)
+    e1 = tris[:, :, 1] - tris[:, :, 0]
+    e2 = tris[:, :, 2] - tris[:, :, 0]
+    areas = 0.5 * np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
+    b = RULE_BARY[:, :, None]
+    t = tris[:, :, None]
+    pts = (b[:, 0] * t[..., 0, :] + b[:, 1] * t[..., 1, :]) + b[:, 2] * t[..., 2, :]
+    w = areas[..., None] * RULE_WEIGHTS
+    return pts.reshape(len(v), -1, 2), w.reshape(len(v), -1)
 
 
 def loop_cell_moments(phi: DensityField, polys, centers, levels: int = 2):
@@ -296,6 +333,22 @@ def loop_project_into(poly: ConvexPolygon, pts: np.ndarray) -> np.ndarray:
                 best, best_d2 = c, d2
         pts[idx] = best
     return pts
+
+
+def loop_contains(poly: ConvexPolygon, q, tol: float = EPS_GEO):
+    """``ConvexPolygon.contains`` one edge at a time, on Python floats: the
+    same booleans."""
+    q = np.asarray(q, dtype=float)
+    single = q.ndim == 1
+    pts = q[None, :] if single else q
+    v = poly.vertices
+    e = np.roll(v, -1, axis=0) - v
+    ln = np.hypot(e[:, 0], e[:, 1])
+    x, y = pts[:, 0], pts[:, 1]
+    ok = np.ones(len(pts), dtype=bool)
+    for (vx, vy), (ex, ey), lk in zip(v.tolist(), e.tolist(), ln.tolist()):
+        ok &= (ex * (y - vy) - ey * (x - vx)) / lk >= -tol
+    return bool(ok[0]) if single else ok
 
 
 # --------------------------------------------------------------- clipping

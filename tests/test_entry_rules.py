@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from coverkit.assign import IsotropicService, footprint_cost
+from coverkit.assign import GaussianService, IsotropicService, footprint_cost
 from coverkit.coverage import build_partition, equitable_weights, lloyd_step, run_descent
 from coverkit.density import (DiscreteMeasure, GmmDensity, InvalidDensity, UniformDensity,
                               discretize)
@@ -109,6 +109,19 @@ GAPS = [
     ("service-radius-huge-int", ValueError, lambda: IsotropicService(10**400)),
     ("step-tau-bool", ValueError,
      lambda: transport_step(SwarmState(np.array(SITES), SQUARE), discretize(PHI, 3, 3), True)),
+    ("footprint-orientation-nan", ValueError,
+     lambda: footprint_cost(PHI, IsotropicService(0.1, orientations=(NAN,)), [0.5, 0.5])),
+    ("service-orientation-inf", ValueError,
+     lambda: IsotropicService(0.1, orientations=(0.0, np.inf))),
+    ("service-orientation-negative-inf", ValueError,
+     lambda: GaussianService(np.eye(2) * 0.01, orientations=(-np.inf,))),
+    ("equitable-no-positions", ValueError,
+     lambda: equitable_weights(PHI, np.zeros((0, 2)), max_iters=3)),
+    ("equitable-three-columns", ValueError,
+     lambda: equitable_weights(PHI, np.zeros((3, 3)), max_iters=3)),
+    ("render-assignment-out-of-range", ValueError,
+     lambda: render_scene(os.devnull, None, SQUARE, agents=[[0.2, 0.2]], pois=[[0.5, 0.5]],
+                          assignment=[(0, 3)])),
 ]
 
 

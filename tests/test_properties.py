@@ -10,11 +10,12 @@ from scipy.spatial import ConvexHull, QhullError  # noqa: E402
 from scipy.spatial.distance import pdist  # noqa: E402
 
 from coverkit.density import (GmmDensity, GridDensity, UniformDensity,  # noqa: E402
-                              cell_moments, discretize)
+                              cell_moments, discretize, polygon_quadrature)
 from coverkit.errors import InvalidDensity  # noqa: E402
-from coverkit.geometry import (EPS_GEO, ConvexPolygon, check_sites,  # noqa: E402
+from coverkit.geometry import (EPS_GEO, EVAL_NODES, ConvexPolygon, check_sites,  # noqa: E402
                                coincident_pairs, power_cells_from_weights, separate)
-from tests.oracles import neighbour_power_cells  # noqa: E402
+from tests.oracles import (broadcast_polygon_quadrature, loop_contains,  # noqa: E402
+                           neighbour_power_cells)
 from tests.test_geometry import (all_pairs_power_cells, assert_clip_matches_oracle,  # noqa: E402
                                   assert_same_cells, dual_sites)
 
@@ -177,3 +178,49 @@ def test_separate_leaves_distinct_points_inside(corners, mix, copies, vertices, 
     lonely = np.setdiff1d(np.arange(len(points)), coincident_pairs(points))
     np.testing.assert_array_equal(out[lonely], points[lonely])
     np.testing.assert_array_equal(separate(workspace, points), out)
+
+
+def inscribed_rings(rng, count, sides):
+    """(count, sides, 2) counter-clockwise convex rings inscribed in circles
+    of radius 1e-3 to 10 about centres 1e-6 to 1e3 from the origin."""
+    ang = 2.0 * np.pi * (np.arange(sides) + rng.uniform(0.1, 0.9, (count, sides))) / sides
+    turn = rng.uniform(0.0, 2.0 * np.pi, (count, 1))
+    centres = 10.0 ** rng.uniform(-6.0, 3.0, (count, 1, 1)) * np.stack(
+        [np.cos(turn), np.sin(turn)], axis=-1)
+    radii = 10.0 ** rng.uniform(-3.0, 1.0, (count, 1, 1))
+    return centres + radii * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(count=st.integers(1, 8), sides=st.integers(3, 40), levels=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_quadrature_matches_broadcast_oracle_bit_for_bit(count, sides, levels, seed):
+    rings = inscribed_rings(np.random.default_rng(seed), count, sides)
+    pts, w = polygon_quadrature(rings, levels)
+    want_pts, want_w = broadcast_polygon_quadrature(rings, levels)
+    assert np.array_equal(pts, want_pts)
+    assert np.array_equal(w, want_w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sides=st.integers(3, 12), per_edge=st.integers(1, 12),
+       tol=st.sampled_from([EPS_GEO, 0.0, 1e-6, -EPS_GEO]), seed=st.integers(0, 2**32 - 1))
+def test_contains_matches_edge_loop_oracle(sides, per_edge, tol, seed):
+    rng = np.random.default_rng(seed)
+    poly = ConvexPolygon(inscribed_rings(rng, 1, sides)[0])
+    a = poly.vertices
+    ab = np.concatenate((a[1:], a[:1])) - a
+    outward = np.column_stack([ab[:, 1], -ab[:, 0]]) / np.hypot(ab[:, 0], ab[:, 1])[:, None]
+    # points on every edge (its two ends included), then the same points
+    # tol inside and tol outside along the outward normal
+    t = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, per_edge)))[:, None, None]
+    on_edge = (a + t * ab).reshape(-1, 2)
+    shift = np.tile(outward, (len(t), 1)) * abs(tol)
+    pts = np.vstack([on_edge, on_edge - shift, on_edge + shift])
+    got = poly.contains(pts, tol)
+    assert np.array_equal(got, loop_contains(poly, pts, tol))
+    for p, inside in zip(pts, got.tolist()):
+        assert poly.contains(p, tol) is loop_contains(poly, p, tol) is inside
+    # more points than one block holds, the last block a partial one
+    many = np.tile(pts, (EVAL_NODES // len(pts) + 2, 1))
+    assert np.array_equal(poly.contains(many, tol), np.tile(got, len(many) // len(pts)))
