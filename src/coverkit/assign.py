@@ -11,9 +11,10 @@ A footprint is a reference polygon under the service's linear map, moved to
 the point of interest. Footprints that cross the workspace boundary are
 clipped and integrated with ``polygon_quadrature`` (through ``cell_moments``);
 the rest reuse one ``polygon_quadrature`` rule on the reference polygon,
-mapped affinely, so pricing them builds no triangulation at all. One
-``footprint_cost`` call prices one site: every orientation of the service
-goes through one ``cell_moments`` call. Clipped or not, a footprint's nodes
+mapped affinely, so pricing them builds no triangulation at all; each
+orientation's mapped rule is built once and kept while pricing stays with
+the same service. One ``footprint_cost`` call prices one site: every
+orientation of the service goes through one ``cell_moments`` call. Clipped or not, a footprint's nodes
 lie in the workspace, so they are integrated with no point-in-polygon test.
 """
 
@@ -97,16 +98,37 @@ class _Service:
         A footprint that no workspace edge clips is the affine image of the
         reference polygon, so its rule is the cached reference rule under the
         footprint map M: offsets ref_pts @ M.T from the centre and weights
-        |det M| ref_w. A clipped footprint is returned as a polygon (None
+        |det M| ref_w. That rule is the same at every site, so it is built
+        once per orientation and level, read-only, and kept while pricing
+        stays with this service (``build_cost_matrix`` prices a row of sites
+        per service); moving to another service drops it, so memory holds one
+        service's rules. A clipped footprint is returned as a polygon (None
         when nothing is left).
         """
         footprint = self.footprint(center, theta)
         part = intersect(footprint, workspace)
         if part is not footprint:
             return part
-        m = self._footprint_map(theta)
-        ref_pts, ref_w = _reference_rule(self._scale, levels)
-        return ref_pts @ m.T, abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) * ref_w
+        global _service_rules
+        service, rules = _service_rules
+        if service is not self:
+            rules = {}
+            _service_rules = (self, rules)
+        rule = rules.get((theta, levels))
+        if rule is None:
+            m = self._footprint_map(theta)
+            ref_pts, ref_w = _reference_rule(self._scale, levels)
+            offsets = ref_pts @ m.T
+            weights = abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) * ref_w
+            offsets.flags.writeable = weights.flags.writeable = False
+            rule = rules[theta, levels] = offsets, weights
+        return rule
+
+
+# the service whose mapped rules _Service._quadrature keeps, and those rules by
+# (theta, levels); each dict only ever holds its own service's rules, so a
+# stale read costs a rebuild, never a wrong rule
+_service_rules: tuple = (None, {})
 
 
 class IsotropicService(_Service):

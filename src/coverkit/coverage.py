@@ -34,12 +34,13 @@ def _checked(positions, radii, tol: float = 1.0, relax: float = 1.0,
              levels: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Float copies of positions and radii (zeros for None).
 
-    ValueError for positions that break geometry.check_points, radii that
-    break geometry.check_radii, a radius count that differs from the position
-    count, a tol (only run_descent has one) that breaks
+    ValueError for positions that break geometry.check_points or hold no
+    point, radii that break geometry.check_radii, a radius count that differs
+    from the position count, a tol (only run_descent has one) that breaks
     geometry.check_positive, a relax that is not finite, and levels that are not an int >= 0.
     """
     pos = check_points(np.array(positions, dtype=float), "positions")
+    check_count(len(pos), "number of positions")
     rho = np.zeros(len(pos)) if radii is None else check_radii(np.array(radii, dtype=float).ravel())
     if len(rho) != len(pos):
         raise ValueError(f"{len(pos)} positions but {len(rho)} radii")

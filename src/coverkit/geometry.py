@@ -247,10 +247,15 @@ def project_into(poly: ConvexPolygon, pts: np.ndarray) -> np.ndarray:
 
 
 def coincident_pairs(points) -> np.ndarray:
-    """(k, 2) index pairs i < j, in row-major order, of points at most EPS_GEO apart."""
+    """(k, 2) index pairs i < j, in row-major order, of points at most EPS_GEO apart.
+
+    The pair indices cost as much as the distances, so they wait for a close pair.
+    """
     pts = np.asarray(points, dtype=float)
+    close = np.flatnonzero(pdist(pts) <= EPS_GEO)
+    if not len(close):
+        return np.empty((0, 2), dtype=np.intp)
     i, j = np.triu_indices(len(pts), 1)
-    close = pdist(pts) <= EPS_GEO
     return np.column_stack([i[close], j[close]])
 
 

@@ -19,6 +19,7 @@ import json
 import logging
 import math
 import platform
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,6 +51,21 @@ REQUIRED = object()  # a parameter default meaning: the config must set it
 # two-component mixture peaks 240 MB above baseline (1.3 s on a 2-CPU host).
 # Every further level takes four times the memory and time.
 MAX_LEVELS = 6
+
+
+class _ConfigLoader(yaml.SafeLoader):
+    """SafeLoader that also reads floats by the YAML 1.2 core-schema pattern.
+
+    SafeLoader's YAML 1.1 pattern needs a dot and a signed exponent, so it
+    reads 1e-6, 1e5 and 1.0e5 as strings, which the checks then refuse as
+    non-numbers. Its own floats (1_000.5, 1:30.5) and ints are tried first
+    and read as before.
+    """
+
+
+_ConfigLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^(?:[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?"
+    r"|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN))$"), list("-+0123456789."))
 
 
 # ------------------------------------------------------------- validation
@@ -303,7 +319,7 @@ def validate(config_path) -> ValidationReport:
     """
     path = Path(config_path)
     try:
-        cfg = yaml.safe_load(path.read_text())
+        cfg = yaml.load(path.read_text(), Loader=_ConfigLoader)
     except OSError as exc:
         return ValidationReport([{"field": "config", "message": str(exc)}])
     except yaml.YAMLError as exc:

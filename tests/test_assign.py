@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from coverkit import assign
 from coverkit.assign import (GaussianService, IsotropicService, build_cost_matrix,
                              footprint_cost, gaussian_kl, kld_cost, rotation,
                              solve_assignment)
@@ -439,3 +440,32 @@ def test_non_finite_costs_raise_a_typed_error():
             build()
         assert isinstance(caught.value, CoverkitError)
         assert isinstance(caught.value, ValueError)
+
+
+def test_footprint_prices_do_not_depend_on_the_mapped_rule_cache(monkeypatch):
+    """Service A's row, then B's, then A's again in one process: every entry
+    has the bits of the same entry priced with no mapped rule cached, only the
+    service priced last keeps its rules, and those refuse writes."""
+    rng = np.random.default_rng(91)
+    phi = GmmDensity(PENTAGON, *MIXTURE)
+    a = GaussianService([[0.004, 0.001], [0.001, 0.002]], orientations=twinned_orientations(rng))
+    b = IsotropicService(0.12)
+    sites = [[0.5, 0.5], [0.35, 0.4], [0.12, 0.62], [0.7, 0.6], [0.55, 0.2]]
+
+    def fresh(model, site):
+        monkeypatch.setattr(assign, "_service_rules", (None, {}))
+        return footprint_cost(phi, model, site)
+
+    want = {model: [fresh(model, site) for site in sites] for model in (a, b)}
+    assert all(any(unclipped(phi, m, s)) for m in (a, b) for s in sites[:2])
+    assert not all(all(unclipped(phi, m, s)) for m in (a, b) for s in sites)
+    for model in (a, b, a):
+        assert [footprint_cost(phi, model, site) for site in sites] == want[model]
+        service, rules = assign._service_rules
+        assert service is model
+        assert 0 < len(rules) <= len(model.orientations)
+        for offsets, weights in rules.values():
+            with pytest.raises(ValueError, match="read-only"):
+                offsets[0, 0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                weights[0] = 0.0

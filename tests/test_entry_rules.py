@@ -122,6 +122,13 @@ GAPS = [
     ("render-assignment-out-of-range", ValueError,
      lambda: render_scene(os.devnull, None, SQUARE, agents=[[0.2, 0.2]], pois=[[0.5, 0.5]],
                           assignment=[(0, 3)])),
+    ("render-one-radius-two-agents", ValueError,
+     lambda: render_scene(os.devnull, None, SQUARE, agents=SITES[:2], power_radii=[0.1])),
+    ("render-radius-negative", ValueError,
+     lambda: render_scene(os.devnull, None, SQUARE, agents=SITES[:2], power_radii=[0.1, -0.1])),
+    ("descent-no-positions", ValueError, lambda: run_descent(PHI, np.zeros((0, 2)))),
+    ("lloyd-no-positions", ValueError, lambda: lloyd_step(PHI, np.zeros((0, 2)))),
+    ("partition-no-positions", ValueError, lambda: build_partition(PHI, np.zeros((0, 2)))),
 ]
 
 

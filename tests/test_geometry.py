@@ -302,6 +302,12 @@ def test_coincident_pairs_in_row_major_order():
     assert len(coincident_pairs([[0.0, 0.0], [0.0, 2e-9]])) == 0
 
 
+def test_coincident_pairs_of_separated_points_is_an_empty_index_array():
+    got = coincident_pairs(np.random.default_rng(5).uniform(0.0, 1.0, (50, 2)))
+    assert got.shape == (0, 2)
+    assert got.dtype == np.intp
+
+
 def test_check_sites_names_the_first_pair_then_the_first_stray():
     with pytest.raises(DuplicateSites, match="sites 1 and 3 coincide"):
         check_sites([[0.1, 0.1], [0.4, 0.4], [2.0, 2.0], [0.4, 0.4]], unit_square())

@@ -177,6 +177,27 @@ def test_yaml_syntax_error_is_reported_not_raised(tmp_path):
     assert report.errors[0]["field"] == "config"
 
 
+@pytest.mark.parametrize("literal, value", [
+    ("1e-6", 1e-6), ("1E-6", 1e-6), ("1e5", 1e5), (".5", 0.5), ("-1.5e+3", -1500.0),
+    ("1.0e-6", 1e-6), ('"1e-6"', "1e-6"), ("1e", "1e"), ("e5", "e5"),
+])
+def test_config_floats_follow_the_yaml_1_2_core_schema(tmp_path, literal, value):
+    """PyYAML's YAML 1.1 floats need a dot and a signed exponent; configs
+    read 1e-6 as a float all the same, and strings stay strings."""
+    parsed = yaml.load(f"tol: {literal}", Loader=runner._ConfigLoader)["tol"]
+    assert type(parsed) is type(value) and parsed == value
+    path = tmp_path / "scenario.yaml"
+    path.write_text("pipeline: lloyd\nseed: 4\ndensity: {kind: uniform}\n"
+                    f"agents: {{n: 3}}\nparams: {{iters: 60, tol: {literal}}}\n")
+    report = validate(path)
+    if isinstance(value, float) and value > 0:
+        assert report.ok
+        assert report.config["params"]["tol"] == value
+    else:
+        assert [(e["field"], e["message"]) for e in report.errors] == [
+            ("params.tol", "must be a positive number")]
+
+
 def test_missing_config_file(tmp_path):
     report = validate(tmp_path / "absent.yaml")
     assert not report.ok
