@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EvalOutsideSupport, InvalidDensity, NoConvergence
-from .geometry import EVAL_NODES, check_count, check_points, check_weights
+from .geometry import EVAL_NODES, _float_array, check_count, check_points, check_weights
 # clip is not called here, but coverbench/tracing.py patches it in this module
 from .geometry import ConvexPolygon, clip, intersect, ring_moments  # noqa: F401
 
@@ -47,6 +47,7 @@ MASS_EPS = 1e-12
 _ACCEPT_FLOOR = 1e-3  # see DensityField._sample_rejection
 _PROBE_PROPOSALS = 10_000
 _SYMMETRY_REL = 1e-12  # see spd_cholesky
+_NOT_SPD = "covariance must be symmetric positive definite"
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 # Symmetric degree-6 rule on the triangle: 12 points as barycentric triples,
@@ -227,7 +228,7 @@ class GmmDensity(DensityField):
         if not (self.weights > 0).all():
             raise InvalidDensity("mixture weights must be positive")
         self.means = check_points(means, "mixture means", InvalidDensity)
-        covs = np.asarray(covariances, dtype=float).reshape(-1, 2, 2)
+        covs = _float_array(covariances, InvalidDensity, _NOT_SPD).reshape(-1, 2, 2)
         if not (len(self.weights) == len(self.means) == len(covs)):
             raise InvalidDensity("weights, means, covariances must have equal length")
         self.covariances = covs
@@ -447,14 +448,14 @@ def spd_cholesky(cov) -> np.ndarray:
 
     np.linalg.cholesky reads only the lower triangle, so it cannot see asymmetry.
     """
-    c = np.asarray(cov, dtype=float)
+    c = _float_array(cov, InvalidDensity, _NOT_SPD)
     scale = max(1.0, float(np.abs(c).max()))
     if not np.isfinite(c).all() or np.abs(c - c.T).max() > _SYMMETRY_REL * scale:
-        raise InvalidDensity("covariance must be symmetric positive definite")
+        raise InvalidDensity(_NOT_SPD)
     try:
         return np.linalg.cholesky(c)
     except np.linalg.LinAlgError:
-        raise InvalidDensity("covariance must be symmetric positive definite") from None
+        raise InvalidDensity(_NOT_SPD) from None
 
 
 def _rowwise(op, stack: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -72,7 +72,7 @@ class ConvexPolygon:
     __slots__ = ("vertices",)
 
     def __init__(self, vertices):
-        v = np.atleast_2d(np.asarray(vertices, dtype=float))
+        v = np.atleast_2d(_float_array(vertices, ValueError, "vertices must be finite"))
         if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2:
             raise ValueError("need at least 3 two-dimensional vertices")
         if not np.isfinite(v).all():
@@ -426,6 +426,15 @@ def power_cells_from_weights(workspace: ConvexPolygon, points, weights) -> list[
     return cells
 
 
+def _float_array(values, error, message: str) -> np.ndarray:
+    """``values`` as a float array for the array rules; ``error(message)``, not
+    numpy's bare OverflowError, on an int too large for a float."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise error(message) from None
+
+
 def check_radii(radii) -> np.ndarray:
     """Power radii as a float array; ValueError unless every r is nonnegative
     with r*r/EPS_GEO finite.
@@ -434,16 +443,17 @@ def check_radii(radii) -> np.ndarray:
     exceed EPS_GEO. The rule is tested on Python floats, so a huge radius
     fails the test instead of overflowing.
     """
-    r = np.asarray(radii, dtype=float)
+    refusal = f"power radii must be nonnegative numbers r with r*r/{EPS_GEO:g} finite"
+    r = _float_array(radii, ValueError, refusal)
     if not all(0.0 <= x and math.isfinite(x * x / EPS_GEO) for x in r.ravel().tolist()):
-        raise ValueError(f"power radii must be nonnegative numbers r with r*r/{EPS_GEO:g} finite")
+        raise ValueError(refusal)
     return r
 
 
 def check_points(points, name: str = "points", error=ValueError) -> np.ndarray:
     """Points as an (n, 2) float array, one point as one row; error unless
     they have that shape and every entry is finite."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.atleast_2d(_float_array(points, error, f"{name} must be finite"))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise error(f"{name} must be an (n, 2) array, not {pts.shape}")
     if not np.isfinite(pts).all():
@@ -455,7 +465,7 @@ def check_weights(weights, size: int | None = None, error=ValueError) -> np.ndar
     """A weight vector divided by its sum; error unless it is one-dimensional
     (of ``size`` entries when given), finite and nonnegative, with a sum that
     is positive and finite. The sum may overflow without a numpy warning."""
-    w = np.asarray(weights, dtype=float)
+    w = _float_array(weights, error, "weights must be finite and nonnegative")
     if w.ndim != 1 or size is not None and len(w) != size:
         raise error(f"weights must be a vector{'' if size is None else f' of {size}'}, "
                     f"not shape {w.shape}")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import platform
 import re
 import sys
@@ -38,7 +37,8 @@ from .coverage import build_partition, run_descent  # noqa: F401
 from .density import (DensityField, GmmDensity, UniformDensity, from_pgm, load_grid_csv,
                       spd_cholesky)
 from .errors import CoverkitError, NoConvergence
-from .geometry import ConvexPolygon, check_radii, coincident_pairs
+from .geometry import (EPS_GEO, ConvexPolygon, check_count, check_points, check_positive,
+                       check_radii, check_weights, coincident_pairs)
 from .render import render_scene
 
 log = logging.getLogger(__name__)
@@ -92,66 +92,60 @@ class ValidationReport:
                           indent=2, sort_keys=True)
 
 
-def _is_num(v) -> bool:
-    """A finite real number: no bool, inf, NaN, or int too large for a float."""
-    try:
-        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-    except OverflowError:
-        return False
+def _passes(rule, node, *args) -> bool:
+    """Whether a config node passes the one YAML type guard and then the library's
+    ``rule(node, *args)``, which refuses it with a ValueError. The guard takes ints and
+    floats, not bools, and lists of them two deep: numpy reads "0.5" and True as numbers."""
+    def numeric(v, depth=2):
+        return (depth > 0 and all(numeric(x, depth - 1) for x in v) if isinstance(v, list)
+                else isinstance(v, (int, float)) and not isinstance(v, bool))
 
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _point_rows(value) -> bool:
-    return (isinstance(value, list)
-            and all(isinstance(r, list) and len(r) == 2 and all(map(_is_num, r))
-                    for r in value))
-
-
-def _covariance_ok(value) -> bool:
-    if not (_point_rows(value) and len(value) == 2):
+    if not numeric(node):
         return False
     try:
-        spd_cholesky(value)
+        rule(node, *args)
     except ValueError:
         return False
     return True
 
 
-_POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "must be a positive integer")
-_NONNEGATIVE_INT = (lambda v: _is_int(v) and v >= 0, "must be a nonnegative integer")
-# one check per parameter name, whichever pipelines take it
+def _rule(rule, *bounds, null=False):
+    """A PARAM_CHECKS test: ``rule(value, name, *bounds)`` passes, or ``null`` allows None."""
+    return lambda v: (null and v is None) or _passes(rule, v, "value", *bounds)
+
+
+# one check per parameter name, whichever pipelines take it; a number passes by the
+# library's rule and bound, but levels and iters (swarm's library bound is 0) are narrower
 PARAM_CHECKS = {
-    "iters": _POSITIVE_INT, "k": _POSITIVE_INT, "samples": _POSITIVE_INT,
-    "orientations": _POSITIVE_INT, "svgd_iters": _NONNEGATIVE_INT,
-    "snapshot_every": _NONNEGATIVE_INT,
-    "tol": (lambda v: _is_num(v) and v > 0, "must be a positive number"),
-    "levels": (lambda v: _is_int(v) and 1 <= v <= MAX_LEVELS,
+    **dict.fromkeys(("iters", "k", "samples", "orientations"),
+                    (_rule(check_count), "must be a positive integer")),
+    **dict.fromkeys(("svgd_iters", "snapshot_every"),
+                    (_rule(check_count, 0), "must be a nonnegative integer")),
+    "tol": (_rule(check_positive), "must be a positive number"),
+    "levels": (lambda v: _passes(check_count, v, "levels") and v <= MAX_LEVELS,
                f"must be an integer from 1 to {MAX_LEVELS}"),
     "require_convergence": (lambda v: isinstance(v, bool), "must be a boolean"),
     "method": (lambda v: v in ("kmeans", "gmm", "svgd"), "must be kmeans, gmm, or svgd"),
     "cost": (lambda v: v in ("footprint", "kld"), "must be footprint or kld"),
-    "bandwidth": (lambda v: v == "median" or (_is_num(v) and v > 0),
+    "bandwidth": (lambda v: v == "median" or _passes(check_positive, v, "bandwidth"),
                   "must be 'median' or a positive footprint radius"),
     "matroid": (lambda v: v in ("uniform", "partition"), "must be uniform or partition"),
-    "d_max": (lambda v: v is None or (_is_num(v) and v > 0),
-              "must be null or a positive number"),
-    "tau": (lambda v: _is_num(v) and 0 < v <= 1, "must lie in (0, 1]"),
-    "batch": (lambda v: v is None or (_is_int(v) and v >= 1),
-              "must be null or a positive integer"),
-    "resolution": (lambda v: v is None or (_is_int(v) and v >= 2),
-                   "must be null or an integer of at least 2"),
-    "metric_every": (lambda v: v is None or (_is_int(v) and v >= 0),
-                     "must be null or a nonnegative integer"),
-    "epsilon": (lambda v: v is None or (_is_num(v) and v > 0),
-                "must be null or a positive number"),
+    "d_max": (_rule(check_positive, null=True), "must be null or a positive number"),
+    "tau": (_rule(check_positive, None, 1.0), "must lie in (0, 1]"),
+    "batch": (_rule(check_count, null=True), "must be null or a positive integer"),
+    "resolution": (_rule(check_count, 2, null=True), "must be null or an integer of at least 2"),
+    "metric_every": (_rule(check_count, 0, null=True), "must be null or a nonnegative integer"),
+    "epsilon": (_rule(check_positive, null=True), "must be null or a positive number"),
 }
 
 
-# the fields each service kind reads; any other is rejected, not dropped
-SERVICE_FIELDS = {"disk": {"kind", "radius"}, "gaussian": {"kind", "covariance"}}
+# per service kind, the one other field it reads, its test and message; no more are taken
+SERVICES = {
+    "disk": ("radius", lambda r: _passes(check_positive, r, "radius"),
+             "must be a positive finite number"),
+    "gaussian": ("covariance", lambda c: _passes(spd_cholesky, c) and np.shape(c) == (2, 2),
+                 "must be a symmetric positive-definite 2x2"),
+}
 
 
 def _check_density(density, base: Path, workspace, err) -> DensityField | None:
@@ -172,17 +166,16 @@ def _check_density(density, base: Path, workspace, err) -> DensityField | None:
     sound = True
     if kind == "gmm":
         weights, means, covs = (density.get(key) for key in ("weights", "means", "covariances"))
-        if not (isinstance(weights, list) and weights
-                and all(_is_num(w) and w > 0 for w in weights)):
+        if not (_passes(check_weights, weights) and min(weights) > 0):
             err("density.weights", "need a nonempty list of positive finite numbers")
             return None
-        if not (_point_rows(means) and len(means) == len(weights)):
+        if not (_passes(check_points, means) and np.shape(means) == (len(weights), 2)):
             err("density.means", f"need {len(weights)} finite [x, y] rows")
             sound = False
         if not (isinstance(covs, list) and len(covs) == len(weights)):
             err("density.covariances", f"need {len(weights)} 2x2 matrices")
             sound = False
-        elif not all(_covariance_ok(c) for c in covs):
+        elif not all(_passes(spd_cholesky, c) and np.shape(c) == (2, 2) for c in covs):
             err("density.covariances", "each must be a symmetric positive-definite 2x2")
             sound = False
     elif kind != "uniform":
@@ -214,7 +207,7 @@ def _check_agents(agents, pipeline, workspace, err) -> dict | None:
         if key not in {"n", "positions", "radii", "services"}:
             err(f"agents.{key}", "unknown field")
     n = agents.get("n")
-    if not (_is_int(n) and n >= 1):
+    if not _passes(check_count, n, "n"):
         err("agents.n", "must be a positive integer")
         return None
     positions = agents.get("positions", "sample")
@@ -222,7 +215,7 @@ def _check_agents(agents, pipeline, workspace, err) -> dict | None:
         if pipeline == "swarm":
             err("agents.positions",
                 "swarm runs initialize uniformly; remove explicit positions")
-        elif not (_point_rows(positions) and len(positions) == n):
+        elif not (_passes(check_points, positions) and np.shape(positions) == (n, 2)):
             err("agents.positions", f"expected 'sample' or {n} finite [x, y] rows")
         elif workspace is not None:
             pts = np.array(positions, dtype=float)
@@ -235,16 +228,10 @@ def _check_agents(agents, pipeline, workspace, err) -> dict | None:
     radii = agents.get("radii")
     if radii is not None and pipeline != "power_lloyd":
         err("agents.radii", "only used by power_lloyd")
-    elif radii is not None:
-        if not (isinstance(radii, list) and all(_is_num(r) for r in radii)):
-            err("agents.radii", "must be a list of numbers")
-        elif len(radii) != n:
-            err("agents.radii", f"expected {n} entries, got {len(radii)}")
-        else:
-            try:
-                check_radii(radii)
-            except ValueError as exc:
-                err("agents.radii", str(exc))
+    elif radii is not None and not (_passes(check_radii, radii) and np.ndim(radii) == 1):
+        err("agents.radii", f"must be a list of nonnegative numbers r with r*r/{EPS_GEO:g} finite")
+    elif radii is not None and len(radii) != n:
+        err("agents.radii", f"expected {n} entries, got {len(radii)}")
     services = agents.get("services")
     if pipeline == "poi_assign":
         if not isinstance(services, list):
@@ -254,22 +241,15 @@ def _check_agents(agents, pipeline, workspace, err) -> dict | None:
         else:
             for i, spec in enumerate(services):
                 kind = spec.get("kind") if isinstance(spec, dict) else None
-                if isinstance(kind, str) and kind in SERVICE_FIELDS:
-                    for key in spec:
-                        if key not in SERVICE_FIELDS[kind]:
-                            err(f"agents.services[{i}].{key}", f"unknown field for kind {kind}")
-                if kind == "disk":
-                    if not (_is_num(spec.get("radius")) and spec["radius"] > 0):
-                        err(f"agents.services[{i}].radius",
-                            "must be a positive finite number")
-                        continue
-                elif kind == "gaussian":
-                    if not _covariance_ok(spec.get("covariance")):
-                        err(f"agents.services[{i}].covariance",
-                            "must be a symmetric positive-definite 2x2")
-                        continue
-                else:
+                if not (isinstance(kind, str) and kind in SERVICES):
                     err(f"agents.services[{i}].kind", "must be disk or gaussian")
+                    continue
+                key, test, message = SERVICES[kind]
+                for name in spec:
+                    if name not in ("kind", key):
+                        err(f"agents.services[{i}].{name}", f"unknown field for kind {kind}")
+                if not test(spec.get(key)):
+                    err(f"agents.services[{i}].{key}", message)
                     continue
                 try:
                     _build_services([spec], assign_mod.DEFAULT_ORIENTATIONS)
@@ -288,6 +268,7 @@ def _check_params(params, pipeline, n, err) -> dict | None:
         return None
     defaults = PIPELINES[pipeline][1]
     params = {**defaults, **params}
+    sound = {}  # values that passed their own check, for the cross-field rules
     for key, value in params.items():
         if key not in defaults:
             err(f"params.{key}", f"unknown parameter for pipeline {pipeline}")
@@ -295,18 +276,20 @@ def _check_params(params, pipeline, n, err) -> dict | None:
             err(f"params.{key}", f"required for {pipeline}")
         elif not PARAM_CHECKS[key][0](value):
             err(f"params.{key}", PARAM_CHECKS[key][1])
+        else:
+            sound[key] = value
 
-    k, samples = params.get("k"), params.get("samples")
+    # each None, or a count of at least 1
+    k, samples, batch = (sound.get(key) for key in ("k", "samples", "batch"))
     if pipeline == "poi_assign" and params["cost"] == "kld" and params["method"] != "gmm":
         err("params.cost", "kld costs need method: gmm")
-    if _is_int(k) and n is not None and n > k:
+    if k and n is not None and n > k:
         err("agents.n",
             f"infeasible assignment shape: {n} agents but only {k} points of interest")
     # k-means and EM draw their k clusters from the samples; SVGD draws none
-    if _is_int(k) and _is_int(samples) and k > samples and params.get("method") != "svgd":
+    if k and samples and k > samples and params.get("method") != "svgd":
         err("params.k", f"cannot exceed params.samples = {samples}")
-    if pipeline == "swarm" and n is not None and _is_int(params["batch"]) \
-            and params["batch"] > n:
+    if pipeline == "swarm" and n is not None and batch and batch > n:
         err("params.batch", f"cannot exceed agents.n = {n}")
     return params
 
@@ -343,14 +326,14 @@ def validate(config_path) -> ValidationReport:
         err("pipeline", f"must be one of {', '.join(PIPELINES)}")
         return ValidationReport(errors)
 
-    if "seed" in cfg and not _is_int(cfg["seed"]):
-        err("seed", "must be an integer")
+    if "seed" in cfg and not _passes(check_count, cfg["seed"], "seed", 0):
+        err("seed", "must be a nonnegative integer")
     if "out" in cfg and not isinstance(cfg["out"], str):
         err("out", "must be a path string")
 
     rows = cfg.get("workspace", UNIT_SQUARE)
     workspace = None
-    if not (_point_rows(rows) and len(rows) >= 3):
+    if not (_passes(check_points, rows) and np.ndim(rows) == 2 and len(rows) >= 3):
         err("workspace", "need at least 3 finite [x, y] vertices")
     else:
         try:
@@ -563,6 +546,10 @@ PIPELINES = {
 def run(config_path, seed=None, out=None) -> int:
     """Validate, then execute one scenario on what validation built; returns the exit code."""
     report = validate(config_path)
+    try:  # the override follows the config seed's rule
+        seed = None if seed is None else check_count(seed, "--seed", 0)
+    except ValueError as exc:
+        report.errors.append({"field": "--seed", "message": str(exc)})
     if not report.ok:
         print(report.to_json(), file=sys.stderr)
         return EXIT_CONFIG

@@ -18,8 +18,8 @@ import pytest
 from coverkit.assign import GaussianService, IsotropicService, footprint_cost
 from coverkit.coverage import build_partition, equitable_weights, lloyd_step, run_descent
 from coverkit.density import (DiscreteMeasure, GmmDensity, InvalidDensity, UniformDensity,
-                              discretize)
-from coverkit.geometry import ConvexPolygon
+                              discretize, spd_cholesky)
+from coverkit.geometry import ConvexPolygon, check_points, check_radii, check_weights
 from coverkit.poi import gmm_em, kmeans, svgd
 from coverkit.render import render_scene
 from coverkit.submod import greedy_uniform
@@ -35,6 +35,8 @@ MU = DiscreteMeasure(_rng.uniform(0.0, 1.0, (5, 2)), np.ones(5))
 NU = DiscreteMeasure(_rng.uniform(0.0, 1.0, (6, 2)), np.arange(1.0, 7.0))
 SITES = [[0.2, 0.3], [0.7, 0.4], [0.5, 0.8]]
 NAN_ROW = np.array([[0.1, 0.2], [NAN, 0.5], [0.9, 0.9]])
+HUGE = 10**400  # an int too large for a float
+EYE = np.eye(2) * 0.01
 
 
 def _step(batch):
@@ -129,6 +131,19 @@ GAPS = [
     ("descent-no-positions", ValueError, lambda: run_descent(PHI, np.zeros((0, 2)))),
     ("lloyd-no-positions", ValueError, lambda: lloyd_step(PHI, np.zeros((0, 2)))),
     ("partition-no-positions", ValueError, lambda: build_partition(PHI, np.zeros((0, 2)))),
+    ("points-huge-int", ValueError, lambda: check_points([[HUGE, 0]])),
+    ("weights-huge-int", ValueError, lambda: check_weights([HUGE, 1.0])),
+    ("radii-huge-int", ValueError, lambda: check_radii([0.1, HUGE])),
+    ("polygon-huge-int", ValueError, lambda: ConvexPolygon([(0, 0), (HUGE, 0), (1, 1)])),
+    ("covariance-huge-int", InvalidDensity, lambda: spd_cholesky([[HUGE, 0], [0, 1]])),
+    ("measure-point-huge-int", InvalidDensity, lambda: DiscreteMeasure([[HUGE, 0]], [1.0])),
+    ("measure-weight-huge-int", InvalidDensity, lambda: DiscreteMeasure([[0, 0]], [HUGE])),
+    ("mixture-weight-huge-int", InvalidDensity,
+     lambda: GmmDensity(SQUARE, [HUGE], SITES[:1], [EYE])),
+    ("mixture-mean-huge-int", InvalidDensity,
+     lambda: GmmDensity(SQUARE, [1.0], [[HUGE, 0.5]], [EYE])),
+    ("mixture-covariance-huge-int", InvalidDensity,
+     lambda: GmmDensity(SQUARE, [1.0], SITES[:1], [[[HUGE, 0], [0, 0.01]]])),
 ]
 
 

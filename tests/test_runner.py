@@ -691,6 +691,121 @@ def test_quadrature_levels_are_bounded(tmp_path):
         assert [e["field"] for e in report.errors] == ["params.levels"]
 
 
+def edited(cfg, keys, value):
+    """A deep copy of cfg with the node at the key path ``keys`` set to value."""
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return cfg
+
+
+HUGE = 10 ** 400  # an int too large for a float
+ROWS = [[0.2, 0.2], [0.5, 0.8], [0.8, 0.3]]
+POWER = {**lloyd_cfg(), "pipeline": "power_lloyd",
+         "agents": {"n": 3, "radii": [0.1, 0.1, 0.1]}}
+GMM = {**lloyd_cfg(), "density": gmm_density()}
+GAUSSIAN = edited(poi_cfg(), ("agents", "services", 1),
+                  {"kind": "gaussian", "covariance": [[0.01, 0.0], [0.0, 0.01]]})
+SWARM = {"pipeline": "swarm", "density": {"kind": "uniform"}, "agents": {"n": 9},
+         "params": {"iters": 2}}
+SPELLINGS = {"string": "0.5", "bool": True, "huge-int": HUGE, "nan": NAN}
+COV = ("density", "covariances", 0)
+SERVICE_COV = ("agents", "services", 1, "covariance")
+# (id, config, fields validate reports); each kind of number is judged by the
+# library's rule for it, behind one guard against YAML strings and bools
+BOUNDARIES = [
+    *[(f"count-{name}", lloyd_cfg(iters=v), ["params.iters"])
+      for name, v in [*SPELLINGS.items(), ("float", 1.5)] if name != "huge-int"],
+    ("count-huge-int", lloyd_cfg(iters=HUGE), []),
+    ("count-zero-agents", edited(lloyd_cfg(), ("agents", "n"), 0), ["agents.n"]),
+    ("count-svgd-iters-0", poi_cfg(method="svgd", svgd_iters=0), []),
+    ("count-svgd-iters-negative", poi_cfg(method="svgd", svgd_iters=-1), ["params.svgd_iters"]),
+    ("count-resolution-2", edited(SWARM, ("params", "resolution"), 2), []),
+    ("count-resolution-1", edited(SWARM, ("params", "resolution"), 1), ["params.resolution"]),
+    ("count-levels-0", lloyd_cfg(levels=0), ["params.levels"]),
+    ("count-swarm-iters-0", edited(SWARM, ("params", "iters"), 0), ["params.iters"]),
+    ("seed-0", {**lloyd_cfg(), "seed": 0}, []),
+    ("seed-1e30", {**lloyd_cfg(), "seed": 10 ** 30}, []),
+    ("seed-negative", {**lloyd_cfg(), "seed": -1}, ["seed"]),
+    *[(f"scalar-{name}", lloyd_cfg(tol=v), ["params.tol"]) for name, v in SPELLINGS.items()],
+    ("scalar-1e-6", lloyd_cfg(tol=1e-6), []),
+    ("scalar-zero", lloyd_cfg(tol=0), ["params.tol"]),
+    ("scalar-tau-1", edited(SWARM, ("params", "tau"), 1), []),
+    ("scalar-tau-above-1", edited(SWARM, ("params", "tau"), 1.5), ["params.tau"]),
+    *[(f"scalar-radius-{name}", poi_cfg(radius=v), ["agents.services[0].radius"])
+      for name, v in SPELLINGS.items()],
+    *[(f"points-{name}", edited(lloyd_cfg(), ("agents", "positions"), [[v, 0.5], *ROWS[1:]]),
+       ["agents.positions"]) for name, v in SPELLINGS.items()],
+    ("points-flat", edited(lloyd_cfg(n=1), ("agents", "positions"), [0.5, 0.5]),
+     ["agents.positions"]),
+    ("points-three-columns", edited(lloyd_cfg(), ("agents", "positions"),
+                                    [r + [0.0] for r in ROWS]), ["agents.positions"]),
+    ("points-ragged", edited(lloyd_cfg(), ("agents", "positions"), [ROWS[0], [0.5], ROWS[2]]),
+     ["agents.positions"]),
+    ("points-empty", edited(lloyd_cfg(), ("agents", "positions"), []), ["agents.positions"]),
+    *[(f"workspace-{name}", {**lloyd_cfg(), "workspace": [[0, 0], [1, 0], [1, v], [0, 1]]},
+       ["workspace"]) for name, v in SPELLINGS.items()],
+    ("workspace-flat", {**lloyd_cfg(), "workspace": [0, 0, 1, 0, 1, 1, 0, 1]}, ["workspace"]),
+    ("workspace-three-columns", {**lloyd_cfg(), "workspace": [[0, 0, 0], [1, 0, 0], [1, 1, 0]]},
+     ["workspace"]),
+    ("workspace-ragged", {**lloyd_cfg(), "workspace": [[0, 0], [1], [1, 1], [0, 1]]},
+     ["workspace"]),
+    ("workspace-empty", {**lloyd_cfg(), "workspace": []}, ["workspace"]),
+    *[(f"means-{name}", edited(GMM, ("density", "means", 0), [v, 0.3]), ["density.means"])
+      for name, v in SPELLINGS.items()],
+    ("means-flat", edited(GMM, ("density", "means"), [0.3, 0.3]), ["density.means"]),
+    ("means-three-columns", edited(GMM, ("density", "means"), [[0.3, 0.3, 0], [0.7, 0.7, 0]]),
+     ["density.means"]),
+    ("means-ragged", edited(GMM, ("density", "means"), [[0.3, 0.3], [0.7]]), ["density.means"]),
+    *[(f"weights-{name}", edited(GMM, ("density", "weights"), [v, 0.5]), ["density.weights"])
+      for name, v in SPELLINGS.items()],
+    ("weights-empty", edited(GMM, ("density", "weights"), []), ["density.weights"]),
+    ("weights-not-a-list", edited(GMM, ("density", "weights"), 0.5), ["density.weights"]),
+    ("weights-nested", edited(GMM, ("density", "weights"), [[0.5], [0.5]]), ["density.weights"]),
+    ("weights-zero-entry", edited(GMM, ("density", "weights"), [0.0, 1.0]), ["density.weights"]),
+    *[(f"covariance-{name}", edited(GMM, COV, [[0.01, v], [v, 0.01]]), ["density.covariances"])
+      for name, v in SPELLINGS.items()],
+    *[(f"covariance-{name}", edited(GMM, COV, v), ["density.covariances"]) for name, v in [
+        ("1x1", [[0.01]]), ("3x3", np.eye(3).tolist()), ("flat-4", [0.01, 0.0, 0.0, 0.01]),
+        ("ragged", [[0.01, 0.0], [0.01]]), ("empty", [])]],
+    *[(f"service-covariance-{name}", edited(GAUSSIAN, SERVICE_COV, v),
+       ["agents.services[1].covariance"]) for name, v in [
+        ("1x1", [[0.01]]), ("3x3", np.eye(3).tolist()), ("flat-4", [0.01, 0.0, 0.0, 0.01]),
+        ("string", [[0.01, "0"], ["0", 0.01]]), ("huge-int", [[HUGE, 0], [0, 1]])]],
+    *[(f"radii-{name}", edited(POWER, ("agents", "radii"), [v, 0.1, 0.1]), ["agents.radii"])
+      for name, v in SPELLINGS.items()],
+    ("radii-not-a-list", edited(POWER, ("agents", "radii"), 0.1), ["agents.radii"]),
+    ("radii-nested", edited(POWER, ("agents", "radii"), [[0.1], [0.1], [0.1]]),
+     ["agents.radii"]),
+]
+
+
+@pytest.mark.parametrize("cfg, fields", [row[1:] for row in BOUNDARIES],
+                         ids=[row[0] for row in BOUNDARIES])
+def test_each_spelling_of_a_number_is_judged_under_its_field(tmp_path, cfg, fields):
+    assert [e["field"] for e in validate(write_cfg(tmp_path, cfg)).errors] == fields
+
+
+def test_negative_seed_fails_before_any_output(tmp_path):
+    path = write_cfg(tmp_path, {**lloyd_cfg(), "seed": -1, "out": str(tmp_path / "results")})
+    assert [(e["field"], e["message"]) for e in validate(path).errors] == [
+        ("seed", "must be a nonnegative integer")]
+    assert run(path) == EXIT_CONFIG
+    assert not (tmp_path / "results").exists()
+
+
+def test_negative_seed_override_fails_before_any_output(tmp_path, capsys):
+    path = write_cfg(tmp_path, lloyd_cfg())
+    out = tmp_path / "results"
+    assert main(["run", str(path), "--seed", "-5", "--out", str(out)]) == EXIT_CONFIG
+    report = json.loads(capsys.readouterr().err)
+    assert [e["field"] for e in report["errors"]] == ["--seed"]
+    assert not out.exists()
+    assert run(path, seed=0, out=out) == EXIT_OK
+
+
 @pytest.mark.parametrize("pipeline", ["lloyd", "power_lloyd"])
 def test_coincident_positions_fail_before_any_output(tmp_path, pipeline):
     cfg = lloyd_cfg(n=3)
