@@ -28,9 +28,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .density import DensityField, cell_moments, polygon_quadrature, spd_cholesky
 from .errors import InfeasibleShape, NonFiniteCost, SiteOutsideWorkspace
-from .geometry import check_count, check_points, check_positive
-# clip is not called here, but coverbench/tracing.py patches it in this module
-from .geometry import ConvexPolygon, clip, intersect  # noqa: F401
+from .geometry import (ConvexPolygon, _edge_planes, check_count, check_points, check_positive,
+                       clip)
 
 FOOTPRINT_SIDES = 32
 DEFAULT_ORIENTATIONS = tuple(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False))
@@ -80,17 +79,25 @@ class _Service:
     def _footprint_map(self, theta: float) -> np.ndarray:
         raise NotImplementedError
 
+    def _ring(self, theta: float) -> np.ndarray:
+        """The footprint's vertices at the origin."""
+        return (self._scale * _UNIT_NGON) @ self._footprint_map(theta).T
+
     def footprint(self, center, theta: float) -> ConvexPolygon:
-        ring = (self._scale * _UNIT_NGON) @ self._footprint_map(theta).T
-        return ConvexPolygon(np.asarray(center, float) + ring)
+        return ConvexPolygon(np.asarray(center, float) + self._ring(theta))
 
     def _check_footprint(self) -> None:
-        """ValueError unless the footprint at the origin is a polygon: every
-        edge longer than EPS_GEO and not a sliver. Rotations keep its edges."""
-        try:
-            self.footprint((0.0, 0.0), 0.0)
-        except ValueError as exc:
-            raise ValueError(f"footprint is too small or too thin to price: {exc}") from None
+        """ValueError unless the footprint at the origin is a polygon (edges longer than
+        EPS_GEO, not a sliver) at every orientation; keeps each ring read-only."""
+        self._rings = {}
+        for theta in self.orientations:
+            ring = self._ring(theta)
+            try:
+                ConvexPolygon(ring)
+            except ValueError as exc:
+                raise ValueError(f"footprint is too small or too thin to price: {exc}") from None
+            ring.flags.writeable = False
+            self._rings[theta] = ring
 
     def _quadrature(self, workspace: ConvexPolygon, center, theta: float, levels: int):
         """What ``cell_moments`` integrates for the footprint at one orientation.
@@ -102,13 +109,13 @@ class _Service:
         once per orientation and level, read-only, and kept while pricing
         stays with this service (``build_cost_matrix`` prices a row of sites
         per service); moving to another service drops it, so memory holds one
-        service's rules. A clipped footprint is returned as a polygon (None
-        when nothing is left).
+        service's rules. Only a clipped remainder becomes a polygon (None when
+        nothing is left). ``theta`` must be one of the service's orientations.
         """
-        footprint = self.footprint(center, theta)
-        part = intersect(footprint, workspace)
-        if part is not footprint:
-            return part
+        vertices = center + self._rings[theta]
+        part = clip(vertices, *_edge_planes(workspace))
+        if part is not vertices:
+            return None if part is None else ConvexPolygon(part)
         global _service_rules
         service, rules = _service_rules
         if service is not self:
@@ -161,9 +168,8 @@ class GaussianService(_Service):
     _scale = 3.0
 
     def __init__(self, covariance, orientations=DEFAULT_ORIENTATIONS):
-        cov = np.asarray(covariance, dtype=float).reshape(2, 2)
-        self._chol = spd_cholesky(cov)
-        self.covariance = cov
+        self._chol = spd_cholesky(covariance)
+        self.covariance = np.asarray(covariance, dtype=float)
         self.orientations = _check_orientations(orientations)
         self._check_footprint()
 
@@ -185,7 +191,7 @@ def footprint_cost(phi: DensityField, model, poi, levels: int = 2):
     finite (a footprint far larger than the workspace) raises NonFiniteCost.
     """
     check_count(levels, "levels", 0)
-    center = np.asarray(poi, dtype=float).reshape(2)
+    center, = check_points(poi, "point of interest")
     if not phi.workspace.contains(center):
         raise SiteOutsideWorkspace("point of interest lies outside the workspace")
     thetas = model.orientations[:1] if model.symmetric else model.orientations
@@ -200,11 +206,8 @@ def footprint_cost(phi: DensityField, model, poi, levels: int = 2):
 
 def gaussian_kl(mean0, cov0, mean1, cov1) -> float:
     """Closed-form divergence between two planar Gaussians."""
-    mean0, mean1 = check_points(np.reshape([mean0, mean1], (2, 2)), "means")
-    cov0 = np.asarray(cov0, dtype=float).reshape(2, 2)
-    cov1 = np.asarray(cov1, dtype=float).reshape(2, 2)
-    chol0 = spd_cholesky(cov0)
-    chol1 = spd_cholesky(cov1)
+    mean0, mean1 = check_points([mean0, mean1], "means")
+    chol0, chol1 = spd_cholesky(cov0), spd_cholesky(cov1)
     inv1 = np.linalg.inv(cov1)
     diff = mean1 - mean0
     trace = float(np.trace(inv1 @ cov0))
@@ -219,9 +222,8 @@ def kld_cost(model, component_mean, component_cov):
     The service is centred on the component mean, so only the covariance
     mismatch is priced.
     """
-    mean = np.asarray(component_mean, dtype=float).reshape(2)
-    divs = [gaussian_kl(mean, model.oriented_covariance(theta), mean, component_cov)
-            for theta in model.orientations]
+    divs = [gaussian_kl(component_mean, model.oriented_covariance(theta), component_mean,
+                        component_cov) for theta in model.orientations]
     best = int(np.argmin(divs))
     return divs[best], model.orientations[best]
 

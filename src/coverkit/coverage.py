@@ -39,9 +39,9 @@ def _checked(positions, radii, tol: float = 1.0, relax: float = 1.0,
     from the position count, a tol (only run_descent has one) that breaks
     geometry.check_positive, a relax that is not finite, and levels that are not an int >= 0.
     """
-    pos = check_points(np.array(positions, dtype=float), "positions")
+    pos = check_points(positions, "positions").copy()
     check_count(len(pos), "number of positions")
-    rho = np.zeros(len(pos)) if radii is None else check_radii(np.array(radii, dtype=float).ravel())
+    rho = np.zeros(len(pos)) if radii is None else check_radii(radii).copy()
     if len(rho) != len(pos):
         raise ValueError(f"{len(pos)} positions but {len(rho)} radii")
     check_positive(tol, "tol")

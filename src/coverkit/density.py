@@ -228,8 +228,8 @@ class GmmDensity(DensityField):
         if not (self.weights > 0).all():
             raise InvalidDensity("mixture weights must be positive")
         self.means = check_points(means, "mixture means", InvalidDensity)
-        covs = _float_array(covariances, InvalidDensity, _NOT_SPD).reshape(-1, 2, 2)
-        if not (len(self.weights) == len(self.means) == len(covs)):
+        covs = _float_array(covariances, InvalidDensity, _NOT_SPD)
+        if not (len(self.weights),) == (len(self.means),) == covs.shape[:1]:
             raise InvalidDensity("weights, means, covariances must have equal length")
         self.covariances = covs
         self._chol = np.stack([spd_cholesky(c) for c in covs])
@@ -319,7 +319,7 @@ class GridDensity(DensityField):
 
     def __init__(self, workspace: ConvexPolygon, values):
         super().__init__(workspace)
-        vals = np.asarray(values, dtype=float)
+        vals = _float_array(values, InvalidDensity, "grid values must be finite")
         if vals.ndim != 2 or vals.size == 0:
             raise InvalidDensity("grid values must be a 2-d array")
         if not np.isfinite(vals).all():
@@ -443,12 +443,14 @@ def load_grid_csv(path, workspace: ConvexPolygon) -> GridDensity:
 
 
 def spd_cholesky(cov) -> np.ndarray:
-    """Lower Cholesky factor of a covariance; InvalidDensity unless it is finite,
-    symmetric to _SYMMETRY_REL relative and positive definite.
+    """Lower Cholesky factor of a 2x2 covariance; InvalidDensity unless it is
+    2x2, finite, symmetric to _SYMMETRY_REL relative and positive definite.
 
     np.linalg.cholesky reads only the lower triangle, so it cannot see asymmetry.
     """
     c = _float_array(cov, InvalidDensity, _NOT_SPD)
+    if c.shape != (2, 2):
+        raise InvalidDensity(f"covariance must be a 2x2 array, not shape {c.shape}")
     scale = max(1.0, float(np.abs(c).max()))
     if not np.isfinite(c).all() or np.abs(c - c.T).max() > _SYMMETRY_REL * scale:
         raise InvalidDensity(_NOT_SPD)

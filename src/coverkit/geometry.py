@@ -39,7 +39,7 @@ pixels to the workspace), ``project_into`` for pulling stray points back inside,
 closer than ``EPS_GEO``, and ``separate`` for nudging such points apart.
 It also holds the one rule per kind of input that public entry points apply
 once per call: ``check_points``, ``check_weights``, ``check_positive`` (scalars),
-``check_count`` and ``check_radii`` (power radii).
+``check_count`` and ``check_radii`` (power radii). Each owns its shape.
 """
 from __future__ import annotations
 
@@ -72,11 +72,9 @@ class ConvexPolygon:
     __slots__ = ("vertices",)
 
     def __init__(self, vertices):
-        v = np.atleast_2d(_float_array(vertices, ValueError, "vertices must be finite"))
-        if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2:
+        v = check_points(vertices, "vertices")
+        if len(v) < 3:
             raise ValueError("need at least 3 two-dimensional vertices")
-        if not np.isfinite(v).all():
-            raise ValueError("vertices must be finite")
         edges = np.concatenate((v[1:], v[:1])) - v
         if (np.hypot(edges[:, 0], edges[:, 1]) <= EPS_GEO).any():
             raise ValueError("duplicate consecutive vertices")
@@ -403,9 +401,9 @@ def power_cells_from_weights(workspace: ConvexPolygon, points, weights) -> list[
     The diagram only depends on weight differences, so negative weights are fine;
     this is the primitive behind both power_cells and the equitable-weight solver.
     """
-    P = np.atleast_2d(np.asarray(points, dtype=float))
-    w = np.asarray(weights, dtype=float)
-    if len(w) != len(P):
+    P = check_points(points, "sites")
+    w = _float_array(weights, ValueError, "power weights must lie within float range")
+    if w.shape != (len(P),):
         raise ValueError("one weight per site required")
     check_sites(P, workspace)
     sq = (P * P).sum(axis=1)
@@ -436,16 +434,16 @@ def _float_array(values, error, message: str) -> np.ndarray:
 
 
 def check_radii(radii) -> np.ndarray:
-    """Power radii as a float array; ValueError unless every r is nonnegative
-    with r*r/EPS_GEO finite.
+    """Power radii as a flat float vector; ValueError unless it is one and every
+    r is nonnegative with r*r/EPS_GEO finite.
 
     The cell clips divide squared-radius differences by site distances, which
     exceed EPS_GEO. The rule is tested on Python floats, so a huge radius
     fails the test instead of overflowing.
     """
-    refusal = f"power radii must be nonnegative numbers r with r*r/{EPS_GEO:g} finite"
+    refusal = f"power radii must be a vector of nonnegative numbers r with r*r/{EPS_GEO:g} finite"
     r = _float_array(radii, ValueError, refusal)
-    if not all(0.0 <= x and math.isfinite(x * x / EPS_GEO) for x in r.ravel().tolist()):
+    if r.ndim != 1 or not all(0.0 <= x and math.isfinite(x * x / EPS_GEO) for x in r.tolist()):
         raise ValueError(refusal)
     return r
 

@@ -18,7 +18,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .geometry import ConvexPolygon, check_count, check_radii
+from .geometry import ConvexPolygon, check_count, check_points, check_radii
 
 AGENT_PALETTE = ("#d1495b", "#00798c", "#edae49", "#6a4c93",
                  "#2e933c", "#e26d5c", "#5f0f40", "#386fa4")
@@ -129,25 +129,23 @@ def render_scene(path, phi, workspace: ConvexPolygon, *, agents=None,
     them, cells as outlines, pois as diamonds, and assignment as (agent,
     poi) index pairs joined by lines. swarm_points are small translucent
     dots for large crowds. ValueError when bands or resolution is not an
-    integer of at least 1, when a point or radius array holds NaN or inf,
-    when power_radii break geometry.check_radii or do not hold one radius
-    per agent, or when an assignment pair is not an integer index into
-    agents and pois.
+    integer of at least 1, when agents, pois or swarm_points break
+    geometry.check_points, when power_radii break geometry.check_radii or do
+    not hold one radius per agent, or when an assignment pair is not an
+    integer index into agents and pois.
     """
     check_count(bands, "bands")
     check_count(resolution, "resolution")
-    for name, value in (("agents", agents), ("power_radii", power_radii), ("pois", pois),
-                        ("swarm_points", swarm_points)):
-        if value is not None and not np.isfinite(np.asarray(value, dtype=float)).all():
-            raise ValueError(f"{name} must be finite")
+    agents, pois, swarm_points = (None if value is None else check_points(value, name)
+                                  for name, value in (("agents", agents), ("pois", pois),
+                                                      ("swarm_points", swarm_points)))
+    counts = [0 if x is None else len(x) for x in (agents, pois)]
     if power_radii is not None:
-        power_radii = check_radii(power_radii).ravel()
-        count = 0 if agents is None else len(np.reshape(agents, (-1, 2)))
-        if len(power_radii) != count:
-            raise ValueError(f"{len(power_radii)} power radii for {count} agents")
+        power_radii = check_radii(power_radii)
+        if len(power_radii) != counts[0]:
+            raise ValueError(f"{len(power_radii)} power radii for {counts[0]} agents")
     if assignment is not None and len(assignment):
         pairs = np.asarray(assignment)
-        counts = [0 if x is None else len(np.reshape(x, (-1, 2))) for x in (agents, pois)]
         if (pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu"
                 or (pairs < 0).any() or (pairs >= counts).any()):
             raise ValueError(f"assignment must be (agent, poi) index pairs into "
@@ -172,7 +170,6 @@ def render_scene(path, phi, workspace: ConvexPolygon, *, agents=None,
             for x, y in zip(sx.tolist(), sy.tolist()))
 
     if pois is not None:
-        pois = np.asarray(pois, dtype=float).reshape(-1, 2)
         diamond = 5.0 / canvas.scale * np.array([[-1.0, 0.0], [0.0, 1.0],
                                                  [1.0, 0.0], [0.0, -1.0]])
         canvas.polygons(list(pois[:, None, :] + diamond),

@@ -143,7 +143,7 @@ PARAM_CHECKS = {
 SERVICES = {
     "disk": ("radius", lambda r: _passes(check_positive, r, "radius"),
              "must be a positive finite number"),
-    "gaussian": ("covariance", lambda c: _passes(spd_cholesky, c) and np.shape(c) == (2, 2),
+    "gaussian": ("covariance", lambda c: _passes(spd_cholesky, c),
                  "must be a symmetric positive-definite 2x2"),
 }
 
@@ -175,7 +175,7 @@ def _check_density(density, base: Path, workspace, err) -> DensityField | None:
         if not (isinstance(covs, list) and len(covs) == len(weights)):
             err("density.covariances", f"need {len(weights)} 2x2 matrices")
             sound = False
-        elif not all(_passes(spd_cholesky, c) and np.shape(c) == (2, 2) for c in covs):
+        elif not all(_passes(spd_cholesky, c) for c in covs):
             err("density.covariances", "each must be a symmetric positive-definite 2x2")
             sound = False
     elif kind != "uniform":
@@ -228,7 +228,7 @@ def _check_agents(agents, pipeline, workspace, err) -> dict | None:
     radii = agents.get("radii")
     if radii is not None and pipeline != "power_lloyd":
         err("agents.radii", "only used by power_lloyd")
-    elif radii is not None and not (_passes(check_radii, radii) and np.ndim(radii) == 1):
+    elif radii is not None and not _passes(check_radii, radii):
         err("agents.radii", f"must be a list of nonnegative numbers r with r*r/{EPS_GEO:g} finite")
     elif radii is not None and len(radii) != n:
         err("agents.radii", f"expected {n} entries, got {len(radii)}")
@@ -357,8 +357,7 @@ def _build_density(spec: dict, workspace: ConvexPolygon, base: Path) -> DensityF
     if kind == "uniform":
         return UniformDensity(workspace)
     if kind == "gmm":
-        return GmmDensity(workspace, spec["weights"], spec["means"],
-                          [np.array(c, dtype=float) for c in spec["covariances"]])
+        return GmmDensity(workspace, spec["weights"], spec["means"], spec["covariances"])
     if kind == "image":
         return from_pgm(base / spec["path"], workspace)
     return load_grid_csv(base / spec["path"], workspace)
@@ -367,7 +366,7 @@ def _build_density(spec: dict, workspace: ConvexPolygon, base: Path) -> DensityF
 def _build_services(specs, orientations):
     return [assign_mod.IsotropicService(spec["radius"], orientations=orientations)
             if spec["kind"] == "disk" else assign_mod.GaussianService(
-                np.array(spec["covariance"], dtype=float), orientations=orientations)
+                spec["covariance"], orientations=orientations)
             for spec in specs]
 
 

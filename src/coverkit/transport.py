@@ -47,7 +47,7 @@ from scipy.spatial.distance import cdist
 from .coverage import build_partition
 from .density import DensityField, DiscreteMeasure, discretize
 from .errors import NoConvergence, SizeLimit
-from .geometry import check_count, check_points, check_positive, check_weights
+from .geometry import _float_array, check_count, check_points, check_positive, check_weights
 
 SIZE_LIMIT = 4_000_000
 # |log u| or |log v| beyond which the Sinkhorn scalings are folded into the
@@ -330,7 +330,8 @@ def self_transport_cost(points: np.ndarray, weights: np.ndarray, p=2,
     and is overwritten with its final state.
     """
     p = check_positive(p, "order p", at_least=1.0)
-    points, weights = check_points(points), np.asarray(weights, dtype=float)
+    points = check_points(points)
+    weights = _float_array(weights, ValueError, "weights must be finite and nonnegative")
     check_weights(weights, len(points))
     check_positive(epsilon, "epsilon")
     check_count(max_iters, "max_iters")
@@ -416,7 +417,7 @@ def check_w2_identity(phi: DensityField, positions, grid_resolution: int = 64):
     check_count(grid_resolution, "grid_resolution", 32)
     part = build_partition(phi, positions)
     rhs = part.cost
-    mu = DiscreteMeasure(np.atleast_2d(np.asarray(positions, dtype=float)), part.masses)
+    mu = DiscreteMeasure(positions, part.masses)
     nu = discretize(phi, grid_resolution, grid_resolution)
     value, _ = wasserstein_exact(mu, nu, p=2)
     lhs = value**2

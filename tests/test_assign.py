@@ -400,6 +400,8 @@ def test_assignment_infeasible_and_invalid():
         solve_assignment(np.array([[np.inf, 1.0], [0.0, 2.0]]))
     with pytest.raises(ValueError):
         solve_assignment(np.array([[np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="two-dimensional"):
+        solve_assignment(np.array([1.0, 2.0]))
 
 
 def test_cost_matrix_pipeline():

@@ -667,13 +667,17 @@ def test_unmasked_moments_equal_masked_loop_oracle(kind):
                if abs(gap) <= 1e-16]
     assert min(on_edge) < 0.0 < max(on_edge)
 
-    services = [IsotropicService(0.1), GaussianService([[0.004, 0.001], [0.001, 0.002]])]
+    # a service's footprints are checked at its own orientations, so each draws its theta
+    services = [lambda theta: IsotropicService(0.1, orientations=(theta,)),
+                lambda theta: GaussianService([[0.004, 0.001], [0.001, 0.002]],
+                                              orientations=(theta,))]
     v = ws.vertices
     for k in range(len(v)):
         a, b = v[k], v[(k + 1) % len(v)]
         normal = np.array([b[1] - a[1], a[0] - b[0]]) / np.hypot(*(b - a))
-        for model in services:
+        for service in services:
             theta = rng.uniform(0.0, 2.0 * np.pi)
+            model = service(theta)
             ring = model.footprint([0.0, 0.0], theta).vertices
             start = a + 0.5 * (b - a) - 0.3 * normal
             reach = (ring @ normal).max() + (start - a) @ normal
@@ -683,7 +687,7 @@ def test_unmasked_moments_equal_masked_loop_oracle(kind):
                 assert isinstance(rule, tuple)
                 entries.append((rule, center))
         # a footprint the edge clips, as footprint_cost prices it
-        clipped = services[0]._quadrature(ws, a + 0.5 * (b - a), 0.0, 2)
+        clipped = IsotropicService(0.1)._quadrature(ws, a + 0.5 * (b - a), 0.0, 2)
         assert isinstance(clipped, ConvexPolygon)
         entries.append((clipped, a + 0.5 * (b - a)))
     polys = [e[0] for e in entries]
@@ -740,3 +744,8 @@ def test_gmm_rejects_non_finite_parameters(weights, means):
     # normalized the weights to [nan, 0]
     with pytest.raises(InvalidDensity, match="finite"):
         GmmDensity(unit_square(), weights, means, [np.eye(2) * 0.01] * 2)
+
+
+def test_gmm_rejects_a_zero_weight():
+    with pytest.raises(InvalidDensity, match="mixture weights must be positive"):
+        GmmDensity(unit_square(), [1.0, 0.0], [[0.3, 0.3], [0.7, 0.7]], [np.eye(2) * 0.01] * 2)

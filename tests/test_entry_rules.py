@@ -15,11 +15,12 @@ import warnings
 import numpy as np
 import pytest
 
-from coverkit.assign import GaussianService, IsotropicService, footprint_cost
+from coverkit.assign import (GaussianService, IsotropicService, footprint_cost, gaussian_kl,
+                            kld_cost)
 from coverkit.coverage import build_partition, equitable_weights, lloyd_step, run_descent
-from coverkit.density import (DiscreteMeasure, GmmDensity, InvalidDensity, UniformDensity,
-                              discretize, spd_cholesky)
-from coverkit.geometry import ConvexPolygon, check_points, check_radii, check_weights
+from coverkit.density import (DiscreteMeasure, GmmDensity, GridDensity, InvalidDensity,
+                              UniformDensity, discretize, spd_cholesky)
+from coverkit.geometry import ConvexPolygon, check_points, check_radii, check_weights, power_cells
 from coverkit.poi import gmm_em, kmeans, svgd
 from coverkit.render import render_scene
 from coverkit.submod import greedy_uniform
@@ -153,4 +154,63 @@ def test_entry_point_refuses_bad_input(expected, call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(expected):
+            call()
+
+
+# Each rule owns its shape: a caller hands it the raw argument, and the rule
+# refuses it with its own message. Each row once slipped past a caller's
+# conversion: a numpy broadcast, reshape or overflow error, a TypeError, or a
+# (2, 3) array drawn as three points.
+SHAPES = [
+    ("power-cells-three-column-sites", ValueError, r"sites must be an \(n, 2\) array",
+     lambda: power_cells(SQUARE, np.column_stack([DATA[:5], DATA[:5, 0]]), np.zeros(5))),
+    ("power-cells-column-radii", ValueError, "power radii must be a vector",
+     lambda: power_cells(SQUARE, DATA[:6], np.full((6, 1), 0.01))),
+    ("power-cells-scalar-radius", ValueError, "power radii must be a vector",
+     lambda: power_cells(SQUARE, DATA[:6], 0.01)),
+    ("power-cells-huge-site", ValueError, "sites must be finite",
+     lambda: power_cells(SQUARE, [[HUGE, 0.5], [0.5, 0.5]], [0.0, 0.0])),
+    ("partition-huge-position", ValueError, "positions must be finite",
+     lambda: build_partition(PHI, [[HUGE, 0.5], [0.5, 0.5]])),
+    ("partition-huge-radius", ValueError, "power radii must be a vector of nonnegative",
+     lambda: build_partition(PHI, SITES, [0.0, HUGE, 0.0])),
+    ("render-agents-three-columns", ValueError, r"agents must be an \(n, 2\) array",
+     lambda: render_scene(os.devnull, None, SQUARE, agents=np.full((2, 3), 0.5))),
+    ("render-pois-three-columns", ValueError, r"pois must be an \(n, 2\) array",
+     lambda: render_scene(os.devnull, None, SQUARE, pois=np.full((2, 3), 0.5))),
+    ("render-swarm-three-columns", ValueError, r"swarm_points must be an \(n, 2\) array",
+     lambda: render_scene(os.devnull, None, SQUARE, swarm_points=np.full((2, 3), 0.5))),
+    ("render-pois-three-numbers", ValueError, r"pois must be an \(n, 2\) array",
+     lambda: render_scene(os.devnull, None, SQUARE, pois=[0.2, 0.5, 0.8])),
+    ("render-huge-agent", ValueError, "agents must be finite",
+     lambda: render_scene(os.devnull, None, SQUARE, agents=[[HUGE, 0.5]])),
+    ("grid-huge-value", InvalidDensity, "grid values must be finite",
+     lambda: GridDensity(SQUARE, [[1.0, HUGE], [1.0, 1.0]])),
+    ("footprint-three-number-site", ValueError, r"point of interest must be an \(n, 2\)",
+     lambda: footprint_cost(PHI, IsotropicService(0.1), [0.5, 0.5, 0.5])),
+    ("kld-three-number-mean", ValueError, r"means must be an \(n, 2\) array",
+     lambda: kld_cost(IsotropicService(0.3), [0.5, 0.5, 0.5], EYE)),
+    ("service-covariance-3x3", InvalidDensity, "covariance must be a 2x2 array",
+     lambda: GaussianService(np.eye(3))),
+    ("service-covariance-huge-int", InvalidDensity, "covariance must be symmetric",
+     lambda: GaussianService([[HUGE, 0], [0, 1]])),
+    ("kl-covariance-3x3", InvalidDensity, "covariance must be a 2x2 array",
+     lambda: gaussian_kl([0.5, 0.5], np.eye(3), [0.5, 0.5], EYE)),
+    ("kl-covariance-huge-int", InvalidDensity, "covariance must be symmetric",
+     lambda: gaussian_kl([0.5, 0.5], EYE, [0.5, 0.5], [[HUGE, 0], [0, 1]])),
+    ("cholesky-3x3", InvalidDensity, "covariance must be a 2x2 array",
+     lambda: spd_cholesky(np.eye(3))),
+    ("cholesky-1x1", InvalidDensity, "covariance must be a 2x2 array",
+     lambda: spd_cholesky([[1.0]])),
+    ("self-cost-huge-weight", ValueError, "weights must be finite and nonnegative",
+     lambda: self_transport_cost(DATA[:3], [HUGE, 1.0, 1.0])),
+]
+
+
+@pytest.mark.parametrize("expected, message, call", [row[1:] for row in SHAPES],
+                         ids=[row[0] for row in SHAPES])
+def test_each_rule_refuses_a_raw_argument_of_the_wrong_shape(expected, message, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(expected, match=f"^{message}"):
             call()

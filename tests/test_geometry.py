@@ -374,6 +374,11 @@ def test_voronoi_site_outside_raises():
         power_cells_from_weights(unit_square(), [[0.5, 0.5], [1.5, 0.5]], np.zeros(2))
 
 
+def test_power_weights_must_number_one_per_site():
+    with pytest.raises(ValueError, match="one weight per site required"):
+        power_cells_from_weights(unit_square(), [[0.25, 0.5], [0.75, 0.5]], np.zeros(3))
+
+
 def test_voronoi_partition_tiles_workspace():
     rng = np.random.default_rng(3)
     W = unit_square()

@@ -173,19 +173,20 @@ def test_bands_or_resolution_below_one_is_refused(tmp_path, name):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("name,value", [
-    ("agents", [[np.nan, 0.5]]),
-    ("agents", [[0.5, np.inf]]),
-    ("power_radii", [np.nan]),
-    ("pois", [[0.5, -np.inf]]),
-    ("swarm_points", [[np.nan, np.nan]]),
+# each layer is refused by its input rule: points by check_points, radii by check_radii
+@pytest.mark.parametrize("name,value,message", [
+    ("agents", [[np.nan, 0.5]], "agents must be finite"),
+    ("agents", [[0.5, np.inf]], "agents must be finite"),
+    ("power_radii", [np.nan], "power radii must be a vector of nonnegative"),
+    ("pois", [[0.5, -np.inf]], "pois must be finite"),
+    ("swarm_points", [[np.nan, np.nan]], "swarm_points must be finite"),
 ], ids=["agents-nan", "agents-inf", "power_radii-nan", "pois-inf", "swarm_points-nan"])
-def test_non_finite_points_are_refused(tmp_path, name, value):
+def test_non_finite_points_are_refused(tmp_path, name, value, message):
     w = square()
     path = tmp_path / "bad.svg"
     kwargs = {name: value}
     if name == "power_radii":
         kwargs["agents"] = [[0.5, 0.5]]
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+    with pytest.raises(ValueError, match=f"^{message}"):
         render_scene(path, UniformDensity(w), w, **kwargs)
     assert not path.exists()

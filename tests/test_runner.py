@@ -898,3 +898,34 @@ def test_run_builds_the_density_once(tmp_path, monkeypatch, kind):
     cfg = {**lloyd_cfg(iters=2), "density": specs[kind]}
     assert run(write_cfg(tmp_path, cfg), out=tmp_path / "out") == EXIT_OK
     assert len(calls) == 1
+
+
+# (id, config, the (field, message) pairs validate reports) for the branches
+# that the tables above do not reach
+STRUCTURE = [
+    ("density-unknown-field", {**lloyd_cfg(), "density": {"kind": "uniform", "path": "d.csv"}},
+     [("density.path", "unknown field for kind uniform")]),
+    ("agents-unknown-field", edited(lloyd_cfg(), ("agents", "speed"), 2),
+     [("agents.speed", "unknown field")]),
+    ("services-outside-poi-assign",
+     edited(lloyd_cfg(), ("agents", "services"), [{"kind": "disk", "radius": 0.1}] * 3),
+     [("agents.services", "only used by poi_assign")]),
+    ("swarm-batch-above-n", edited(SWARM, ("params", "batch"), 10),
+     [("params.batch", "cannot exceed agents.n = 9")]),
+    ("top-level-list", [lloyd_cfg()], [("config", "top level must be a mapping")]),
+    ("out-not-a-string", {**lloyd_cfg(), "out": 5}, [("out", "must be a path string")]),
+]
+
+
+@pytest.mark.parametrize("cfg, pairs", [row[1:] for row in STRUCTURE],
+                         ids=[row[0] for row in STRUCTURE])
+def test_structural_reports_name_the_field_and_the_fault(tmp_path, cfg, pairs):
+    report = validate(write_cfg(tmp_path, cfg))
+    assert [(e["field"], e["message"]) for e in report.errors] == pairs
+
+
+def test_run_writes_beside_the_config_by_default(tmp_path):
+    path = write_cfg(tmp_path, lloyd_cfg(iters=2), name="beside.yaml")
+    assert run(path) == EXIT_OK
+    manifest = json.loads((tmp_path / "beside_out" / "manifest.json").read_text())
+    assert manifest["out"] == str(tmp_path / "beside_out")
