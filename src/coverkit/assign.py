@@ -164,7 +164,7 @@ class GaussianService(_Service):
     symmetric = False
     # the standard normal's 3-sigma circle, mapped by rotation @ chol. The 3
     # scales the polygon, not the map: that fixes how the vertices round, and
-    # what intersect makes of a footprint 1e150 times the workspace hangs on it
+    # what clip makes of a footprint 1e150 times the workspace hangs on it
     _scale = 3.0
 
     def __init__(self, covariance, orientations=DEFAULT_ORIENTATIONS):
@@ -191,7 +191,7 @@ def footprint_cost(phi: DensityField, model, poi, levels: int = 2):
     finite (a footprint far larger than the workspace) raises NonFiniteCost.
     """
     check_count(levels, "levels", 0)
-    center, = check_points(poi, "point of interest")
+    center, = check_points(poi, "point of interest", rows=1)
     if not phi.workspace.contains(center):
         raise SiteOutsideWorkspace("point of interest lies outside the workspace")
     thetas = model.orientations[:1] if model.symmetric else model.orientations
@@ -206,7 +206,8 @@ def footprint_cost(phi: DensityField, model, poi, levels: int = 2):
 
 def gaussian_kl(mean0, cov0, mean1, cov1) -> float:
     """Closed-form divergence between two planar Gaussians."""
-    mean0, mean1 = check_points([mean0, mean1], "means")
+    mean0, = check_points(mean0, "means", rows=1)
+    mean1, = check_points(mean1, "means", rows=1)
     chol0, chol1 = spd_cholesky(cov0), spd_cholesky(cov1)
     inv1 = np.linalg.inv(cov1)
     diff = mean1 - mean0

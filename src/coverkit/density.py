@@ -39,9 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EvalOutsideSupport, InvalidDensity, NoConvergence
-from .geometry import EVAL_NODES, _float_array, check_count, check_points, check_weights
-# clip is not called here, but coverbench/tracing.py patches it in this module
-from .geometry import ConvexPolygon, clip, intersect, ring_moments  # noqa: F401
+from .geometry import (EPS_GEO, EVAL_NODES, ConvexPolygon, _edge_planes, _float_array,
+                       check_count, check_points, check_weights, clip, ring_moments)
 
 MASS_EPS = 1e-12
 _ACCEPT_FLOOR = 1e-3  # see DensityField._sample_rejection
@@ -319,7 +318,7 @@ class GridDensity(DensityField):
 
     def __init__(self, workspace: ConvexPolygon, values):
         super().__init__(workspace)
-        vals = _float_array(values, InvalidDensity, "grid values must be finite")
+        vals = _float_array(values, InvalidDensity, "grid values must be finite in a 2-d array")
         if vals.ndim != 2 or vals.size == 0:
             raise InvalidDensity("grid values must be a 2-d array")
         if not np.isfinite(vals).all():
@@ -338,7 +337,8 @@ class GridDensity(DensityField):
         """Exact mass over W: full pixel areas in the bulk, clipped on the boundary.
 
         The triangle rule undersamples at pixel discontinuities, so piecewise
-        constants get an exact treatment instead.
+        constants get an exact treatment instead. ``clip`` drops a cut pixel's
+        remainder no wider than about EPS_GEO, so boundary pixels need sides above it.
         """
         xmin, xmax, _, ymax = self.bbox
         xs = xmin + self.dx * np.arange(self.nx + 1)
@@ -347,14 +347,18 @@ class GridDensity(DensityField):
         corners = np.stack([gx.ravel(), gy.ravel()], axis=1)
         inside = self.workspace.contains(corners).reshape(self.ny + 1, self.nx + 1)
         full = inside[:-1, :-1] & inside[:-1, 1:] & inside[1:, :-1] & inside[1:, 1:]
+        boundary = np.nonzero(~full)
+        if len(boundary[0]) and min(self.dx, self.dy) <= EPS_GEO:
+            raise InvalidDensity(f"grid pixels of {self.dx!r} by {self.dy!r} are too small to "
+                                 f"clip to the workspace: each side must exceed {EPS_GEO:g}")
         areas = np.where(full, self.dx * self.dy, 0.0)
-        for iy, ix in zip(*np.nonzero(~full)):
+        planes = _edge_planes(self.workspace)
+        for iy, ix in zip(*boundary):
             x0, x1 = xs[ix], xs[ix + 1]
             y0, y1 = ys[iy + 1], ys[iy]
-            pix = intersect(ConvexPolygon([[x0, y0], [x1, y0], [x1, y1], [x0, y1]]),
-                            self.workspace)
-            if pix is not None:
-                areas[iy, ix] = pix.area
+            part = clip(np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]]), *planes)
+            if part is not None:
+                areas[iy, ix] = ring_moments(part[None])[0][0]
         self._set_mass(float((self.values * areas).sum()))
 
     def _indices(self, pts):
@@ -484,9 +488,9 @@ def cell_moments(phi: DensityField, polys, centers, levels: int = 2):
     center, nodes at center + offsets; footprint prices pass their
     affine-mapped reference rule this way.
 
-    Every entry must lie in phi's workspace W (to EPS_GEO): power cells,
-    ``intersect`` results and the footprints that ``intersect`` returned
-    unchanged all do by construction. The density is therefore evaluated
+    Every entry must lie in phi's workspace W (to EPS_GEO): power cells and
+    footprints clipped by W's edge planes (``clip``), or that no plane cuts,
+    all do by construction. The density is therefore evaluated
     without the workspace mask of ``DensityField.eval``, which would keep
     every node; a polygon reaching past W would be priced as if phi went on
     beyond W. ``coverage.build_partition`` integrates only the power cells it

@@ -32,17 +32,20 @@ becomes a ``ConvexPolygon``. ``power_cells_from_weights`` is the one entry
 point; the Voronoi and nonnegative-radius forms call it.
 
 This module is the one home of the polygon and point helpers the other layers
-share: ``ConvexPolygon.contains`` for point-in-polygon tests, ``intersect``
-for clipping a polygon to a region's edge half-planes (footprints and raster
-pixels to the workspace), ``project_into`` for pulling stray points back inside,
-``coincident_pairs`` and ``check_sites`` for finding and rejecting points
-closer than ``EPS_GEO``, and ``separate`` for nudging such points apart.
-It also holds the one rule per kind of input that public entry points apply
-once per call: ``check_points``, ``check_weights``, ``check_positive`` (scalars),
+share: ``ConvexPolygon``, the one polygon test, which keeps its edges and
+edge planes, with ``contains`` for point-in-polygon tests; ``clip`` by
+``_edge_planes(region)`` and ``ring_moments`` for cutting a raw vertex array
+(a footprint, a raster pixel) to a region and measuring what is left;
+``project_into`` for pulling stray points back inside, ``coincident_pairs``
+and ``check_sites`` for finding and rejecting points closer than ``EPS_GEO``,
+and ``separate`` for nudging such points apart. It also holds the one rule
+per kind of input that public entry points apply once per call:
+``check_points``, ``check_weights``, ``check_positive`` (scalars),
 ``check_count`` and ``check_radii`` (power radii). Each owns its shape.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 
@@ -67,16 +70,19 @@ class ConvexPolygon:
     """Convex polygon with counter-clockwise vertices (used for W and every cell).
 
     It must not be a sliver: see ``_has_area``, which ``clip`` applies too.
+    It keeps the edges its checks compute (and ``_edge_planes``' planes), so
+    the vertices must not change after construction.
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_edges", "_lengths", "_planes")
 
     def __init__(self, vertices):
         v = check_points(vertices, "vertices")
         if len(v) < 3:
             raise ValueError("need at least 3 two-dimensional vertices")
         edges = np.concatenate((v[1:], v[:1])) - v
-        if (np.hypot(edges[:, 0], edges[:, 1]) <= EPS_GEO).any():
+        lengths = np.hypot(edges[:, 0], edges[:, 1])
+        if (lengths <= EPS_GEO).any():
             raise ValueError("duplicate consecutive vertices")
         nxt = np.concatenate((edges[1:], edges[:1]))
         cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
@@ -84,18 +90,18 @@ class ConvexPolygon:
             raise ValueError("vertices must be convex in counter-clockwise order")
         if not _has_area(v):
             raise ValueError("vertices must enclose an area above EPS_GEO times the longest edge")
-        self.vertices = v
+        self.vertices, self._edges, self._lengths, self._planes = v, edges, lengths, None
 
     def __repr__(self):
         return f"ConvexPolygon({self.vertices.tolist()})"
 
     @property
     def area(self) -> float:
-        return polygon_moments(self)[0]
+        return float(ring_moments(self.vertices[None])[0][0])
 
     @property
     def centroid(self) -> np.ndarray:
-        return polygon_moments(self)[1]
+        return ring_moments(self.vertices[None])[1][0]
 
     @property
     def bbox(self) -> tuple[float, float, float, float]:
@@ -117,10 +123,9 @@ class ConvexPolygon:
         q = np.asarray(q, dtype=float)
         single = q.ndim == 1
         pts = q[None, :] if single else q
-        v = self.vertices
-        e = np.concatenate((v[1:], v[:1])) - v
+        v, e = self.vertices, self._edges
         vx, vy, ex, ey = v[:, 0, None], v[:, 1, None], e[:, 0, None], e[:, 1, None]
-        ln = np.hypot(ex, ey)
+        ln = self._lengths[:, None]
         ok = np.empty(len(pts), dtype=bool)
         # signed distances (ex (y - vy) - ey (x - vx)) / |e| of up to
         # EVAL_NODES points to every edge line, positive inside, as one
@@ -135,12 +140,6 @@ class ConvexPolygon:
             gap /= ln
             ok[lo:lo + EVAL_NODES] = (gap >= -tol).all(axis=0)
         return bool(ok[0]) if single else ok
-
-
-def polygon_moments(poly: ConvexPolygon) -> tuple[float, np.ndarray]:
-    """Shoelace area and centroid."""
-    (area,), (centroid,) = ring_moments(poly.vertices[None])
-    return float(area), centroid
 
 
 def ring_moments(rings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,24 +203,17 @@ def _has_area(v: np.ndarray) -> bool:
     return bool(area > EPS_GEO * np.hypot(edges[:, 0], edges[:, 1]).max())
 
 
-def intersect(poly: ConvexPolygon, region: ConvexPolygon) -> ConvexPolygon | None:
-    """Part of a convex polygon inside a convex region; None when it has no area.
-
-    Clips by the region's edges in order. Returns ``poly`` itself when no
-    edge cuts it.
-    """
-    v = clip(poly.vertices, *_edge_planes(region))
-    return poly if v is poly.vertices else None if v is None else ConvexPolygon(v)
-
-
 def _edge_planes(region: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:
-    """Unit outward normals and offsets of a region's edges, as ``clip`` takes them."""
-    a = region.vertices
-    e = np.concatenate((a[1:], a[:1])) - a
-    n = np.column_stack((e[:, 1], -e[:, 0]))  # outward normals of counter-clockwise edges
-    ln = np.hypot(n[:, 0], n[:, 1])
-    # n . a through matmul: a row-wise (n * a).sum(1) rounds differently
-    return n / ln[:, None], (n[:, None, :] @ a[:, :, None])[:, 0, 0] / ln
+    """Unit outward normals and offsets of a region's edges, as ``clip`` takes them;
+    built once per region and kept on it read-only, so its clips share them."""
+    if region._planes is None:
+        a, e, ln = region.vertices, region._edges, region._lengths
+        n = np.column_stack((e[:, 1], -e[:, 0]))  # outward normals of counter-clockwise edges
+        # n . a through matmul: a row-wise (n * a).sum(1) rounds differently
+        normals, offsets = n / ln[:, None], (n[:, None, :] @ a[:, :, None])[:, 0, 0] / ln
+        normals.flags.writeable = offsets.flags.writeable = False
+        region._planes = normals, offsets
+    return region._planes
 
 
 def project_into(poly: ConvexPolygon, pts: np.ndarray) -> np.ndarray:
@@ -233,8 +225,7 @@ def project_into(poly: ConvexPolygon, pts: np.ndarray) -> np.ndarray:
     if not outside.any():
         return pts
     pts = pts.copy()
-    a = poly.vertices
-    ab = np.roll(a, -1, axis=0) - a
+    a, ab = poly.vertices, poly._edges
     p = pts[outside][:, None, :]
     # nearest point of every edge to every stray point; the first nearest edge wins
     t = np.clip(((p - a) * ab).sum(axis=-1) / (ab * ab).sum(axis=-1), 0.0, 1.0)
@@ -348,11 +339,10 @@ def _dual_cells(workspace: ConvexPolygon, P: np.ndarray, w: np.ndarray, sq: np.n
     lower-facet edges lie in two lower facets has a closed fan, so its cell
     is the bounded polygon of those copies, in the order of their angle about
     the copies' mean. The cell is finished here when every copy lies in the
-    workspace, so that it is the workspace cut by those axes, and the ring
-    is a polygon as it stands: edges longer than EPS_GEO, no turn to the
-    right beyond EPS_GEO, no sliver. Every other site (an open fan on the
-    sites' 2-D hull, a vertex outside W, near-coincident vertices of nearly
-    cocircular sites) is left to the clip route.
+    workspace, so that it is the workspace cut by those axes, and
+    ``ConvexPolygon`` takes the ring as it stands. Every other site (an open
+    fan on the sites' 2-D hull, a vertex outside W, near-coincident vertices
+    of nearly cocircular sites) is left to the clip route.
     """
     n = len(P)
     lower = hull.simplices[hull.equations[:, 2] < -_VERTICAL]
@@ -383,16 +373,11 @@ def _dual_cells(workspace: ConvexPolygon, P: np.ndarray, w: np.ndarray, sq: np.n
     order = np.lexsort((np.arctan2(q[:, 1] - my, q[:, 0] - mx), i))
     i, q = i[order], q[order]
     starts = np.flatnonzero(np.concatenate(([True], i[1:] != i[:-1])))
-    # each vertex's successor around its own cell; ConvexPolygon's edge and turn tests
-    nxt = np.arange(1, len(i) + 1)
-    nxt[np.concatenate((starts[1:], [len(i)])) - 1] = starts
-    edges = q[nxt] - q
-    turn = edges[:, 0] * edges[nxt, 1] - edges[:, 1] * edges[nxt, 0]
-    polygon = ((np.minimum.reduceat(np.hypot(edges[:, 0], edges[:, 1]), starts) > EPS_GEO)
-               & (np.minimum.reduceat(turn, starts) >= -EPS_GEO))
-    return {site: ConvexPolygon(v)
-            for site, v, ok in zip(i[starts].tolist(), np.split(q, starts[1:]), polygon)
-            if ok and _has_area(v)}
+    cells = {}
+    for site, v in zip(i[starts].tolist(), np.split(q, starts[1:])):
+        with contextlib.suppress(ValueError):  # not a polygon as it stands: left to clip
+            cells[site] = ConvexPolygon(v)
+    return cells
 
 
 def power_cells_from_weights(workspace: ConvexPolygon, points, weights) -> list[ConvexPolygon | None]:
@@ -402,7 +387,7 @@ def power_cells_from_weights(workspace: ConvexPolygon, points, weights) -> list[
     this is the primitive behind both power_cells and the equitable-weight solver.
     """
     P = check_points(points, "sites")
-    w = _float_array(weights, ValueError, "power weights must lie within float range")
+    w = _float_array(weights, ValueError, "power weights must be numbers within float range")
     if w.shape != (len(P),):
         raise ValueError("one weight per site required")
     check_sites(P, workspace)
@@ -426,10 +411,10 @@ def power_cells_from_weights(workspace: ConvexPolygon, points, weights) -> list[
 
 def _float_array(values, error, message: str) -> np.ndarray:
     """``values`` as a float array for the array rules; ``error(message)``, not
-    numpy's bare OverflowError, on an int too large for a float."""
+    numpy's bare error, on a ragged array or an int too large for a float."""
     try:
         return np.asarray(values, dtype=float)
-    except OverflowError:
+    except (OverflowError, ValueError):
         raise error(message) from None
 
 
@@ -448,12 +433,14 @@ def check_radii(radii) -> np.ndarray:
     return r
 
 
-def check_points(points, name: str = "points", error=ValueError) -> np.ndarray:
+def check_points(points, name: str = "points", error=ValueError, rows=None) -> np.ndarray:
     """Points as an (n, 2) float array, one point as one row; error unless
-    they have that shape and every entry is finite."""
-    pts = np.atleast_2d(_float_array(points, error, f"{name} must be finite"))
+    they have that shape (n = ``rows`` when given) and every entry is finite."""
+    pts = np.atleast_2d(_float_array(points, error, f"{name} must be finite, in an (n, 2) array"))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise error(f"{name} must be an (n, 2) array, not {pts.shape}")
+    if rows is not None and len(pts) != rows:
+        raise error(f"{name} must be an (n, 2) array with n = {rows}, not {pts.shape}")
     if not np.isfinite(pts).all():
         raise error(f"{name} must be finite")
     return pts
@@ -463,7 +450,7 @@ def check_weights(weights, size: int | None = None, error=ValueError) -> np.ndar
     """A weight vector divided by its sum; error unless it is one-dimensional
     (of ``size`` entries when given), finite and nonnegative, with a sum that
     is positive and finite. The sum may overflow without a numpy warning."""
-    w = _float_array(weights, error, "weights must be finite and nonnegative")
+    w = _float_array(weights, error, "weights must be finite and nonnegative numbers in a vector")
     if w.ndim != 1 or size is not None and len(w) != size:
         raise error(f"weights must be a vector{'' if size is None else f' of {size}'}, "
                     f"not shape {w.shape}")

@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
 from .density import DensityField
@@ -192,12 +192,12 @@ def gmm_em(data, n_components: int, seed: int = 0, max_iters: int = 200,
                   log_likelihoods=np.array(trace), iterations=iterations)
 
 
-def _bandwidth(x: np.ndarray, policy, floor: float) -> float:
-    """RBF bandwidth: the median heuristic for "median", else r^2 for a radius r."""
+def _bandwidth(d2: np.ndarray, upper: np.ndarray, policy, floor: float) -> float:
+    """RBF bandwidth: the median heuristic on d2[upper] for "median", else r^2 for a radius r."""
     if isinstance(policy, str):
-        if len(x) < 2:
+        if len(d2) < 2:
             return 1.0
-        h = float(np.median(pdist(x, "sqeuclidean"))) / np.log(len(x))
+        h = float(np.median(d2[upper])) / np.log(len(d2))
         return max(h, floor)
     r = float(policy)
     return r * r
@@ -226,11 +226,13 @@ def svgd(phi: DensityField, n_particles: int, bandwidth_policy="median",
     floor = 1e-12 * phi.workspace.diameter ** 2
 
     x = phi.sample(n_particles, seed)
+    upper = np.triu(np.ones((n_particles, n_particles), dtype=bool), 1)
     shift = 0.0
     for _ in range(iters):
-        h = _bandwidth(x, bandwidth_policy, floor)
+        d2 = cdist(x, x, "sqeuclidean")
+        h = _bandwidth(d2, upper, bandwidth_policy, floor)
         grad = phi.grad_log(x)
-        kernel = np.exp(-cdist(x, x, "sqeuclidean") / h)
+        kernel = np.exp(-d2 / h)
         ksum = kernel.sum(axis=1)
         drive = kernel @ grad
         repel = (2.0 / h) * (x * ksum[:, None] - kernel @ x)

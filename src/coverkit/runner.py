@@ -1,8 +1,8 @@
 """Scenario CLI: validate a YAML config, run its pipeline, write artifacts.
 
 One config file describes one run. ``validate`` parses it once, checks it
-field by field and builds the workspace and density; ``run`` executes the
-pipeline on exactly what ``validate`` built, so a config that passes
+field by field and builds the workspace, density and services; ``run`` runs
+the pipeline on exactly what ``validate`` built, so a config that passes
 ``validate`` is the config that runs. Every run leaves behind manifest.json
 (the resolved config, and under ``versions`` those of coverkit, Python, numpy
 and scipy), metrics.jsonl (per-iteration records), final.csv,
@@ -75,13 +75,14 @@ class ValidationReport:
     """Machine-readable findings; an empty list means the config is runnable.
 
     A runnable config's report also carries what ``run`` runs on: the config
-    with defaults filled in, the workspace polygon and the density over it.
+    with defaults filled in, the workspace polygon, the density and any services.
     """
 
     errors: list
     config: dict | None = field(default=None, repr=False)
     workspace: ConvexPolygon | None = field(default=None, repr=False)
     density: DensityField | None = field(default=None, repr=False)
+    services: list | None = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -139,11 +140,11 @@ PARAM_CHECKS = {
 }
 
 
-# per service kind, the one other field it reads, its test and message; no more are taken
+# per service kind: its model, the one other field (the model's argument), test and message
 SERVICES = {
-    "disk": ("radius", lambda r: _passes(check_positive, r, "radius"),
-             "must be a positive finite number"),
-    "gaussian": ("covariance", lambda c: _passes(spd_cholesky, c),
+    "disk": (assign_mod.IsotropicService, "radius",
+             lambda r: _passes(check_positive, r, "radius"), "must be a positive finite number"),
+    "gaussian": (assign_mod.GaussianService, "covariance", lambda c: _passes(spd_cholesky, c),
                  "must be a symmetric positive-definite 2x2"),
 }
 
@@ -244,17 +245,12 @@ def _check_agents(agents, pipeline, workspace, err) -> dict | None:
                 if not (isinstance(kind, str) and kind in SERVICES):
                     err(f"agents.services[{i}].kind", "must be disk or gaussian")
                     continue
-                key, test, message = SERVICES[kind]
+                _, key, test, message = SERVICES[kind]
                 for name in spec:
                     if name not in ("kind", key):
                         err(f"agents.services[{i}].{name}", f"unknown field for kind {kind}")
                 if not test(spec.get(key)):
                     err(f"agents.services[{i}].{key}", message)
-                    continue
-                try:
-                    _build_services([spec], assign_mod.DEFAULT_ORIENTATIONS)
-                except ValueError as exc:
-                    err(f"agents.services[{i}]", str(exc))
     elif services is not None:
         err("agents.services", "only used by poi_assign")
     return {"positions": "sample", "radii": None, "services": None, **agents}
@@ -295,10 +291,10 @@ def _check_params(params, pipeline, n, err) -> dict | None:
 
 
 def validate(config_path) -> ValidationReport:
-    """Parse and check a config file; for a runnable one, build its workspace and density.
+    """Parse and check a config file; for a runnable one, build what ``run`` runs on.
 
-    Data files of an image or grid density are loaded, and every density is
-    built, so whatever ``run`` would reject in them is reported here.
+    Data files of an image or grid density are loaded, and every density and
+    service is built, so whatever ``run`` would reject in them is reported here.
     """
     path = Path(config_path)
     try:
@@ -344,10 +340,12 @@ def validate(config_path) -> ValidationReport:
     phi = _check_density(cfg.get("density"), path.parent, workspace, err)
     agents = _check_agents(cfg.get("agents"), pipeline, workspace, err)
     params = _check_params(cfg.get("params"), pipeline, agents and agents["n"], err)
+    services = (_build_services(agents["services"], params["orientations"], err)
+                if not errors and pipeline == "poi_assign" else None)
     if errors:
         return ValidationReport(errors)
     config = {**cfg, "workspace": rows, "agents": agents, "params": params}
-    return ValidationReport(errors, config, workspace, phi)
+    return ValidationReport(errors, config, workspace, phi, services)
 
 
 # ------------------------------------------------------------ construction
@@ -363,11 +361,18 @@ def _build_density(spec: dict, workspace: ConvexPolygon, base: Path) -> DensityF
     return load_grid_csv(base / spec["path"], workspace)
 
 
-def _build_services(specs, orientations):
-    return [assign_mod.IsotropicService(spec["radius"], orientations=orientations)
-            if spec["kind"] == "disk" else assign_mod.GaussianService(
-                spec["covariance"], orientations=orientations)
-            for spec in specs]
+def _build_services(specs, orientations: int, err) -> list:
+    """Each service at the run's ``orientations`` angles, evenly spaced from 0;
+    err under agents.services[i] for a footprint too small or thin to price."""
+    thetas = tuple(np.linspace(0.0, 2.0 * np.pi, orientations, endpoint=False))
+    services = []
+    for i, spec in enumerate(specs):
+        model, key, *_ = SERVICES[spec["kind"]]
+        try:
+            services.append(model(spec[key], orientations=thetas))
+        except ValueError as exc:
+            err(f"agents.services[{i}]", str(exc))
+    return services
 
 
 def _initial_positions(resolved, phi: DensityField) -> np.ndarray:
@@ -396,8 +401,9 @@ def write_csv(path, header: str, rows) -> None:
 
 # -------------------------------------------------------------- pipelines
 
-def _run_lloyd(resolved, phi, workspace, out: Path) -> None:
+def _run_lloyd(resolved, report: ValidationReport, out: Path) -> None:
     params = resolved["params"]
+    phi, workspace = report.density, report.workspace
     power = resolved["pipeline"] == "power_lloyd"
     positions = _initial_positions(resolved, phi)
     radii = resolved["agents"]["radii"] if power else None
@@ -442,15 +448,13 @@ def _extract_pois(resolved, phi, workspace):
     return fit.means, list(fit.log_likelihoods), fit
 
 
-def _run_poi_assign(resolved, phi, workspace, out: Path) -> None:
+def _run_poi_assign(resolved, report: ValidationReport, out: Path) -> None:
     params = resolved["params"]
+    phi, workspace, models = report.density, report.workspace, report.services
     points, trace, gmm_fit = _extract_pois(resolved, phi, workspace)
     records = [{"iteration": i, "objective": float(v), "stage": "extract"}
                for i, v in enumerate(trace)]
 
-    thetas = tuple(np.linspace(0.0, 2.0 * np.pi, params["orientations"],
-                               endpoint=False))
-    models = _build_services(resolved["agents"]["services"], thetas)
     if params["cost"] == "footprint":
         values, thetas = assign_mod.build_cost_matrix(
             models, points,
@@ -476,8 +480,9 @@ def _run_poi_assign(resolved, phi, workspace, out: Path) -> None:
                  pois=points, assignment=pairs, title=f"assignment cost {total:.6g}")
 
 
-def _run_submodular(resolved, phi, workspace, out: Path) -> None:
+def _run_submodular(resolved, report: ValidationReport, out: Path) -> None:
     params = resolved["params"]
+    phi, workspace = report.density, report.workspace
     n = resolved["agents"]["n"]
     data = phi.sample(params["samples"], resolved["seed"])
     fit = poi_mod.kmeans(data, params["k"], seed=resolved["seed"],
@@ -507,8 +512,9 @@ def _run_submodular(resolved, phi, workspace, out: Path) -> None:
                  title=f"greedy utility {trace.values[-1]:.6g}")
 
 
-def _run_swarm(resolved, phi, workspace, out: Path) -> None:
+def _run_swarm(resolved, report: ValidationReport, out: Path) -> None:
     params = resolved["params"]
+    phi, workspace = report.density, report.workspace
     run = swarm.run_reconfiguration(
         phi, resolved["agents"]["n"], params["iters"], tau=params["tau"],
         batch=params["batch"], seed=resolved["seed"],
@@ -570,8 +576,7 @@ def run(config_path, seed=None, out=None) -> int:
                            default=lambda o: o.tolist()) + "\n")
 
     try:
-        PIPELINES[resolved["pipeline"]][0](resolved, report.density, report.workspace,
-                                           out_dir)
+        PIPELINES[resolved["pipeline"]][0](resolved, report, out_dir)
     except CoverkitError as exc:
         log.error("%s failed: %s", resolved["pipeline"], exc)
         print(f"numerical failure: {exc}", file=sys.stderr)

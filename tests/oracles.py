@@ -12,6 +12,9 @@ polygon and projected stray points onto it, the one-plane clip that built
 a polygon after every cut, with its ``HalfPlane``, the power cells clipped
 from every lifted-hull neighbour,
 the cell moments built one polygon, one rule and one masked eval at a time,
+the edge planes recomputed from a region's vertices on every call, the
+``intersect`` that made a ``ConvexPolygon`` of every clipped polygon, the
+raster normalisation that cut each boundary pixel as one,
 the swarm step that solved a fresh assignment at every step, and the SVG
 writer that mapped one point and wrote one element per Python call, and
 the transportation LP solved by HiGHS' dual simplex.
@@ -34,10 +37,11 @@ from scipy.spatial.distance import cdist
 
 from coverkit.coverage import build_partition
 from coverkit.density import (MASS_EPS, RULE_BARY, RULE_WEIGHTS, DensityField,
-                              DiscreteMeasure, GmmDensity, cell_moments, polygon_quadrature)
+                              DiscreteMeasure, GmmDensity, GridDensity, cell_moments,
+                              polygon_quadrature)
 from coverkit.errors import CoverkitError
-from coverkit.geometry import (EPS_GEO, ConvexPolygon, _lifted_hull, _power_neighbours,
-                               intersect, project_into, ring_moments)
+from coverkit.geometry import (EPS_GEO, ConvexPolygon, _lifted_hull, _power_neighbours, clip,
+                               project_into, ring_moments)
 from coverkit.render import AGENT_PALETTE, _band_color
 from coverkit.swarm import SwarmState, systematic_resample
 
@@ -417,6 +421,44 @@ def polygon_or_none(points) -> ConvexPolygon | None:
     if area <= EPS_GEO * longest:
         return None
     return ConvexPolygon(pts)
+
+
+def edge_planes(region: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:
+    """Unit outward normals and offsets of a region's edges, recomputed from
+    its vertices on every call."""
+    a = region.vertices
+    e = np.concatenate((a[1:], a[:1])) - a
+    n = np.column_stack((e[:, 1], -e[:, 0]))
+    ln = np.hypot(n[:, 0], n[:, 1])
+    return n / ln[:, None], (n[:, None, :] @ a[:, :, None])[:, 0, 0] / ln
+
+
+def intersect(poly: ConvexPolygon, region: ConvexPolygon) -> ConvexPolygon | None:
+    """Part of a convex polygon inside a convex region; None when it has no
+    area, and ``poly`` itself when no edge of the region cuts it."""
+    v = clip(poly.vertices, *edge_planes(region))
+    return poly if v is poly.vertices else None if v is None else ConvexPolygon(v)
+
+
+def pixel_loop_norm(phi: GridDensity) -> float:
+    """A raster's normalising factor with every boundary pixel a
+    ``ConvexPolygon`` cut to the workspace by ``intersect``."""
+    xmin, xmax, _, ymax = phi.bbox
+    xs = xmin + phi.dx * np.arange(phi.nx + 1)
+    ys = ymax - phi.dy * np.arange(phi.ny + 1)
+    gx, gy = np.meshgrid(xs, ys)
+    corners = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    inside = phi.workspace.contains(corners).reshape(phi.ny + 1, phi.nx + 1)
+    full = inside[:-1, :-1] & inside[:-1, 1:] & inside[1:, :-1] & inside[1:, 1:]
+    areas = np.where(full, phi.dx * phi.dy, 0.0)
+    for iy, ix in zip(*np.nonzero(~full)):
+        x0, x1 = xs[ix], xs[ix + 1]
+        y0, y1 = ys[iy + 1], ys[iy]
+        pix = intersect(ConvexPolygon([[x0, y0], [x1, y0], [x1, y1], [x0, y1]]),
+                        phi.workspace)
+        if pix is not None:
+            areas[iy, ix] = pix.area
+    return 1.0 / float((phi.values * areas).sum())
 
 
 def clip_planes(poly: ConvexPolygon, normals, offsets) -> ConvexPolygon | None:

@@ -12,9 +12,9 @@ from coverkit.assign import (GaussianService, IsotropicService, build_cost_matri
 from coverkit.density import GmmDensity, GridDensity, UniformDensity
 from coverkit.errors import (CoverkitError, InfeasibleShape, NonFiniteCost,
                              SiteOutsideWorkspace)
-from coverkit.geometry import EPS_GEO, ConvexPolygon, intersect
+from coverkit.geometry import EPS_GEO, ConvexPolygon
 
-from tests.oracles import SupportViolation, kl_divergence, polygon_footprint_cost
+from tests.oracles import SupportViolation, intersect, kl_divergence, polygon_footprint_cost
 
 UNIT = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 

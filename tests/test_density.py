@@ -30,7 +30,8 @@ from coverkit.errors import CoverkitError, EvalOutsideSupport, InvalidDensity, N
 from coverkit.geometry import EPS_GEO, ConvexPolygon, power_cells
 
 from tests.oracles import (einsum_eval, einsum_grad_log, fan_quadrature, floor_value, integrate,
-                           loop_cell_moments, point_major_grad_log, point_major_raw)
+                           loop_cell_moments, pixel_loop_norm, point_major_grad_log,
+                           point_major_raw)
 
 
 def unit_square():
@@ -315,6 +316,28 @@ def test_grid_mass_exact_on_clipped_workspace():
     hexa = hexagon()
     phi = GridDensity(hexa, rng.uniform(0.5, 2.0, size=(32, 32)))  # raster over hexa.bbox
     assert abs(riemann(phi.eval, hexa, n=2000) - 1.0) < 5e-3
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_grid_mass_on_a_random_workspace_equals_the_pixel_polygon_loop(seed):
+    rng = np.random.default_rng(seed)
+    ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, 7))
+    ws = ConvexPolygon(rng.uniform(0.3, 0.7, 2)
+                       + rng.uniform(0.1, 0.5, 2) * np.column_stack([np.cos(ang), np.sin(ang)]))
+    phi = GridDensity(ws, rng.uniform(0.0, 3.0, size=tuple(rng.integers(3, 41, 2))))
+    assert phi._norm == pixel_loop_norm(phi)
+
+
+def test_grid_refuses_boundary_pixels_no_wider_than_eps_geo():
+    # clip drops every cut remainder of a pixel 1e-9 wide as a sliver, so
+    # this mass would come out about 500 times too small
+    sliver = ConvexPolygon([[0.0, 0.0], [1e-6, 0.0], [0.0, 1.0]])
+    with pytest.raises(InvalidDensity, match="grid pixels of .* are too small to clip"):
+        GridDensity(sliver, np.ones((1, 1000)))
+    # no pixel of a raster over a rectangle is cut, so none is too small
+    strip = ConvexPolygon([[0.0, 0.0], [1e-6, 0.0], [1e-6, 1.0], [0.0, 1.0]])
+    phi = GridDensity(strip, np.ones((2, 1000)))
+    assert phi._norm * strip.area == pytest.approx(1.0, rel=1e-12)
 
 
 def test_grid_grad_log_on_exponential_raster():

@@ -159,8 +159,8 @@ def test_entry_point_refuses_bad_input(expected, call):
 
 # Each rule owns its shape: a caller hands it the raw argument, and the rule
 # refuses it with its own message. Each row once slipped past a caller's
-# conversion: a numpy broadcast, reshape or overflow error, a TypeError, or a
-# (2, 3) array drawn as three points.
+# conversion: a numpy broadcast, reshape, overflow or ragged-array error, a
+# TypeError, Python's unpacking error, or a (2, 3) array drawn as three points.
 SHAPES = [
     ("power-cells-three-column-sites", ValueError, r"sites must be an \(n, 2\) array",
      lambda: power_cells(SQUARE, np.column_stack([DATA[:5], DATA[:5, 0]]), np.zeros(5))),
@@ -204,6 +204,16 @@ SHAPES = [
      lambda: spd_cholesky([[1.0]])),
     ("self-cost-huge-weight", ValueError, "weights must be finite and nonnegative",
      lambda: self_transport_cost(DATA[:3], [HUGE, 1.0, 1.0])),
+    ("mixture-ragged-covariances", InvalidDensity, "covariance must be symmetric positive",
+     lambda: GmmDensity(SQUARE, [1.0], SITES[:1], [[[0.01, 0], [0]]])),
+    ("measure-ragged-points", InvalidDensity, r"points must be finite, in an \(n, 2\)",
+     lambda: DiscreteMeasure([[0.1, 0.2], [0.3]], [1.0, 1.0])),
+    ("grid-ragged-values", InvalidDensity, "grid values must be finite in a 2-d array",
+     lambda: GridDensity(SQUARE, [[1.0, 2.0], [1.0]])),
+    ("footprint-two-points", ValueError, r"point of interest must be an \(n, 2\) array with n = 1",
+     lambda: footprint_cost(PHI, IsotropicService(0.1), [[0.5, 0.5], [0.4, 0.4]])),
+    ("kl-scalar-means", ValueError, r"means must be an \(n, 2\) array",
+     lambda: gaussian_kl(0.5, EYE, 0.5, EYE)),
 ]
 
 

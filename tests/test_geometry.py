@@ -12,16 +12,15 @@ from coverkit.geometry import (
     _power_neighbours,
     check_sites,
     clip,
+    _edge_planes,
     coincident_pairs,
-    intersect,
-    polygon_moments,
     power_cells,
     power_cells_from_weights,
     project_into,
     separate,
 )
-from tests.oracles import (HalfPlane, clip_planes, loop_project_into, neighbour_power_cells,
-                           one_plane_clip)
+from tests.oracles import (HalfPlane, clip_planes, edge_planes, intersect, loop_project_into,
+                           neighbour_power_cells, one_plane_clip)
 
 
 def unit_square():
@@ -206,22 +205,38 @@ def test_intersect_disjoint_and_contained():
                                atol=1e-15)
 
 
+def test_edge_planes_are_built_once_read_only_and_match_the_formula():
+    rng = np.random.default_rng(24)
+    for _ in range(60):
+        region = ConvexPolygon(random_convex_ring(rng))
+        normals, offsets = _edge_planes(region)
+        again = _edge_planes(region)
+        assert again[0] is normals and again[1] is offsets
+        assert not (normals.flags.writeable or offsets.flags.writeable)
+        want_normals, want_offsets = edge_planes(region)
+        np.testing.assert_array_equal(normals, want_normals)
+        np.testing.assert_array_equal(offsets, want_offsets)
+
+
 # ---------------------------------------------------------------- moments
 
 def test_moments_unit_square():
-    area, c = polygon_moments(unit_square())
+    square = unit_square()
+    area, c = square.area, square.centroid
     assert area == pytest.approx(1.0)
     assert np.allclose(c, [0.5, 0.5])
 
 
 def test_moments_triangle():
-    area, c = polygon_moments(ConvexPolygon([[0, 0], [1, 0], [0, 1]]))
+    tri = ConvexPolygon([[0, 0], [1, 0], [0, 1]])
+    area, c = tri.area, tri.centroid
     assert area == pytest.approx(0.5)
     assert np.allclose(c, [1 / 3, 1 / 3])
 
 
 def test_moments_half_rectangle():
-    area, c = polygon_moments(ConvexPolygon([[0, 0], [0.5, 0], [0.5, 1], [0, 1]]))
+    half = ConvexPolygon([[0, 0], [0.5, 0], [0.5, 1], [0, 1]])
+    area, c = half.area, half.centroid
     assert area == pytest.approx(0.5)
     assert np.allclose(c, [0.25, 0.5])
 

@@ -4,6 +4,7 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist, pdist
 
 from coverkit import poi
 from coverkit.density import GmmDensity, UniformDensity
@@ -301,8 +302,19 @@ def test_svgd_zero_iters_reports_median_bandwidth():
     phi = UniformDensity(UNIT)
     out = svgd(phi, 20, iters=0, seed=4)
     assert np.array_equal(out, phi.sample(20, 4))
-    got = poi._bandwidth(out, "median", 1e-12 * UNIT.diameter ** 2)
+    upper = np.triu(np.ones((20, 20), dtype=bool), 1)
+    got = poi._bandwidth(cdist(out, out, "sqeuclidean"), upper, "median",
+                         1e-12 * UNIT.diameter ** 2)
     assert got == pytest.approx(median_bandwidth_oracle(out), rel=1e-12)
+
+
+def test_median_bandwidth_is_the_pairwise_distance_median_bit_for_bit():
+    rng = np.random.default_rng(24)
+    for n in (2, 3, 10, 41):
+        x = rng.uniform(0.0, 1.0, (n, 2))
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        got = poi._bandwidth(cdist(x, x, "sqeuclidean"), upper, "median", 0.0)
+        assert got == float(np.median(pdist(x, "sqeuclidean"))) / np.log(n)
 
 
 def test_svgd_validation():

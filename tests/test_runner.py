@@ -17,7 +17,7 @@ import yaml
 
 import coverkit
 from coverkit import runner
-from coverkit.assign import footprint_cost, solve_assignment
+from coverkit.assign import GaussianService, IsotropicService, footprint_cost, solve_assignment
 from coverkit.coverage import build_partition
 from coverkit.density import GmmDensity
 from coverkit.geometry import ConvexPolygon
@@ -409,8 +409,7 @@ def test_poi_assign_artifacts_hold_the_library_results(tmp_path):
     report = validate(path)
     resolved = report.config
     points = runner._extract_pois(resolved, report.density, report.workspace)[0]
-    thetas = tuple(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False))
-    models = runner._build_services(resolved["agents"]["services"], thetas)
+    models = [IsotropicService(0.1), GaussianService([[0.01, 0.0], [0.0, 0.003]])]
 
     header, rows = read_csv(out / "cost_matrix.csv")
     assert header == "agent,poi,cost,theta"
@@ -860,6 +859,24 @@ def test_footprint_too_small_for_a_polygon_fails_before_any_output(tmp_path, cap
     assert [e["field"] for e in report["errors"]] == ["agents.services[1]"]
     assert main(["run", str(path)]) == EXIT_CONFIG
     assert not (tmp_path / "results").exists()
+
+
+def test_services_are_checked_at_the_run_orientations(tmp_path, capsys):
+    # too thin to price at one of 3 orientations, though not at the 8 default ones
+    service = {"kind": "gaussian", "covariance": [[2.872759591777463e-18, 0.0], [0.0, 0.01]]}
+    cfg = {"pipeline": "poi_assign", "density": {"kind": "uniform"},
+           "agents": {"n": 1, "services": [service]},
+           "params": {"k": 2, "method": "kmeans", "samples": 50, "orientations": 3},
+           "out": str(tmp_path / "results")}
+    path = write_cfg(tmp_path, cfg)
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    report = json.loads(capsys.readouterr().out)
+    assert [e["field"] for e in report["errors"]] == ["agents.services[0]"]
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert not (tmp_path / "results").exists()
+    service["covariance"] = [[0.01, 0.0], [0.0, 0.01]]
+    services = validate(write_cfg(tmp_path, cfg)).services
+    assert services[0].orientations == tuple(np.linspace(0.0, 2.0 * np.pi, 3, endpoint=False))
 
 
 def test_non_finite_cost_exits_3(tmp_path):
