@@ -8,14 +8,20 @@ two arrays, and ``solve_assignment`` returns the exact matching as (agent,
 poi) pairs with its total cost.
 
 A footprint is a reference polygon under the service's linear map, moved to
-the point of interest. Footprints that cross the workspace boundary are
-clipped and integrated with ``polygon_quadrature`` (through ``cell_moments``);
-the rest reuse one ``polygon_quadrature`` rule on the reference polygon,
-mapped affinely, so pricing them builds no triangulation at all; each
-orientation's mapped rule is built once and kept while pricing stays with
-the same service. One ``footprint_cost`` call prices one site: every
-orientation of the service goes through one ``cell_moments`` call. Clipped or not, a footprint's nodes
-lie in the workspace, so they are integrated with no point-in-polygon test.
+the point of interest. The reference polygon is centrally symmetric, so the
+footprints at theta and theta + pi are one set: each service prices only the
+first orientation of each half-turn class, in listed order, and a disk only
+its first. A footprint whose inscribed radius reaches past every workspace
+vertex contains the workspace and is priced as the workspace, with no clip.
+Footprints that cross the workspace boundary are clipped and integrated with
+``polygon_quadrature`` (through ``cell_moments``); the rest reuse one
+``polygon_quadrature`` rule on the reference polygon, mapped affinely, so
+pricing them builds no triangulation at all; each orientation's mapped rule
+is built once and kept while pricing stays with the same service. One
+``footprint_cost`` call prices one site: every priced orientation of the
+service goes through one ``cell_moments`` call. Clipped or not, a
+footprint's nodes lie in the workspace, so they are integrated with no
+point-in-polygon test.
 """
 
 from __future__ import annotations
@@ -28,10 +34,14 @@ from scipy.optimize import linear_sum_assignment
 
 from .density import DensityField, cell_moments, polygon_quadrature, spd_cholesky
 from .errors import InfeasibleShape, NonFiniteCost, SiteOutsideWorkspace
-from .geometry import (ConvexPolygon, _edge_planes, check_count, check_points, check_positive,
-                       clip)
+from .geometry import (EPS_GEO, ConvexPolygon, _edge_planes, check_count, check_points,
+                       check_positive, clip)
 
 FOOTPRINT_SIDES = 32
+# orientations whose difference is within this many radians of a multiple of
+# pi give one footprint; it covers the few ulps by which evenly spaced angles
+# from np.linspace miss an exact half turn
+_HALF_TURN_TOL = 1e-12
 DEFAULT_ORIENTATIONS = tuple(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False))
 
 
@@ -88,16 +98,28 @@ class _Service:
 
     def _check_footprint(self) -> None:
         """ValueError unless the footprint at the origin is a polygon (edges longer than
-        EPS_GEO, not a sliver) at every orientation; keeps each ring read-only."""
-        self._rings = {}
+        EPS_GEO, not a sliver) at every orientation. Keeps each ring read-only with its
+        inscribed radius about the centre, and the orientations priced: the first of
+        each half-turn class in listed order, only the first for a disk. The reference
+        polygon is centrally symmetric, so theta and theta + pi give one footprint."""
+        self._rings, self._inradii = {}, {}
         for theta in self.orientations:
             ring = self._ring(theta)
             try:
-                ConvexPolygon(ring)
+                poly = ConvexPolygon(ring)
             except ValueError as exc:
                 raise ValueError(f"footprint is too small or too thin to price: {exc}") from None
             ring.flags.writeable = False
             self._rings[theta] = ring
+            # the centre's distance to each edge line, through unit edge directions
+            # so that no product exceeds a vertex's own size
+            ux, uy = (poly._edges / poly._lengths[:, None]).T
+            self._inradii[theta] = float((uy * ring[:, 0] - ux * ring[:, 1]).min())
+        priced = []
+        for theta in self.orientations[:1] if self.symmetric else self.orientations:
+            if all(abs(math.remainder(theta - t, math.pi)) > _HALF_TURN_TOL for t in priced):
+                priced.append(theta)
+        self._priced = tuple(priced)
 
     def _quadrature(self, workspace: ConvexPolygon, center, theta: float, levels: int):
         """What ``cell_moments`` integrates for the footprint at one orientation.
@@ -110,8 +132,15 @@ class _Service:
         stays with this service (``build_cost_matrix`` prices a row of sites
         per service); moving to another service drops it, so memory holds one
         service's rules. Only a clipped remainder becomes a polygon (None when
-        nothing is left). ``theta`` must be one of the service's orientations.
+        nothing is left). A footprint whose inscribed radius exceeds the centre's
+        distance to every workspace vertex by EPS_GEO contains the workspace, so
+        the workspace itself is returned, with no clip: cutting a footprint many
+        times the workspace's size would cancel away the digits of the result.
+        ``theta`` must be one of the service's orientations.
         """
+        reach = workspace.vertices - center
+        if self._inradii[theta] > np.hypot(reach[:, 0], reach[:, 1]).max() + EPS_GEO:
+            return workspace
         vertices = center + self._rings[theta]
         part = clip(vertices, *_edge_planes(workspace))
         if part is not vertices:
@@ -182,19 +211,21 @@ class GaussianService(_Service):
 
 
 def footprint_cost(phi: DensityField, model, poi, levels: int = 2):
-    """Cheapest orientation of the model's footprint over a point of interest.
+    """Cheapest orientation of the model's footprint over a point of interest,
+    first of its half-turn class.
 
-    For each candidate orientation the squared distance to the point is
-    integrated against the density over the footprint (clipped to the
-    workspace); the smallest value wins, first orientation on ties.
-    Rotation-symmetric models are integrated once. A price that is not
-    finite (a footprint far larger than the workspace) raises NonFiniteCost.
+    For each priced orientation (the first of each half-turn class; only the
+    first for a disk) the squared distance to the point is integrated
+    against the density over the footprint clipped to the workspace, or over
+    the workspace itself when the footprint contains it; the smallest value
+    wins, first orientation on ties. A price that is not finite raises
+    NonFiniteCost.
     """
     check_count(levels, "levels", 0)
     center, = check_points(poi, "point of interest", rows=1)
     if not phi.workspace.contains(center):
         raise SiteOutsideWorkspace("point of interest lies outside the workspace")
-    thetas = model.orientations[:1] if model.symmetric else model.orientations
+    thetas = model._priced
     with np.errstate(all="ignore"):
         rules = [model._quadrature(phi.workspace, center, theta, levels) for theta in thetas]
         costs = cell_moments(phi, rules, np.broadcast_to(center, (len(rules), 2)), levels)[2]
@@ -218,15 +249,17 @@ def gaussian_kl(mean0, cov0, mean1, cov1) -> float:
 
 
 def kld_cost(model, component_mean, component_cov):
-    """Cheapest orientation of a Gaussian service against a mixture component.
+    """Cheapest orientation of a Gaussian service against a mixture component,
+    first of its half-turn class.
 
     The service is centred on the component mean, so only the covariance
-    mismatch is priced.
+    mismatch is priced. A half turn leaves the oriented covariance as it is,
+    so the orientations priced are those ``footprint_cost`` prices.
     """
     divs = [gaussian_kl(component_mean, model.oriented_covariance(theta), component_mean,
-                        component_cov) for theta in model.orientations]
+                        component_cov) for theta in model._priced]
     best = int(np.argmin(divs))
-    return divs[best], model.orientations[best]
+    return divs[best], model._priced[best]
 
 
 def build_cost_matrix(models, sites, entry) -> tuple[np.ndarray, np.ndarray]:

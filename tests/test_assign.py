@@ -1,15 +1,16 @@
 """Tests for deployment cost models and assignment."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from coverkit import assign
-from coverkit.assign import (GaussianService, IsotropicService, build_cost_matrix,
-                             footprint_cost, gaussian_kl, kld_cost, rotation,
-                             solve_assignment)
-from coverkit.density import GmmDensity, GridDensity, UniformDensity
+from coverkit.assign import (DEFAULT_ORIENTATIONS, GaussianService, IsotropicService,
+                             build_cost_matrix, footprint_cost, gaussian_kl, kld_cost,
+                             rotation, solve_assignment)
+from coverkit.density import GmmDensity, GridDensity, UniformDensity, cell_moments
 from coverkit.errors import (CoverkitError, InfeasibleShape, NonFiniteCost,
                              SiteOutsideWorkspace)
 from coverkit.geometry import EPS_GEO, ConvexPolygon
@@ -219,6 +220,110 @@ def test_footprint_touching_a_workspace_edge_matches_polygon_oracle(levels):
                 seen.append((overshoot, unclipped(phi, model, center)[0]))
     assert any(hit for over, hit in seen if over <= 0.9 * EPS_GEO)
     assert not any(hit for over, hit in seen if over > EPS_GEO)
+
+
+def twin_class_first(model, theta):
+    """The first listed orientation a whole number of half turns from theta."""
+    return next(t for t in model.orientations
+                if abs(math.remainder(t - theta, math.pi)) <= 1e-12)
+
+
+def test_each_half_turn_class_is_priced_once():
+    even = DEFAULT_ORIENTATIONS
+    assert GaussianService(np.eye(2) * 0.01)._priced == even[:4]
+    assert IsotropicService(0.1)._priced == even[:1]
+    three = tuple(np.linspace(0.0, 2.0 * np.pi, 3, endpoint=False))
+    assert GaussianService(np.eye(2) * 0.01, orientations=three)._priced == three
+    # evenly spaced angles miss an exact half turn by a few ulps
+    for n in (2, 6, 10, 12):
+        evens = tuple(np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
+        assert GaussianService(np.eye(2) * 0.01, orientations=evens)._priced == evens[:n // 2]
+    listed = (3.0, 0.5, 3.0 + np.pi, 0.5 - np.pi, 0.5 + 2.0 * np.pi, 1.0, 3.0 - 5e-13)
+    assert GaussianService(np.eye(2) * 0.01, orientations=listed)._priced == (3.0, 0.5, 1.0)
+    apart = (1.0, 1.0 + np.pi + 3e-12)
+    assert GaussianService(np.eye(2) * 0.01, orientations=apart)._priced == apart
+
+
+def test_footprint_cost_prices_the_first_orientation_of_each_class(monkeypatch):
+    rng = np.random.default_rng(83)
+    phi = GmmDensity(PENTAGON, *MIXTURE)
+    rules = []
+    moments = assign.cell_moments
+    monkeypatch.setattr(assign, "cell_moments", lambda phi, entries, *rest: (
+        rules.append(len(entries)) or moments(phi, entries, *rest)))
+    seen = []
+    for center in ([0.5, 0.5], [0.45, 0.3], [0.12, 0.62], [0.85, 0.55], [0.5, 0.92]):
+        for model in random_models(rng, DEFAULT_ORIENTATIONS):
+            cost, theta = footprint_cost(phi, model, center)
+            assert rules.pop() == len(model._priced) == (1 if model.symmetric else 4)
+            want, want_theta = polygon_footprint_cost(phi, model, center)
+            assert abs(cost - want) <= 1e-12 * abs(want)
+            assert theta == twin_class_first(model, want_theta)
+            seen += unclipped(phi, model, center)
+    assert any(seen) and not all(seen)
+
+
+def test_kld_cost_prices_the_first_orientation_of_each_class(monkeypatch):
+    calls = []
+    divergence = assign.gaussian_kl
+    monkeypatch.setattr(assign, "gaussian_kl", lambda *args: (
+        calls.append(args) or divergence(*args)))
+    comp_cov = rot(0.4) @ np.diag([0.09, 0.01]) @ rot(0.4).T
+    for model, count in ((GaussianService(np.diag([0.05, 0.02])), 4), (IsotropicService(0.3), 1)):
+        cost, theta = kld_cost(model, [0.5, 0.5], comp_cov)
+        assert len(calls) == count
+        divs = [divergence([0.5, 0.5], model.oriented_covariance(t), [0.5, 0.5], comp_cov)
+                for t in model.orientations]
+        assert cost == min(divs[:count])
+        assert theta == twin_class_first(model, model.orientations[int(np.argmin(divs))])
+        calls.clear()
+
+
+COVERING = {
+    "disk-2": (IsotropicService, 2.0),
+    "disk-1e5": (IsotropicService, 1e5),
+    "disk-1e12": (IsotropicService, 1e12),
+    "disk-1e20": (IsotropicService, 1e20),
+    "gauss-1e300": (GaussianService, np.eye(2) * 1e300),
+    "gauss-1e40-1e20": (GaussianService, np.diag([1e40, 1e20])),
+    "gauss-1e30-1e10": (GaussianService, np.diag([1e30, 1e10])),
+}
+
+
+@pytest.mark.parametrize("name", COVERING)
+@pytest.mark.parametrize("phi", [UniformDensity(UNIT), GmmDensity(PENTAGON, *MIXTURE)],
+                         ids=["uniform-square", "mixture-pentagon"])
+def test_footprint_covering_the_workspace_is_priced_as_the_workspace(name, phi):
+    service, size = COVERING[name]
+    for center in ([0.5, 0.5], [0.3, 0.6], [0.12, 0.62], [0.85, 0.55]):
+        want = cell_moments(phi, [phi.workspace], np.array([center]), 2)[2][0]
+        for theta in DEFAULT_ORIENTATIONS:
+            cost, _ = footprint_cost(phi, service(size, orientations=(theta,)), center)
+            assert abs(cost - want) <= 1e-12 * want, (center, theta, cost, want)
+
+
+@pytest.mark.parametrize("center", [[0.5, 0.5], [0.3, 0.6], [0.05, 0.9]])
+def test_footprint_short_of_covering_the_workspace_is_clipped(monkeypatch, center):
+    """A disk whose inscribed radius misses the covering distance by half of
+    EPS_GEO is clipped and matches the polygon oracle; one that clears it by
+    twice EPS_GEO is priced as the workspace."""
+    phi = GmmDensity(UNIT, *MIXTURE)
+    clips = []
+    cut = assign.clip
+    monkeypatch.setattr(assign, "clip", lambda *args: clips.append(1) or cut(*args))
+    covering = np.hypot(*(UNIT.vertices - center).T).max()
+    per_radius = IsotropicService(1.0)._inradii[0.0]
+    for margin, clipped in ((0.5 * EPS_GEO, True), (2.0 * EPS_GEO, False)):
+        model = IsotropicService((covering + margin) / per_radius)
+        assert (model._inradii[0.0] <= covering + EPS_GEO) == clipped
+        clips.clear()
+        cost, _ = footprint_cost(phi, model, center)
+        assert bool(clips) == clipped
+        if clipped:
+            want, _ = polygon_footprint_cost(phi, model, center)
+        else:
+            want = cell_moments(phi, [UNIT], np.array([center]), 2)[2][0]
+        assert abs(cost - want) <= 1e-12 * want
 
 
 # ------------------------------------------------------------- divergences

@@ -16,10 +16,11 @@ import scipy
 import yaml
 
 import coverkit
-from coverkit import runner
+from coverkit import assign, runner
 from coverkit.assign import GaussianService, IsotropicService, footprint_cost, solve_assignment
 from coverkit.coverage import build_partition
-from coverkit.density import GmmDensity
+from coverkit.density import GmmDensity, cell_moments
+from coverkit.errors import NonFiniteCost
 from coverkit.geometry import ConvexPolygon
 from coverkit.render import render_scene
 from coverkit.runner import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, MAX_LEVELS, main, run,
@@ -879,25 +880,49 @@ def test_services_are_checked_at_the_run_orientations(tmp_path, capsys):
     assert services[0].orientations == tuple(np.linspace(0.0, 2.0 * np.pi, 3, endpoint=False))
 
 
-def test_non_finite_cost_exits_3(tmp_path):
+def test_footprint_covering_the_workspace_is_priced_as_the_workspace(tmp_path, monkeypatch,
+                                                                     capfd):
+    # a 3-sigma ellipse 3e150 across contains the workspace at every site
     cfg = poi_cfg()
     cfg["agents"]["services"][1] = {"kind": "gaussian",
                                     "covariance": [[1e300, 0.0], [0.0, 1e300]]}
     path = write_cfg(tmp_path, cfg)
+    priced = []
+    price = assign.footprint_cost
+    monkeypatch.setattr(assign, "footprint_cost", lambda phi, model, pt, levels: (
+        priced.append((phi, model, pt, levels)) or price(phi, model, pt, levels)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(path, out=tmp_path / "huge") == EXIT_OK
+    assert "Warning" not in capfd.readouterr().err
+    rows = np.loadtxt(tmp_path / "huge" / "cost_matrix.csv", delimiter=",", skiprows=1)
+    huge = [entry for entry in priced if isinstance(entry[1], GaussianService)]
+    assert len(huge) == cfg["params"]["k"] == (rows[:, 0] == 1).sum()
+    for (phi, _, pt, levels), row in zip(huge, rows[rows[:, 0] == 1]):
+        want = cell_moments(phi, [phi.workspace], np.array([pt]), levels)[2][0]
+        assert abs(row[2] - want) <= 1e-12 * want
+
+
+def raise_non_finite_cost(phi, model, pt, levels):
+    raise NonFiniteCost("footprint price is not finite")
+
+
+def test_non_finite_cost_exits_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(assign, "footprint_cost", raise_non_finite_cost)
+    path = write_cfg(tmp_path, poi_cfg())
     assert validate(path).ok
-    out = tmp_path / "huge"
+    out = tmp_path / "nan"
     assert run(path, out=out) == EXIT_NUMERIC
     assert (out / "manifest.json").exists()
 
 
-def test_non_finite_cost_exits_3_without_warnings(tmp_path, capfd):
-    cfg = poi_cfg()
-    cfg["agents"]["services"][1] = {"kind": "gaussian",
-                                    "covariance": [[1e300, 0.0], [0.0, 1e300]]}
-    path = write_cfg(tmp_path, cfg)
+def test_non_finite_cost_exits_3_without_warnings(tmp_path, monkeypatch, capfd):
+    monkeypatch.setattr(assign, "footprint_cost", raise_non_finite_cost)
+    path = write_cfg(tmp_path, poi_cfg())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run(path, out=tmp_path / "huge") == EXIT_NUMERIC
+        assert run(path, out=tmp_path / "nan") == EXIT_NUMERIC
+    assert (tmp_path / "nan" / "manifest.json").exists()
     assert "Warning" not in capfd.readouterr().err
 
 
