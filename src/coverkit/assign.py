@@ -132,15 +132,8 @@ class _Service:
         stays with this service (``build_cost_matrix`` prices a row of sites
         per service); moving to another service drops it, so memory holds one
         service's rules. Only a clipped remainder becomes a polygon (None when
-        nothing is left). A footprint whose inscribed radius exceeds the centre's
-        distance to every workspace vertex by EPS_GEO contains the workspace, so
-        the workspace itself is returned, with no clip: cutting a footprint many
-        times the workspace's size would cancel away the digits of the result.
-        ``theta`` must be one of the service's orientations.
+        nothing is left). ``theta`` must be one of the service's orientations.
         """
-        reach = workspace.vertices - center
-        if self._inradii[theta] > np.hypot(reach[:, 0], reach[:, 1]).max() + EPS_GEO:
-            return workspace
         vertices = center + self._rings[theta]
         part = clip(vertices, *_edge_planes(workspace))
         if part is not vertices:
@@ -216,18 +209,24 @@ def footprint_cost(phi: DensityField, model, poi, levels: int = 2):
 
     For each priced orientation (the first of each half-turn class; only the
     first for a disk) the squared distance to the point is integrated
-    against the density over the footprint clipped to the workspace, or over
-    the workspace itself when the footprint contains it; the smallest value
-    wins, first orientation on ties. A price that is not finite raises
+    against the density over the footprint clipped to the workspace; the
+    smallest value wins, first orientation on ties. A footprint whose inscribed
+    radius exceeds the point's distance to every workspace vertex by EPS_GEO
+    contains the workspace, so it is integrated over the workspace itself,
+    with no clip: cutting a footprint many times the workspace's size would
+    cancel away the digits of the price. A price that is not finite raises
     NonFiniteCost.
     """
     check_count(levels, "levels", 0)
     center, = check_points(poi, "point of interest", rows=1)
-    if not phi.workspace.contains(center):
+    workspace = phi.workspace
+    if not workspace.contains(center):
         raise SiteOutsideWorkspace("point of interest lies outside the workspace")
+    cover = np.hypot(*(workspace.vertices - center).T).max() + EPS_GEO
     thetas = model._priced
     with np.errstate(all="ignore"):
-        rules = [model._quadrature(phi.workspace, center, theta, levels) for theta in thetas]
+        rules = [workspace if model._inradii[theta] > cover
+                 else model._quadrature(workspace, center, theta, levels) for theta in thetas]
         costs = cell_moments(phi, rules, np.broadcast_to(center, (len(rules), 2)), levels)[2]
     if not np.isfinite(costs).all():
         raise NonFiniteCost("footprint price is not finite")

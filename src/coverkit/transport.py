@@ -154,10 +154,6 @@ def _transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _embed(plan, src_idx, tgt_idx, m, k):
-    """The (m, k) plan over all atoms, zero at those ``_compact`` dropped;
-    the plan itself when none was dropped."""
-    if len(src_idx) == m and len(tgt_idx) == k:
-        return plan
     full = np.zeros((m, k))
     full[np.ix_(src_idx, tgt_idx)] = plan
     return full

@@ -549,6 +549,25 @@ def test_non_finite_costs_raise_a_typed_error():
         assert isinstance(caught.value, ValueError)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("row", [0, 3])
+def test_footprint_cost_refuses_a_non_finite_price(monkeypatch, bad, row):
+    """footprint_cost checks its own prices: one non-finite orientation price
+    from cell_moments raises NonFiniteCost, whichever orientation it is."""
+    moments = assign.cell_moments
+
+    def spoiled(*args):
+        masses, centroids, costs = moments(*args)
+        costs = costs.copy()
+        costs[row] = bad
+        return masses, centroids, costs
+
+    monkeypatch.setattr(assign, "cell_moments", spoiled)
+    model = GaussianService([[0.004, 0.001], [0.001, 0.002]])
+    with pytest.raises(NonFiniteCost, match="footprint price is not finite"):
+        footprint_cost(UniformDensity(UNIT), model, [0.5, 0.5])
+
+
 def test_footprint_prices_do_not_depend_on_the_mapped_rule_cache(monkeypatch):
     """Service A's row, then B's, then A's again in one process: every entry
     has the bits of the same entry priced with no mapped rule cached, only the

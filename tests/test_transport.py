@@ -149,39 +149,6 @@ def test_zero_weight_atoms_are_carried_not_shipped():
     assert plan.coupling[:, 1].sum() == 0.0
 
 
-def scatter_embed(plan, src_idx, tgt_idx, m, k):
-    """Every plan scattered into a fresh (m, k) zero array, dropped atoms or not."""
-    full = np.zeros((m, k))
-    full[np.ix_(src_idx, tgt_idx)] = plan
-    return full
-
-
-@pytest.mark.parametrize("zeros", [False, True], ids=["all-positive", "zero-weight-atoms"])
-@pytest.mark.parametrize("solve", [
-    lambda mu, nu: wasserstein_exact(mu, nu, p=2),
-    lambda mu, nu: wasserstein_sinkhorn(mu, nu, p=2, epsilon=0.05, tol=1e-6),
-], ids=["exact", "sinkhorn"])
-def test_coupling_has_the_bits_of_a_scattered_plan(monkeypatch, solve, zeros):
-    rng = np.random.default_rng(23)
-    mu, nu = rand_measure(rng, 7), rand_measure(rng, 9)
-    if zeros:
-        mu = DiscreteMeasure(mu.points, np.where(np.arange(7) % 3 == 1, 0.0, mu.weights))
-        nu = DiscreteMeasure(nu.points, np.where(np.arange(9) == 8, 0.0, nu.weights))
-    first = solve(mu, nu)[1].coupling
-    kept = first.copy()
-    second = solve(mu, nu)[1].coupling
-    monkeypatch.setattr(transport, "_embed", scatter_embed)
-    want = solve(mu, nu)[1].coupling
-    assert first.dtype == want.dtype and first.shape == want.shape == (7, 9)
-    assert first.flags.c_contiguous
-    assert first.tobytes() == want.tobytes() == second.tobytes()
-    # no two plans share memory, so a caller's edits stay its own
-    second[:] = -1.0
-    assert first.tobytes() == kept.tobytes()
-    if zeros:
-        assert not first[1::3].any() and not first[:, 8].any()
-
-
 def test_metric_axioms():
     rng = np.random.default_rng(6)
     for _ in range(4):
