@@ -66,7 +66,6 @@ from .swarm import (
 from .transport import (
     TransportPlan,
     check_w2_identity,
-    self_transport_cost,
     wasserstein_exact,
     wasserstein_sinkhorn,
 )
@@ -121,7 +120,6 @@ __all__ = [
     "render_scene",
     "run_descent",
     "run_reconfiguration",
-    "self_transport_cost",
     "solve_assignment",
     "svgd",
     "systematic_resample",

@@ -43,7 +43,7 @@ from .geometry import (EPS_GEO, EVAL_NODES, ConvexPolygon, _edge_planes, _float_
                        check_count, check_points, check_weights, clip, ring_moments)
 
 MASS_EPS = 1e-12
-_ACCEPT_FLOOR = 1e-3  # see DensityField._sample_rejection
+_ACCEPT_FLOOR = 1e-3  # see DensityField.sample
 _PROBE_PROPOSALS = 10_000
 _SYMMETRY_REL = 1e-12  # see spd_cholesky
 _NOT_SPD = "covariance must be symmetric positive definite"
@@ -155,10 +155,13 @@ class DensityField:
             raise InvalidDensity("density integrates to zero over the workspace")
         self._norm = 1.0 / total
 
+    @staticmethod
+    def _query(q) -> tuple[np.ndarray, bool]:
+        """Query points as check_points rows, and whether q was one flat point."""
+        return check_points(q, "query points"), np.ndim(q) == 1
+
     def eval(self, q) -> np.ndarray | float:
-        q = np.asarray(q, dtype=float)
-        single = q.ndim == 1
-        pts = q[None, :] if single else q
+        pts, single = self._query(q)
         vals = self._norm * self._raw(pts)
         vals = np.where(self.workspace.contains(pts), vals, 0.0)
         return float(vals[0]) if single else vals
@@ -166,24 +169,27 @@ class DensityField:
     def grad_log(self, q) -> np.ndarray:
         raise NotImplementedError
 
-    def sample(self, n: int, seed: int) -> np.ndarray:
+    def _propose(self, rng: np.random.Generator, m: int) -> np.ndarray:
         raise NotImplementedError
 
-    def _sample_rejection(self, n, rng, propose):
-        """Draw n workspace points given a batch proposal function.
+    def sample(self, n: int, seed: int) -> np.ndarray:
+        """Draw n workspace points by rejection from the backing's proposals,
+        seeded by seed; n >= 1 and seed >= 0 are check_count integers.
 
         Raises NoConvergence when the acceptance rate is below _ACCEPT_FLOOR
         after at least _PROBE_PROPOSALS proposals, so it never proposes more
         than max(_PROBE_PROPOSALS, n / _ACCEPT_FLOOR) points plus one batch.
         The check only counts, so the draws of a run that succeeds do not change.
         """
+        n = check_count(n, "n")
+        rng = np.random.default_rng(check_count(seed, "seed", 0))
         chunks, got, tried = [], 0, 0
         while got < n:
             if tried >= _PROBE_PROPOSALS and got < _ACCEPT_FLOOR * tried:
                 raise NoConvergence(
                     f"rejection sampling kept {got} of {tried} proposals; the "
                     "density puts almost no mass inside the workspace")
-            pts = propose(max(n - got, 16))
+            pts = self._propose(rng, max(n - got, 16))
             tried += len(pts)
             keep = self.workspace.contains(pts)
             pts = pts[keep]
@@ -203,19 +209,14 @@ class UniformDensity(DensityField):
         return np.ones(len(pts))
 
     def grad_log(self, q):
-        q = np.asarray(q, dtype=float)
-        if not np.all(self.workspace.contains(np.atleast_2d(q))):
+        pts, single = self._query(q)
+        if not self.workspace.contains(pts).all():
             raise EvalOutsideSupport("uniform density vanishes outside the workspace")
-        return np.zeros_like(q)
+        return np.zeros(2) if single else np.zeros_like(pts)
 
-    def sample(self, n, seed):
-        rng = np.random.default_rng(seed)
+    def _propose(self, rng, m):
         xmin, xmax, ymin, ymax = self.workspace.bbox
-
-        def propose(m):
-            return rng.uniform([xmin, ymin], [xmax, ymax], size=(m, 2))
-
-        return self._sample_rejection(n, rng, propose)
+        return rng.uniform([xmin, ymin], [xmax, ymax], size=(m, 2))
 
 
 class GmmDensity(DensityField):
@@ -281,9 +282,7 @@ class GmmDensity(DensityField):
         return total
 
     def grad_log(self, q):
-        q = np.asarray(q, dtype=float)
-        single = q.ndim == 1
-        pts = q[None, :] if single else q
+        pts, single = self._query(q)
         # each density times inv (mean - q), in the order einsum("jde,nje->njd")
         # sums it; the columns are added in component order
         terms = ((dens, dens * (a * -dx + b * -dy), dens * (c * -dx + d * -dy))
@@ -299,15 +298,10 @@ class GmmDensity(DensityField):
         g = np.stack([gx / total, gy / total], axis=1)
         return g[0] if single else g
 
-    def sample(self, n, seed):
-        rng = np.random.default_rng(seed)
-
-        def propose(m):
-            comp = rng.choice(len(self.weights), size=m, p=self.weights)
-            z = rng.standard_normal((m, 2))
-            return self.means[comp] + np.einsum("nde,ne->nd", self._chol[comp], z)
-
-        return self._sample_rejection(n, rng, propose)
+    def _propose(self, rng, m):
+        comp = rng.choice(len(self.weights), size=m, p=self.weights)
+        z = rng.standard_normal((m, 2))
+        return self.means[comp] + np.einsum("nde,ne->nd", self._chol[comp], z)
 
 
 class GridDensity(DensityField):
@@ -373,9 +367,7 @@ class GridDensity(DensityField):
 
     def grad_log(self, q):
         """Central difference with step = one grid cell, at the nearest cell center."""
-        q = np.asarray(q, dtype=float)
-        single = q.ndim == 1
-        pts = q[None, :] if single else q
+        pts, single = self._query(q)
         ix, iy = self._indices(pts)
         mid = self.values[iy, ix]
         if (mid < 1e-300).any():
@@ -388,21 +380,16 @@ class GridDensity(DensityField):
         g = np.stack([gx, gy], axis=-1)
         return g[0] if single else g
 
-    def sample(self, n, seed):
-        rng = np.random.default_rng(seed)
+    def _propose(self, rng, m):
         p = self.values.ravel()
         p = p / p.sum()
         xmin, _, _, ymax = self.bbox
-
-        def propose(m):
-            flat = rng.choice(self.values.size, size=m, p=p)
-            iy, ix = np.divmod(flat, self.nx)
-            jit = rng.random((m, 2))
-            x = xmin + (ix + jit[:, 0]) * self.dx
-            y = ymax - (iy + jit[:, 1]) * self.dy
-            return np.stack([x, y], axis=1)
-
-        return self._sample_rejection(n, rng, propose)
+        flat = rng.choice(self.values.size, size=m, p=p)
+        iy, ix = np.divmod(flat, self.nx)
+        jit = rng.random((m, 2))
+        x = xmin + (ix + jit[:, 0]) * self.dx
+        y = ymax - (iy + jit[:, 1]) * self.dy
+        return np.stack([x, y], axis=1)
 
 
 def read_pgm(path) -> np.ndarray:

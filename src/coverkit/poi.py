@@ -62,12 +62,13 @@ def kmeans(data, k: int, seed: int = 0, max_iters: int = 100,
     """
     pts = check_points(data)
     check_count(max_iters, "max_iters")
+    rng = np.random.default_rng(check_count(seed, "seed", 0))
     if len(pts) < check_count(k, "k"):
         raise ValueError(f"cannot fill {k} clusters from {len(pts)} points")
     distinct = len(np.unique(pts, axis=0))
     if distinct < k:
         raise DuplicateSites(f"cannot place {k} distinct centers on {distinct} distinct points")
-    centers = _kmeans_pp(pts, k, np.random.default_rng(seed))
+    centers = _kmeans_pp(pts, k, rng)
 
     labels = np.full(len(pts), -1)
     trace = []
@@ -121,7 +122,7 @@ class GmmFit:
 def gmm_em(data, n_components: int, seed: int = 0, max_iters: int = 200,
            reg: float = 1e-6, tol: float = 1e-8,
            workspace: ConvexPolygon | None = None) -> GmmFit:
-    """Fit a Gaussian mixture by EM, initialized from k-means.
+    """Fit a Gaussian mixture by EM, initialized from k-means with seed.
 
     Covariances carry a ``reg * I`` ridge throughout. The returned
     log-likelihood trace is non-decreasing up to float noise; iteration
@@ -213,7 +214,8 @@ def svgd(phi: DensityField, n_particles: int, bandwidth_policy="median",
     median heuristic, or a positive number r to pin the spread at a
     service footprint scale (h = r^2). After every sweep, particles are
     projected back into the workspace and merged ones nudged apart
-    (``geometry.project_into``, then ``geometry.separate``). The returned
+    (``geometry.project_into``, then ``geometry.separate``). The particles
+    start at ``phi.sample(n_particles, seed)``, and the returned
     (n_particles, 2) positions pass geometry.check_sites.
     """
     check_count(n_particles, "n_particles")

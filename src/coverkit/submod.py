@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .geometry import check_count, check_positive
+from .geometry import _float_array, check_count, check_positive
 
 
 @dataclass
@@ -70,10 +70,14 @@ def greedy_partition(f, blocks) -> GreedyTrace:
     return _greedy(f, lambda chosen: blocks)
 
 
-def _as_cloud(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
+def _as_cloud(points, name: str) -> np.ndarray:
+    """Points as rows, a flat vector as 1-d points; ValueError unless every
+    entry is a finite number."""
+    pts = _float_array(points, ValueError, f"{name} must be finite numbers")
     if pts.ndim == 1:
         pts = pts[:, None]
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{name} must be finite")
     return pts
 
 
@@ -83,20 +87,23 @@ def exemplar_utility(chosen, data, d_max: float) -> float:
     Every data point starts at Euclidean distance ``d_max`` (the phantom
     exemplar); adding real exemplars can only shrink its nearest distance,
     so the utility is monotone and submodular. An infinite ``d_max`` would
-    make every gain inf - inf = nan, so it is refused.
+    make every gain inf - inf = nan, so it is refused, and so are non-finite
+    points.
     """
     check_positive(d_max, "d_max")
-    data = _as_cloud(data)
+    data = _as_cloud(data, "data")
+    chosen = _as_cloud(chosen, "chosen exemplars")
     if len(data) == 0 or len(chosen) == 0:
         return 0.0
-    nearest = np.minimum(cdist(data, _as_cloud(chosen)).min(axis=1), d_max)
+    nearest = np.minimum(cdist(data, chosen).min(axis=1), d_max)
     return float(np.sum(d_max - nearest))
 
 
 def exemplar_utility_fn(candidates, data, d_max: float):
     """Index-subset evaluator over candidate exemplars, for the greedy drivers."""
     check_positive(d_max, "d_max")
-    candidates = _as_cloud(candidates)
+    candidates = _as_cloud(candidates, "candidates")
+    data = _as_cloud(data, "data")
 
     def f(index_subset) -> float:
         idx = list(index_subset)

@@ -93,6 +93,7 @@ def transport_step(state: SwarmState, target: DiscreteMeasure, tau: float,
     workspace.
     """
     tau = check_positive(tau, "tau", at_most=1.0)
+    check_count(seed, "seed", 0)
     n = len(state)
     batch = n if batch is None else check_count(batch, "batch")
     if batch > n:
@@ -158,6 +159,7 @@ def run_reconfiguration(phi_target: DensityField, n_agents: int, iters: int,
     """
     check_count(n_agents, "n_agents")
     check_count(iters, "iters", 0)
+    check_count(seed, "seed", 0)
     if metric_every is not None:
         check_count(metric_every, "metric_every", 0)
     check_count(snapshot_every, "snapshot_every", 0)

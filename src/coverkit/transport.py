@@ -23,7 +23,7 @@ Potentials that fit its atom counts and order p, it skips the annealing
 stages above their temperature and starts the rest from their f and g; the
 stopping rule, the iteration budget and NoConvergence stay those of a cold
 solve, so a warm value lies within tol of a cold one but need not equal it.
-A solve overwrites the Potentials it was given with its own final state.
+A solve returns its final potentials and never writes the ones it was given.
 Without them every solve starts cold at f = g = 0, and identical measures
 score exactly zero.
 
@@ -47,7 +47,7 @@ from scipy.spatial.distance import cdist
 from .coverage import build_partition
 from .density import DensityField, DiscreteMeasure, discretize
 from .errors import NoConvergence, SizeLimit
-from .geometry import _float_array, check_count, check_points, check_positive, check_weights
+from .geometry import check_count, check_positive
 
 SIZE_LIMIT = 4_000_000
 # |log u| or |log v| beyond which the Sinkhorn scalings are folded into the
@@ -58,21 +58,12 @@ ABSORB_LOG = 50.0
 @dataclass
 class Potentials:
     """Where one entropic solve of order p ended: its temperature and its dual
-    potentials f and g, over the compacted (positive-weight) atoms.
-
-    Empty (epsilon, f and g None) until a solve fills it.
-    """
+    potentials f and g, over the compacted (positive-weight) atoms."""
 
     p: float
-    epsilon: float | None = None
-    f: np.ndarray | None = None
-    g: np.ndarray | None = None
-
-    def restarted(self, p: float) -> "Potentials":
-        """A copy for the next solve of order p; empty when self has another order."""
-        if self.p != p:
-            return Potentials(p)
-        return Potentials(p, self.epsilon, self.f, self.g)
+    epsilon: float
+    f: np.ndarray
+    g: np.ndarray
 
 
 @dataclass
@@ -280,22 +271,20 @@ def _anneal_schedule(cost, epsilon, anneal):
     return schedule
 
 
-def _solve_coupling_cost(cost, a, b, epsilon, max_iters, tol, anneal, warm=None):
+def _solve_coupling_cost(cost, a, b, epsilon, max_iters, tol, anneal, start=None):
     """Rounded entropic plan, its sharp cost, the iterations spent over all
-    temperatures and the final row-marginal residual; shared by main and self
-    solves.
+    temperatures, the final row-marginal residual and the final potentials
+    f and g; shared by main and self solves.
 
-    warm, when given, is Potentials of the caller's order p. The solve starts
+    start, when given, is Potentials of the caller's order p. The solve starts
     from them when their f and g have one entry per atom of a and b, skipping
-    the stages above their temperature, and overwrites them with its final
-    temperature and potentials once it has converged.
+    the stages above their temperature; it only reads them.
     """
     loga, logb = np.log(a), np.log(b)
     schedule = _anneal_schedule(cost, epsilon, anneal)
-    if (warm is not None and warm.f is not None
-            and len(warm.f) == len(a) and len(warm.g) == len(b)):
-        f, g = warm.f, warm.g
-        schedule = [e for e in schedule[:-1] if e <= warm.epsilon] + schedule[-1:]
+    if start is not None and len(start.f) == len(a) and len(start.g) == len(b):
+        f, g = start.f, start.g
+        schedule = [e for e in schedule[:-1] if e <= start.epsilon] + schedule[-1:]
     else:
         f, g = np.zeros(len(a)), np.zeros(len(b))
     budget = max_iters
@@ -311,40 +300,23 @@ def _solve_coupling_cost(cost, a, b, epsilon, max_iters, tol, anneal, warm=None)
         raise NoConvergence(
             f"sinkhorn marginal residual {resid:.3e} above {tol} "
             f"after {max_iters} iterations")
-    if warm is not None:
-        warm.epsilon, warm.f, warm.g = epsilon, f, g
     plan = _plan_from_potentials(cost, loga, logb, f, g, epsilon)
     plan = _round_to_polytope(plan, a, b)
-    return plan, float((plan * cost).sum()), max_iters - budget, resid
+    return plan, float((plan * cost).sum()), max_iters - budget, resid, f, g
 
 
-def self_transport_cost(points: np.ndarray, weights: np.ndarray, p=2,
-                        epsilon: float = 1e-2, max_iters: int = 5000,
-                        tol: float = 1e-4, anneal: bool = True,
-                        warm: Potentials | None = None) -> float:
-    """Sharp cost of the entropic self-coupling; the debiasing half-term.
+def self_transport_cost(points, weights, p, epsilon, max_iters, tol, anneal, start):
+    """Sharp cost of the entropic self-coupling of compacted points and weights,
+    the debiasing half-term, with the final potentials f and g.
 
     Runs through the same solver as a cross coupling so that debiasing two
-    identical measures cancels exactly. warm, Potentials of order p over the
-    positive-weight points, warm-starts the solve as in _solve_coupling_cost
-    and is overwritten with its final state.
+    identical measures cancels exactly; start is read as in
+    _solve_coupling_cost.
     """
-    p = check_positive(p, "order p", at_least=1.0)
-    points = check_points(points)
-    weights = _float_array(weights, ValueError, "weights must be finite and nonnegative")
-    check_weights(weights, len(points))
-    check_positive(epsilon, "epsilon")
-    check_count(max_iters, "max_iters")
-    check_positive(tol, "tol")
-    keep = np.nonzero(weights > 0)[0]
-    pts, w = points[keep], weights[keep]
-    total = w.sum()
-    if abs(total - 1.0) > 1e-12:
-        w = w / total
-    cost = _cost_power(pts, pts, p)
-    _, sharp, _, _ = _solve_coupling_cost(cost, w, w, epsilon, max_iters, tol, anneal,
-                                          warm)
-    return sharp
+    _, sharp, _, _, f, g = _solve_coupling_cost(_cost_power(points, points, p), weights,
+                                                weights, epsilon, max_iters, tol, anneal,
+                                                start)
+    return sharp, f, g
 
 
 def wasserstein_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2,
@@ -362,13 +334,13 @@ def wasserstein_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2,
     final epsilon and the iteration count and residual of the cross-coupling
     solve; the debiasing self-solves are not counted.
 
-    The plan also carries the final potentials of all three solves. Passing
-    them back as init (the potentials of an earlier plan) warm-starts the
-    next call: each solve whose atom counts and p match its counterpart
-    skips the annealing stages above the earlier final epsilon and starts
-    from those potentials; the others start cold. A warm value agrees with
-    a cold one within tol, not to the bit. Without init every bit is that
-    of a cold solve.
+    The plan also carries new Potentials holding the final state of all three
+    solves. Passing them back as init (the potentials of an earlier plan)
+    warm-starts the next call: each solve whose atom counts and p match its
+    counterpart skips the annealing stages above the earlier final epsilon
+    and starts from those potentials; the others start cold. init is only
+    read. A warm value agrees with a cold one within tol, not to the bit.
+    Without init every bit is that of a cold solve.
     """
     p = check_positive(p, "order p", at_least=1.0)
     check_count(max_iters, "max_iters")
@@ -379,33 +351,32 @@ def wasserstein_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, p=2,
     if epsilon is None:
         epsilon = 0.05 * float(np.median(cost))
     check_positive(epsilon, "epsilon")
+    starts = [None] * 3 if init is None else [pair if pair.p == p else None for pair in init]
     # one worker runs the two self-solves in turn while this thread runs the
     # cross solve; leaving the block waits for the worker either way
     errors = np.geterr()  # per thread on numpy 1.x, per context on 2.x
-    # fresh copies, so the solves never write into an earlier plan's potentials
-    if init is None:
-        warm = (Potentials(p), Potentials(p), Potentials(p))
-    else:
-        warm = tuple(pair.restarted(p) for pair in init)
 
     def solve_self(points, weights, start):
         with np.errstate(**errors):
-            return self_transport_cost(points, weights, p, epsilon,
-                                       max_iters, tol, anneal, start)
+            return self_transport_cost(points, weights, p, epsilon, max_iters, tol, anneal,
+                                       start)
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        self_a = pool.submit(solve_self, pa, wa, warm[1])
-        self_b = pool.submit(solve_self, pb, wb, warm[2])
+        self_a = pool.submit(solve_self, pa, wa, starts[1])
+        self_b = pool.submit(solve_self, pb, wb, starts[2])
         try:
-            plan, raw, iters, resid = _solve_coupling_cost(cost, wa, wb, epsilon,
-                                                           max_iters, tol, anneal,
-                                                           warm[0])
-            raw = raw - 0.5 * self_a.result() - 0.5 * self_b.result()
+            plan, raw, iters, resid, f, g = _solve_coupling_cost(cost, wa, wb, epsilon,
+                                                                 max_iters, tol, anneal,
+                                                                 starts[0])
+            sharp_a, fa, ga = self_a.result()
+            sharp_b, fb, gb = self_b.result()
+            raw = raw - 0.5 * sharp_a - 0.5 * sharp_b
         finally:
             self_b.cancel()
     value = max(raw, 0.0) ** (1.0 / p)
     full = _embed(plan, ia, ib, len(mu), len(nu))
-    return value, TransportPlan(full, mu, nu, value, p, epsilon, iters, resid, warm)
+    potentials = tuple(Potentials(p, epsilon, *fg) for fg in ((f, g), (fa, ga), (fb, gb)))
+    return value, TransportPlan(full, mu, nu, value, p, epsilon, iters, resid, potentials)
 
 
 def check_w2_identity(phi: DensityField, positions, grid_resolution: int = 64):

@@ -21,7 +21,7 @@ PUBLIC = [
     "exemplar_utility", "exemplar_utility_fn", "footprint_cost", "from_pgm",
     "gaussian_kl", "gmm_em", "greedy_partition", "greedy_uniform", "kld_cost", "kmeans",
     "lloyd_step", "load_grid_csv", "power_cells", "render_scene", "run_descent",
-    "run_reconfiguration", "self_transport_cost", "solve_assignment", "svgd",
+    "run_reconfiguration", "solve_assignment", "svgd",
     "systematic_resample", "transport_step", "wasserstein_exact", "wasserstein_sinkhorn",
 ]
 

@@ -722,6 +722,33 @@ def test_unmasked_moments_equal_masked_loop_oracle(kind):
         np.testing.assert_array_equal(x, y)
 
 
+QUERY_KINDS = {
+    "uniform": lambda: UniformDensity(unit_square()),
+    "gmm": lambda: GmmDensity(unit_square(), [1.0], [[0.5, 0.5]], [np.eye(2) * 0.05]),
+    "grid": lambda: GridDensity(unit_square(), [[1.0, 2.0], [3.0, 4.0]]),
+}
+
+
+@pytest.mark.parametrize("kind", QUERY_KINDS)
+def test_eval_and_grad_log_read_query_points_with_check_points(kind):
+    # GmmDensity and UniformDensity once evaluated a (2, 3) array at its
+    # first two columns, the mixture's grad_log of a NaN point was [nan, nan],
+    # and the raster cast NaN to an index with numpy's invalid-value warning
+    phi = QUERY_KINDS[kind]()
+    value = phi.eval([0.3, 0.6])
+    assert isinstance(value, float) and value == phi.eval([[0.3, 0.6]])[0]
+    np.testing.assert_array_equal(phi.grad_log([0.3, 0.6]), phi.grad_log([[0.3, 0.6]])[0])
+    assert phi.grad_log(np.full((3, 2), 0.4)).shape == (3, 2)
+    bad_queries = ([np.nan, 0.5], [[0.3, 0.6], [0.5, np.inf]], np.zeros((2, 3)),
+                   [0.1, 0.2, 0.3], 0.5, [[0.1, 0.2], [0.3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for query in (phi.eval, phi.grad_log):
+            for bad in bad_queries:
+                with pytest.raises(ValueError, match="^query points must be"):
+                    query(bad)
+
+
 def test_rejection_sampling_gives_up_on_mass_out_of_reach():
     # nine standard deviations outside the square: no proposal ever lands
     phi = GmmDensity(unit_square(), [1.0], [[1.9, 1.9]], [np.eye(2) * 0.01])

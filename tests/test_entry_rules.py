@@ -25,7 +25,7 @@ from coverkit.poi import gmm_em, kmeans, svgd
 from coverkit.render import render_scene
 from coverkit.submod import greedy_uniform
 from coverkit.swarm import SwarmState, run_reconfiguration, systematic_resample, transport_step
-from coverkit.transport import self_transport_cost, wasserstein_exact, wasserstein_sinkhorn
+from coverkit.transport import wasserstein_exact, wasserstein_sinkhorn
 
 NAN = float("nan")
 SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -35,7 +35,6 @@ DATA = _rng.uniform(0.0, 1.0, (20, 2))
 MU = DiscreteMeasure(_rng.uniform(0.0, 1.0, (5, 2)), np.ones(5))
 NU = DiscreteMeasure(_rng.uniform(0.0, 1.0, (6, 2)), np.arange(1.0, 7.0))
 SITES = [[0.2, 0.3], [0.7, 0.4], [0.5, 0.8]]
-NAN_ROW = np.array([[0.1, 0.2], [NAN, 0.5], [0.9, 0.9]])
 HUGE = 10**400  # an int too large for a float
 EYE = np.eye(2) * 0.01
 
@@ -51,15 +50,6 @@ GAPS = [
     ("sinkhorn-p-nan", ValueError, lambda: wasserstein_sinkhorn(MU, NU, p=NAN)),
     ("exact-p-inf", ValueError, lambda: wasserstein_exact(MU, NU, p=np.inf)),
     ("exact-p-string", ValueError, lambda: wasserstein_exact(MU, NU, p="2")),
-    ("self-cost-nan-point", ValueError, lambda: self_transport_cost(NAN_ROW, np.ones(3) / 3)),
-    ("self-cost-nan-weight", ValueError,
-     lambda: self_transport_cost(DATA[:3], np.array([NAN, 0.5, 0.5]))),
-    ("self-cost-epsilon-nan", ValueError,
-     lambda: self_transport_cost(DATA[:3], np.ones(3) / 3, epsilon=NAN)),
-    ("self-cost-tol-nan", ValueError,
-     lambda: self_transport_cost(DATA[:3], np.ones(3) / 3, tol=NAN)),
-    ("self-cost-p-nan", ValueError,
-     lambda: self_transport_cost(DATA[:3], np.ones(3) / 3, p=NAN)),
     ("gmm-reg-nan", ValueError, lambda: gmm_em(DATA, 2, reg=NAN)),
     ("resample-negative-weight", ValueError, lambda: systematic_resample([1.0, -0.5, 1.0], 3)),
     ("mixture-weights-overflow", InvalidDensity,
@@ -93,8 +83,6 @@ GAPS = [
      lambda: equitable_weights(PHI, SITES, max_iters=3, levels=1.5)),
     ("sinkhorn-fractional-max-iters", ValueError,
      lambda: wasserstein_sinkhorn(MU, NU, max_iters=2.5)),
-    ("self-cost-fractional-max-iters", ValueError,
-     lambda: self_transport_cost(DATA[:3], np.ones(3) / 3, max_iters=2.5)),
     ("reconfiguration-fractional-metric-every", ValueError,
      lambda: run_reconfiguration(PHI, 4, 1, metric_every=1.5)),
     ("reconfiguration-negative-metric-every", ValueError,
@@ -202,8 +190,6 @@ SHAPES = [
      lambda: spd_cholesky(np.eye(3))),
     ("cholesky-1x1", InvalidDensity, "covariance must be a 2x2 array",
      lambda: spd_cholesky([[1.0]])),
-    ("self-cost-huge-weight", ValueError, "weights must be finite and nonnegative",
-     lambda: self_transport_cost(DATA[:3], [HUGE, 1.0, 1.0])),
     ("mixture-ragged-covariances", InvalidDensity, "covariance must be symmetric positive",
      lambda: GmmDensity(SQUARE, [1.0], SITES[:1], [[[0.01, 0], [0]]])),
     ("measure-ragged-points", InvalidDensity, r"points must be finite, in an \(n, 2\)",
@@ -223,4 +209,37 @@ def test_each_rule_refuses_a_raw_argument_of_the_wrong_shape(expected, message, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(expected, match=f"^{message}"):
+            call()
+
+
+# One seed rule: every seeded entry takes a nonnegative integer and nothing
+# else, and sample takes n >= 1. None once drew from OS entropy, True ran as
+# seed 1, -1, 2.5 or a string raised numpy's bare error from its bit
+# generator, and n = 0 numpy's "need at least one array to concatenate".
+SEEDED = [
+    ("kmeans", lambda seed: kmeans(DATA, 2, seed=seed)),
+    ("gmm", lambda seed: gmm_em(DATA, 2, seed=seed)),
+    ("svgd", lambda seed: svgd(PHI, 3, iters=1, seed=seed)),
+    ("step", lambda seed: transport_step(SwarmState(np.array(SITES), SQUARE),
+                                         discretize(PHI, 3, 3), 0.5, batch=2, seed=seed)),
+    ("reconfiguration", lambda seed: run_reconfiguration(PHI, 4, 1, metric_every=None,
+                                                         seed=seed)),
+    ("sample", lambda seed: PHI.sample(3, seed)),
+]
+SEEDS = [(f"{entry}-seed-{label}", "seed", lambda call=call, seed=seed: call(seed))
+         for entry, call in SEEDED
+         for label, seed in (("none", None), ("bool", True), ("negative", -1),
+                             ("fractional", 2.5))]
+SEEDS += [
+    ("sample-seed-string", "seed", lambda: PHI.sample(3, "x")),
+    ("sample-zero-n", "n", lambda: PHI.sample(0, 1)),
+    ("sample-fractional-n", "n", lambda: PHI.sample(2.5, 1)),
+]
+
+
+@pytest.mark.parametrize("name, call", [row[1:] for row in SEEDS], ids=[row[0] for row in SEEDS])
+def test_each_seeded_entry_refuses_anything_but_a_count(name, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be"):
             call()

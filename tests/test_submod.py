@@ -204,6 +204,23 @@ def test_exemplar_utility_rejects_unusable_phantom_distance(d_max):
         exemplar_utility_fn([[0.2, 0.2]], [[0.0, 0.0]], d_max)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_exemplar_utility_refuses_non_finite_points(bad):
+    # a NaN data row once made greedy_uniform over exemplar_utility_fn raise a
+    # bare IndexError, a NaN candidate was picked as None, and an inf
+    # exemplar scored 0.0
+    good = [[0.2, 0.2], [0.8, 0.8]]
+    bad_row = [[0.5, 0.5], [bad, 0.5]]
+    for call, name in (
+            (lambda: exemplar_utility(good, bad_row, 1.0), "data"),
+            (lambda: exemplar_utility(bad_row, good, 1.0), "chosen exemplars"),
+            (lambda: exemplar_utility([bad], [0.0, 1.0], 1.0), "chosen exemplars"),
+            (lambda: exemplar_utility_fn(good, bad_row, 1.0), "data"),
+            (lambda: exemplar_utility_fn(bad_row, good, 1.0), "candidates")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            call()
+
+
 def test_exemplar_utility_matches_loop_oracle():
     rng = np.random.default_rng(7)
     data = rng.uniform(-3.0, 3.0, size=12)

@@ -18,12 +18,7 @@ from coverkit import transport
 from coverkit.density import DiscreteMeasure, GmmDensity, UniformDensity, discretize
 from coverkit.errors import NoConvergence, SizeLimit
 from coverkit.geometry import ConvexPolygon
-from coverkit.transport import (
-    check_w2_identity,
-    self_transport_cost,
-    wasserstein_exact,
-    wasserstein_sinkhorn,
-)
+from coverkit.transport import check_w2_identity, wasserstein_exact, wasserstein_sinkhorn
 
 from tests.oracles import simplex_transport_lp, voronoi_measure
 
@@ -307,11 +302,11 @@ def test_stabilized_sinkhorn_matches_log_domain_oracle(monkeypatch, name):
     monkeypatch.setattr(transport, "_logsumexp", _counting(transport._logsumexp, fallbacks))
     monkeypatch.setattr(transport, "_sinkhorn_stage",
                         _recording(transport._sinkhorn_stage, stages))
-    plan, sharp, iters, resid = transport._solve_coupling_cost(*args)
+    plan, sharp, iters, resid, _, _ = transport._solve_coupling_cost(*args)
     value, tplan = wasserstein_sinkhorn(mu, nu, p=2, **kw)
     monkeypatch.setattr(transport, "_sinkhorn_stage",
                         _recording(log_domain_stage, oracle_stages))
-    oracle_plan, oracle_sharp, oracle_iters, _ = transport._solve_coupling_cost(*args)
+    oracle_plan, oracle_sharp, oracle_iters, *_ = transport._solve_coupling_cost(*args)
     oracle_value, _ = wasserstein_sinkhorn(mu, nu, p=2, **kw)
 
     n_stages = len(transport._anneal_schedule(cost, kw["epsilon"], kw["anneal"]))
@@ -393,8 +388,13 @@ def _concurrent_instance():
     return rand_measure(rng, 520), rand_measure(rng, 500)
 
 
+def _half_term(solve_self, points, weights, eps):
+    """A cold debiasing half-term at wasserstein_sinkhorn's defaults: (sharp, f, g)."""
+    return solve_self(points, weights, 2.0, eps, 5000, 1e-4, True, None)
+
+
 def _recording_self_solves(monkeypatch):
-    """Patch self_transport_cost to note the thread and the numpy error
+    """Patch the half-term step to note the thread and the numpy error
     settings of each call; returns (threads, settings, original)."""
     threads, settings = [], []
     solve_self = transport.self_transport_cost
@@ -422,12 +422,17 @@ def test_concurrent_debiasing_equals_the_serial_sum(monkeypatch):
     pb, wb, _ = transport._compact(nu)
     cost = transport._cost_power(pa, pb, 2)
     eps = 0.05 * float(np.median(cost))
-    cross, raw, iters, resid = transport._solve_coupling_cost(cost, wa, wb, eps,
-                                                              5000, 1e-4, True)
-    raw = raw - 0.5 * solve_self(pa, wa, 2, eps) - 0.5 * solve_self(pb, wb, 2, eps)
+    cross, raw, iters, resid, f, g = transport._solve_coupling_cost(cost, wa, wb, eps,
+                                                                    5000, 1e-4, True)
+    sharp_a, fa, ga = _half_term(solve_self, pa, wa, eps)
+    sharp_b, fb, gb = _half_term(solve_self, pb, wb, eps)
+    raw = raw - 0.5 * sharp_a - 0.5 * sharp_b
     assert value == max(raw, 0.0) ** 0.5
     np.testing.assert_array_equal(plan.coupling, cross)
     assert (plan.iterations, plan.residual) == (iters, resid)
+    for pot, (f_want, g_want) in zip(plan.potentials, ((f, g), (fa, ga), (fb, gb))):
+        np.testing.assert_array_equal(pot.f, f_want)
+        np.testing.assert_array_equal(pot.g, g_want)
 
 
 def test_small_instance_debiases_on_the_worker_thread(monkeypatch):
@@ -441,10 +446,10 @@ def test_small_instance_debiases_on_the_worker_thread(monkeypatch):
     assert len(threads) == 2 and threading.get_ident() not in threads
 
     cost = transport._cost_power(mu.points, nu.points, 2)
-    _, raw, _, _ = transport._solve_coupling_cost(cost, mu.weights, nu.weights, 0.01,
-                                                  5000, 1e-4, True)
-    raw = raw - 0.5 * solve_self(mu.points, mu.weights, 2, 0.01) \
-              - 0.5 * solve_self(nu.points, nu.weights, 2, 0.01)
+    raw = transport._solve_coupling_cost(cost, mu.weights, nu.weights, 0.01,
+                                         5000, 1e-4, True)[1]
+    raw = raw - 0.5 * _half_term(solve_self, mu.points, mu.weights, 0.01)[0] \
+              - 0.5 * _half_term(solve_self, nu.points, nu.weights, 0.01)[0]
     assert value == max(raw, 0.0) ** 0.5
 
 
@@ -526,11 +531,16 @@ def test_warm_start_skips_the_stages_above_the_earlier_temperature(monkeypatch):
     assert plan.iterations == stages["main"][0] < cold[1].iterations
     assert plan.residual <= 1e-4
     assert abs(value - cold[0]) <= 0.01 * cold[0]
-    # the earlier plan's potentials are read, never written
+    # the earlier plan's potentials are read, never written, also by a warm
+    # call that raises; each call's potentials are new objects
+    with pytest.raises(NoConvergence):
+        wasserstein_sinkhorn(moved, nu, p=2, epsilon=1e-3, max_iters=3, init=plan0.potentials)
     for (eps, f, g), pot in zip(kept, plan0.potentials):
         assert pot.epsilon == eps
         np.testing.assert_array_equal(pot.f, f)
         np.testing.assert_array_equal(pot.g, g)
+    for new, old in zip(plan.potentials, plan0.potentials):
+        assert new is not old and new.f is not old.f and new.g is not old.g
 
 
 def test_warm_start_from_unrelated_potentials_follows_the_cold_rule():
@@ -556,16 +566,9 @@ def test_self_transport_cost_is_small_and_nonnegative():
     rng = np.random.default_rng(14)
     pts = rng.uniform(0, 1, (20, 2))
     w = np.full(20, 1 / 20)
-    c = self_transport_cost(pts, w, p=2, epsilon=1e-3)
+    c, f, g = transport.self_transport_cost(pts, w, 2.0, 1e-3, 5000, 1e-4, True, None)
     assert 0.0 <= c < 1e-2
-
-
-def test_self_transport_cost_takes_lists():
-    # weights given as a list once raised a bare TypeError at `weights > 0`
-    rng = np.random.default_rng(15)
-    pts = rng.uniform(0, 1, (6, 2))
-    w = [0.1, 0.2, 0.0, 0.3, 0.15, 0.25]
-    assert self_transport_cost(pts.tolist(), w) == self_transport_cost(pts, np.array(w))
+    assert f.shape == g.shape == (20,)
 
 
 # --------------------------------------------- voronoi measure & identity
