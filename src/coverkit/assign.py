@@ -32,7 +32,7 @@ import math
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .density import DensityField, cell_moments, polygon_quadrature, spd_cholesky
+from .density import MAX_LEVELS, DensityField, cell_moments, polygon_quadrature, spd_cholesky
 from .errors import InfeasibleShape, NonFiniteCost, SiteOutsideWorkspace
 from .geometry import (EPS_GEO, ConvexPolygon, _edge_planes, check_count, check_points,
                        check_positive, clip)
@@ -125,39 +125,33 @@ class _Service:
         """What ``cell_moments`` integrates for the footprint at one orientation.
 
         A footprint that no workspace edge clips is the affine image of the
-        reference polygon, so its rule is the cached reference rule under the
-        footprint map M: offsets ref_pts @ M.T from the centre and weights
-        |det M| ref_w. That rule is the same at every site, so it is built
-        once per orientation and level, read-only, and kept while pricing
-        stays with this service (``build_cost_matrix`` prices a row of sites
-        per service); moving to another service drops it, so memory holds one
-        service's rules. Only a clipped remainder becomes a polygon (None when
-        nothing is left). ``theta`` must be one of the service's orientations.
+        reference polygon, so its rule is this service's mapped rule (see
+        ``_mapped_rules``) about the centre. Only a clipped remainder becomes
+        a polygon (None when nothing is left). ``theta`` must be one of the
+        service's priced orientations.
         """
         vertices = center + self._rings[theta]
         part = clip(vertices, *_edge_planes(workspace))
         if part is not vertices:
             return None if part is None else ConvexPolygon(part)
-        global _service_rules
-        service, rules = _service_rules
-        if service is not self:
-            rules = {}
-            _service_rules = (self, rules)
-        rule = rules.get((theta, levels))
-        if rule is None:
-            m = self._footprint_map(theta)
-            ref_pts, ref_w = _reference_rule(self._scale, levels)
-            offsets = ref_pts @ m.T
-            weights = abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) * ref_w
-            offsets.flags.writeable = weights.flags.writeable = False
-            rule = rules[theta, levels] = offsets, weights
-        return rule
+        return _mapped_rules(self, levels)[theta]
 
 
-# the service whose mapped rules _Service._quadrature keeps, and those rules by
-# (theta, levels); each dict only ever holds its own service's rules, so a
-# stale read costs a rebuild, never a wrong rule
-_service_rules: tuple = (None, {})
+@functools.lru_cache(maxsize=1)
+def _mapped_rules(service: _Service, levels: int) -> dict:
+    """The reference rule under the footprint map M of each priced orientation,
+    by theta: read-only offsets ref_pts @ M.T from the centre and weights
+    |det M| ref_w. ``build_cost_matrix`` prices a row of sites per service, so
+    memory holds one service's rules."""
+    ref_pts, ref_w = _reference_rule(service._scale, levels)
+    rules = {}
+    for theta in service._priced:
+        m = service._footprint_map(theta)
+        offsets = ref_pts @ m.T
+        weights = abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) * ref_w
+        offsets.flags.writeable = weights.flags.writeable = False
+        rules[theta] = offsets, weights
+    return rules
 
 
 class IsotropicService(_Service):
@@ -217,7 +211,7 @@ def footprint_cost(phi: DensityField, model, poi, levels: int = 2):
     cancel away the digits of the price. A price that is not finite raises
     NonFiniteCost.
     """
-    check_count(levels, "levels", 0)
+    check_count(levels, "levels", 0, MAX_LEVELS)
     center, = check_points(poi, "point of interest", rows=1)
     workspace = phi.workspace
     if not workspace.contains(center):

@@ -8,20 +8,23 @@ move every generator to its cell's density centroid. Moved generators go
 through the ``geometry`` point helpers: ``project_into`` brings back any that
 drifted outside the workspace, and ``separate`` nudges apart any that landed
 on one another.
+
+Each public entry checks its input once (``_checked``); every partition is the one
+step ``_partition``: the power-cell kernel, which trusts that check, then ``cell_moments``.
 """
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .density import MASS_EPS, MAX_LEVELS, DensityField, cell_moments
 # polygon_quadrature is not called here, but coverbench/tracing.py patches it
 # in this module
-from .density import MASS_EPS, DensityField, cell_moments, polygon_quadrature  # noqa: F401
+from .density import polygon_quadrature  # noqa: F401
 from .errors import NoConvergence, NonMonotoneDescent
-from .geometry import (check_count, check_points, check_positive, check_radii, power_cells,
+from .geometry import (check_count, check_points, check_positive, check_radii, check_sites,
                        power_cells_from_weights, project_into, separate)
 
 log = logging.getLogger(__name__)
@@ -30,24 +33,23 @@ log = logging.getLogger(__name__)
 _STARVED_LOGGED = 10
 
 
-def _checked(positions, radii, tol: float = 1.0, relax: float = 1.0,
-             levels: int = 2) -> tuple[np.ndarray, np.ndarray]:
+def _checked(phi: DensityField, positions, radii, levels: int,
+             sites: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Float copies of positions and radii (zeros for None).
 
     ValueError for positions that break geometry.check_points or hold no
     point, radii that break geometry.check_radii, a radius count that differs
-    from the position count, a tol (only run_descent has one) that breaks
-    geometry.check_positive, a relax that is not finite, and levels that are not an int >= 0.
+    from the position count, and levels that are not an int from 0 to MAX_LEVELS;
+    then geometry.check_sites in phi's workspace, unless ``sites`` is False.
     """
     pos = check_points(positions, "positions").copy()
     check_count(len(pos), "number of positions")
     rho = np.zeros(len(pos)) if radii is None else check_radii(radii).copy()
     if len(rho) != len(pos):
         raise ValueError(f"{len(pos)} positions but {len(rho)} radii")
-    check_positive(tol, "tol")
-    if not math.isfinite(relax):
-        raise ValueError("relax must be finite")
-    check_count(levels, "levels", 0)
+    check_count(levels, "levels", 0, MAX_LEVELS)
+    if sites:
+        check_sites(pos, phi.workspace)
     return pos, rho
 
 
@@ -73,30 +75,33 @@ class Partition:
                         if c is None or self.masses[i] < MASS_EPS]
 
 
-def build_partition(phi: DensityField, positions, radii=None,
-                    levels: int = 2) -> Partition:
+def _partition(phi: DensityField, pos: np.ndarray, w: np.ndarray, levels: int) -> Partition:
+    """The partition of checked sites pos with squared-radius weights w."""
+    cells = power_cells_from_weights(phi.workspace, pos, w)
+    masses, centroids, costs = cell_moments(phi, cells, pos, levels)
+    return Partition(cells, masses, centroids, float((costs - w * masses).sum()))
+
+
+def build_partition(phi: DensityField, positions, radii=None, levels: int = 2) -> Partition:
     """Power partition of the workspace, the Voronoi one for radii None, with
     cell masses, centroids and the locational cost."""
-    pos, rho = _checked(positions, radii, levels=levels)
-    cells = power_cells(phi.workspace, pos, rho)
-    masses, centroids, costs = cell_moments(phi, cells, pos, levels)
-    return Partition(list(cells), masses, centroids,
-                     float((costs - rho ** 2 * masses).sum()))
+    pos, rho = _checked(phi, positions, radii, levels)
+    return _partition(phi, pos, rho * rho, levels)
 
 
-def lloyd_step(phi: DensityField, positions, radii=None, relax: float = 1.0,
+def lloyd_step(phi: DensityField, positions, radii=None,
                levels: int = 2) -> tuple[np.ndarray, Partition]:
     """One Lloyd update.
 
     Returns (new positions, partition at the input positions). Generators
     whose cell is dominated or carries no mass hold position.
     """
-    pos, rho = _checked(positions, radii, relax=relax, levels=levels)
-    partition = build_partition(phi, pos, rho, levels)
+    pos, rho = _checked(phi, positions, radii, levels)
+    partition = _partition(phi, pos, rho * rho, levels)
     if partition.starved:
         log.warning("%d agents hold position (empty or mass-starved cell), first %s",
                     len(partition.starved), partition.starved[:_STARVED_LOGGED])
-    new_pos = project_into(phi.workspace, pos + relax * (partition.centroids - pos))
+    new_pos = project_into(phi.workspace, pos + (partition.centroids - pos))
     separated = separate(phi.workspace, new_pos)
     if separated is not new_pos:
         log.warning("agents %s nudged off coincident generators",
@@ -137,22 +142,23 @@ def _check_monotone(prev: float | None, cost: float) -> None:
 
 
 def run_descent(phi: DensityField, positions, radii=None, max_iters: int = 200,
-                tol: float = 1e-6, relax: float = 1.0, levels: int = 2) -> DescentResult:
+                tol: float = 1e-6, levels: int = 2) -> DescentResult:
     """Iterate lloyd_step until the largest displacement drops below tol.
 
     The trajectory records (positions, cost) at every visited configuration,
     including the final one, so it has iterations + 1 entries, each its own
-    array. The input arrays are not written.
+    array. The input arrays are not written. The first lloyd_step checks the sites.
     """
     check_count(max_iters, "max_iters")
-    current, rho = _checked(positions, radii, tol, relax, levels)
+    check_positive(tol, "tol")
+    current, rho = _checked(phi, positions, radii, levels, sites=False)
     trajectory = []
     starved = []
     converged = False
     prev = None
     initial = None
     for _ in range(max_iters):
-        moved, partition = lloyd_step(phi, current, rho, relax, levels)
+        moved, partition = lloyd_step(phi, current, rho, levels)
         if initial is None:
             initial = partition
         _check_monotone(prev, partition.cost)
@@ -164,7 +170,7 @@ def run_descent(phi: DensityField, positions, radii=None, max_iters: int = 200,
         if disp < tol:
             converged = True
             break
-    partition = build_partition(phi, current, rho, levels)
+    partition = _partition(phi, current, rho * rho, levels)
     _check_monotone(prev, partition.cost)
     trajectory.append((current, partition.cost))
     starved.append(partition.starved)
@@ -177,22 +183,20 @@ def equitable_weights(phi: DensityField, positions, tol_mass: float = 1e-3,
 
     Damped fixed-point ascent on squared radii: each cell's weight grows in
     proportion to its mass deficit. The returned radii are shifted so the
-    smallest is zero, which leaves the diagram unchanged. ValueError for
-    positions that break geometry.check_points or hold no point.
+    smallest is zero, which leaves the diagram unchanged. The positions are
+    checked as build_partition checks them, once, before the first diagram.
     """
     check_positive(tol_mass, "tol_mass")
     check_count(max_iters, "max_iters")
-    check_count(levels, "levels", 0)
-    pos = check_points(positions, "positions")
-    n = check_count(len(pos), "number of positions")
+    pos, _ = _checked(phi, positions, None, levels)
+    n = len(pos)
     target = 1.0 / n
     eta = phi.workspace.area / 2.0
     w = np.zeros(n)
     best = np.inf
     stall = 0
     for _ in range(max_iters):
-        cells = power_cells_from_weights(phi.workspace, pos, w)
-        masses = cell_moments(phi, cells, pos, levels)[0]
+        masses = _partition(phi, pos, w, levels).masses
         residual = np.abs(masses - target).max()
         if residual <= tol_mass:
             return np.sqrt(w - w.min())

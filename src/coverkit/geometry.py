@@ -28,8 +28,8 @@ clipped against all other sites, the plain O(N^2) construction. A site's
 half-planes are stacked in increasing index order of its competitors and cut
 in one ``clip`` call, the one clipper: it cuts a raw (V, 2) vertex array by
 a (K, 2) stack of unit normals and K offsets, so only the finished cell
-becomes a ``ConvexPolygon``. ``power_cells_from_weights`` is the one entry
-point; the Voronoi and nonnegative-radius forms call it.
+becomes a ``ConvexPolygon``. ``power_cells_from_weights`` is the kernel, which
+trusts its caller's sites and weights; ``power_cells`` is the entry that checks them.
 
 This module is the one home of the polygon and point helpers the other layers
 share: ``ConvexPolygon``, the one polygon test, which keeps its edges and
@@ -380,17 +380,11 @@ def _dual_cells(workspace: ConvexPolygon, P: np.ndarray, w: np.ndarray, sq: np.n
     return cells
 
 
-def power_cells_from_weights(workspace: ConvexPolygon, points, weights) -> list[ConvexPolygon | None]:
-    """Power cells for signed squared-radius weights w_i.
-
-    The diagram only depends on weight differences, so negative weights are fine;
-    this is the primitive behind both power_cells and the equitable-weight solver.
+def power_cells_from_weights(workspace: ConvexPolygon, P, w) -> list[ConvexPolygon | None]:
+    """Power cells for signed squared-radius weights w_i, trusting the caller: P is
+    an (n, 2) float array of distinct sites inside the workspace, w one float per
+    site. The diagram only depends on weight differences, so negative weights are fine.
     """
-    P = check_points(points, "sites")
-    w = _float_array(weights, ValueError, "power weights must be numbers within float range")
-    if w.shape != (len(P),):
-        raise ValueError("one weight per site required")
-    check_sites(P, workspace)
     sq = (P * P).sum(axis=1)
     hull = _lifted_hull(P, w)
     done = {} if hull is None or len(hull.coplanar) else _dual_cells(workspace, P, w, sq, hull)
@@ -485,18 +479,25 @@ def check_positive(value, name: str, at_least: float | None = None,
     return x
 
 
-def check_count(value, name: str, at_least: int = 1, error=ValueError) -> int:
+def check_count(value, name: str, at_least: int = 1, at_most: float = math.inf,
+                error=ValueError) -> int:
     """A count as an int; error unless it is an integer, not a bool or a
-    float, of at least ``at_least``."""
+    float, of at least ``at_least`` and at most ``at_most``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name} must be an integer, not {value!r}")
     if value < at_least:
         raise error(f"{name} must be at least {at_least}, got {value!r}")
+    if value > at_most:
+        raise error(f"{name} must be at most {at_most}, got {value!r}")
     return int(value)
 
 
 def power_cells(workspace: ConvexPolygon, points, radii) -> list[ConvexPolygon | None]:
-    """Power diagram cells; a dominated site may get None. Radii follow
-    check_radii."""
+    """Power diagram cells; a dominated site may get None. The sites follow
+    check_points and check_sites, the radii check_radii, one per site."""
+    P = check_points(points, "sites")
     r = check_radii(radii)
-    return power_cells_from_weights(workspace, points, r * r)
+    if len(r) != len(P):
+        raise ValueError("one radius per site required")
+    check_sites(P, workspace)
+    return power_cells_from_weights(workspace, P, r * r)

@@ -34,8 +34,8 @@ from . import poi as poi_mod
 # build_partition is not called here, but coverbench/tracing.py patches it
 # in this module
 from .coverage import build_partition, run_descent  # noqa: F401
-from .density import (DensityField, GmmDensity, UniformDensity, from_pgm, load_grid_csv,
-                      spd_cholesky)
+from .density import (MAX_LEVELS, DensityField, GmmDensity, UniformDensity, from_pgm,
+                      load_grid_csv, spd_cholesky)
 from .errors import CoverkitError, NoConvergence
 from .geometry import (EPS_GEO, ConvexPolygon, check_count, check_points, check_positive,
                        check_radii, check_weights, coincident_pairs)
@@ -46,11 +46,6 @@ log = logging.getLogger(__name__)
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC = 0, 2, 3
 UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 REQUIRED = object()  # a parameter default meaning: the config must set it
-# Quadrature cuts each of a polygon's fan triangles into 4**levels with 12
-# nodes each: at 6, one 32-sided footprint has 1.6M nodes, and pricing it on a
-# two-component mixture peaks 240 MB above baseline (1.3 s on a 2-CPU host).
-# Every further level takes four times the memory and time.
-MAX_LEVELS = 6
 
 
 class _ConfigLoader(yaml.SafeLoader):
@@ -116,15 +111,15 @@ def _rule(rule, *bounds, null=False):
 
 
 # one check per parameter name, whichever pipelines take it; a number passes by the
-# library's rule and bound, but levels and iters (swarm's library bound is 0) are narrower
+# library's rule and bounds, but levels and iters start at 1 (the library's levels and
+# swarm's iters start at 0)
 PARAM_CHECKS = {
     **dict.fromkeys(("iters", "k", "samples", "orientations"),
                     (_rule(check_count), "must be a positive integer")),
     **dict.fromkeys(("svgd_iters", "snapshot_every"),
                     (_rule(check_count, 0), "must be a nonnegative integer")),
     "tol": (_rule(check_positive), "must be a positive number"),
-    "levels": (lambda v: _passes(check_count, v, "levels") and v <= MAX_LEVELS,
-               f"must be an integer from 1 to {MAX_LEVELS}"),
+    "levels": (_rule(check_count, 1, MAX_LEVELS), f"must be an integer from 1 to {MAX_LEVELS}"),
     "require_convergence": (lambda v: isinstance(v, bool), "must be a boolean"),
     "method": (lambda v: v in ("kmeans", "gmm", "svgd"), "must be kmeans, gmm, or svgd"),
     "cost": (lambda v: v in ("footprint", "kld"), "must be footprint or kld"),

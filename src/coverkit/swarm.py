@@ -99,17 +99,15 @@ def transport_step(state: SwarmState, target: DiscreteMeasure, tau: float,
     if batch > n:
         raise ValueError(f"batch must lie in [1, {n}]")
     full = batch == n
+    # a full batch takes every agent, with no permutation drawn
+    moving = slice(None) if full else np.sort(np.random.default_rng(seed).permutation(n)[:batch])
+    src = state.positions[moving]
     made = state.matching
     if (full and made is not None and made[0] is target
             and np.array_equal(made[1], state.positions)):
-        moving = slice(None)
-        src = state.positions
         matched = made[2]
     else:
-        rng = np.random.default_rng(seed)
-        moving = np.sort(rng.permutation(n)[:batch])
         draws = target.points[systematic_resample(target.weights, batch)]
-        src = state.positions[moving]
         _, cols = linear_sum_assignment(cdist(src, draws, "sqeuclidean"))
         matched = draws[cols]
     # the squared distances of cdist, summed in the same order

@@ -568,7 +568,7 @@ def test_footprint_cost_refuses_a_non_finite_price(monkeypatch, bad, row):
         footprint_cost(UniformDensity(UNIT), model, [0.5, 0.5])
 
 
-def test_footprint_prices_do_not_depend_on_the_mapped_rule_cache(monkeypatch):
+def test_footprint_prices_do_not_depend_on_the_mapped_rule_cache():
     """Service A's row, then B's, then A's again in one process: every entry
     has the bits of the same entry priced with no mapped rule cached, only the
     service priced last keeps its rules, and those refuse writes."""
@@ -579,7 +579,7 @@ def test_footprint_prices_do_not_depend_on_the_mapped_rule_cache(monkeypatch):
     sites = [[0.5, 0.5], [0.35, 0.4], [0.12, 0.62], [0.7, 0.6], [0.55, 0.2]]
 
     def fresh(model, site):
-        monkeypatch.setattr(assign, "_service_rules", (None, {}))
+        assign._mapped_rules.cache_clear()
         return footprint_cost(phi, model, site)
 
     want = {model: [fresh(model, site) for site in sites] for model in (a, b)}
@@ -587,9 +587,11 @@ def test_footprint_prices_do_not_depend_on_the_mapped_rule_cache(monkeypatch):
     assert not all(all(unclipped(phi, m, s)) for m in (a, b) for s in sites)
     for model in (a, b, a):
         assert [footprint_cost(phi, model, site) for site in sites] == want[model]
-        service, rules = assign._service_rules
-        assert service is model
-        assert 0 < len(rules) <= len(model.orientations)
+        assert assign._mapped_rules.cache_info().currsize == 1
+        hits = assign._mapped_rules.cache_info().hits
+        rules = assign._mapped_rules(model, 2)
+        assert assign._mapped_rules.cache_info().hits == hits + 1
+        assert list(rules) == list(model._priced)
         for offsets, weights in rules.values():
             with pytest.raises(ValueError, match="read-only"):
                 offsets[0, 0] = 0.0

@@ -11,7 +11,8 @@ import pytest
 
 from coverkit.coverage import build_partition, equitable_weights, lloyd_step, run_descent
 from coverkit.density import GmmDensity, UniformDensity
-from coverkit.errors import NoConvergence, NonMonotoneDescent
+from coverkit.errors import (DuplicateSites, NoConvergence, NonMonotoneDescent,
+                             SiteOutsideWorkspace)
 from coverkit.geometry import ConvexPolygon, check_sites, separate
 
 
@@ -208,15 +209,16 @@ def test_separate_nudges_coincident_generators():
 
 
 def test_overrelaxed_step_projects_and_separates_agents(caplog):
-    # relax = 100 throws all three agents past the corner (0, 0), onto which
-    # projection merges them; two of them must then be nudged apart
+    # agent 0's power disk dominates agent 1, so agent 0's cell is the whole
+    # square and the step moves it onto the centroid, where agent 1 holds
+    # position; agent 1 must then be nudged apart
     sq = unit_square()
-    phi = GmmDensity(sq, [1.0], [[0.0, 0.0]], [[[0.02, 0.0], [0.0, 0.02]]])
     with caplog.at_level(logging.WARNING, logger="coverkit.coverage"):
-        pos, _ = lloyd_step(phi, [[0.3, 0.32], [0.32, 0.3], [0.8, 0.8]], relax=100.0)
-    np.testing.assert_array_equal(pos[0], [0.0, 0.0])
+        pos, part = lloyd_step(UniformDensity(sq), [[0.3, 0.5], [0.5, 0.5]], [0.6, 0.0])
+    assert part.starved == [1]
+    assert np.abs(pos[0] - 0.5).max() < 1e-12
+    assert 0 < np.linalg.norm(pos[1] - pos[0]) < 1e-5
     assert sq.contains(pos).all()
-    assert np.abs(pos).max() < 1e-5
     check_sites(pos, sq)
     assert [r.levelno for r in caplog.records if "nudged" in r.message] == [logging.WARNING]
 
@@ -291,16 +293,6 @@ def test_descent_validation():
         run_descent(phi, [[0.4, 0.4]], max_iters=0)
     with pytest.raises(ValueError):
         run_descent(phi, [[0.4, 0.4]], tol=0.0)
-
-
-@pytest.mark.parametrize("relax", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-def test_non_finite_relax_is_refused(relax):
-    phi = UniformDensity(unit_square())
-    positions = [[0.3, 0.4], [0.7, 0.6]]
-    with pytest.raises(ValueError, match="relax must be finite"):
-        lloyd_step(phi, positions, relax=relax)
-    with pytest.raises(ValueError, match="relax must be finite"):
-        run_descent(phi, positions, relax=relax)
 
 
 class InflatingDensity(UniformDensity):
@@ -379,6 +371,19 @@ def test_equitable_eight_sites_gmm():
     assert (rho >= 0).all()
 
 
+@pytest.mark.parametrize("positions, error", [
+    ([[0.3, 0.5], [0.7, 0.5], [0.3, 0.5]], DuplicateSites),
+    ([[0.3, 0.5], [1.3, 0.5]], SiteOutsideWorkspace),
+], ids=["coincident", "outside"])
+def test_equitable_refuses_bad_sites_before_any_diagram(monkeypatch, positions, error):
+    from coverkit import coverage
+    calls = []
+    monkeypatch.setattr(coverage, "power_cells_from_weights", lambda *args: calls.append(args))
+    with pytest.raises(error):
+        equitable_weights(UniformDensity(unit_square()), positions, max_iters=3)
+    assert calls == []
+
+
 def test_equitable_reports_no_convergence():
     phi = UniformDensity(unit_square())
     with pytest.raises(NoConvergence):
@@ -407,10 +412,10 @@ def test_descent_records_starved_agents_per_trajectory_entry():
 
 
 def test_descent_surveys_each_visited_configuration_once(monkeypatch):
-    from coverkit import geometry
+    from coverkit import coverage
     calls = []
-    build = geometry.power_cells_from_weights
-    monkeypatch.setattr(geometry, "power_cells_from_weights",
+    build = coverage.power_cells_from_weights
+    monkeypatch.setattr(coverage, "power_cells_from_weights",
                         lambda *args: calls.append(args) or build(*args))
     pos, rho = [[0.3, 0.35], [0.7, 0.2], [0.5, 0.8]], [0.05, 0.1, 0.0]
     phi, _ = four_mode_density()

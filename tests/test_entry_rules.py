@@ -18,8 +18,8 @@ import pytest
 from coverkit.assign import (GaussianService, IsotropicService, footprint_cost, gaussian_kl,
                             kld_cost)
 from coverkit.coverage import build_partition, equitable_weights, lloyd_step, run_descent
-from coverkit.density import (DiscreteMeasure, GmmDensity, GridDensity, InvalidDensity,
-                              UniformDensity, discretize, spd_cholesky)
+from coverkit.density import (MAX_LEVELS, DiscreteMeasure, GmmDensity, GridDensity,
+                              InvalidDensity, UniformDensity, discretize, spd_cholesky)
 from coverkit.geometry import ConvexPolygon, check_points, check_radii, check_weights, power_cells
 from coverkit.poi import gmm_em, kmeans, svgd
 from coverkit.render import render_scene
@@ -96,6 +96,16 @@ GAPS = [
     ("descent-fractional-levels", ValueError, lambda: run_descent(PHI, SITES, levels=1.5)),
     ("footprint-negative-levels", ValueError,
      lambda: footprint_cost(PHI, IsotropicService(0.1), [0.5, 0.5], levels=-1)),
+    # one level past the bound asks for four times MAX_LEVELS' memory
+    ("partition-levels-above-max", ValueError,
+     lambda: build_partition(PHI, SITES, levels=MAX_LEVELS + 1)),
+    ("lloyd-levels-above-max", ValueError, lambda: lloyd_step(PHI, SITES, levels=MAX_LEVELS + 1)),
+    ("descent-levels-above-max", ValueError,
+     lambda: run_descent(PHI, SITES, levels=MAX_LEVELS + 1)),
+    ("equitable-levels-above-max", ValueError,
+     lambda: equitable_weights(PHI, SITES, max_iters=3, levels=MAX_LEVELS + 1)),
+    ("footprint-levels-above-max", ValueError,
+     lambda: footprint_cost(PHI, IsotropicService(0.1), [0.5, 0.5], levels=MAX_LEVELS + 1)),
     ("service-radius-bool", ValueError, lambda: IsotropicService(True)),
     ("service-radius-huge-int", ValueError, lambda: IsotropicService(10**400)),
     ("step-tau-bool", ValueError,

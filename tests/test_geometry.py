@@ -360,19 +360,20 @@ def test_separate_returns_the_same_array_when_nothing_coincides():
 # ---------------------------------------------------------------- voronoi
 
 def test_voronoi_two_sites_split_at_half():
-    cells = power_cells_from_weights(unit_square(), [[0.25, 0.5], [0.75, 0.5]], np.zeros(2))
+    cells = power_cells_from_weights(unit_square(), np.array([[0.25, 0.5], [0.75, 0.5]]),
+                                     np.zeros(2))
     assert np.isclose(cells[0].area, 0.5)
     assert np.isclose(cells[1].area, 0.5)
     assert cells[0].vertices[:, 0].max() == pytest.approx(0.5)
 
 
 def test_voronoi_single_site_is_whole_workspace():
-    cells = power_cells_from_weights(unit_square(), [[0.3, 0.9]], np.zeros(1))
+    cells = power_cells_from_weights(unit_square(), np.array([[0.3, 0.9]]), np.zeros(1))
     assert np.isclose(cells[0].area, 1.0)
 
 
 def test_voronoi_quadrants():
-    sites = [[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]]
+    sites = np.array([[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]])
     cells = power_cells_from_weights(unit_square(), sites, np.zeros(4))
     for cell, site in zip(cells, sites):
         assert np.isclose(cell.area, 0.25)
@@ -381,17 +382,17 @@ def test_voronoi_quadrants():
 
 def test_voronoi_duplicate_sites_raise():
     with pytest.raises(DuplicateSites):
-        power_cells_from_weights(unit_square(), [[0.5, 0.5], [0.5, 0.5]], np.zeros(2))
+        power_cells(unit_square(), [[0.5, 0.5], [0.5, 0.5]], np.zeros(2))
 
 
 def test_voronoi_site_outside_raises():
     with pytest.raises(SiteOutsideWorkspace):
-        power_cells_from_weights(unit_square(), [[0.5, 0.5], [1.5, 0.5]], np.zeros(2))
+        power_cells(unit_square(), [[0.5, 0.5], [1.5, 0.5]], np.zeros(2))
 
 
 def test_power_weights_must_number_one_per_site():
-    with pytest.raises(ValueError, match="one weight per site required"):
-        power_cells_from_weights(unit_square(), [[0.25, 0.5], [0.75, 0.5]], np.zeros(3))
+    with pytest.raises(ValueError, match="one radius per site required"):
+        power_cells(unit_square(), [[0.25, 0.5], [0.75, 0.5]], np.zeros(3))
 
 
 def test_voronoi_partition_tiles_workspace():

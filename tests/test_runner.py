@@ -228,10 +228,10 @@ def test_lloyd_run_writes_all_artifacts(tmp_path):
 
 
 def test_lloyd_run_builds_one_diagram_per_visited_configuration(tmp_path, monkeypatch):
-    from coverkit import geometry
+    from coverkit import coverage
     calls = []
-    build = geometry.power_cells_from_weights
-    monkeypatch.setattr(geometry, "power_cells_from_weights",
+    build = coverage.power_cells_from_weights
+    monkeypatch.setattr(coverage, "power_cells_from_weights",
                         lambda *args: calls.append(args) or build(*args))
     out = tmp_path / "out"
     assert run(write_cfg(tmp_path, lloyd_cfg(iters=4, tol=1e-12)), out=out) == EXIT_OK
