@@ -11,6 +11,7 @@ on one another.
 
 Each public entry checks its input once (``_checked``); every partition is the one
 step ``_partition``: the power-cell kernel, which trusts that check, then ``cell_moments``.
+``equitable_weights`` runs L-BFGS-B on the equal-mass dual, one ``_partition`` a call.
 """
 from __future__ import annotations
 
@@ -181,35 +182,32 @@ def equitable_weights(phi: DensityField, positions, tol_mass: float = 1e-3,
                       max_iters: int = 10000, levels: int = 2) -> np.ndarray:
     """Power radii that split the density into equal-mass cells.
 
-    Damped fixed-point ascent on squared radii: each cell's weight grows in
-    proportion to its mass deficit. The returned radii are shifted so the
-    smallest is zero, which leaves the diagram unchanged. The positions are
-    checked as build_partition checks them, once, before the first diagram.
+    L-BFGS-B over squared radii on the concave dual of Aurenhammer, Hoffmann and
+    Aronov (1998), whose gradient is 1/n minus the cell masses, until every mass is
+    within tol_mass of 1/n; NoConvergence if it stops short of that or needs more
+    than max_iters diagrams. The radii are shifted so the smallest is zero, which
+    leaves the diagram unchanged. Sites are checked once, before the first diagram.
     """
+    from scipy.optimize import minimize  # here, since no descent pipeline needs it
+
     check_positive(tol_mass, "tol_mass")
     check_count(max_iters, "max_iters")
     pos, _ = _checked(phi, positions, None, levels)
     n = len(pos)
-    target = 1.0 / n
-    eta = phi.workspace.area / 2.0
-    w = np.zeros(n)
-    best = np.inf
-    stall = 0
-    for _ in range(max_iters):
-        masses = _partition(phi, pos, w, levels).masses
-        residual = np.abs(masses - target).max()
-        if residual <= tol_mass:
-            return np.sqrt(w - w.min())
-        # a stalled residual means the step is too long for this density;
-        # halve it and keep going
-        if residual < best - 1e-15:
-            best = residual
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 50:
-                eta *= 0.5
-                stall = 0
-        w = w + eta * (target - masses)
-    raise NoConvergence(
-        f"equitable weights did not reach tolerance {tol_mass} in {max_iters} iterations")
+    built = 0
+
+    def dual(w):
+        nonlocal built
+        if built == max_iters:
+            raise NoConvergence(
+                f"equitable weights did not reach tolerance {tol_mass} in {max_iters} diagrams")
+        built += 1
+        part = _partition(phi, pos, w, levels)
+        return -(part.cost + w.sum() / n), part.masses - 1.0 / n
+
+    # scipy's own limits never bind before the diagram count
+    res = minimize(dual, np.zeros(n), jac=True, method="L-BFGS-B", options={
+        "gtol": tol_mass, "ftol": 0.0, "maxfun": max_iters, "maxiter": max_iters})
+    if np.abs(res.jac).max() > tol_mass:
+        raise NoConvergence(f"equitable weights did not reach tolerance {tol_mass}: {res.message}")
+    return np.sqrt(res.x - res.x.min())

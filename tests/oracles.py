@@ -15,9 +15,11 @@ the cell moments built one polygon, one rule and one masked eval at a time,
 the edge planes recomputed from a region's vertices on every call, the
 ``intersect`` that made a ``ConvexPolygon`` of every clipped polygon, the
 raster normalisation that cut each boundary pixel as one,
-the swarm step that solved a fresh assignment at every step, and the SVG
-writer that mapped one point and wrote one element per Python call, and
-the transportation LP solved by HiGHS' dual simplex.
+the swarm step that solved a fresh assignment at every step, the SVG
+writer that mapped one point and wrote one element per Python call,
+the transportation LP solved by HiGHS' dual simplex, and the damped
+fixed-point ascent that found equal-mass power weights with a step of half
+the workspace area, halved after 50 stalled diagrams.
 Voronoi cell masses as a discrete measure have no caller in a pipeline
 either. None of these runs in a pipeline, so they live here and not in the
 package.
@@ -35,13 +37,13 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import csr_matrix
 from scipy.spatial.distance import cdist
 
-from coverkit.coverage import build_partition
+from coverkit.coverage import _checked, _partition, build_partition
 from coverkit.density import (MASS_EPS, RULE_BARY, RULE_WEIGHTS, DensityField,
                               DiscreteMeasure, GmmDensity, GridDensity, cell_moments,
                               polygon_quadrature)
-from coverkit.errors import CoverkitError
-from coverkit.geometry import (EPS_GEO, ConvexPolygon, _lifted_hull, _power_neighbours, clip,
-                               project_into, ring_moments)
+from coverkit.errors import CoverkitError, NoConvergence
+from coverkit.geometry import (EPS_GEO, ConvexPolygon, _lifted_hull, _power_neighbours,
+                               check_count, check_positive, clip, project_into, ring_moments)
 from coverkit.render import AGENT_PALETTE, _band_color
 from coverkit.swarm import SwarmState, systematic_resample
 
@@ -260,6 +262,44 @@ def voronoi_measure(phi: DensityField, positions, levels: int = 2) -> DiscreteMe
     part = build_partition(phi, positions, levels=levels)
     return DiscreteMeasure(np.atleast_2d(np.asarray(positions, dtype=float)),
                            part.masses)
+
+
+def fixed_point_equitable_weights(phi: DensityField, positions, tol_mass: float = 1e-3,
+                                  max_iters: int = 10000, levels: int = 2) -> np.ndarray:
+    """Power radii that split the density into equal-mass cells.
+
+    Damped fixed-point ascent on squared radii: each cell's weight grows in
+    proportion to its mass deficit. The returned radii are shifted so the
+    smallest is zero, which leaves the diagram unchanged. The positions are
+    checked as build_partition checks them, once, before the first diagram.
+    """
+    check_positive(tol_mass, "tol_mass")
+    check_count(max_iters, "max_iters")
+    pos, _ = _checked(phi, positions, None, levels)
+    n = len(pos)
+    target = 1.0 / n
+    eta = phi.workspace.area / 2.0
+    w = np.zeros(n)
+    best = np.inf
+    stall = 0
+    for _ in range(max_iters):
+        masses = _partition(phi, pos, w, levels).masses
+        residual = np.abs(masses - target).max()
+        if residual <= tol_mass:
+            return np.sqrt(w - w.min())
+        # a stalled residual means the step is too long for this density;
+        # halve it and keep going
+        if residual < best - 1e-15:
+            best = residual
+            stall = 0
+        else:
+            stall += 1
+            if stall >= 50:
+                eta *= 0.5
+                stall = 0
+        w = w + eta * (target - masses)
+    raise NoConvergence(
+        f"equitable weights did not reach tolerance {tol_mass} in {max_iters} iterations")
 
 
 # -------------------------------------------------------------- enumeration

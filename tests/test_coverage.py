@@ -14,6 +14,8 @@ from coverkit.density import GmmDensity, UniformDensity
 from coverkit.errors import (DuplicateSites, NoConvergence, NonMonotoneDescent,
                              SiteOutsideWorkspace)
 from coverkit.geometry import ConvexPolygon, check_sites, separate
+from tests.oracles import fixed_point_equitable_weights
+from tests.test_acceptance import WORKSPACE, _random_mixture
 
 
 def unit_square():
@@ -371,23 +373,98 @@ def test_equitable_eight_sites_gmm():
     assert (rho >= 0).all()
 
 
+def counted_diagrams(monkeypatch):
+    """A list that gains one entry per power diagram coverage builds."""
+    from coverkit import coverage
+    built = []
+    kernel = coverage.power_cells_from_weights
+
+    def counting(*args):
+        built.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(coverage, "power_cells_from_weights", counting)
+    return built
+
+
 @pytest.mark.parametrize("positions, error", [
     ([[0.3, 0.5], [0.7, 0.5], [0.3, 0.5]], DuplicateSites),
     ([[0.3, 0.5], [1.3, 0.5]], SiteOutsideWorkspace),
 ], ids=["coincident", "outside"])
 def test_equitable_refuses_bad_sites_before_any_diagram(monkeypatch, positions, error):
-    from coverkit import coverage
-    calls = []
-    monkeypatch.setattr(coverage, "power_cells_from_weights", lambda *args: calls.append(args))
+    built = counted_diagrams(monkeypatch)
     with pytest.raises(error):
         equitable_weights(UniformDensity(unit_square()), positions, max_iters=3)
-    assert calls == []
+    assert built == []
 
 
-def test_equitable_reports_no_convergence():
-    phi = UniformDensity(unit_square())
+def accept_09_instances():
+    """Test 09's six (density, sites) pairs: uniform and mixture, N = 2, 4, 8."""
+    for kind in ("uniform", "mixture"):
+        for n in (2, 4, 8):
+            rng = np.random.default_rng(900 + n)
+            phi = (UniformDensity(WORKSPACE) if kind == "uniform"
+                   else _random_mixture(rng, eig_range=(0.01, 0.03)))
+            yield phi, phi.sample(n, seed=900 + n)
+
+
+def test_equitable_reports_no_convergence(monkeypatch):
+    # test 09's N = 8 mixture cannot reach 1e-12 in these budgets; the
+    # budget counts diagrams, and every one of them is used
+    phi, pos = list(accept_09_instances())[5]
+    built = counted_diagrams(monkeypatch)
+    for max_iters in (1, 4):
+        built.clear()
+        with pytest.raises(NoConvergence):
+            equitable_weights(phi, pos, tol_mass=1e-12, max_iters=max_iters)
+        assert len(built) == max_iters
+    # nor at all: the dual's value is flat to float precision long before, so
+    # the solver stops on its own (after 179 diagrams, scipy 1.17.1)
+    built.clear()
     with pytest.raises(NoConvergence):
-        equitable_weights(phi, [[0.2, 0.5], [0.6, 0.5]], tol_mass=1e-15, max_iters=4)
+        equitable_weights(phi, pos, tol_mass=1e-12, max_iters=1000)
+    assert len(built) < 1000
+
+
+def test_equitable_matches_fixed_point_oracle():
+    # at 3e-7 both routines reach the tolerance on all six instances (at 1e-7
+    # L-BFGS-B stalls on the N = 4 mixture, where the dual's value is flat to
+    # float precision); squared radii differed by at most 6.9e-7 (scipy 1.17.1)
+    tol = 3e-7
+    for phi, pos in accept_09_instances():
+        n = len(pos)
+        rho = equitable_weights(phi, pos, tol_mass=tol)
+        ref = fixed_point_equitable_weights(phi, pos, tol_mass=tol)
+        for radii in (rho, ref):
+            masses = build_partition(phi, pos, radii).masses
+            assert np.abs(masses - 1.0 / n).max() <= tol
+        np.testing.assert_allclose(rho**2, ref**2, rtol=0, atol=2e-6)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e4])
+def test_equitable_radii_scale_with_the_workspace(scale):
+    # no step constant carries the workspace's scale into the solve; radii
+    # differed from scale times the unit-square radii by at most 4.7e-7 of the
+    # scale (scipy 1.17.1)
+    tol = 1e-6
+    pos = UniformDensity(WORKSPACE).sample(8, seed=908)
+    unit = equitable_weights(UniformDensity(WORKSPACE), pos, tol_mass=tol)
+    phi = UniformDensity(ConvexPolygon(scale * np.asarray(WORKSPACE.vertices)))
+    rho = equitable_weights(phi, scale * pos, tol_mass=tol)
+    masses = build_partition(phi, scale * pos, rho).masses
+    assert np.abs(masses - 1.0 / 8).max() <= tol
+    np.testing.assert_allclose(rho / scale, unit, rtol=0, atol=5e-6)
+
+
+def test_equitable_sixty_four_sites_within_a_hundred_diagrams(monkeypatch):
+    # 24 diagrams here and 20-37 on four other seeds (scipy 1.17.1); the
+    # bound leaves room for other scipy releases
+    phi = UniformDensity(WORKSPACE)
+    pos = phi.sample(64, seed=64)
+    built = counted_diagrams(monkeypatch)
+    rho = equitable_weights(phi, pos)
+    assert len(built) <= 100
+    assert np.abs(build_partition(phi, pos, rho).masses - 1.0 / 64).max() <= 1e-3
 
 
 def test_starved_warning_names_a_count_and_the_first_ten(caplog):
