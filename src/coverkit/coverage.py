@@ -11,7 +11,7 @@ on one another.
 
 Each public entry checks its input once (``_checked``); every partition is the one
 step ``_partition``: the power-cell kernel, which trusts that check, then ``cell_moments``.
-``equitable_weights`` runs L-BFGS-B on the equal-mass dual, one ``_partition`` a call.
+``equitable_weights`` runs L-BFGS-B on the equal-mass dual, DF-SANE where it stops short.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize, root
 
 from .density import MASS_EPS, MAX_LEVELS, DensityField, cell_moments
 # polygon_quadrature is not called here, but coverbench/tracing.py patches it
@@ -183,13 +184,12 @@ def equitable_weights(phi: DensityField, positions, tol_mass: float = 1e-3,
     """Power radii that split the density into equal-mass cells.
 
     L-BFGS-B over squared radii on the concave dual of Aurenhammer, Hoffmann and
-    Aronov (1998), whose gradient is 1/n minus the cell masses, until every mass is
-    within tol_mass of 1/n; NoConvergence if it stops short of that or needs more
-    than max_iters diagrams. The radii are shifted so the smallest is zero, which
-    leaves the diagram unchanged. Sites are checked once, before the first diagram.
+    Aronov (1998), whose gradient is 1/n minus the cell masses; where it stops short,
+    as a raster's jumping masses make its line search do, DF-SANE on the masses alone.
+    NoConvergence unless every mass ends within tol_mass of 1/n in at most max_iters
+    diagrams. Radii are shifted so the smallest is zero, which leaves the diagram
+    unchanged. Sites are checked once, before the first diagram.
     """
-    from scipy.optimize import minimize  # here, since no descent pipeline needs it
-
     check_positive(tol_mass, "tol_mass")
     check_count(max_iters, "max_iters")
     pos, _ = _checked(phi, positions, None, levels)
@@ -208,6 +208,14 @@ def equitable_weights(phi: DensityField, positions, tol_mass: float = 1e-3,
     # scipy's own limits never bind before the diagram count
     res = minimize(dual, np.zeros(n), jac=True, method="L-BFGS-B", options={
         "gtol": tol_mass, "ftol": 0.0, "maxfun": max_iters, "maxiter": max_iters})
-    if np.abs(res.jac).max() > tol_mass:
+    w, off = res.x, res.jac
+    if np.abs(off).max() > tol_mass:
+        # DF-SANE's spectral step is s.s / s.y, and y is 0 when a step moves no mass
+        with np.errstate(divide="ignore", invalid="ignore"):
+            res = root(lambda w: dual(w)[1], w, method="df-sane", options={
+                "fatol": tol_mass, "ftol": 0.0, "fnorm": lambda f: np.abs(f).max(),
+                "maxfev": max_iters})
+        w, off = res.x, res.fun
+    if np.abs(off).max() > tol_mass:
         raise NoConvergence(f"equitable weights did not reach tolerance {tol_mass}: {res.message}")
-    return np.sqrt(res.x - res.x.min())
+    return np.sqrt(w - w.min())

@@ -358,18 +358,24 @@ def test_accept_08_metric_axioms_and_entropic_accuracy():
 # ------------------------------------------------------------------ 09
 
 
-def test_accept_09_equitable_split():
-    worst = 0.0
+def accept_09_instances():
+    """Test 09's six (density, sites) pairs: uniform and mixture, N = 2, 4, 8."""
     for kind in ("uniform", "mixture"):
         for n in (2, 4, 8):
             rng = np.random.default_rng(900 + n)
             phi = (UniformDensity(WORKSPACE) if kind == "uniform"
                    else _random_mixture(rng, eig_range=(0.01, 0.03)))
-            pos = phi.sample(n, seed=900 + n)
-            radii = equitable_weights(phi, pos, tol_mass=2e-4)
-            part = build_partition(phi, pos, radii)
-            rel = float(np.abs(part.masses - 1.0 / n).max() * n)
-            worst = max(worst, rel)
+            yield phi, phi.sample(n, seed=900 + n)
+
+
+def test_accept_09_equitable_split():
+    worst = 0.0
+    for phi, pos in accept_09_instances():
+        n = len(pos)
+        radii = equitable_weights(phi, pos, tol_mass=2e-4)
+        part = build_partition(phi, pos, radii)
+        rel = float(np.abs(part.masses - 1.0 / n).max() * n)
+        worst = max(worst, rel)
     _verdict("09 equitable split", worst < 0.01,
              f"N in (2,4,8) on uniform and mixture targets: worst cell mass "
              f"off 1/N by {worst * 100:.3f}% (< 1%)")
