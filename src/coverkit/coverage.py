@@ -19,7 +19,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize, root
 
 from .density import MASS_EPS, MAX_LEVELS, DensityField, cell_moments
 # polygon_quadrature is not called here, but coverbench/tracing.py patches it
@@ -190,6 +189,9 @@ def equitable_weights(phi: DensityField, positions, tol_mass: float = 1e-3,
     diagrams. Radii are shifted so the smallest is zero, which leaves the diagram
     unchanged. Sites are checked once, before the first diagram.
     """
+    # here, not at the top: no descent calls this, so a descent run never loads scipy.optimize
+    from scipy.optimize import minimize, root
+
     check_positive(tol_mass, "tol_mass")
     check_count(max_iters, "max_iters")
     pos, _ = _checked(phi, positions, None, levels)

@@ -28,9 +28,9 @@ import scipy
 import yaml
 from scipy.spatial.distance import cdist
 
-from . import __version__, submod, swarm
-from . import assign as assign_mod
-from . import poi as poi_mod
+from . import __version__
+# each pipeline imports the assign, poi, submod or swarm module it runs, inside its
+# function, so a descent run never loads them or scipy.optimize
 # build_partition is not called here, but coverbench/tracing.py patches it
 # in this module
 from .coverage import build_partition, run_descent  # noqa: F401
@@ -48,8 +48,9 @@ UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 REQUIRED = object()  # a parameter default meaning: the config must set it
 
 
-class _ConfigLoader(yaml.SafeLoader):
-    """SafeLoader that also reads floats by the YAML 1.2 core-schema pattern.
+class _ConfigLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """SafeLoader, on libyaml's parser where PyYAML has it, that also reads floats
+    by the YAML 1.2 core-schema pattern.
 
     SafeLoader's YAML 1.1 pattern needs a dot and a signed exponent, so it
     reads 1e-6, 1e5 and 1.0e5 as strings, which the checks then refuse as
@@ -135,11 +136,11 @@ PARAM_CHECKS = {
 }
 
 
-# per service kind: its model, the one other field (the model's argument), test and message
+# per service kind: the one other field (the model's argument), its test and message
 SERVICES = {
-    "disk": (assign_mod.IsotropicService, "radius",
-             lambda r: _passes(check_positive, r, "radius"), "must be a positive finite number"),
-    "gaussian": (assign_mod.GaussianService, "covariance", lambda c: _passes(spd_cholesky, c),
+    "disk": ("radius", lambda r: _passes(check_positive, r, "radius"),
+             "must be a positive finite number"),
+    "gaussian": ("covariance", lambda c: _passes(spd_cholesky, c),
                  "must be a symmetric positive-definite 2x2"),
 }
 
@@ -240,7 +241,7 @@ def _check_agents(agents, pipeline, workspace, err) -> dict | None:
                 if not (isinstance(kind, str) and kind in SERVICES):
                     err(f"agents.services[{i}].kind", "must be disk or gaussian")
                     continue
-                _, key, test, message = SERVICES[kind]
+                key, test, message = SERVICES[kind]
                 for name in spec:
                     if name not in ("kind", key):
                         err(f"agents.services[{i}].{name}", f"unknown field for kind {kind}")
@@ -293,7 +294,8 @@ def validate(config_path) -> ValidationReport:
     """
     path = Path(config_path)
     try:
-        cfg = yaml.load(path.read_text(), Loader=_ConfigLoader)
+        # bytes, so that YAML detects UTF-8 or UTF-16 and refuses any other byte
+        cfg = yaml.load(path.read_bytes(), Loader=_ConfigLoader)
     except OSError as exc:
         return ValidationReport([{"field": "config", "message": str(exc)}])
     except yaml.YAMLError as exc:
@@ -359,12 +361,15 @@ def _build_density(spec: dict, workspace: ConvexPolygon, base: Path) -> DensityF
 def _build_services(specs, orientations: int, err) -> list:
     """Each service at the run's ``orientations`` angles, evenly spaced from 0;
     err under agents.services[i] for a footprint too small or thin to price."""
+    from .assign import GaussianService, IsotropicService
+
+    models = {"disk": IsotropicService, "gaussian": GaussianService}
     thetas = tuple(np.linspace(0.0, 2.0 * np.pi, orientations, endpoint=False))
     services = []
     for i, spec in enumerate(specs):
-        model, key, *_ = SERVICES[spec["kind"]]
+        kind = spec["kind"]
         try:
-            services.append(model(spec[key], orientations=thetas))
+            services.append(models[kind](spec[SERVICES[kind][0]], orientations=thetas))
         except ValueError as exc:
             err(f"agents.services[{i}]", str(exc))
     return services
@@ -430,6 +435,8 @@ def _run_lloyd(resolved, report: ValidationReport, out: Path) -> None:
 
 
 def _extract_pois(resolved, phi, workspace):
+    from . import poi as poi_mod
+
     params = resolved["params"]
     seed = resolved["seed"]
     if params["method"] == "svgd":
@@ -444,6 +451,8 @@ def _extract_pois(resolved, phi, workspace):
 
 
 def _run_poi_assign(resolved, report: ValidationReport, out: Path) -> None:
+    from . import assign as assign_mod
+
     params = resolved["params"]
     phi, workspace, models = report.density, report.workspace, report.services
     points, trace, gmm_fit = _extract_pois(resolved, phi, workspace)
@@ -476,6 +485,8 @@ def _run_poi_assign(resolved, report: ValidationReport, out: Path) -> None:
 
 
 def _run_submodular(resolved, report: ValidationReport, out: Path) -> None:
+    from . import assign as assign_mod, poi as poi_mod, submod
+
     params = resolved["params"]
     phi, workspace = report.density, report.workspace
     n = resolved["agents"]["n"]
@@ -508,6 +519,8 @@ def _run_submodular(resolved, report: ValidationReport, out: Path) -> None:
 
 
 def _run_swarm(resolved, report: ValidationReport, out: Path) -> None:
+    from . import swarm
+
     params = resolved["params"]
     phi, workspace = report.density, report.workspace
     run = swarm.run_reconfiguration(

@@ -19,7 +19,8 @@ the swarm step that solved a fresh assignment at every step, the SVG
 writer that mapped one point and wrote one element per Python call,
 the transportation LP solved by HiGHS' dual simplex, and the damped
 fixed-point ascent that found equal-mass power weights with a step of half
-the workspace area, halved after 50 stalled diagrams.
+the workspace area, halved after 50 stalled diagrams, and the config loader
+on PyYAML's pure-Python parser.
 Voronoi cell masses as a discrete measure have no caller in a pipeline
 either. None of these runs in a pipeline, so they live here and not in the
 package.
@@ -29,10 +30,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 import numpy as np
+import yaml
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import csr_matrix
 from scipy.spatial.distance import cdist
@@ -49,6 +52,16 @@ from coverkit.swarm import SwarmState, systematic_resample
 
 _FLOOR_REL = 1e-12
 SEARCH_CAP = 1_000_000
+
+
+class PyConfigLoader(yaml.SafeLoader):
+    """``runner._ConfigLoader`` on the pure-Python parser: SafeLoader plus the
+    YAML 1.2 core-schema float pattern."""
+
+
+PyConfigLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^(?:[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?"
+    r"|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN))$"), list("-+0123456789."))
 
 
 class SupportViolation(CoverkitError):

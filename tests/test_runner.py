@@ -25,6 +25,10 @@ from coverkit.geometry import ConvexPolygon
 from coverkit.render import render_scene
 from coverkit.runner import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, MAX_LEVELS, main, run,
                              validate)
+from coverbench import workloads
+
+from tests.conftest import REPO_ROOT
+from tests.oracles import PyConfigLoader
 
 
 def write_cfg(tmp_path, cfg, name="scenario.yaml"):
@@ -178,10 +182,13 @@ def test_yaml_syntax_error_is_reported_not_raised(tmp_path):
     assert report.errors[0]["field"] == "config"
 
 
-@pytest.mark.parametrize("literal, value", [
+FLOAT_LITERALS = [
     ("1e-6", 1e-6), ("1E-6", 1e-6), ("1e5", 1e5), (".5", 0.5), ("-1.5e+3", -1500.0),
     ("1.0e-6", 1e-6), ('"1e-6"', "1e-6"), ("1e", "1e"), ("e5", "e5"),
-])
+]
+
+
+@pytest.mark.parametrize("literal, value", FLOAT_LITERALS)
 def test_config_floats_follow_the_yaml_1_2_core_schema(tmp_path, literal, value):
     """PyYAML's YAML 1.1 floats need a dot and a signed exponent; configs
     read 1e-6 as a float all the same, and strings stay strings."""
@@ -197,6 +204,32 @@ def test_config_floats_follow_the_yaml_1_2_core_schema(tmp_path, literal, value)
     else:
         assert [(e["field"], e["message"]) for e in report.errors] == [
             ("params.tol", "must be a positive number")]
+
+
+def test_config_loader_parses_like_the_pure_python_oracle(tmp_path):
+    """libyaml's parser under the same resolver reads every shipped scenario,
+    every benchmark config and every float literal to equal values of equal types."""
+    assert issubclass(runner._ConfigLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    texts = [(REPO_ROOT / "scenarios" / name).read_bytes() for name in SHIPPED]
+    texts += [workloads.write_config(name, 7, tmp_path).read_bytes()
+              for name in workloads.NAMES]
+    texts += [f"tol: {literal}\n".encode() for literal, _ in FLOAT_LITERALS]
+    for text in texts:
+        ours = yaml.load(text, Loader=runner._ConfigLoader)
+        assert repr(ours) == repr(yaml.load(text, Loader=PyConfigLoader)), text
+
+
+def test_config_bytes_that_are_not_utf8_are_a_config_error(tmp_path):
+    body = yaml.safe_dump(lloyd_cfg()).encode()
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes("# caf\u00e9\n".encode("latin-1") + body)
+    report = validate(path)
+    assert [e["field"] for e in report.errors] == ["config"]
+    assert run(path, out=tmp_path / "out") == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+    # YAML detects UTF-16 by its byte order mark, whatever the locale's encoding
+    path.write_text("# caf\u00e9\n" + body.decode(), encoding="utf-16")
+    assert validate(path).ok
 
 
 def test_missing_config_file(tmp_path):
@@ -536,8 +569,6 @@ def test_cli_validate_rejects_bad_config(tmp_path, capsys):
 
 
 def test_shipped_scenarios_validate(tmp_path):
-    from tests.conftest import REPO_ROOT
-
     for name in ("lloyd_uniform.yaml", "four_modes_power.yaml", "poi_disks.yaml",
                  "greedy_sites.yaml", "swarm_portrait.yaml"):
         report = validate(REPO_ROOT / "scenarios" / name)
@@ -611,8 +642,6 @@ def numeric_leaves(node, keys=()):
 
 @pytest.mark.parametrize("scenario", SHIPPED)
 def test_every_non_finite_number_is_named_and_refused(tmp_path, scenario):
-    from tests.conftest import REPO_ROOT
-
     base = yaml.safe_load((REPO_ROOT / "scenarios" / scenario).read_text())
     if "path" in base["density"]:
         base["density"]["path"] = str(REPO_ROOT / "scenarios" / base["density"]["path"])
@@ -649,8 +678,6 @@ def all_nodes(node, keys=()):
 def test_every_node_of_the_wrong_type_is_refused_without_a_crash(tmp_path, monkeypatch,
                                                                  scenario):
     # a list or mapping as a service kind once raised TypeError: unhashable type
-    from tests.conftest import REPO_ROOT
-
     base = yaml.safe_load((REPO_ROOT / "scenarios" / scenario).read_text())
     if "path" in base["density"]:
         base["density"]["path"] = str(REPO_ROOT / "scenarios" / base["density"]["path"])
