@@ -11,17 +11,17 @@ A footprint is a reference polygon under the service's linear map, moved to
 the point of interest. The reference polygon is centrally symmetric, so the
 footprints at theta and theta + pi are one set: each service prices only the
 first orientation of each half-turn class, in listed order, and a disk only
-its first. A footprint whose inscribed radius reaches past every workspace
-vertex contains the workspace and is priced as the workspace, with no clip.
-Footprints that cross the workspace boundary are clipped and integrated with
-``polygon_quadrature`` (through ``cell_moments``); the rest reuse one
-``polygon_quadrature`` rule on the reference polygon, mapped affinely, so
-pricing them builds no triangulation at all; each orientation's mapped rule
-is built once and kept while pricing stays with the same service. One
-``footprint_cost`` call prices one site: every priced orientation of the
-service goes through one ``cell_moments`` call. Clipped or not, a
-footprint's nodes lie in the workspace, so they are integrated with no
-point-in-polygon test.
+its first. A footprint that reaches past every workspace vertex cuts the
+workspace instead of being cut by it, and one that contains the workspace is
+priced as the workspace. Other footprints that cross the workspace boundary
+are clipped and integrated with ``polygon_quadrature`` (through
+``cell_moments``); the rest reuse one ``polygon_quadrature`` rule on the
+reference polygon, mapped affinely, so pricing them builds no triangulation
+at all; each orientation's mapped rule is built once and kept while pricing
+stays with the same service. One ``footprint_cost`` call prices one site:
+every priced orientation of the service goes through one ``cell_moments``
+call. Clipped or not, a footprint's nodes lie in the workspace, so they are
+integrated with no point-in-polygon test.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .density import MAX_LEVELS, DensityField, cell_moments, polygon_quadrature, spd_cholesky
 from .errors import InfeasibleShape, NonFiniteCost, SiteOutsideWorkspace
-from .geometry import (EPS_GEO, ConvexPolygon, _edge_planes, check_count, check_points,
+from .geometry import (ConvexPolygon, _edge_planes, check_count, check_points,
                        check_positive, clip)
 
 FOOTPRINT_SIDES = 32
@@ -99,10 +99,11 @@ class _Service:
     def _check_footprint(self) -> None:
         """ValueError unless the footprint at the origin is a polygon (edges longer than
         EPS_GEO, not a sliver) at every orientation. Keeps each ring read-only with its
-        inscribed radius about the centre, and the orientations priced: the first of
-        each half-turn class in listed order, only the first for a disk. The reference
-        polygon is centrally symmetric, so theta and theta + pi give one footprint."""
-        self._rings, self._inradii = {}, {}
+        edge planes and its reach (largest vertex norm) about the centre, and the
+        orientations priced: the first of each half-turn class in listed order, only the
+        first for a disk. The reference polygon is centrally symmetric, so theta and
+        theta + pi give one footprint."""
+        self._rings, self._planes, self._reach = {}, {}, {}
         for theta in self.orientations:
             ring = self._ring(theta)
             try:
@@ -110,11 +111,8 @@ class _Service:
             except ValueError as exc:
                 raise ValueError(f"footprint is too small or too thin to price: {exc}") from None
             ring.flags.writeable = False
-            self._rings[theta] = ring
-            # the centre's distance to each edge line, through unit edge directions
-            # so that no product exceeds a vertex's own size
-            ux, uy = (poly._edges / poly._lengths[:, None]).T
-            self._inradii[theta] = float((uy * ring[:, 0] - ux * ring[:, 1]).min())
+            self._rings[theta], self._planes[theta] = ring, _edge_planes(poly)
+            self._reach[theta] = float(np.hypot(*ring.T).max())
         priced = []
         for theta in self.orientations[:1] if self.symmetric else self.orientations:
             if all(abs(math.remainder(theta - t, math.pi)) > _HALF_TURN_TOL for t in priced):
@@ -124,17 +122,27 @@ class _Service:
     def _quadrature(self, workspace: ConvexPolygon, center, theta: float, levels: int):
         """What ``cell_moments`` integrates for the footprint at one orientation.
 
-        A footprint that no workspace edge clips is the affine image of the
+        A footprint that reaches past every workspace vertex may be many times
+        the workspace's size, and cutting it to the workspace would cancel away
+        the digits of the price, so the workspace is cut by the footprint's
+        planes instead: the rule is the workspace itself when none binds. Any
+        other footprint that no workspace edge clips is the affine image of the
         reference polygon, so its rule is this service's mapped rule (see
-        ``_mapped_rules``) about the centre. Only a clipped remainder becomes
-        a polygon (None when nothing is left). ``theta`` must be one of the
+        ``_mapped_rules``) about the centre. Only a clipped remainder becomes a
+        polygon (None when nothing is left). ``theta`` must be one of the
         service's priced orientations.
         """
-        vertices = center + self._rings[theta]
-        part = clip(vertices, *_edge_planes(workspace))
-        if part is not vertices:
-            return None if part is None else ConvexPolygon(part)
-        return _mapped_rules(self, levels)[theta]
+        if self._reach[theta] > np.hypot(*(workspace.vertices - center).T).max():
+            normals, offsets = self._planes[theta]
+            part = clip(workspace.vertices, normals, offsets + normals @ center)
+            if part is workspace.vertices:
+                return workspace
+        else:
+            vertices = center + self._rings[theta]
+            part = clip(vertices, *_edge_planes(workspace))
+            if part is vertices:
+                return _mapped_rules(self, levels)[theta]
+        return None if part is None else ConvexPolygon(part)
 
 
 @functools.lru_cache(maxsize=1)
@@ -204,23 +212,21 @@ def footprint_cost(phi: DensityField, model, poi, levels: int = 2):
     For each priced orientation (the first of each half-turn class; only the
     first for a disk) the squared distance to the point is integrated
     against the density over the footprint clipped to the workspace; the
-    smallest value wins, first orientation on ties. A footprint whose inscribed
-    radius exceeds the point's distance to every workspace vertex by EPS_GEO
-    contains the workspace, so it is integrated over the workspace itself,
-    with no clip: cutting a footprint many times the workspace's size would
-    cancel away the digits of the price. A price that is not finite raises
-    NonFiniteCost.
+    smallest value wins, first orientation on ties. A footprint that reaches
+    past every workspace vertex is not cut to the workspace: the workspace is
+    cut by the footprint's edge planes, and a footprint that contains it is
+    integrated over the workspace itself. Cutting a footprint many times the
+    workspace's size would cancel away the digits of the price. A price that
+    is not finite raises NonFiniteCost.
     """
     check_count(levels, "levels", 0, MAX_LEVELS)
     center, = check_points(poi, "point of interest", rows=1)
     workspace = phi.workspace
     if not workspace.contains(center):
         raise SiteOutsideWorkspace("point of interest lies outside the workspace")
-    cover = np.hypot(*(workspace.vertices - center).T).max() + EPS_GEO
     thetas = model._priced
     with np.errstate(all="ignore"):
-        rules = [workspace if model._inradii[theta] > cover
-                 else model._quadrature(workspace, center, theta, levels) for theta in thetas]
+        rules = [model._quadrature(workspace, center, theta, levels) for theta in thetas]
         costs = cell_moments(phi, rules, np.broadcast_to(center, (len(rules), 2)), levels)[2]
     if not np.isfinite(costs).all():
         raise NonFiniteCost("footprint price is not finite")

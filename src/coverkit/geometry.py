@@ -317,13 +317,15 @@ def _power_neighbours(hull: ConvexHull | None, n: int) -> list[np.ndarray | None
     everyone = np.arange(n)
     if hull is None:
         return [np.delete(everyone, i) for i in range(n)]
-    tri = hull.simplices[hull.equations[:, 2] <= _VERTICAL]
-    edges = tri[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    pairs = np.unique(np.concatenate([edges, edges[:, ::-1]]), axis=0)
-    starts = np.searchsorted(pairs[:, 0], everyone)
-    ends = np.searchsorted(pairs[:, 0], everyone, side="right")
+    tri = hull.simplices[hull.equations[:, 2] <= _VERTICAL].astype(np.int64)
+    a, b = tri[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2).T
+    # each edge as the keys a*n + b and b*n + a: sorted, they list every site's
+    # neighbours in order, as a row-wise unique of the pairs would
+    site, other = np.divmod(np.unique(np.concatenate([a * n + b, b * n + a])), n)
+    starts = np.searchsorted(site, everyone)
+    ends = np.searchsorted(site, everyone, side="right")
     found: list[np.ndarray | None] = [
-        pairs[s:e, 1] if e > s else None for s, e in zip(starts, ends)]
+        other[s:e] if e > s else None for s, e in zip(starts, ends)]
     for i in hull.coplanar[:, 0]:
         found[i] = np.delete(everyone, i)
     return found

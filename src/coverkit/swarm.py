@@ -129,8 +129,8 @@ class SwarmRun:
     initial: np.ndarray
     final: SwarmState
     target: DiscreteMeasure
-    metrics: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)
+    metrics: list
+    snapshots: list
 
 
 def run_reconfiguration(phi_target: DensityField, n_agents: int, iters: int,
@@ -171,55 +171,31 @@ def run_reconfiguration(phi_target: DensityField, n_agents: int, iters: int,
     stop_displacement = STOP_FRACTION * workspace.diameter
 
     potentials = None  # the last measurement's, to warm-start the next
-
-    def sinkhorn_to_target(positions, wanted):
-        """The w2_sinkhorn and sinkhorn_* fields of one metric record."""
-        nonlocal potentials
-        if not wanted:
-            return {"w2_sinkhorn": None, "sinkhorn_iters": None,
-                    "sinkhorn_epsilon": None, "sinkhorn_residual": None}
-        mu = DiscreteMeasure(positions, np.full(len(positions), 1.0 / len(positions)))
-        value, plan = wasserstein_sinkhorn(mu, target, p=2, epsilon=epsilon,
-                                           init=potentials)
-        potentials = plan.potentials
-        return {"w2_sinkhorn": float(value), "sinkhorn_iters": plan.iterations,
-                "sinkhorn_epsilon": plan.epsilon, "sinkhorn_residual": plan.residual}
-
-    def want_metric(t, last):
-        if metric_every is None:
-            return False
-        if t == 0 or last:
-            return True
-        return metric_every > 0 and t % metric_every == 0
-
-    metrics = [{
-        "iteration": 0,
-        "mean_displacement": 0.0,
-        "w2_batch": None,
-        **sinkhorn_to_target(state.positions, want_metric(0, False)),
-    }]
-    snapshots = [(0, state.positions.copy())]
-
-    for t in range(1, iters + 1):
-        before = state.positions
-        state = transport_step(state, target, tau, batch, seed=int(master.integers(2 ** 31)))
-        displacement = float(np.mean(np.linalg.norm(state.positions - before, axis=1)))
-        stopping = displacement < stop_displacement or t == iters
-        metrics.append({
-            "iteration": t,
-            "mean_displacement": displacement,
-            "w2_batch": state.w2_estimate,
-            **sinkhorn_to_target(state.positions, want_metric(t, stopping)),
-        })
-        if snapshot_every > 0 and t % snapshot_every == 0:
+    metrics, snapshots = [], []
+    for t in range(iters + 1):
+        displacement = 0.0
+        if t:
+            before = state.positions
+            state = transport_step(state, target, tau, batch, seed=int(master.integers(2 ** 31)))
+            displacement = float(np.mean(np.linalg.norm(state.positions - before, axis=1)))
+        settled = 0 < t < iters and displacement < stop_displacement
+        last = settled or t == iters
+        record = {"iteration": t, "mean_displacement": displacement,
+                  "w2_batch": state.w2_estimate, "w2_sinkhorn": None, "sinkhorn_iters": None,
+                  "sinkhorn_epsilon": None, "sinkhorn_residual": None}
+        if metric_every is not None and (t == 0 or last or metric_every and t % metric_every == 0):
+            mu = DiscreteMeasure(state.positions, np.full(n_agents, 1.0 / n_agents))
+            value, plan = wasserstein_sinkhorn(mu, target, p=2, epsilon=epsilon,
+                                               init=potentials)
+            potentials = plan.potentials
+            record.update(w2_sinkhorn=float(value), sinkhorn_iters=plan.iterations,
+                          sinkhorn_epsilon=plan.epsilon, sinkhorn_residual=plan.residual)
+            del plan  # its coupling would stay alive through the next solve
+        metrics.append(record)
+        if t == 0 or last or snapshot_every and t % snapshot_every == 0:
             snapshots.append((t, state.positions.copy()))
-        if stopping:
-            if t < iters:
-                log.info("swarm settled after %d steps (mean displacement %.3g)",
-                         t, displacement)
+        if settled:
+            log.info("swarm settled after %d steps (mean displacement %.3g)", t, displacement)
             break
-
-    if snapshots[-1][0] != state.iteration:
-        snapshots.append((state.iteration, state.positions.copy()))
     return SwarmRun(initial=x0, final=state, target=target,
                     metrics=metrics, snapshots=snapshots)

@@ -10,7 +10,8 @@ footprint polygon, the rule built by broadcasting over the coordinate axis
 of stacked triangles, the edge-by-edge loops that tested points against a
 polygon and projected stray points onto it, the one-plane clip that built
 a polygon after every cut, with its ``HalfPlane``, the power cells clipped
-from every lifted-hull neighbour,
+from every lifted-hull neighbour, with those neighbours found by a row-wise
+unique of the hull's edge pairs,
 the cell moments built one polygon, one rule and one masked eval at a time,
 the edge planes recomputed from a region's vertices on every call, the
 ``intersect`` that made a ``ConvexPolygon`` of every clipped polygon, the
@@ -45,7 +46,7 @@ from coverkit.density import (MASS_EPS, RULE_BARY, RULE_WEIGHTS, DensityField,
                               DiscreteMeasure, GmmDensity, GridDensity, cell_moments,
                               polygon_quadrature)
 from coverkit.errors import CoverkitError, NoConvergence
-from coverkit.geometry import (EPS_GEO, ConvexPolygon, _lifted_hull, _power_neighbours,
+from coverkit.geometry import (_VERTICAL, EPS_GEO, ConvexPolygon, _lifted_hull,
                                check_count, check_positive, clip, project_into, ring_moments)
 from coverkit.render import AGENT_PALETTE, _band_color
 from coverkit.swarm import SwarmState, systematic_resample
@@ -521,6 +522,22 @@ def clip_planes(poly: ConvexPolygon, normals, offsets) -> ConvexPolygon | None:
     return poly
 
 
+def pair_power_neighbours(hull, n: int) -> list[np.ndarray | None]:
+    """``_power_neighbours`` by a row-wise ``np.unique`` over the (E, 2) edge pairs."""
+    everyone = np.arange(n)
+    if hull is None:
+        return [np.delete(everyone, i) for i in range(n)]
+    tri = hull.simplices[hull.equations[:, 2] <= _VERTICAL]
+    edges = tri[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    pairs = np.unique(np.concatenate([edges, edges[:, ::-1]]), axis=0)
+    starts = np.searchsorted(pairs[:, 0], everyone)
+    ends = np.searchsorted(pairs[:, 0], everyone, side="right")
+    found = [pairs[s:e, 1] if e > s else None for s, e in zip(starts, ends)]
+    for i in hull.coplanar[:, 0]:
+        found[i] = np.delete(everyone, i)
+    return found
+
+
 def neighbour_power_cells(workspace, points, weights):
     """Power cells by clipping the workspace with each site's lifted-hull
     neighbours' radical axes, one ``one_plane_clip`` at a time."""
@@ -528,7 +545,7 @@ def neighbour_power_cells(workspace, points, weights):
     w = np.asarray(weights, dtype=float)
     sq = (P * P).sum(axis=1)
     cells = []
-    for i, rivals in enumerate(_power_neighbours(_lifted_hull(P, w), len(P))):
+    for i, rivals in enumerate(pair_power_neighbours(_lifted_hull(P, w), len(P))):
         cell = None if rivals is None else workspace
         for j in rivals if rivals is not None else ():
             h = HalfPlane.from_direction(2.0 * (P[j] - P[i]), (sq[j] - sq[i]) - (w[j] - w[i]))

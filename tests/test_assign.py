@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -305,25 +306,60 @@ def test_footprint_covering_the_workspace_is_priced_as_the_workspace(name, phi):
 @pytest.mark.parametrize("center", [[0.5, 0.5], [0.3, 0.6], [0.05, 0.9]])
 def test_footprint_short_of_covering_the_workspace_is_clipped(monkeypatch, center):
     """A disk whose inscribed radius misses the covering distance by half of
-    EPS_GEO is clipped and matches the polygon oracle; one that clears it by
-    twice EPS_GEO is priced as the workspace."""
+    EPS_GEO matches the polygon oracle; one that clears it by twice EPS_GEO
+    hands ``cell_moments`` the workspace itself."""
     phi = GmmDensity(UNIT, *MIXTURE)
-    clips = []
-    cut = assign.clip
-    monkeypatch.setattr(assign, "clip", lambda *args: clips.append(1) or cut(*args))
+    rules = []
+    moments = assign.cell_moments
+    monkeypatch.setattr(assign, "cell_moments", lambda phi, entries, *rest: (
+        rules.append(entries) or moments(phi, entries, *rest)))
     covering = np.hypot(*(UNIT.vertices - center).T).max()
-    per_radius = IsotropicService(1.0)._inradii[0.0]
+    # the unit disk's least edge offset about its centre is its inscribed radius
+    per_radius = IsotropicService(1.0)._planes[0.0][1].min()
     for margin, clipped in ((0.5 * EPS_GEO, True), (2.0 * EPS_GEO, False)):
         model = IsotropicService((covering + margin) / per_radius)
-        assert (model._inradii[0.0] <= covering + EPS_GEO) == clipped
-        clips.clear()
         cost, _ = footprint_cost(phi, model, center)
-        assert bool(clips) == clipped
         if clipped:
             want, _ = polygon_footprint_cost(phi, model, center)
         else:
+            rule, = rules[-1]
+            assert rule is UNIT
             want = cell_moments(phi, [UNIT], np.array([center]), 2)[2][0]
         assert abs(cost - want) <= 1e-12 * want
+
+
+def band_price(center, half_width, axis):
+    """The squared distance to the centre integrated over the unit square's band
+    |q[axis] - center[axis]| <= half_width, under the uniform density."""
+    def moment(lo, hi, c):
+        return ((hi - c) ** 3 - (lo - c) ** 3) / 3.0
+    lo, hi = [0.0, 0.0], [1.0, 1.0]
+    lo[axis], hi[axis] = center[axis] - half_width, center[axis] + half_width
+    (x0, y0), (x1, y1) = lo, hi
+    return moment(x0, x1, center[0]) * (y1 - y0) + moment(y0, y1, center[1]) * (x1 - x0)
+
+
+@pytest.mark.parametrize("center", [(0.5, 0.5), (0.2, 0.7)])
+@pytest.mark.parametrize("variances, theta", [
+    ((1e40, 1e-4), 0.0), ((1e40, 1e-4), np.pi / 2), ((1e300, 1e-4), 0.0),
+    ((1e24, 1e-3), 0.0), ((1e24, 1e-3), np.pi / 2)],
+    ids=["1e40-0", "1e40-half-pi", "1e300-0", "1e24-0", "1e24-half-pi"])
+def test_huge_thin_footprint_prices_its_band(variances, theta, center):
+    """A 3-sigma ellipse far longer than the workspace and thinner than it
+    prices the band across the workspace that it covers."""
+    model = GaussianService(np.diag(variances), orientations=(theta,))
+    # the long axis lies along x at theta = 0 and along y at pi / 2
+    axis = 1 if theta == 0.0 else 0
+    want = band_price(center, 3.0 * math.sqrt(variances[1]), axis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cost, _ = footprint_cost(UniformDensity(UNIT), model, center)
+    assert abs(cost - want) <= 0.01 * want, (cost, want)
+
+
+def test_huge_thin_footprint_across_a_half_turn_stays_refused():
+    with pytest.raises(ValueError, match="too thin"):
+        GaussianService(np.diag([1e300, 1e-4]), orientations=(np.pi / 2,))
 
 
 # ------------------------------------------------------------- divergences

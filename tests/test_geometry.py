@@ -20,7 +20,7 @@ from coverkit.geometry import (
     separate,
 )
 from tests.oracles import (HalfPlane, clip_planes, edge_planes, intersect, loop_project_into,
-                           neighbour_power_cells, one_plane_clip)
+                           neighbour_power_cells, one_plane_clip, pair_power_neighbours)
 
 
 def unit_square():
@@ -594,6 +594,28 @@ def test_power_cells_match_all_pairs_oracle(case):
     for i, (a, b) in enumerate(zip(got, want)):
         if b is not None and i not in dual:
             np.testing.assert_array_equal(a.vertices, b.vertices)
+
+
+def assert_same_neighbours(sites, weights):
+    hull = _lifted_hull(np.asarray(sites, dtype=float), np.asarray(weights, dtype=float))
+    got = _power_neighbours(hull, len(sites))
+    want = pair_power_neighbours(hull, len(sites))
+    assert [None if g is None else g.tolist() for g in got] == \
+        [None if w is None else w.tolist() for w in want]
+
+
+@pytest.mark.parametrize("case", list(oracle_cases()), ids=lambda c: c[0])
+def test_power_neighbours_match_the_pair_oracle(case):
+    _, _, sites, weights = case
+    assert_same_neighbours(sites, weights)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_power_neighbours_match_the_pair_oracle_on_random_hulls(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 400))
+    assert_same_neighbours(rng.uniform(0.0, 1.0, size=(n, 2)),
+                           rng.uniform(-0.1, 0.1, n) * rng.uniform(0.0, 1.0) ** 2)
 
 
 def test_oracle_cases_reach_every_path():

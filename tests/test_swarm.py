@@ -220,6 +220,34 @@ def test_run_stops_once_the_swarm_settles():
     assert run.metrics[-1]["mean_displacement"] == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("metric_every", [None, 0, 1, 3])
+@pytest.mark.parametrize("snapshot_every", [0, 2])
+def test_a_run_of_no_steps_records_step_zero_once(metric_every, snapshot_every):
+    phi = UniformDensity(square())
+    run = run_reconfiguration(phi, 16, iters=0, seed=3, metric_every=metric_every,
+                              snapshot_every=snapshot_every)
+    assert run.final.iteration == 0
+    rec, = run.metrics
+    assert rec["iteration"] == 0 and rec["mean_displacement"] == 0.0
+    assert rec["w2_batch"] is None
+    assert (rec["w2_sinkhorn"] is None) == (metric_every is None)
+    (step, positions), = run.snapshots
+    assert step == 0
+    np.testing.assert_array_equal(positions, run.initial)
+
+
+def test_a_run_settling_on_a_snapshot_step_takes_it_once():
+    # the settling run of the test above, which settles on step 2
+    phi = UniformDensity(square())
+    run = run_reconfiguration(phi, n_agents=64, iters=50, tau=1.0, seed=2,
+                              metric_every=3, snapshot_every=2)
+    assert run.final.iteration == 2
+    assert [t for t, _ in run.snapshots] == [0, 2]
+    np.testing.assert_array_equal(run.snapshots[-1][1], run.final.positions)
+    measured = [rec["iteration"] for rec in run.metrics if rec["w2_sinkhorn"] is not None]
+    assert measured == [0, 2]
+
+
 def test_metric_cadence():
     phi = UniformDensity(square())
     never = run_reconfiguration(phi, 36, iters=4, tau=0.5, seed=5, metric_every=None)
