@@ -17,11 +17,11 @@ priced as the workspace. Other footprints that cross the workspace boundary
 are clipped and integrated with ``polygon_quadrature`` (through
 ``cell_moments``); the rest reuse one ``polygon_quadrature`` rule on the
 reference polygon, mapped affinely, so pricing them builds no triangulation
-at all; each orientation's mapped rule is built once and kept while pricing
-stays with the same service. One ``footprint_cost`` call prices one site:
-every priced orientation of the service goes through one ``cell_moments``
-call. Clipped or not, a footprint's nodes lie in the workspace, so they are
-integrated with no point-in-polygon test.
+at all (a raster, integrated exactly, takes them as polygons); each mapped
+rule is built once and kept while pricing stays with the same service. One
+``footprint_cost`` call prices one site: every priced orientation of the
+service goes through one ``cell_moments`` call. Clipped or not, a footprint's
+nodes lie in the workspace, so they are integrated with no point-in-polygon test.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ import math
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .density import MAX_LEVELS, DensityField, cell_moments, polygon_quadrature, spd_cholesky
+from .density import (MAX_LEVELS, DensityField, GridDensity, cell_moments, polygon_quadrature,
+                      spd_cholesky)
 from .errors import InfeasibleShape, NonFiniteCost, SiteOutsideWorkspace
 from .geometry import (ConvexPolygon, _edge_planes, check_count, check_points,
                        check_positive, clip)
@@ -128,9 +129,10 @@ class _Service:
         planes instead: the rule is the workspace itself when none binds. Any
         other footprint that no workspace edge clips is the affine image of the
         reference polygon, so its rule is this service's mapped rule (see
-        ``_mapped_rules``) about the centre. Only a clipped remainder becomes a
-        polygon (None when nothing is left). ``theta`` must be one of the
-        service's priced orientations.
+        ``_mapped_rules``) about the centre, and for levels None (a raster)
+        the footprint polygon. Only a clipped remainder becomes a polygon (None
+        when nothing is left). ``theta`` must be one of the service's priced
+        orientations.
         """
         if self._reach[theta] > np.hypot(*(workspace.vertices - center).T).max():
             normals, offsets = self._planes[theta]
@@ -140,7 +142,7 @@ class _Service:
         else:
             vertices = center + self._rings[theta]
             part = clip(vertices, *_edge_planes(workspace))
-            if part is vertices:
+            if part is vertices and levels is not None:
                 return _mapped_rules(self, levels)[theta]
         return None if part is None else ConvexPolygon(part)
 
@@ -225,8 +227,9 @@ def footprint_cost(phi: DensityField, model, poi, levels: int = 2):
     if not workspace.contains(center):
         raise SiteOutsideWorkspace("point of interest lies outside the workspace")
     thetas = model._priced
+    rule_levels = None if isinstance(phi, GridDensity) else levels
     with np.errstate(all="ignore"):
-        rules = [model._quadrature(workspace, center, theta, levels) for theta in thetas]
+        rules = [model._quadrature(workspace, center, theta, rule_levels) for theta in thetas]
         costs = cell_moments(phi, rules, np.broadcast_to(center, (len(rules), 2)), levels)[2]
     if not np.isfinite(costs).all():
         raise NonFiniteCost("footprint price is not finite")

@@ -11,7 +11,8 @@ on one another.
 
 Each public entry checks its input once (``_checked``); every partition is the one
 step ``_partition``: the power-cell kernel, which trusts that check, then ``cell_moments``.
-``equitable_weights`` runs L-BFGS-B on the equal-mass dual, DF-SANE where it stops short.
+``equitable_weights`` runs L-BFGS-B on the equal-mass dual. A raster's cells are
+integrated exactly, and ``levels`` does not apply to them.
 """
 from __future__ import annotations
 
@@ -182,15 +183,14 @@ def equitable_weights(phi: DensityField, positions, tol_mass: float = 1e-3,
                       max_iters: int = 10000, levels: int = 2) -> np.ndarray:
     """Power radii that split the density into equal-mass cells.
 
-    L-BFGS-B over squared radii on the concave dual of Aurenhammer, Hoffmann and
-    Aronov (1998), whose gradient is 1/n minus the cell masses; where it stops short,
-    as a raster's jumping masses make its line search do, DF-SANE on the masses alone.
-    NoConvergence unless every mass ends within tol_mass of 1/n in at most max_iters
-    diagrams. Radii are shifted so the smallest is zero, which leaves the diagram
-    unchanged. Sites are checked once, before the first diagram.
+    One L-BFGS-B call over squared radii on the concave dual of Aurenhammer, Hoffmann
+    and Aronov (1998), whose gradient is 1/n minus the cell masses. NoConvergence
+    unless every mass ends within tol_mass of 1/n in at most max_iters diagrams. Radii
+    are shifted so the smallest is zero, which leaves the diagram unchanged. Sites are
+    checked once, before the first diagram.
     """
     # here, not at the top: no descent calls this, so a descent run never loads scipy.optimize
-    from scipy.optimize import minimize, root
+    from scipy.optimize import minimize
 
     check_positive(tol_mass, "tol_mass")
     check_count(max_iters, "max_iters")
@@ -210,14 +210,6 @@ def equitable_weights(phi: DensityField, positions, tol_mass: float = 1e-3,
     # scipy's own limits never bind before the diagram count
     res = minimize(dual, np.zeros(n), jac=True, method="L-BFGS-B", options={
         "gtol": tol_mass, "ftol": 0.0, "maxfun": max_iters, "maxiter": max_iters})
-    w, off = res.x, res.jac
-    if np.abs(off).max() > tol_mass:
-        # DF-SANE's spectral step is s.s / s.y, and y is 0 when a step moves no mass
-        with np.errstate(divide="ignore", invalid="ignore"):
-            res = root(lambda w: dual(w)[1], w, method="df-sane", options={
-                "fatol": tol_mass, "ftol": 0.0, "fnorm": lambda f: np.abs(f).max(),
-                "maxfev": max_iters})
-        w, off = res.x, res.fun
-    if np.abs(off).max() > tol_mass:
+    if np.abs(res.jac).max() > tol_mass:
         raise NoConvergence(f"equitable weights did not reach tolerance {tol_mass}: {res.message}")
-    return np.sqrt(w - w.min())
+    return np.sqrt(res.x - res.x.min())

@@ -35,7 +35,7 @@ This module is the one home of the polygon and point helpers the other layers
 share: ``ConvexPolygon``, the one polygon test, which keeps its edges and
 edge planes, with ``contains`` for point-in-polygon tests; ``clip`` by
 ``_edge_planes(region)`` and ``ring_moments`` for cutting a raw vertex array
-(a footprint, a raster pixel) to a region and measuring what is left;
+(a footprint) to a region and measuring what is left;
 ``project_into`` for pulling stray points back inside, ``coincident_pairs``
 and ``check_sites`` for finding and rejecting points closer than ``EPS_GEO``,
 and ``separate`` for nudging such points apart. It also holds the one rule

@@ -15,7 +15,8 @@ unique of the hull's edge pairs,
 the cell moments built one polygon, one rule and one masked eval at a time,
 the edge planes recomputed from a region's vertices on every call, the
 ``intersect`` that made a ``ConvexPolygon`` of every clipped polygon, the
-raster normalisation that cut each boundary pixel as one,
+raster normalisation that cut each boundary pixel as one, grown into exact
+raster moments pixel by pixel,
 the swarm step that solved a fresh assignment at every step, the SVG
 writer that mapped one point and wrote one element per Python call,
 the transportation LP solved by HiGHS' dual simplex, and the damped
@@ -132,13 +133,17 @@ def broadcast_polygon_quadrature(rings, levels: int = 2) -> tuple[np.ndarray, np
 
 def loop_cell_moments(phi: DensityField, polys, centers, levels: int = 2):
     """``cell_moments`` one entry at a time: the stacked rule of one polygon
-    (P = 1) and one masked ``phi.eval`` per polygon."""
+    (P = 1) and one masked ``phi.eval`` per polygon, or for a raster's
+    polygon ``pixel_moments``."""
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
     masses = np.zeros(len(polys))
     centroids = centers.copy()
     costs = np.zeros(len(polys))
     for i, poly in enumerate(polys):
         if poly is None:
+            continue
+        if isinstance(phi, GridDensity) and isinstance(poly, ConvexPolygon):
+            (masses[i],), centroids[i], (costs[i],) = pixel_moments(phi, [poly], centers[i])
             continue
         if isinstance(poly, ConvexPolygon):
             pts, w = polygon_quadrature(poly.vertices[None], levels)
@@ -494,25 +499,56 @@ def intersect(poly: ConvexPolygon, region: ConvexPolygon) -> ConvexPolygon | Non
     return poly if v is poly.vertices else None if v is None else ConvexPolygon(v)
 
 
+def _pixel_sums(phi: GridDensity, poly: ConvexPolygon, center) -> tuple[float, np.ndarray, float]:
+    """The raw values' integrals of 1, q - center and |q - center|^2 over a
+    polygon: every pixel of the polygon's bounding box cut to it by
+    ``intersect``, and each piece's exact shoelace moments about the center
+    weighted by its pixel's value."""
+    xmin, _, _, ymax = phi.bbox
+    pxmin, pxmax, pymin, pymax = poly.bbox
+    cols = range(max(0, math.floor((pxmin - xmin) / phi.dx)),
+                 min(phi.nx, math.ceil((pxmax - xmin) / phi.dx)))
+    rows = range(max(0, math.floor((ymax - pymax) / phi.dy)),
+                 min(phi.ny, math.ceil((ymax - pymin) / phi.dy)))
+    sums = np.zeros(5)
+    for iy, ix in itertools.product(rows, cols):
+        x0, x1 = xmin + phi.dx * ix, xmin + phi.dx * (ix + 1)
+        y0, y1 = ymax - phi.dy * (iy + 1), ymax - phi.dy * iy
+        piece = intersect(ConvexPolygon([[x0, y0], [x1, y0], [x1, y1], [x0, y1]]), poly)
+        if piece is None:
+            continue
+        x, y = (piece.vertices - center).T
+        xn, yn = np.roll(x, -1), np.roll(y, -1)
+        cross = x * yn - xn * y
+        sums += phi.values[iy, ix] * np.array([
+            cross.sum() / 2.0, ((x + xn) * cross).sum() / 6.0, ((y + yn) * cross).sum() / 6.0,
+            ((x * x + x * xn + xn * xn) * cross).sum() / 12.0,
+            ((y * y + y * yn + yn * yn) * cross).sum() / 12.0])
+    return sums[0], sums[1:3], sums[3] + sums[4]
+
+
+def pixel_moments(phi: GridDensity, polys, centers):
+    """``cell_moments`` of a raster's polygons pixel by pixel (see
+    ``_pixel_sums``): exact up to rounding, and independent of the row-prefix
+    boundary integrals that ``GridDensity._moments`` takes."""
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    masses = np.zeros(len(polys))
+    centroids = centers.copy()
+    costs = np.zeros(len(polys))
+    for i, poly in enumerate(polys):
+        if poly is None:
+            continue
+        mass, first, cost = _pixel_sums(phi, poly, centers[i])
+        masses[i] = phi._norm * mass
+        costs[i] = phi._norm * cost
+        if masses[i] >= MASS_EPS:
+            centroids[i] = centers[i] + first / mass
+    return masses, centroids, costs
+
+
 def pixel_loop_norm(phi: GridDensity) -> float:
-    """A raster's normalising factor with every boundary pixel a
-    ``ConvexPolygon`` cut to the workspace by ``intersect``."""
-    xmin, xmax, _, ymax = phi.bbox
-    xs = xmin + phi.dx * np.arange(phi.nx + 1)
-    ys = ymax - phi.dy * np.arange(phi.ny + 1)
-    gx, gy = np.meshgrid(xs, ys)
-    corners = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    inside = phi.workspace.contains(corners).reshape(phi.ny + 1, phi.nx + 1)
-    full = inside[:-1, :-1] & inside[:-1, 1:] & inside[1:, :-1] & inside[1:, 1:]
-    areas = np.where(full, phi.dx * phi.dy, 0.0)
-    for iy, ix in zip(*np.nonzero(~full)):
-        x0, x1 = xs[ix], xs[ix + 1]
-        y0, y1 = ys[iy + 1], ys[iy]
-        pix = intersect(ConvexPolygon([[x0, y0], [x1, y0], [x1, y1], [x0, y1]]),
-                        phi.workspace)
-        if pix is not None:
-            areas[iy, ix] = pix.area
-    return 1.0 / float((phi.values * areas).sum())
+    """A raster's normalising factor: one over its pixel-by-pixel mass over W."""
+    return 1.0 / _pixel_sums(phi, phi.workspace, np.zeros(2))[0]
 
 
 def clip_planes(poly: ConvexPolygon, normals, offsets) -> ConvexPolygon | None:

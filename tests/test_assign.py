@@ -16,7 +16,8 @@ from coverkit.errors import (CoverkitError, InfeasibleShape, NonFiniteCost,
                              SiteOutsideWorkspace)
 from coverkit.geometry import EPS_GEO, ConvexPolygon
 
-from tests.oracles import SupportViolation, intersect, kl_divergence, polygon_footprint_cost
+from tests.oracles import (SupportViolation, intersect, kl_divergence, pixel_moments,
+                           polygon_footprint_cost)
 
 UNIT = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -196,6 +197,26 @@ def test_footprint_cost_matches_polygon_oracle(levels, workspace):
             assert_matches_polygon_oracle(phi, model, center, levels)
             seen += unclipped(phi, model, center)
     # both routes were taken
+    assert any(seen) and not all(seen)
+
+
+@pytest.mark.parametrize("workspace", [UNIT, PENTAGON], ids=["square", "pentagon"])
+def test_footprint_on_a_raster_matches_the_pixel_oracle(workspace):
+    # a raster prices every footprint as a polygon, integrated exactly, never
+    # through the mapped reference rule
+    phi = GridDensity(workspace, np.random.default_rng(81).uniform(0.0, 3.0, (23, 31)))
+    rng = np.random.default_rng(80)
+    seen = []
+    for _ in range(6):
+        center = rng.uniform(0.0, 1.0, 2)
+        if not workspace.contains(center):
+            continue
+        for model in random_models(rng, twinned_orientations(rng)):
+            cost, _ = footprint_cost(phi, model, center)
+            polys = [intersect(model.footprint(center, t), workspace) for t in model._priced]
+            want = pixel_moments(phi, polys, np.broadcast_to(center, (len(polys), 2)))[2]
+            assert cost == pytest.approx(want.min(), rel=1e-12, abs=0)
+            seen += unclipped(phi, model, center)
     assert any(seen) and not all(seen)
 
 

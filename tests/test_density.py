@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from coverkit.assign import GaussianService, IsotropicService
+from coverkit.coverage import build_partition
 from coverkit.density import (
     EVAL_NODES,
     MASS_EPS,
@@ -30,8 +31,8 @@ from coverkit.errors import CoverkitError, EvalOutsideSupport, InvalidDensity, N
 from coverkit.geometry import EPS_GEO, ConvexPolygon, power_cells
 
 from tests.oracles import (einsum_eval, einsum_grad_log, fan_quadrature, floor_value, integrate,
-                           loop_cell_moments, pixel_loop_norm, point_major_grad_log,
-                           point_major_raw)
+                           loop_cell_moments, pixel_loop_norm, pixel_moments,
+                           point_major_grad_log, point_major_raw)
 
 
 def unit_square():
@@ -325,19 +326,52 @@ def test_grid_mass_on_a_random_workspace_equals_the_pixel_polygon_loop(seed):
     ws = ConvexPolygon(rng.uniform(0.3, 0.7, 2)
                        + rng.uniform(0.1, 0.5, 2) * np.column_stack([np.cos(ang), np.sin(ang)]))
     phi = GridDensity(ws, rng.uniform(0.0, 3.0, size=tuple(rng.integers(3, 41, 2))))
-    assert phi._norm == pixel_loop_norm(phi)
+    assert phi._norm == pytest.approx(pixel_loop_norm(phi), rel=1e-12, abs=0)
 
 
-def test_grid_refuses_boundary_pixels_no_wider_than_eps_geo():
-    # clip drops every cut remainder of a pixel 1e-9 wide as a sliver, so
-    # this mass would come out about 500 times too small
+def test_grid_pixels_no_wider_than_eps_geo_get_their_exact_mass():
+    # clipping each cut pixel 1e-9 wide to the sliver would drop its remainder
+    # as a sliver, and the mass would come out about 500 times too small; the
+    # boundary integral cuts no pixel, so it takes these rasters too
     sliver = ConvexPolygon([[0.0, 0.0], [1e-6, 0.0], [0.0, 1.0]])
-    with pytest.raises(InvalidDensity, match="grid pixels of .* are too small to clip"):
-        GridDensity(sliver, np.ones((1, 1000)))
-    # no pixel of a raster over a rectangle is cut, so none is too small
+    phi = GridDensity(sliver, np.ones((1, 1000)))
+    assert phi._norm * sliver.area == pytest.approx(1.0, rel=1e-12)
     strip = ConvexPolygon([[0.0, 0.0], [1e-6, 0.0], [1e-6, 1.0], [0.0, 1.0]])
     phi = GridDensity(strip, np.ones((2, 1000)))
     assert phi._norm * strip.area == pytest.approx(1.0, rel=1e-12)
+
+
+RASTERS = {
+    "portrait": lambda path: from_pgm(path, unit_square()),
+    # float values on a raster over the triangle's bounding box, away from the origin
+    "triangle": lambda path: GridDensity(
+        ConvexPolygon([[1.05, 2.1], [1.9, 2.2], [1.4, 2.95]]),
+        np.random.default_rng(7).uniform(0.0, 3.0, (37, 23))),
+}
+
+
+@pytest.mark.parametrize("raster", RASTERS)
+@pytest.mark.parametrize("n", [3, 16])
+def test_raster_cell_moments_match_the_pixel_oracle(portrait_path, raster, n):
+    phi = RASTERS[raster](portrait_path)
+    rng = np.random.default_rng(n)
+    sites = phi.sample(n, seed=n)
+    cells = power_cells(phi.workspace, sites, rng.uniform(0.0, 0.02, n) * phi.workspace.area)
+    got = cell_moments(phi, cells, sites, 2)
+    want = pixel_moments(phi, cells, sites)
+    for x, y in zip(got, want):
+        np.testing.assert_allclose(x, y, rtol=1e-12, atol=0)
+    assert got[0].sum() == pytest.approx(1.0, rel=0, abs=1e-12)
+
+
+def test_two_cell_masses_sum_to_one_as_their_weights_sweep(portrait_path):
+    # sampled at nodes that move with the cells, these sums read 0.974-1.023
+    phi = from_pgm(portrait_path, unit_square())
+    sites = np.array([[0.3, 0.45], [0.65, 0.6]])
+    for diff in np.linspace(-0.3, 0.3, 61):
+        radii = np.sqrt([max(diff, 0.0), max(-diff, 0.0)])
+        masses = build_partition(phi, sites, radii).masses
+        assert masses.sum() == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
 def test_grid_grad_log_on_exponential_raster():
@@ -598,7 +632,10 @@ def test_cell_moments_matches_per_polygon_oracle(kind):
     assert any(poly is None for poly in polys)
 
     masses, centroids, costs = cell_moments(phi, polys, centers, 2)
-    for i, (mass, centroid, cost) in enumerate(moments_oracle(phi, polys, centers, 2)):
+    # a raster's polygons are integrated exactly, so its oracle is pixel by pixel
+    want = (zip(*pixel_moments(phi, polys, centers)) if kind == "grid"
+            else moments_oracle(phi, polys, centers, 2))
+    for i, (mass, centroid, cost) in enumerate(want):
         assert masses[i] == pytest.approx(mass, rel=1e-12, abs=1e-300)
         np.testing.assert_allclose(centroids[i], centroid, rtol=1e-12, atol=0)
         assert costs[i] == pytest.approx(cost, rel=1e-12, abs=1e-300)
@@ -718,8 +755,12 @@ def test_unmasked_moments_equal_masked_loop_oracle(kind):
 
     got = cell_moments(phi, polys, centers, 2)
     want = loop_cell_moments(phi, polys, centers, 2)
+    # a raster's polygons take no nodes: they are integrated exactly, and their
+    # oracle is pixel by pixel, to rounding; every sampled entry keeps its bits
+    exact = np.array([kind == "grid" and isinstance(p, ConvexPolygon) for p in polys])
     for x, y in zip(got, want):
-        np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(x[~exact], y[~exact])
+        np.testing.assert_allclose(x[exact], y[exact], rtol=1e-12, atol=0)
 
 
 QUERY_KINDS = {
