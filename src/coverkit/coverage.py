@@ -210,6 +210,10 @@ def equitable_weights(phi: DensityField, positions, tol_mass: float = 1e-3,
     # scipy's own limits never bind before the diagram count
     res = minimize(dual, np.zeros(n), jac=True, method="L-BFGS-B", options={
         "gtol": tol_mass, "ftol": 0.0, "maxfun": max_iters, "maxiter": max_iters})
-    if np.abs(res.jac).max() > tol_mass:
-        raise NoConvergence(f"equitable weights did not reach tolerance {tol_mass}: {res.message}")
+    worst = float(np.abs(res.jac).max())
+    if worst > tol_mass:
+        # scipy may give no reason after its status, as in "ABNORMAL: "
+        raise NoConvergence(
+            f"equitable weights did not reach tolerance {tol_mass}: largest mass error "
+            f"{worst:.3g} after {built} diagrams ({res.message.rstrip(': ')})")
     return np.sqrt(res.x - res.x.min())

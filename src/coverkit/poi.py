@@ -229,7 +229,7 @@ def svgd(phi: DensityField, n_particles: int, bandwidth_policy="median",
 
     x = phi.sample(n_particles, seed)
     upper = np.triu(np.ones((n_particles, n_particles), dtype=bool), 1)
-    shift = 0.0
+    before = x  # the positions the last sweep started from
     for _ in range(iters):
         d2 = cdist(x, x, "sqeuclidean")
         h = _bandwidth(d2, upper, bandwidth_policy, floor)
@@ -244,8 +244,8 @@ def svgd(phi: DensityField, n_particles: int, bandwidth_policy="median",
         if separated is not moved:
             log.debug("separated %d merged particles",
                       int((separated != moved).any(axis=1).sum()))
-        shift = float(np.linalg.norm(separated - x, axis=1).mean())
-        x = separated
+        before, x = x, separated
+    shift = float(np.linalg.norm(x - before, axis=1).mean())
     log.debug("stein descent finished: mean particle shift %.3g on last sweep", shift)
     check_sites(x, phi.workspace)
     return x

@@ -14,6 +14,12 @@ for the old positions stays optimal for every point along those rays, so
 solving it again would return the same pairs. A step whose projection
 into the workspace moved an agent leaves the rays, and the next step
 solves afresh.
+
+A fresh assignment is solved on a dual-reduced cost C - f (+) g with the
+same optimal assignments as C, on which the exact solver's augmenting paths
+are short (see transport). Agents that share a coordinate, coincident ones
+among them, can tie exactly over distinct targets, and the reduced cost may
+break such a tie otherwise, so they are matched on C as it stands.
 """
 
 from __future__ import annotations
@@ -23,14 +29,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .density import DensityField, DiscreteMeasure, UniformDensity, discretize
 from .errors import SiteOutsideWorkspace
 from .geometry import (ConvexPolygon, check_count, check_points, check_positive,
                        check_weights, project_into)
-from .transport import wasserstein_sinkhorn
+from .transport import _matching, wasserstein_sinkhorn
 
 log = logging.getLogger(__name__)
 
@@ -91,6 +96,13 @@ def transport_step(state: SwarmState, target: DiscreteMeasure, tau: float,
     ones it was made for; the returned state carries its matching when the
     batch was full and no agent had to be projected back into the
     workspace.
+
+    A fresh assignment, solved on the dual-reduced cost of the module
+    docstring, matches the points that linear_sum_assignment on the plain
+    cost matches, so positions and w2_estimate keep those bits. The exception
+    is a near-tie between agents with distinct coordinates: where two
+    assignments to distinct points total the same within the rounding of the
+    cost, either route may take either one.
     """
     tau = check_positive(tau, "tau", at_most=1.0)
     check_count(seed, "seed", 0)
@@ -108,8 +120,7 @@ def transport_step(state: SwarmState, target: DiscreteMeasure, tau: float,
         matched = made[2]
     else:
         draws = target.points[systematic_resample(target.weights, batch)]
-        _, cols = linear_sum_assignment(cdist(src, draws, "sqeuclidean"))
-        matched = draws[cols]
+        matched = draws[_matching(cdist(src, draws, "sqeuclidean"), src)]
     # the squared distances of cdist, summed in the same order
     objective = float(((src - matched) ** 2).sum(axis=1).sum())
     moved = state.positions.copy()

@@ -594,8 +594,9 @@ def neighbour_power_cells(workspace, points, weights):
 
 def assignment_transport_step(state: SwarmState, target: DiscreteMeasure, tau: float,
                               batch: int | None = None, seed: int = 0) -> SwarmState:
-    """``transport_step`` with a fresh ``linear_sum_assignment`` at every step,
-    whatever matching the state carries; the returned state carries none."""
+    """``transport_step`` with a fresh ``linear_sum_assignment`` on the plain
+    cost at every step, whatever matching the state carries; the returned
+    state carries none."""
     n = len(state)
     batch = n if batch is None else int(batch)
     rng = np.random.default_rng(seed)

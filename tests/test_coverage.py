@@ -5,6 +5,7 @@ machinery at all: label a dense grid by power distance and sum.
 """
 import itertools
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -415,6 +416,20 @@ def test_equitable_reports_no_convergence(monkeypatch):
     with pytest.raises(NoConvergence):
         equitable_weights(phi, pos, tol_mass=1e-12, max_iters=200)
     assert len(built) <= 200
+
+
+def test_equitable_no_convergence_names_the_mass_error_and_the_diagrams(monkeypatch):
+    # on test 09's N = 2 mixture at 1e-8 L-BFGS-B's line search ends abnormally
+    # (scipy 1.17.1), and scipy's message ends at "ABNORMAL: "
+    phi, pos = list(accept_09_instances())[3]
+    built = counted_diagrams(monkeypatch)
+    with pytest.raises(NoConvergence) as caught:
+        equitable_weights(phi, pos, tol_mass=1e-8)
+    found = re.search(r"largest mass error (\S+) after (\d+) diagrams \((.+)\)$",
+                      str(caught.value))
+    assert found is not None, str(caught.value)
+    assert float(found[1]) > 1e-8 and int(found[2]) == len(built) > 0
+    assert found[3] and not found[3].endswith(":")
 
 
 def test_equitable_stops_short_on_a_flat_dual_within_two_hundred_diagrams(monkeypatch):

@@ -298,6 +298,16 @@ def test_svgd_seed_determinism():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("iters", [0, 1, 7])
+def test_svgd_logs_the_mean_shift_of_its_last_sweep(caplog, iters):
+    phi = gauss_phi([0.5, 0.5], 0.02)
+    with caplog.at_level(logging.DEBUG, logger="coverkit.poi"):
+        last = svgd(phi, 12, step=0.01, iters=iters, seed=3)
+    before = svgd(phi, 12, step=0.01, iters=max(iters - 1, 0), seed=3)
+    record, = [r for r in caplog.records if "last sweep" in r.message]
+    assert record.args == (float(np.linalg.norm(last - before, axis=1).mean()),)
+
+
 def test_svgd_zero_iters_reports_median_bandwidth():
     phi = UniformDensity(UNIT)
     out = svgd(phi, 20, iters=0, seed=4)

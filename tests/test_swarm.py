@@ -1,13 +1,15 @@
 """Swarm transport steps and reconfiguration runs."""
 
 import dataclasses
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from coverkit import swarm
-from coverkit.density import DiscreteMeasure, GmmDensity, UniformDensity, from_pgm
+from coverkit.density import DiscreteMeasure, GmmDensity, UniformDensity, discretize, from_pgm
 from coverkit.errors import SiteOutsideWorkspace
 from coverkit.geometry import ConvexPolygon
 from coverkit.swarm import (
@@ -377,13 +379,13 @@ def test_reused_matching_equals_fresh_assignments_on_the_portrait(monkeypatch,
 
 def _count_assignments(monkeypatch):
     calls = []
-    solve = swarm.linear_sum_assignment
+    solve = swarm._matching
 
-    def counted(cost):
+    def counted(cost, sources):
         calls.append(cost.shape)
-        return solve(cost)
+        return solve(cost, sources)
 
-    monkeypatch.setattr(swarm, "linear_sum_assignment", counted)
+    monkeypatch.setattr(swarm, "_matching", counted)
     return calls
 
 
@@ -457,3 +459,78 @@ def test_a_matching_stays_with_the_positions_it_was_made_for(monkeypatch):
     state.positions[[0, 1]] = state.positions[[1, 0]]
     _step_pair(state, target)
     assert len(calls) == 3
+
+
+# ------------------------------------------- the reduced-cost matching
+
+@pytest.mark.parametrize("n", [16, 36, 100, 600, 2000])
+def test_fresh_steps_match_the_cold_route(n, portrait_path):
+    # run_reconfiguration's portrait target, whose draws repeat atoms, and
+    # scattered distinct targets; full and partial batches
+    k = max(2, math.isqrt(n))
+    portrait = discretize(from_pgm(portrait_path, square()), k, k)
+    for seed in range(3 if n < 2000 else 1):
+        rng = np.random.default_rng(seed)
+        state = SwarmState(rng.uniform(size=(n, 2)), square())
+        scattered = DiscreteMeasure(rng.uniform(size=(n, 2)), np.full(n, 1.0 / n))
+        for target in (portrait, scattered):
+            _step_pair(state, target)
+            _step_pair(state, target, batch=max(1, n // 3), seed=seed)
+
+
+@pytest.mark.parametrize("k", [4, 6, 10])
+def test_lattice_agents_match_the_cold_route(k):
+    state = SwarmState(grid_measure(k).points, square())
+    lattice = grid_measure(k)
+    shifted = DiscreteMeasure(lattice.points + 0.13 / k, lattice.weights)
+    coarse = grid_measure(k // 2)
+    weighted = DiscreteMeasure(coarse.points, np.arange(1.0, len(coarse) + 1) / 10.0)
+    for target in (lattice, shifted, weighted):
+        _step_pair(state, target)
+        _step_pair(state, target, batch=k * k // 2, seed=k)
+
+
+def test_coincident_agents_match_the_cold_route(portrait_path):
+    x = np.random.default_rng(3).uniform(size=(100, 2))
+    x[1::4] = x[::4]
+    state = SwarmState(x, square())
+    for target in (grid_measure(10), discretize(from_pgm(portrait_path, square()), 10, 10)):
+        _step_pair(state, target)
+        _step_pair(state, target, batch=50, seed=2)
+
+
+def test_rounded_agents_match_the_cold_route():
+    # agents on a 0.01 grid share coordinates and tie exactly over the 6 x 6
+    # grid (here rows 2, 17, 30 and 31): they are solved on the plain cost
+    x = np.round(np.random.default_rng(6).uniform(size=(36, 2)), 2)
+    _step_pair(SwarmState(x, square()), grid_measure(6))
+
+
+def _exact_total(src, matched):
+    return sum((Fraction(a) - Fraction(b)) ** 2
+               for a, b in zip(src.ravel().tolist(), matched.ravel().tolist()))
+
+
+def test_near_ties_between_distinct_agents_differ_only_within_rounding():
+    # agents on a 0.01 grid with no coordinate shared take the reduced cost,
+    # and their assignments over the 6 x 6 grid tie within rounding: there the
+    # two routes may take different sides, whose exact totals differ by far
+    # less than the rounding of one cost entry per agent
+    target = grid_measure(6)
+    ticks = (np.arange(100) + 0.5) / 100
+    bound = 36 * np.finfo(float).eps * 2.0
+    differ = 0
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        x = np.stack([rng.choice(ticks, 36, replace=False),
+                      rng.choice(ticks, 36, replace=False)], axis=1)
+        state = SwarmState(x, square())
+        fast = transport_step(state, target, tau=1.0)
+        slow = assignment_transport_step(state, target, tau=1.0)
+        if np.array_equal(fast.positions, slow.positions):
+            assert fast.w2_estimate == slow.w2_estimate
+            continue
+        differ += 1
+        gap = _exact_total(x, fast.positions) - _exact_total(x, slow.positions)
+        assert abs(gap) <= bound
+    assert differ  # 4 of these 50 here: seeds 25, 26, 38 and 47

@@ -12,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
 from coverkit import transport
@@ -374,6 +376,48 @@ def test_plan_reports_its_route(route):
     else:
         _, plan = wasserstein_exact(mu, nu, p=2)
     assert plan.route == route
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_assignment_route_equals_a_solve_on_the_plain_cost(p, monkeypatch):
+    rng = np.random.default_rng(11)
+    pairs = [(rand_measure(rng, n, uniform=True), rand_measure(rng, n, uniform=True))
+             for n in (1, 5, 40, 300)]
+    reduced = [wasserstein_exact(mu, nu, p) for mu, nu in pairs]
+    monkeypatch.setattr(transport, "_matching",
+                        lambda cost, sources: linear_sum_assignment(cost)[1])
+    for (mu, nu), (value, plan) in zip(pairs, reduced):
+        cold_value, cold_plan = wasserstein_exact(mu, nu, p)
+        assert value == cold_value
+        np.testing.assert_array_equal(plan.coupling, cold_plan.coupling)
+
+
+def test_matching_reduces_the_cost_unless_sources_share_a_coordinate(monkeypatch):
+    temperatures = []
+    stage = transport._sinkhorn_stage
+
+    def counted(cost, loga, logb, f, g, eps, budget, tol):
+        temperatures.append((eps, budget, tol))
+        return stage(cost, loga, logb, f, g, eps, budget, tol)
+
+    monkeypatch.setattr(transport, "_sinkhorn_stage", counted)
+    rng = np.random.default_rng(2)
+    x, y = rng.uniform(size=(30, 2)), rng.uniform(size=(30, 2))
+    cost = cdist(x, y, "sqeuclidean")
+    reduced = cost.copy()
+    cols = transport._matching(reduced, x)
+    np.testing.assert_array_equal(cols, linear_sum_assignment(cost)[1])
+    scale = cost.mean()
+    assert temperatures == [(0.1 * scale, 10, 0.0), (0.025 * scale, 10, 0.0)]
+    assert (reduced >= 0.0).all() and (reduced.min(axis=1) == 0.0).all()
+    # a shared coordinate, or a cost of zero mean, is solved as it stands
+    x[3, 0] = x[7, 0]
+    plain = cdist(x, y, "sqeuclidean")
+    kept = plain.copy()
+    transport._matching(kept, x)
+    np.testing.assert_array_equal(kept, plain)
+    assert transport._matching(np.zeros((1, 1)), np.zeros((1, 2))).tolist() == [0]
+    assert len(temperatures) == 2
 
 
 def test_sinkhorn_epsilon_validation():
