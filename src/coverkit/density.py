@@ -19,16 +19,18 @@ the same bits two to three times slower.
 
 ``cell_moments`` is the one place where polygons meet the density: every
 per-cell mass, centroid and locational cost in the toolkit (Lloyd cells,
-equitable weights, footprint prices) comes from it. It groups
+equitable weights, footprint prices) comes from it, and so does the
+workspace mass that ``DensityField.__init__`` normalizes by. It groups
 its polygons by vertex count and builds their rules stacked, or takes ready
 ones: ``assign`` builds one rule per level for a reference footprint and
 hands over its affine image for every footprint that the workspace does not
 clip. Its nodes lie in the workspace by construction, so each slab of about
 ``EVAL_NODES`` nodes takes one unmasked evaluation (no point-in-polygon
 test, unlike the public ``eval``) and one row-wise reduction to masses,
-centroids and costs. The Gaussian mixture evaluates one component at a
-time, each as a contiguous row of n values computed in place into reused
-buffers, and adds the rows in order.
+first moments about each centre and costs; a raster's polygons get the same
+three from ``GridDensity._moments``. The Gaussian mixture evaluates one
+component at a time, each as a contiguous row of n values computed in place
+into reused buffers, and adds the rows in order.
 ``spd_cholesky`` is the one covariance check.
 """
 from __future__ import annotations
@@ -40,8 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EvalOutsideSupport, InvalidDensity, NoConvergence
-from .geometry import (EVAL_NODES, ConvexPolygon, _float_array, check_count, check_points,
-                       check_weights, ring_moments)
+from .geometry import (EVAL_NODES, ConvexPolygon, _float_array, _grid_centers, check_count,
+                       check_points, check_weights, ring_moments)
 # clip is not called here, but coverbench/tracing.py patches it in this module
 from .geometry import clip  # noqa: F401
 
@@ -149,22 +151,18 @@ class DensityField:
     """
 
     def __init__(self, workspace: ConvexPolygon):
+        """Scale to unit mass over the workspace, integrated by ``cell_moments``
+        once a subclass has set up the state its ``_raw`` reads; InvalidDensity
+        when the mass is not positive or so small that its reciprocal overflows."""
         self.workspace = workspace
         self._norm = 1.0
-
-    def _raw(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _normalize(self, levels: int = 2) -> None:
-        pts, w = polygon_quadrature(self.workspace.vertices[None], levels)
-        self._set_mass(float(w[0] @ self._raw(pts[0])))
-
-    def _set_mass(self, total: float) -> None:
-        """Scale to unit mass; InvalidDensity when the mass is not positive or
-        so small that its reciprocal overflows."""
+        total = float(cell_moments(self, [workspace], np.zeros((1, 2)))[0][0])
         if not (total > 0 and math.isfinite(1.0 / total)):
             raise InvalidDensity("density integrates to zero over the workspace")
         self._norm = 1.0 / total
+
+    def _raw(self, pts: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
     @staticmethod
     def _query(q) -> tuple[np.ndarray, bool]:
@@ -212,10 +210,6 @@ class DensityField:
 class UniformDensity(DensityField):
     """Constant density 1/area(W) on the workspace."""
 
-    def __init__(self, workspace: ConvexPolygon):
-        super().__init__(workspace)
-        self._normalize()
-
     def _raw(self, pts):
         return np.ones(len(pts))
 
@@ -234,7 +228,6 @@ class GmmDensity(DensityField):
     """Gaussian mixture density restricted to the workspace."""
 
     def __init__(self, workspace: ConvexPolygon, weights, means, covariances):
-        super().__init__(workspace)
         self.weights = check_weights(weights, error=InvalidDensity)
         if not (self.weights > 0).all():
             raise InvalidDensity("mixture weights must be positive")
@@ -246,7 +239,7 @@ class GmmDensity(DensityField):
         self._chol = np.stack([spd_cholesky(c) for c in covs])
         self._inv = np.stack([np.linalg.inv(c) for c in covs])
         self._logdet = np.array([2.0 * np.log(np.diag(L)).sum() for L in self._chol])
-        self._normalize()
+        super().__init__(workspace)
 
     def _components(self, pts):
         """Each component's weighted density at (n, 2) points as one row of n
@@ -322,7 +315,6 @@ class GridDensity(DensityField):
     """
 
     def __init__(self, workspace: ConvexPolygon, values):
-        super().__init__(workspace)
         vals = _float_array(values, InvalidDensity, "grid values must be finite in a 2-d array")
         if vals.ndim != 2 or vals.size == 0:
             raise InvalidDensity("grid values must be a 2-d array")
@@ -341,7 +333,7 @@ class GridDensity(DensityField):
         self._up, k = vals[::-1], np.arange(self.nx, dtype=float)
         terms = self._up * np.stack([np.ones(self.nx), 2 * k + 1, 3 * k * (k + 1) + 1])[:, None]
         self._prefix = np.concatenate((np.zeros((3, self.ny, 1)), terms.cumsum(axis=2)), axis=2)
-        self._set_mass(float(self._moments(workspace.vertices[None], np.zeros((1, 2)))[0, 0]))
+        super().__init__(workspace)
 
     def _moments(self, rings: np.ndarray, origins: np.ndarray) -> np.ndarray:
         """Exact integrals of the raw values times (1, x, y, x^2, y^2) over a (P, V, 2) stack
@@ -515,6 +507,8 @@ def cell_moments(phi: DensityField, polys, centers, levels: int = 2):
 
     A raster's polygons are integrated exactly (``GridDensity._moments``) and
     ``levels`` does not apply to them; its ready rules are sampled as usual.
+    Either way each entry yields its mass m, first moments S about its center
+    and cost, and its centroid is center + S / m.
 
     Every entry must lie in phi's workspace W (to EPS_GEO): power cells and
     footprints clipped by W's edge planes (``clip``), or that no plane cuts,
@@ -524,10 +518,11 @@ def cell_moments(phi: DensityField, polys, centers, levels: int = 2):
     beyond W. ``coverage.build_partition`` integrates only the power cells it
     builds itself.
 
-    Other entries are grouped by vertex count (polygons) or node count
-    (rules) and handled in slabs of whole entries with about EVAL_NODES
-    nodes: one stacked ``polygon_quadrature``, one density evaluation and one
-    row-wise reduction per slab. Each row reduces as one polygon alone would.
+    Entries are grouped by vertex count (polygons) or node count (rules).
+    A raster's polygon group is one slab; other groups are handled in slabs
+    of whole entries with about EVAL_NODES nodes: one stacked
+    ``polygon_quadrature``, one density evaluation and one row-wise
+    reduction per slab. Each row reduces as one polygon alone would.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
     masses = np.zeros(len(polys))
@@ -539,35 +534,35 @@ def cell_moments(phi: DensityField, polys, centers, levels: int = 2):
             ring = isinstance(poly, ConvexPolygon)
             groups.setdefault((ring, len(poly.vertices if ring else poly[1])), []).append(i)
     for (ring, size), members in groups.items():
-        if ring and isinstance(phi, GridDensity):
-            idx = np.asarray(members)
-            rings = np.stack([polys[i].vertices for i in idx])
-            mom = phi._norm * phi._moments(rings, centers[idx])
-            masses[idx], costs[idx] = np.maximum(mom[:, 0], 0.0), mom[:, 3] + mom[:, 4]
-            heavy = mom[:, 0] >= MASS_EPS
-            centroids[idx[heavy]] += mom[heavy, 1:3] / mom[heavy, :1]
-            continue
-        per_slab = max(1, EVAL_NODES // (12 * 4 ** levels * size if ring else size))
+        exact = ring and isinstance(phi, GridDensity)
+        per_slab = (len(members) if exact else
+                    max(1, EVAL_NODES // (12 * 4 ** levels * size if ring else size)))
         for start in range(0, len(members), per_slab):
-            idx = members[start:start + per_slab]
+            idx = np.asarray(members[start:start + per_slab])
             if ring:
-                pts, w = polygon_quadrature(np.stack([polys[i].vertices for i in idx]), levels)
-                offsets = _rowwise(np.subtract, pts, centers[idx])
+                rings = np.stack([polys[i].vertices for i in idx])
+            if exact:
+                mom = phi._norm * phi._moments(rings, centers[idx])
+                mass, first, cost = mom[:, 0], mom[:, 1:3], mom[:, 3] + mom[:, 4]
             else:
-                offsets = np.stack([polys[i][0] for i in idx])
-                w = np.stack([polys[i][1] for i in idx])
-                pts = _rowwise(np.add, offsets, centers[idx])
-            wv = w * (phi._norm * phi._raw(pts.reshape(-1, 2))).reshape(w.shape)
-            # squared distances coordinate by coordinate: the bits of a sum over
-            # the last axis, with no reduction over an axis of length 2
-            ox, oy = offsets[..., 0], offsets[..., 1]
-            kernel = ox * ox + oy * oy
-            mass = wv.sum(axis=1)
-            costs[idx] = (wv[:, None, :] @ kernel[:, :, None])[:, 0, 0]
-            masses[idx] = np.maximum(mass, 0.0)
+                if ring:
+                    pts, w = polygon_quadrature(rings, levels)
+                    offsets = _rowwise(np.subtract, pts, centers[idx])
+                else:
+                    offsets = np.stack([polys[i][0] for i in idx])
+                    w = np.stack([polys[i][1] for i in idx])
+                    pts = _rowwise(np.add, offsets, centers[idx])
+                wv = w * (phi._norm * phi._raw(pts.reshape(-1, 2))).reshape(w.shape)
+                # squared distances coordinate by coordinate: the bits of a sum over
+                # the last axis, with no reduction over an axis of length 2
+                ox, oy = offsets[..., 0], offsets[..., 1]
+                kernel = ox * ox + oy * oy
+                mass = wv.sum(axis=1)
+                first = (wv[:, None, :] @ offsets)[:, 0, :]
+                cost = (wv[:, None, :] @ kernel[:, :, None])[:, 0, 0]
+            masses[idx], costs[idx] = np.maximum(mass, 0.0), cost
             heavy = mass >= MASS_EPS
-            centroids[np.asarray(idx)[heavy]] = (
-                (wv[heavy, None, :] @ pts[heavy])[:, 0, :] / mass[heavy, None])
+            centroids[idx[heavy]] += first[heavy] / mass[heavy, None]
     return masses, centroids, costs
 
 
@@ -588,12 +583,7 @@ def discretize(phi: DensityField, nx: int, ny: int) -> DiscreteMeasure:
     """
     check_count(nx, "nx", 2, error=InvalidDensity)
     check_count(ny, "ny", 2, error=InvalidDensity)
-    xmin, xmax, ymin, ymax = phi.workspace.bbox
-    dx, dy = (xmax - xmin) / nx, (ymax - ymin) / ny
-    cx = xmin + (np.arange(nx) + 0.5) * dx
-    cy = ymin + (np.arange(ny) + 0.5) * dy
-    gx, gy = np.meshgrid(cx, cy)
-    centers = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    centers, dx, dy = _grid_centers(phi.workspace, nx, ny)
     ox, oy = np.meshgrid(_GL_X * dx, _GL_X * dy)
     offsets = np.stack([ox.ravel(), oy.ravel()], axis=1)
     w9 = np.outer(_GL_W, _GL_W).ravel()

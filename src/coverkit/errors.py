@@ -26,7 +26,8 @@ class NonMonotoneDescent(CoverkitError):
 
 
 class NoConvergence(CoverkitError):
-    """An iterative solver hit its iteration cap before reaching tolerance."""
+    """An iterative solver hit its iteration cap before reaching tolerance,
+    or the transport LP found no optimal plan."""
 
 
 class NonFiniteCost(CoverkitError, ValueError):

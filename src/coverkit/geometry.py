@@ -35,7 +35,8 @@ This module is the one home of the polygon and point helpers the other layers
 share: ``ConvexPolygon``, the one polygon test, which keeps its edges and
 edge planes, with ``contains`` for point-in-polygon tests; ``clip`` by
 ``_edge_planes(region)`` and ``ring_moments`` for cutting a raw vertex array
-(a footprint) to a region and measuring what is left;
+(a footprint) to a region and measuring what is left; ``_grid_centers``
+for the cell centres of a grid over a region's bounding box;
 ``project_into`` for pulling stray points back inside, ``coincident_pairs``
 and ``check_sites`` for finding and rejecting points closer than ``EPS_GEO``,
 and ``separate`` for nudging such points apart. It also holds the one rule
@@ -152,6 +153,15 @@ def ring_moments(rings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     centroid = np.stack([((x + xn) * cross).sum(axis=1) / (6.0 * area),
                          ((y + yn) * cross).sum(axis=1) / (6.0 * area)], axis=-1)
     return area, centroid
+
+
+def _grid_centers(region: ConvexPolygon, nx: int, ny: int) -> tuple[np.ndarray, float, float]:
+    """Centres of an nx-by-ny grid of cells over region's bbox as (nx ny, 2)
+    rows, x fastest from the lower left, and the cell width dx and height dy."""
+    xmin, xmax, ymin, ymax = region.bbox
+    dx, dy = (xmax - xmin) / nx, (ymax - ymin) / ny
+    gx, gy = np.meshgrid(xmin + (np.arange(nx) + 0.5) * dx, ymin + (np.arange(ny) + 0.5) * dy)
+    return np.stack([gx.ravel(), gy.ravel()], axis=1), dx, dy
 
 
 def clip(vertices: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray | None:

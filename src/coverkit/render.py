@@ -18,7 +18,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .geometry import ConvexPolygon, check_count, check_points, check_radii
+from .geometry import ConvexPolygon, _grid_centers, check_count, check_points, check_radii
 
 AGENT_PALETTE = ("#d1495b", "#00798c", "#edae49", "#6a4c93",
                  "#2e933c", "#e26d5c", "#5f0f40", "#386fa4")
@@ -80,13 +80,7 @@ def _circle(x: float, y: float, r: float, attrs: str) -> str:
 
 def _append_density_bands(canvas: SvgCanvas, phi, workspace: ConvexPolygon,
                           bands: int, resolution: int, clip: str) -> None:
-    xmin, xmax, ymin, ymax = workspace.bbox
-    dx = (xmax - xmin) / resolution
-    dy = (ymax - ymin) / resolution
-    cx = xmin + (np.arange(resolution) + 0.5) * dx
-    cy = ymin + (np.arange(resolution) + 0.5) * dy
-    gx, gy = np.meshgrid(cx, cy)
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    pts, dx, dy = _grid_centers(workspace, resolution, resolution)
     vals = np.asarray(phi.eval(pts), dtype=float).reshape(resolution, resolution)
     top = vals.max()
     if top <= 0:
@@ -102,6 +96,7 @@ def _append_density_bands(canvas: SvgCanvas, phi, workspace: ConvexPolygon,
     iy, first = np.nonzero(starts)
     stop = np.nonzero(ends)[1] + 1
     colors = [_band_color(level, bands) for level in range(bands)]
+    xmin, _, ymin, _ = workspace.bbox
     # each run is a rect from its lower-left corner: the top-left corner
     # goes to the screen, and the size is scaled and padded by 0.4 px
     sx, sy = canvas.map(np.stack([xmin + first * dx, ymin + iy * dy + dy], axis=1))

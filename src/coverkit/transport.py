@@ -137,7 +137,8 @@ def _transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     HiGHS' interior-point method with its default crossover, so the plan is
     a vertex as the simplex method would return. It is several times faster
     on the thin instances of check_w2_identity (a few agents against a fine
-    grid), where the dual simplex is slow.
+    grid), where the dual simplex is slow. NoConvergence, with the solver's
+    message, when HiGHS reports no optimal plan.
     """
     m, k = cost.shape
     b = b * (a.sum() / b.sum())
@@ -152,7 +153,7 @@ def _transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
                   bounds=(0, None), method="highs-ipm",
                   options={"primal_feasibility_tolerance": 1e-10})
     if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
+        raise NoConvergence(f"transport LP failed: {res.message}")
     return np.maximum(res.x, 0.0).reshape(m, k)
 
 

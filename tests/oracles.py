@@ -157,7 +157,7 @@ def loop_cell_moments(phi: DensityField, polys, centers, levels: int = 2):
         costs[i] = wv @ (offsets ** 2).sum(axis=1)
         masses[i] = max(mass, 0.0)
         if mass >= MASS_EPS:
-            centroids[i] = wv @ pts / mass
+            centroids[i] = centers[i] + wv @ offsets / mass
     return masses, centroids, costs
 
 

@@ -258,6 +258,11 @@ def test_polygon_rejects_duplicate_vertices():
         ConvexPolygon([[0, 0], [0, 0], [1, 0], [1, 1]])
 
 
+def test_polygon_rejects_fewer_than_three_vertices():
+    with pytest.raises(ValueError, match="need at least 3"):
+        ConvexPolygon([[0, 0], [1, 0]])
+
+
 @pytest.mark.parametrize("ring", [[[0, 0], [1, 0], [2, 0]], [[0, 0], [1, 0], [0.5, 1e-10]]],
                          ids=["collinear", "sliver"])
 def test_polygon_rejects_zero_area(ring):
@@ -350,6 +355,15 @@ def test_separate_spreads_a_merged_cluster_and_leaves_the_rest():
     np.testing.assert_array_equal(out[[0, 5, 7]], pts[[0, 5, 7]])
     assert np.abs(out - pts).max() < 1e-5
     np.testing.assert_array_equal(separate(sq, pts), out)  # deterministic
+
+
+def test_separate_in_a_workspace_too_thin_for_a_spot_raises():
+    # both points sit at the centroid, so the spots run along +x, across the
+    # 1e-8 width in steps of 1e-6: every one lies outside
+    strip = ConvexPolygon([[0, 0], [1e-8, 0], [1e-8, 1], [0, 1]])
+    pts = np.array([strip.centroid] * 2)
+    with pytest.raises(DuplicateSites, match="no free spot"):
+        separate(strip, pts)
 
 
 def test_separate_returns_the_same_array_when_nothing_coincides():

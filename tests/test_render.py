@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coverkit.coverage import build_partition
-from coverkit.density import GmmDensity, UniformDensity, from_pgm
+from coverkit.density import GmmDensity, GridDensity, UniformDensity, from_pgm
 from coverkit.geometry import ConvexPolygon
 from coverkit.render import render_scene
 from tests.oracles import loop_render_scene
@@ -162,6 +162,18 @@ def test_bands_and_resolution_match_the_loop_writer(tmp_path, bands, resolution)
     phi = two_mode_phi(w)
     assert_same_bytes(tmp_path, phi, w, bands=bands, resolution=resolution,
                       **full_scene(phi, w))
+
+
+def test_density_that_no_band_sample_hits_draws_no_bands_and_no_outlines(tmp_path):
+    # the 128-grid samples fall on pixel lines of the 256 raster, and each
+    # reads the pixel after the line, never pixel [0, 0]
+    w = square()
+    values = np.zeros((256, 256))
+    values[0, 0] = 1.0
+    phi = GridDensity(w, values)
+    assert_same_bytes(tmp_path, phi, w, cells=[None, None])
+    svg = (tmp_path / "got.svg").read_text()
+    assert svg.count("<rect") == 1 and svg.count("<polygon") == 1
 
 
 @pytest.mark.parametrize("name", ["bands", "resolution"])

@@ -194,6 +194,16 @@ def test_interior_point_lp_matches_the_simplex_oracle():
         assert float((plan * cost).sum()) == float((oracle * cost).sum())
 
 
+def test_failed_lp_raises_no_convergence_with_the_solver_message(monkeypatch):
+    class Failed:
+        success, message = False, "iteration limit reached"
+
+    monkeypatch.setattr(transport, "linprog", lambda *args, **kwargs: Failed())
+    rng = np.random.default_rng(5)
+    with pytest.raises(NoConvergence, match="^transport LP failed: iteration limit reached$"):
+        wasserstein_exact(rand_measure(rng, 12), rand_measure(rng, 12), p=2)
+
+
 def test_size_limit():
     rng = np.random.default_rng(8)
     mu = DiscreteMeasure(rng.uniform(0, 1, (2001, 2)), np.ones(2001))
