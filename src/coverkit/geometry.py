@@ -10,7 +10,8 @@ a cell from that one hull:
   whose lower facets close a fan around it has a bounded cell: its copies,
   sorted by angle about their mean in one ``lexsort`` over all sites. When
   every vertex lies in the workspace and the ring is a proper polygon, the
-  cell is finished with no clip.
+  cell is finished with no clip. The rings are checked as (P, V, 2) stacks,
+  one ``_ring_rule`` call per vertex count.
 - Neighbour clip. A cell that crosses the workspace, or belongs to a site on
   the sites' 2-D hull (an open fan, an unbounded cell), is the workspace
   clipped by the radical axes of the site's power neighbours: the sites it
@@ -25,34 +26,37 @@ cannot build the hull (collinear sites, or cocircular sites with equal
 weights), or when qhull lists a site as coplanar with a facet, no cell takes
 the dual route; a coplanar site, and every site when there is no hull, is
 clipped against all other sites, the plain O(N^2) construction. A site's
-half-planes are stacked in increasing index order of its competitors and cut
-in one ``clip`` call, the one clipper: it cuts a raw (V, 2) vertex array by
-a (K, 2) stack of unit normals and K offsets, so only the finished cell
-becomes a ``ConvexPolygon``. ``power_cells_from_weights`` is the kernel, which
-trusts its caller's sites and weights; ``power_cells`` is the entry that checks them.
+half-planes are stacked in increasing index order of its competitors, and
+``_clip_rows`` cuts the workspace by every clipped site's stack at once, the
+k-th plane of each in one array pass, with the arithmetic of ``clip``, the
+clipper for one raw (V, 2) vertex array and a (K, 2) stack of unit normals
+and K offsets. Only the finished cells become ``ConvexPolygon``s, again one
+``_ring_rule`` call per vertex count, and every cell has the bits that one
+``ConvexPolygon`` or one ``clip`` per cell gives it. ``power_cells_from_weights``
+is the kernel, which trusts its caller's sites and weights; ``power_cells`` is
+the entry that checks them.
 
 This module is the one home of the polygon and point helpers the other layers
-share: ``ConvexPolygon``, the one polygon test, which keeps its edges and
-edge planes, with ``contains`` for point-in-polygon tests; ``clip`` by
-``_edge_planes(region)`` and ``ring_moments`` for cutting a raw vertex array
-(a footprint) to a region and measuring what is left; ``_grid_centers``
-for the cell centres of a grid over a region's bounding box;
-``project_into`` for pulling stray points back inside, ``coincident_pairs``
-and ``check_sites`` for finding and rejecting points closer than ``EPS_GEO``,
-and ``separate`` for nudging such points apart. It also holds the one rule
-per kind of input that public entry points apply once per call:
-``check_points``, ``check_weights``, ``check_positive`` (scalars),
-``check_count`` and ``check_radii`` (power radii). Each owns its shape.
+share: ``ConvexPolygon``, the one polygon test (``_ring_rule``, for one ring
+or a stack), which keeps its edges and edge planes, with ``contains`` for
+point-in-polygon tests; ``clip`` by ``_edge_planes(region)`` and
+``ring_moments`` for cutting a raw vertex array (a footprint) to a region and
+measuring what is left; ``_grid_centers`` for the cell centres of a grid over
+a region's bounding box; ``project_into`` for pulling stray points back
+inside, ``coincident_pairs`` (a k-d tree) and ``check_sites`` for finding and
+rejecting points closer than ``EPS_GEO``, and ``separate`` for nudging such
+points apart. It also holds the one rule per kind of input that public entry
+points apply once per call: ``check_points``, ``check_weights``,
+``check_positive`` (scalars), ``check_count`` and ``check_radii`` (power
+radii). Each owns its shape.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
-from scipy.spatial.distance import pdist
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import DuplicateSites, SiteOutsideWorkspace
 
@@ -65,33 +69,33 @@ EVAL_NODES = 8192
 # a lifted-hull facet whose outward normal has |z| <= _VERTICAL is vertical:
 # it bounds no cell, but its edges still join neighbours
 _VERTICAL = 1e-12
+# what ConvexPolygon raises for each check of _ring_rule, in the order it applies them
+_RING_FAULTS = ("vertices must be finite", "need at least 3 two-dimensional vertices",
+                "duplicate consecutive vertices",
+                "vertices must be convex in counter-clockwise order",
+                "vertices must enclose an area above EPS_GEO times the longest edge")
+# a merge gap this close to EPS_GEO, relatively, is left to math.dist (see _merge_rows)
+_GAP_DOUBT = 1e-9
 
 
 class ConvexPolygon:
     """Convex polygon with counter-clockwise vertices (used for W and every cell).
 
-    It must not be a sliver: see ``_has_area``, which ``clip`` applies too.
-    It keeps the edges its checks compute (and ``_edge_planes``' planes), so
-    the vertices must not change after construction.
+    Its checks are ``_ring_rule``'s. It must not be a sliver: see
+    ``_has_area``, which ``clip`` applies too. It keeps the edges its checks
+    compute (and ``_edge_planes``' planes), so the vertices must not change
+    after construction.
     """
 
     __slots__ = ("vertices", "_edges", "_lengths", "_planes")
 
     def __init__(self, vertices):
         v = check_points(vertices, "vertices")
-        if len(v) < 3:
-            raise ValueError("need at least 3 two-dimensional vertices")
-        edges = np.concatenate((v[1:], v[:1])) - v
-        lengths = np.hypot(edges[:, 0], edges[:, 1])
-        if (lengths <= EPS_GEO).any():
-            raise ValueError("duplicate consecutive vertices")
-        nxt = np.concatenate((edges[1:], edges[:1]))
-        cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
-        if (cross < -EPS_GEO).any():
-            raise ValueError("vertices must be convex in counter-clockwise order")
-        if not _has_area(v):
-            raise ValueError("vertices must enclose an area above EPS_GEO times the longest edge")
-        self.vertices, self._edges, self._lengths, self._planes = v, edges, lengths, None
+        fails, edges, lengths = _ring_rule(v[None])
+        for message, failed in zip(_RING_FAULTS, fails):
+            if failed[0]:
+                raise ValueError(message)
+        self.vertices, self._edges, self._lengths, self._planes = v, edges[0], lengths[0], None
 
     def __repr__(self):
         return f"ConvexPolygon({self.vertices.tolist()})"
@@ -155,6 +159,45 @@ def ring_moments(rings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return area, centroid
 
 
+def _ring_rule(rings: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """``ConvexPolygon``'s checks on each row of a (P, V, 2) stack of rings.
+
+    In order: finite vertices, at least 3 of them, edges longer than EPS_GEO,
+    turns of at least -EPS_GEO, and ``_has_area``. Returns, per check, a
+    (P,) array that is True on the rows that fail it, so that the first
+    check a row fails names the message (see ``_RING_FAULTS``), with the
+    (P, V, 2) edges and (P, V) edge lengths, each row computed as it would
+    be alone.
+    """
+    finite = np.isfinite(rings).all(axis=(1, 2))
+    if not finite.all():
+        rings = np.where(finite[:, None, None], rings, 0.0)
+    nxt = np.concatenate((rings[:, 1:], rings[:, :1]), axis=1)
+    edges = nxt - rings
+    lengths = np.hypot(edges[..., 0], edges[..., 1])
+    turn = np.concatenate((edges[:, 1:], edges[:, :1]), axis=1)
+    cross = edges[..., 0] * turn[..., 1] - edges[..., 1] * turn[..., 0]
+    fails = (~finite, np.full(len(rings), rings.shape[1] < 3),
+             (lengths <= EPS_GEO).any(axis=1), (cross < -EPS_GEO).any(axis=1),
+             ~_has_area(rings, nxt, lengths))
+    return fails, edges, lengths
+
+
+def _polygons(rings: np.ndarray) -> list[ConvexPolygon | None]:
+    """Each row of a (P, V, 2) stack as a ``ConvexPolygon`` that keeps
+    ``_ring_rule``'s edges when it passes the rule, None when it does not."""
+    fails, edges, lengths = _ring_rule(rings)
+    polys: list[ConvexPolygon | None] = []
+    for r, bad in enumerate(np.logical_or.reduce(fails).tolist()):
+        poly = None
+        if not bad:
+            poly = object.__new__(ConvexPolygon)
+            poly.vertices, poly._edges, poly._lengths, poly._planes = \
+                rings[r], edges[r], lengths[r], None
+        polys.append(poly)
+    return polys
+
+
 def _grid_centers(region: ConvexPolygon, nx: int, ny: int) -> tuple[np.ndarray, float, float]:
     """Centres of an nx-by-ny grid of cells over region's bbox as (nx ny, 2)
     rows, x fastest from the lower left, and the cell width dx and height dy."""
@@ -171,9 +214,10 @@ def clip(vertices: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.n
     normals n_k and K offsets c_k. A plane binds unless every vertex lies
     within EPS_GEO of its side. After each binding cut, a vertex within
     EPS_GEO of the last one kept is dropped, and so is the last vertex when
-    it is that close to the first. Returns the input array itself when no
-    plane binds, None once what is left has fewer than three vertices or is
-    a sliver (see ``_has_area``), and otherwise the remaining vertices.
+    it is that close to the first (``_merge``). Returns the input array
+    itself when no plane binds, None once what is left has fewer than three
+    vertices or is a sliver (see ``_has_area``), and otherwise the remaining
+    vertices. ``_clip_rows`` cuts many stacks of planes at once.
     """
     v = vertices
     for n, c in zip(normals, offsets):
@@ -190,12 +234,7 @@ def clip(vertices: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.n
         # each kept vertex, then the crossing point of the edge leaving it
         pts = np.stack((v, hit), axis=1).reshape(-1, 2)[
             np.column_stack((s <= 0.0, cross)).ravel()]
-        ring = pts[:1].tolist()
-        for q in pts[1:].tolist():
-            if math.dist(q, ring[-1]) > EPS_GEO:
-                ring.append(q)
-        if len(ring) > 1 and math.dist(ring[-1], ring[0]) <= EPS_GEO:
-            ring.pop()
+        ring = _merge(pts.tolist())
         if len(ring) < 3:
             return None
         v = np.array(ring)
@@ -204,13 +243,144 @@ def clip(vertices: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.n
     return v
 
 
-def _has_area(v: np.ndarray) -> bool:
-    """Whether a counter-clockwise vertex ring's shoelace area exceeds
-    EPS_GEO times its longest edge; a ring that does not is a sliver."""
-    nxt = np.concatenate((v[1:], v[:1]))
-    area = 0.5 * (v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]).sum()
-    edges = nxt - v
-    return bool(area > EPS_GEO * np.hypot(edges[:, 0], edges[:, 1]).max())
+def _merge(pts: list) -> list:
+    """The points, as lists, that a cut keeps of its output, in order: each
+    point more than EPS_GEO from the last one kept, then the last kept
+    dropped when it is within EPS_GEO of the first."""
+    ring = pts[:1]
+    for q in pts[1:]:
+        if math.dist(q, ring[-1]) > EPS_GEO:
+            ring.append(q)
+    if len(ring) > 1 and math.dist(ring[-1], ring[0]) <= EPS_GEO:
+        ring.pop()
+    return ring
+
+
+def _clip_rows(vertices: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
+               row: np.ndarray, rows: int) -> list[np.ndarray | None]:
+    """``clip`` of one convex (V, 2) ring by ``rows`` stacks of planes at once.
+
+    Plane t, with its unit normal and offset, belongs to stack ``row[t]``
+    (nondecreasing), and each stack is cut in order. Pass k cuts every live
+    ring by its stack's k-th plane on (R, W, 2) arrays padded past each
+    ring's vertex count, with ``clip``'s arithmetic: signed distances by a
+    stacked matmul (which rounds as ``v @ n`` does, where ``x nx + y ny``
+    would not), crossing points elementwise, close points merged by
+    ``_merge_rows`` and slivers found by ``_has_area``, once per vertex
+    count. Returns what ``clip`` returns for each stack: ``vertices`` itself,
+    None, or the cut ring.
+    """
+    first = np.searchsorted(row, np.arange(rows))
+    planes = np.searchsorted(row, np.arange(rows), side="right") - first
+    ring = np.broadcast_to(vertices, (rows, *vertices.shape)).copy()
+    count = np.full(rows, len(vertices))
+    alive, cut = np.ones(rows, dtype=bool), np.zeros(rows, dtype=bool)
+    for k in range(planes.max(initial=0)):
+        act = np.flatnonzero(alive & (planes > k))
+        if not len(act):
+            break
+        m = count[act]
+        v = ring[act, :m.max()]
+        n, c = normals[first[act] + k], offsets[first[act] + k]
+        s = (v @ n[:, :, None])[..., 0] - c[:, None]
+        valid = np.arange(v.shape[1]) < m[:, None]
+        # "not (max <= EPS_GEO)", as clip tests it, so that a NaN offset binds
+        bind = ~(np.where(valid, s, -np.inf).max(axis=1) <= EPS_GEO)
+        gone = bind & (np.where(valid, s, np.inf).min(axis=1) >= -EPS_GEO)
+        alive[act[gone]] = False
+        bind &= ~gone
+        if not bind.any():
+            continue
+        act, m, v, s, valid = act[bind], m[bind], v[bind], s[bind], valid[bind]
+        j = np.arange(v.shape[1])
+        after = np.where(j + 1 < m[:, None], j + 1, 0)
+        s_next = np.take_along_axis(s, after, axis=1)
+        cross = (((s < 0.0) & (s_next > 0.0)) | ((s_next < 0.0) & (s > 0.0))) & valid
+        t = np.divide(s, s - s_next, out=np.zeros_like(s), where=cross)
+        hit = v + t[..., None] * (np.take_along_axis(v, after[..., None], axis=1) - v)
+        # each kept vertex, then the crossing point of the edge leaving it
+        take = np.stack(((s <= 0.0) & valid, cross), axis=2).reshape(len(act), -1)
+        m = take.sum(axis=1)
+        alive[act[m < 3]] = False  # a merge only removes points
+        ok = m >= 3
+        if not ok.any():
+            continue
+        act, m = act[ok], m[ok]
+        pts = _compact(np.stack((v[ok], hit[ok]), axis=2).reshape(len(act), -1, 2), take[ok])
+        keep = _merge_rows(pts, m)
+        m = keep.sum(axis=1)
+        alive[act[m < 3]] = False
+        ok = m >= 3
+        act, v, m = act[ok], _compact(pts[ok], keep[ok]), m[ok]
+        for size in np.unique(m).tolist():
+            group = np.flatnonzero(m == size)
+            alive[act[group[~_has_area(v[group, :size])]]] = False
+        if v.shape[1] > ring.shape[1]:
+            ring = np.concatenate(
+                (ring, np.zeros((rows, v.shape[1] - ring.shape[1], 2))), axis=1)
+        ring[act, :v.shape[1]] = v
+        count[act], cut[act] = m, True
+    return [None if not a else ring[r, :count[r]] if c else vertices
+            for r, (a, c) in enumerate(zip(alive.tolist(), cut.tolist()))]
+
+
+def _merge_rows(pts: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """``_merge`` of each row's first ``size`` (at least 3) points of an
+    (R, L, 2) array, as an (R, L) mask of the points kept; a row whose merged
+    points differ from its first ones is rewritten in place.
+
+    A point is dropped when its gap to the point before it is at most
+    EPS_GEO, and the last one kept when it lies that close to the first.
+    That is ``_merge``'s rule as long as the point after a dropped one lies
+    more than 2 EPS_GEO past it, so a row with a gap nearer than that, or
+    with a gap within a relative ``_GAP_DOUBT`` of EPS_GEO (where
+    ``math.dist`` may round the other way), goes through ``_merge`` itself.
+    """
+    width = pts.shape[1]
+    inner = np.arange(width) < size[:, None]
+    inner[:, 0] = False
+    gap = np.zeros(inner.shape)
+    gap[:, 1:] = np.hypot(*np.moveaxis(pts[:, 1:] - pts[:, :-1], 2, 0))
+    drop = inner & (gap <= EPS_GEO)
+    keep = inner & ~drop
+    keep[:, 0] = True
+    last = width - 1 - keep[:, ::-1].argmax(axis=1)
+    wrap = np.hypot(*(pts[np.arange(len(pts)), last] - pts[:, 0]).T)
+    twice = keep.sum(axis=1) > 1
+    keep[np.arange(len(pts)), last] &= ~(twice & (wrap <= EPS_GEO))
+    near = _GAP_DOUBT * EPS_GEO
+    doubt = ((inner & (np.abs(gap - EPS_GEO) <= near)).any(axis=1)
+             | (drop[:, :-1] & inner[:, 1:] & (gap[:, 1:] <= 2.0 * EPS_GEO + near)).any(axis=1)
+             | twice & (np.abs(wrap - EPS_GEO) <= near))
+    for r in np.flatnonzero(doubt).tolist():
+        kept = _merge(pts[r, :size[r]].tolist())
+        pts[r, :len(kept)] = kept
+        keep[r] = np.arange(width) < len(kept)
+    return keep
+
+
+def _compact(values: np.ndarray, take: np.ndarray) -> np.ndarray:
+    """The (R, L, 2) values where the (R, L) mask ``take`` holds, moved to the
+    front of each row in order, and zeros after them."""
+    out = np.zeros((len(values), take.sum(axis=1).max(initial=0), 2))
+    r, e = np.nonzero(take)
+    out[r, (np.cumsum(take, axis=1) - 1)[r, e]] = values[r, e]
+    return out
+
+
+def _has_area(rings: np.ndarray, nxt: np.ndarray | None = None,
+              lengths: np.ndarray | None = None) -> np.ndarray:
+    """Whether a counter-clockwise (V, 2) ring, or each row of a (P, V, 2)
+    stack of them, has a shoelace area above EPS_GEO times its longest edge;
+    a ring that does not is a sliver. Each row is summed as it would be
+    alone. The caller may pass each vertex's successor and the edge lengths."""
+    if nxt is None:
+        nxt = np.concatenate((rings[..., 1:, :], rings[..., :1, :]), axis=-2)
+    if lengths is None:
+        edges = nxt - rings
+        lengths = np.hypot(edges[..., 0], edges[..., 1])
+    area = 0.5 * (rings[..., 0] * nxt[..., 1] - nxt[..., 0] * rings[..., 1]).sum(axis=-1)
+    return area > EPS_GEO * lengths.max(axis=-1)
 
 
 def _edge_planes(region: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:
@@ -248,14 +418,15 @@ def project_into(poly: ConvexPolygon, pts: np.ndarray) -> np.ndarray:
 def coincident_pairs(points) -> np.ndarray:
     """(k, 2) index pairs i < j, in row-major order, of points at most EPS_GEO apart.
 
-    The pair indices cost as much as the distances, so they wait for a close pair.
+    A k-d tree finds them in O(n log n) time and O(n + k) memory. A point that
+    is not finite is at no distance from any other, as ``pdist`` has it.
     """
     pts = np.asarray(points, dtype=float)
-    close = np.flatnonzero(pdist(pts) <= EPS_GEO)
-    if not len(close):
-        return np.empty((0, 2), dtype=np.intp)
-    i, j = np.triu_indices(len(pts), 1)
-    return np.column_stack([i[close], j[close]])
+    if not np.isfinite(pts).all():
+        finite = np.flatnonzero(np.isfinite(pts).all(axis=1))
+        return finite[coincident_pairs(pts[finite])]
+    pairs = cKDTree(pts).query_pairs(EPS_GEO, output_type="ndarray")
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
 def check_sites(points, workspace: ConvexPolygon | None = None) -> None:
@@ -341,20 +512,20 @@ def _power_neighbours(hull: ConvexHull | None, n: int) -> list[np.ndarray | None
     return found
 
 
-def _dual_cells(workspace: ConvexPolygon, P: np.ndarray, w: np.ndarray, sq: np.ndarray,
-                hull: ConvexHull) -> dict[int, ConvexPolygon]:
-    """The cells that need no clip, read off the lower facets of the lifted hull.
+def _dual_rings(workspace: ConvexPolygon, P: np.ndarray, w: np.ndarray, sq: np.ndarray,
+                hull: ConvexHull) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex rings of the cells that may need no clip, read off the lower
+    facets of the lifted hull: each ring vertex's site, and the vertex, grouped
+    by site in increasing order and, within a site, in ring order.
 
     Each lower facet (i, j, k) is one power vertex, met by the cells of its
     three sites. Cell i's copy is solved from the radical axes of (i, j) and
     (i, k), the very half-planes the clip route cuts by. A site all of whose
     lower-facet edges lie in two lower facets has a closed fan, so its cell
     is the bounded polygon of those copies, in the order of their angle about
-    the copies' mean. The cell is finished here when every copy lies in the
-    workspace, so that it is the workspace cut by those axes, and
-    ``ConvexPolygon`` takes the ring as it stands. Every other site (an open
-    fan on the sites' 2-D hull, a vertex outside W, near-coincident vertices
-    of nearly cocircular sites) is left to the clip route.
+    the copies' mean. It is kept when every copy lies in the workspace, so
+    that it is the workspace cut by those axes. Every other site (an open fan
+    on the sites' 2-D hull, a vertex outside W) is left to the clip route.
     """
     n = len(P)
     lower = hull.simplices[hull.equations[:, 2] < -_VERTICAL]
@@ -377,18 +548,28 @@ def _dual_cells(workspace: ConvexPolygon, P: np.ndarray, w: np.ndarray, sq: np.n
     left_out[i[~inside]] = True
     keep = ~left_out[i]
     i, q = i[keep], q[keep]
-    if not len(i):
-        return {}
     count = np.bincount(i, minlength=n)[i]
     mx = np.bincount(i, q[:, 0], minlength=n)[i] / count
     my = np.bincount(i, q[:, 1], minlength=n)[i] / count
     order = np.lexsort((np.arctan2(q[:, 1] - my, q[:, 0] - mx), i))
-    i, q = i[order], q[order]
-    starts = np.flatnonzero(np.concatenate(([True], i[1:] != i[:-1])))
+    return i[order], q[order]
+
+
+def _dual_cells(workspace: ConvexPolygon, P: np.ndarray, w: np.ndarray, sq: np.ndarray,
+                hull: ConvexHull) -> dict[int, ConvexPolygon]:
+    """The cells that need no clip: each ring of ``_dual_rings`` that
+    ``_ring_rule`` takes as it stands, checked once per vertex count. A ring
+    it refuses (near-coincident vertices of nearly cocircular sites, say) is
+    left to the clip route."""
+    i, q = _dual_rings(workspace, P, w, sq, hull)
+    starts = np.flatnonzero(np.concatenate(([True], i[1:] != i[:-1])))[:len(i)]
+    sizes = np.diff(np.append(starts, len(i)))
     cells = {}
-    for site, v in zip(i[starts].tolist(), np.split(q, starts[1:])):
-        with contextlib.suppress(ValueError):  # not a polygon as it stands: left to clip
-            cells[site] = ConvexPolygon(v)
+    for size in np.unique(sizes).tolist():
+        group = np.flatnonzero(sizes == size)
+        polys = _polygons(q[starts[group, None] + np.arange(size)])
+        cells.update((site, poly) for site, poly in zip(i[starts[group]].tolist(), polys)
+                     if poly is not None)
     return cells
 
 
@@ -400,18 +581,30 @@ def power_cells_from_weights(workspace: ConvexPolygon, P, w) -> list[ConvexPolyg
     sq = (P * P).sum(axis=1)
     hull = _lifted_hull(P, w)
     done = {} if hull is None or len(hull.coplanar) else _dual_cells(workspace, P, w, sq, hull)
-    cells: list[ConvexPolygon | None] = []
-    for i, rivals in enumerate(_power_neighbours(hull, len(P))):
-        if i in done or rivals is None:
-            cells.append(done.get(i))
-            continue
-        # {q : |q-p_i|^2 - w_i <= |q-p_j|^2 - w_j} for each rival j
-        d = 2.0 * (P[rivals] - P[i])
-        ln = np.hypot(d[:, 0], d[:, 1])
-        v = clip(workspace.vertices, d / ln[:, None],
-                 ((sq[rivals] - sq[i]) - (w[rivals] - w[i])) / ln)
-        cells.append(workspace if v is workspace.vertices else None if v is None
-                     else ConvexPolygon(v))
+    cells: list[ConvexPolygon | None] = [done.get(i) for i in range(len(P))]
+    rest = [(i, rivals) for i, rivals in enumerate(_power_neighbours(hull, len(P)))
+            if i not in done and rivals is not None]
+    if not rest:
+        return cells
+    sizes = [len(rivals) for _, rivals in rest]
+    site = np.repeat([i for i, _ in rest], sizes)
+    rivals = np.concatenate([rivals for _, rivals in rest])
+    # {q : |q-p_i|^2 - w_i <= |q-p_j|^2 - w_j} for each rival j
+    d = 2.0 * (P[rivals] - P[site])
+    ln = np.hypot(d[:, 0], d[:, 1])
+    parts = _clip_rows(workspace.vertices, d / ln[:, None],
+                       ((sq[rivals] - sq[site]) - (w[rivals] - w[site])) / ln,
+                       np.repeat(np.arange(len(rest)), sizes), len(rest))
+    cut: dict[int, list] = {}
+    for (i, _), v in zip(rest, parts):
+        if v is workspace.vertices:
+            cells[i] = workspace
+        elif v is not None:
+            cut.setdefault(len(v), []).append((i, v))
+    for group in cut.values():
+        for (i, v), poly in zip(group, _polygons(np.stack([v for _, v in group]))):
+            # a ring the rule refuses raises ConvexPolygon's ValueError
+            cells[i] = ConvexPolygon(v) if poly is None else poly
     return cells
 
 

@@ -14,7 +14,7 @@ writer, and the render tests hold every frame to it byte for byte.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -193,5 +193,5 @@ def render_scene(path, phi, workspace: ConvexPolygon, *, agents=None,
         canvas.elements.append(
             f'<text x="{MARGIN:.2f}" y="{MARGIN - 8:.2f}" '
             f'font-family="sans-serif" font-size="13" '
-            f'fill="#333333">{escape(title)}</text>')
+            f'fill="#333333">{escape(title, quote=False)}</text>')
     canvas.save(path)

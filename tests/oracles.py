@@ -17,6 +17,9 @@ the edge planes recomputed from a region's vertices on every call, the
 ``intersect`` that made a ``ConvexPolygon`` of every clipped polygon, the
 raster normalisation that cut each boundary pixel as one, grown into exact
 raster moments pixel by pixel,
+the polygon checks made one ring at a time, the power cells built one cell
+at a time (a ``ConvexPolygon`` per dual ring, a ``clip`` per boundary cell),
+the coincident-point search over all ``pdist`` distances,
 the swarm step that solved a fresh assignment at every step, the SVG
 writer that mapped one point and wrote one element per Python call,
 the transportation LP solved by HiGHS' dual simplex, and the damped
@@ -30,6 +33,7 @@ package.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import re
@@ -40,15 +44,16 @@ import numpy as np
 import yaml
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import csr_matrix
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from coverkit.coverage import _checked, _partition, build_partition
 from coverkit.density import (MASS_EPS, RULE_BARY, RULE_WEIGHTS, DensityField,
                               DiscreteMeasure, GmmDensity, GridDensity, cell_moments,
                               polygon_quadrature)
 from coverkit.errors import CoverkitError, NoConvergence
-from coverkit.geometry import (_VERTICAL, EPS_GEO, ConvexPolygon, _lifted_hull,
-                               check_count, check_positive, clip, project_into, ring_moments)
+from coverkit.geometry import (_VERTICAL, EPS_GEO, ConvexPolygon, _dual_rings, _lifted_hull,
+                               _power_neighbours, check_count, check_positive, clip,
+                               project_into, ring_moments)
 from coverkit.render import AGENT_PALETTE, _band_color
 from coverkit.swarm import SwarmState, systematic_resample
 
@@ -588,6 +593,68 @@ def neighbour_power_cells(workspace, points, weights):
             cell = one_plane_clip(cell, h)
         cells.append(cell)
     return cells
+
+
+def ring_fault(vertices) -> str | None:
+    """``ConvexPolygon``'s checks on one ring at a time, as its constructor
+    made them before they ran on stacks: the message of the first check the
+    ring fails, None when it passes them all."""
+    v = np.asarray(vertices, dtype=float)
+    if not np.isfinite(v).all():
+        return "vertices must be finite"
+    if len(v) < 3:
+        return "need at least 3 two-dimensional vertices"
+    edges = np.concatenate((v[1:], v[:1])) - v
+    lengths = np.hypot(edges[:, 0], edges[:, 1])
+    if (lengths <= EPS_GEO).any():
+        return "duplicate consecutive vertices"
+    nxt = np.concatenate((edges[1:], edges[:1]))
+    if (edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0] < -EPS_GEO).any():
+        return "vertices must be convex in counter-clockwise order"
+    after = np.concatenate((v[1:], v[:1]))
+    area = 0.5 * (v[:, 0] * after[:, 1] - after[:, 0] * v[:, 1]).sum()
+    if not area > EPS_GEO * lengths.max():
+        return "vertices must enclose an area above EPS_GEO times the longest edge"
+    return None
+
+
+def cellwise_power_cells(workspace: ConvexPolygon, P, w) -> list[ConvexPolygon | None]:
+    """``power_cells_from_weights`` one cell at a time: a ``ConvexPolygon`` per
+    ring of ``_dual_rings`` (a ring it refuses is left to clip), then one
+    ``clip`` and one ``ConvexPolygon`` per remaining cell."""
+    P, w = np.asarray(P, dtype=float), np.asarray(w, dtype=float)
+    sq = (P * P).sum(axis=1)
+    hull = _lifted_hull(P, w)
+    done = {}
+    if hull is not None and not len(hull.coplanar):
+        i, q = _dual_rings(workspace, P, w, sq, hull)
+        starts = np.flatnonzero(np.concatenate(([True], i[1:] != i[:-1])))[:len(i)]
+        for site, v in zip(i[starts].tolist(), np.split(q, starts[1:])):
+            with contextlib.suppress(ValueError):
+                done[site] = ConvexPolygon(v)
+    cells: list[ConvexPolygon | None] = []
+    for i, rivals in enumerate(_power_neighbours(hull, len(P))):
+        if i in done or rivals is None:
+            cells.append(done.get(i))
+            continue
+        d = 2.0 * (P[rivals] - P[i])
+        ln = np.hypot(d[:, 0], d[:, 1])
+        v = clip(workspace.vertices, d / ln[:, None],
+                 ((sq[rivals] - sq[i]) - (w[rivals] - w[i])) / ln)
+        cells.append(workspace if v is workspace.vertices else None if v is None
+                     else ConvexPolygon(v))
+    return cells
+
+
+def pdist_coincident_pairs(points) -> np.ndarray:
+    """``coincident_pairs`` from all n (n - 1) / 2 distances: the pairs i < j,
+    in row-major order, at most EPS_GEO apart."""
+    pts = np.asarray(points, dtype=float)
+    close = np.flatnonzero(pdist(pts) <= EPS_GEO)
+    if not len(close):
+        return np.empty((0, 2), dtype=np.intp)
+    i, j = np.triu_indices(len(pts), 1)
+    return np.column_stack([i[close], j[close]])
 
 
 # ------------------------------------------------------------------ swarm

@@ -79,6 +79,8 @@ def test_descent_runs_load_no_other_pipeline(tmp_path):
     assert "coverkit.coverage" in loaded
     assert not {"scipy.optimize", "coverkit.assign", "coverkit.poi", "coverkit.submod",
                 "coverkit.swarm", "coverkit.transport"} & set(loaded)
+    # nor the network stack that xml.sax.saxutils would pull in
+    assert not {"ssl", "http.client", "urllib.request"} & set(loaded)
 
 
 def test_every_traced_attribute_exists():

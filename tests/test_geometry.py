@@ -1,15 +1,23 @@
+import contextlib
+import re
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from coverkit.errors import DuplicateSites, SiteOutsideWorkspace
+from coverkit import geometry
 from coverkit.geometry import (
+    _RING_FAULTS,
     EPS_GEO,
     ConvexPolygon,
+    _clip_rows,
     _dual_cells,
     _lifted_hull,
+    _polygons,
     _power_neighbours,
+    _ring_rule,
     check_sites,
     clip,
     _edge_planes,
@@ -19,8 +27,9 @@ from coverkit.geometry import (
     project_into,
     separate,
 )
-from tests.oracles import (HalfPlane, clip_planes, edge_planes, intersect, loop_project_into,
-                           neighbour_power_cells, one_plane_clip, pair_power_neighbours)
+from tests.oracles import (HalfPlane, cellwise_power_cells, clip_planes, edge_planes, intersect,
+                           loop_project_into, neighbour_power_cells, one_plane_clip,
+                           pair_power_neighbours, pdist_coincident_pairs, ring_fault)
 
 
 def unit_square():
@@ -167,6 +176,53 @@ def test_clip_matches_one_plane_oracle():
     assert min(outcomes.values()) > 0, outcomes
 
 
+def assert_clip_rows_match_clip(v, stacks) -> list[str]:
+    """``_clip_rows`` of ring v by the (normals, offsets) stacks equals ``clip``
+    of each stack bit for bit; returns each row's 'none', 'same' or 'cut'."""
+    normals = np.concatenate([n for n, _ in stacks]).reshape(-1, 2)
+    offsets = np.concatenate([c for _, c in stacks])
+    row = np.repeat(np.arange(len(stacks)), [len(c) for _, c in stacks])
+    outcomes = []
+    for (n, c), got in zip(stacks, _clip_rows(v, normals, offsets, row, len(stacks))):
+        want = clip(v, n, c)
+        if want is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, want)
+            assert (got is v) == (want is v)
+        outcomes.append("none" if want is None else "same" if want is v else "cut")
+    return outcomes
+
+
+def test_clip_rows_match_clip_row_by_row(monkeypatch):
+    # rings down to a few EPS_GEO across, so that cuts leave points within
+    # EPS_GEO of one another: most are merged on arrays, and a few go
+    # through _merge itself
+    merge, callers = geometry._merge, []
+    monkeypatch.setattr(geometry, "_merge", lambda pts: callers.append(
+        sys._getframe(1).f_code.co_name) or merge(pts))
+    rng = np.random.default_rng(34)
+    outcomes = {"same": 0, "none": 0, "cut": 0}
+    for _ in range(300):
+        scale = rng.choice([1.0, 2e-8, 6e-9])
+        v = random_convex_ring(rng)
+        v = v.mean(axis=0) + scale * (v - v.mean(axis=0))
+        with contextlib.suppress(ValueError):
+            v = ConvexPolygon(v).vertices
+            stacks = []
+            for _ in range(int(rng.integers(1, 8))):
+                normals, offsets = random_planes(rng, v, int(rng.integers(0, 41)))
+                # half of the lines pass within a ring's size of its middle
+                middle = normals @ v.mean(axis=0) + scale * rng.normal(size=len(offsets))
+                offsets = np.where(rng.random(len(offsets)) < 0.5, middle, offsets)
+                if len(offsets) and rng.random() < 0.1:
+                    offsets[rng.integers(len(offsets))] = rng.choice([np.nan, np.inf, -np.inf])
+                stacks.append((normals, offsets))
+            for outcome in assert_clip_rows_match_clip(v, stacks):
+                outcomes[outcome] += 1
+    assert min(outcomes.values()) > 0 and "_merge_rows" in callers, outcomes
+
+
 def clip_to_edges(poly, region):
     """Clip edge by edge against the region's outward half-planes."""
     v = region.vertices
@@ -276,6 +332,52 @@ def test_polygon_rejects_non_finite_vertices(bad):
         ConvexPolygon([[0, 0], [bad, 0], [1, 1], [0, 1]])
 
 
+def degenerate_rings(rng):
+    """Random convex rings and spoiled copies: a vertex repeated within
+    EPS_GEO / 2, a vertex pushed inward (a reflex turn), a ring flattened to
+    a sliver, rings a few EPS_GEO across, and a vertex that is not finite."""
+    for _ in range(60):
+        v = random_convex_ring(rng)
+        yield v
+        i = int(rng.integers(len(v)))
+        yield np.insert(v, i + 1, v[i] + rng.uniform(-0.35, 0.35, 2) * EPS_GEO, axis=0)
+        dent = v.copy()
+        dent[i] = v.mean(axis=0) + rng.uniform(0.0, 0.9) * (v[i] - v.mean(axis=0))
+        yield dent
+        flat = v.copy()
+        flat[:, 1] = v[:, 1].mean() + rng.choice([0.0, 1e-10, 1e-8]) * (v[:, 1] - v[:, 1].mean())
+        yield flat
+        yield v.mean(axis=0) + rng.choice([1e-9, 3e-9, 1e-8]) * (v - v.mean(axis=0))
+        bad = v.copy()
+        bad[i, int(rng.integers(2))] = rng.choice([np.nan, np.inf, -np.inf])
+        yield bad
+    yield from (np.array([[0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]]),
+                np.array([[0.0, 0.0], [np.nan, 0.0]]))
+
+
+def test_ring_rule_accepts_and_refuses_as_the_one_ring_checks():
+    rings = list(degenerate_rings(np.random.default_rng(63)))
+    faults = {message: 0 for message in _RING_FAULTS}
+    for size in sorted({len(v) for v in rings}):
+        group = [v for v in rings if len(v) == size]
+        fails, edges, lengths = _ring_rule(np.stack(group))
+        for r, (v, poly) in enumerate(zip(group, _polygons(np.stack(group)))):
+            want = ring_fault(v)
+            first = [m for m, failed in zip(_RING_FAULTS, fails) if failed[r]][:1]
+            assert first == ([] if want is None else [want])
+            if want is None:
+                alone = ConvexPolygon(v)
+                for got, ref in ((poly.vertices, v), (poly._edges, alone._edges),
+                                 (poly._lengths, alone._lengths), (edges[r], alone._edges)):
+                    np.testing.assert_array_equal(got, ref)
+            else:
+                faults[want] += 1
+                assert poly is None
+                with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                    ConvexPolygon(v)
+    assert min(faults.values()) > 0, faults
+
+
 def test_contains_handles_boundary():
     sq = unit_square()
     assert sq.contains([0.5, 0.5])
@@ -326,6 +428,28 @@ def test_coincident_pairs_of_separated_points_is_an_empty_index_array():
     got = coincident_pairs(np.random.default_rng(5).uniform(0.0, 1.0, (50, 2)))
     assert got.shape == (0, 2)
     assert got.dtype == np.intp
+
+
+def test_coincident_pairs_match_the_pdist_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(1, 300))
+        pts = rng.uniform(0.0, 1.0, (n, 2))
+        if n > 2:
+            # copies, and partners at EPS_GEO (1 +- 1e-12) in random directions
+            i, j = rng.integers(n, size=(2, n // 3))
+            pts[j] = pts[i]
+            k = rng.integers(n, size=n // 3)
+            ang = rng.uniform(0.0, 2.0 * np.pi, len(k))
+            gap = EPS_GEO * (1.0 + rng.choice([-1e-12, 1e-12], len(k)))
+            pts[rng.permutation(n)[:len(k)]] = pts[k] + gap[:, None] * np.column_stack(
+                [np.cos(ang), np.sin(ang)])
+        want = pdist_coincident_pairs(pts)
+        assert len(want) or n <= 2
+        np.testing.assert_array_equal(coincident_pairs(pts), want)
+        bad = pts.copy()
+        bad[rng.integers(n, size=2), rng.integers(2, size=2)] = [np.nan, np.inf]
+        np.testing.assert_array_equal(coincident_pairs(bad), pdist_coincident_pairs(bad))
 
 
 def test_check_sites_names_the_first_pair_then_the_first_stray():
@@ -608,6 +732,50 @@ def test_power_cells_match_all_pairs_oracle(case):
     for i, (a, b) in enumerate(zip(got, want)):
         if b is not None and i not in dual:
             np.testing.assert_array_equal(a.vertices, b.vertices)
+    assert_same_bits(got, cellwise_power_cells(workspace, sites, weights), workspace)
+
+
+def assert_same_bits(got, want, workspace):
+    """Same None pattern, the workspace itself where want has it, and every
+    other cell with the same vertices, edges and edge lengths, bit for bit."""
+    assert [c is None for c in got] == [c is None for c in want]
+    assert [c is workspace for c in got] == [c is workspace for c in want]
+    for a, b in zip(got, want):
+        if a is not None:
+            for x, y in ((a.vertices, b.vertices), (a._edges, b._edges),
+                         (a._lengths, b._lengths)):
+                np.testing.assert_array_equal(x, y)
+
+
+def random_site_sets(rng, count):
+    """(workspace, sites, weights): 1 to 120 sites in a square or a pentagon,
+    drawn uniformly, on a 0.01 lattice, in clusters 1e-6 across or in a
+    strip 1e-4 high, with weights zero, tiny, small or about a cell's area."""
+    ang = 2.0 * np.pi * np.arange(5) / 5 + 0.3
+    shapes = (unit_square(), ConvexPolygon(np.column_stack([np.cos(ang), np.sin(ang)])))
+    for k in range(count):
+        workspace = shapes[k % 2]
+        lo, hi = workspace.vertices.min(axis=0), workspace.vertices.max(axis=0)
+        n = int(rng.integers(1, 121))
+        pts = rng.uniform(lo, hi, size=(4 * n, 2))
+        if k % 4 == 1:
+            pts = np.round(pts, 2)
+        elif k % 4 == 2:
+            pts = pts[rng.integers(max(1, n // 5), size=4 * n)] + rng.normal(0.0, 1e-6, (4 * n, 2))
+        elif k % 4 == 3:
+            pts[:, 1] = 0.3 + rng.uniform(0.0, 1e-4, 4 * n)
+        pts = pts[workspace.contains(pts, tol=0.0)]
+        pts = pts[np.sort(np.unique(np.round(pts / 1e-8), axis=0, return_index=True)[1])][:n]
+        scale = rng.choice([0.0, 1e-6, 1e-3, 0.05]) * rng.choice([-1.0, 1.0])
+        if len(pts):
+            yield workspace, pts, scale * rng.uniform(0.0, 1.0, len(pts))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_power_cells_match_the_cellwise_oracle_on_random_sets(seed):
+    for workspace, sites, weights in random_site_sets(np.random.default_rng(seed), 16):
+        assert_same_bits(power_cells_from_weights(workspace, sites, weights),
+                         cellwise_power_cells(workspace, sites, weights), workspace)
 
 
 def assert_same_neighbours(sites, weights):

@@ -17,7 +17,7 @@ from coverkit.geometry import (EPS_GEO, EVAL_NODES, ConvexPolygon, check_sites, 
 from tests.oracles import (broadcast_polygon_quadrature, loop_contains,  # noqa: E402
                            neighbour_power_cells)
 from tests.test_geometry import (all_pairs_power_cells, assert_clip_matches_oracle,  # noqa: E402
-                                  assert_same_cells, dual_sites)
+                                  assert_clip_rows_match_clip, assert_same_cells, dual_sites)
 
 coords = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 corner_sets = st.lists(st.tuples(coords, coords), min_size=3, max_size=10)
@@ -109,6 +109,31 @@ def test_clip_matches_one_plane_oracle(corners, planes):
     normals = np.column_stack([np.cos(angle), np.sin(angle)])
     through = (normals * v[corner % len(v)]).sum(axis=1) + miss * EPS_GEO
     assert_clip_matches_oracle(v, normals, np.where(corner % 2 == 0, through, free))
+
+
+# offsets that are not finite as well: NaN cuts everything away, +inf
+# nothing and -inf everything
+wild = st.one_of(coords, st.sampled_from([np.nan, np.inf, -np.inf]))
+plane_rows = st.lists(st.lists(st.tuples(st.floats(0.0, 2.0 * np.pi), st.integers(0, 19),
+                                         st.sampled_from([0.0, 0.5, -0.5, 2.0, -2.0]), wild),
+                               max_size=40), min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corners=corner_sets, rows=plane_rows)
+def test_clip_rows_match_clip(corners, rows):
+    workspace = hull_polygon(corners)
+    assume(workspace is not None)
+    v = workspace.vertices
+    stacks = []
+    for planes in rows:
+        angle, corner, miss, free = (np.array(x, dtype=float).reshape(-1) for x in
+                                     (zip(*planes) if planes else ([], [], [], [])))
+        normals = np.column_stack([np.cos(angle), np.sin(angle)])
+        corner = corner.astype(int)
+        through = (normals * v[corner % len(v)]).sum(axis=1) + miss * EPS_GEO
+        stacks.append((normals, np.where(corner % 2 == 0, through, free)))
+    assert_clip_rows_match_clip(v, stacks)
 
 
 @settings(max_examples=60, deadline=None)

@@ -137,7 +137,7 @@ def full_scene(phi, w):
                 pois=np.array([[0.5, 0.5], [0.6, 0.3], [0.35, 0.6]]),
                 assignment=[(0, 1), (2, 0), (3, 2)],
                 swarm_points=np.random.default_rng(3).uniform(0.3, 0.7, size=(30, 2)),
-                title='cost <1 & "q" > 0')
+                title='cost <1 & "q" > 0\'s')
 
 
 def assert_same_bytes(tmp_path, phi, w, **kwargs):
